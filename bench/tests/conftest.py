@@ -1,0 +1,9 @@
+"""Put the benchmark's modules and the checkout's ``src`` on the import path."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(BENCH), str(BENCH.parent / "src")]
