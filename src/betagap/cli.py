@@ -393,7 +393,7 @@ def _identity_suite() -> list[tuple[str, float, float]]:
 def _run_check(config: RunConfig, sink: IO[str]) -> int:
     failures = 0
     for name, residual, tol in _identity_suite():
-        passed = residual < tol
+        passed = bool(residual < tol)
         failures += not passed
         if config.fmt == "json":
             print(
@@ -563,8 +563,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_endpoint(flag: str, value: float, *, positive: bool = False) -> None:
+    """Reject a gap endpoint that is NaN, infinite, negative, or (when
+    ``positive``) zero."""
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{flag} must be finite and {kind}, got {value}")
+
+
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     values = vars(args).copy()
+    if args.command in ("exact", "mc", "contour"):
+        _check_endpoint("--s", args.s)
+    elif args.command == "asympt":
+        _check_endpoint("--s", args.s, positive=True)
+    elif args.command == "sweep":
+        _check_endpoint("--s-min", args.s_min)
+        _check_endpoint("--s-max", args.s_max)
     if args.command == "sweep":
         count = values.pop("s_count")
         lo, hi = values.pop("s_min"), values.pop("s_max")

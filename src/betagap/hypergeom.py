@@ -7,6 +7,12 @@ as ``(sign, log-magnitude)``; the log accumulators keep results usable
 far outside float range, which matters because the finite-size gap
 formulas multiply series values like ``exp(+1900)`` against prefactors
 like ``exp(-1920)``.
+
+``C_kappa(x)`` comes from the closed-form identity evaluation when the
+argument has one distinct nonzero value, and otherwise from one
+:class:`~betagap.jack.JackTable` per series, extended a weight layer at
+a time as the sum goes deeper.  Neither path calls the Schur or
+monomial evaluators, which remain as test oracles in :mod:`betagap.jack`.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .errors import (
     LowerParameterPoleError,
     NonConvergenceError,
 )
-from .jack import jack_C_eval_signlog
+from .jack import JackTable, jack_C_eval_signlog
 from .partitions import gen_pochhammer_signlog, partitions_of_weight
 
 __all__ = [
@@ -169,6 +175,8 @@ def pFq_alpha(
     m = spec.args.num_variables
     xs = spec.args.expanded()
     cap = _termination_cap(spec.upper)
+    distinct = {value for value, _ in spec.args.blocks if value != 0.0}
+    table = JackTable(xs, spec.alpha) if len(distinct) > 1 else None
 
     log_pos = -math.inf
     log_neg = -math.inf
@@ -195,7 +203,9 @@ def pFq_alpha(
 
         layer_log = -math.inf
         layer_nonempty = False
-        for kappa in partitions_of_weight(k, m):
+        if table is not None:
+            jack_values, jack_logs, jack_sign = table.layer(k)
+        for position, kappa in enumerate(partitions_of_weight(k, m)):
             if cap is not None and kappa and kappa[0] > cap:
                 continue
             layer_nonempty = True
@@ -219,11 +229,18 @@ def pFq_alpha(
                     )
                 sign *= s_b
                 log_mag -= l_b
-            s_c, l_c = jack_C_eval_signlog(kappa, xs, spec.alpha)
-            if s_c == 0:
-                continue
-            sign *= s_c
-            log_mag += l_c
+            if table is None:
+                s_c, l_c = jack_C_eval_signlog(kappa, xs, spec.alpha)
+                if s_c == 0:
+                    continue
+                sign *= s_c
+                log_mag += l_c
+            else:
+                c_value = jack_values[position]
+                if c_value == 0.0:
+                    continue
+                sign *= jack_sign if c_value > 0.0 else -jack_sign
+                log_mag += math.log(abs(c_value)) + jack_logs[position]
 
             term_count += 1
             log_abs_total = np.logaddexp(log_abs_total, log_mag)

@@ -1,17 +1,29 @@
 """Jack polynomials in the normalization whose values at ones sum to powers.
 
 ``C_kappa`` denotes the normalization with ``sum_{|kappa|=k} C_kappa(x)
-= (x_1 + ... + x_m)**k``.  Evaluation dispatches between an identity
-shortcut for repeated arguments, a determinantal (Schur) path at
-``alpha == 1``, and a monomial expansion driven by the eigenoperator
-recurrence for general ``alpha``.
+= (x_1 + ... + x_m)**k``.  Which evaluator serves which argument:
+
+- one distinct nonzero value (every ``E(0)`` series): the closed-form
+  identity evaluation ``x**|kappa| C_kappa(1, ..., 1)``;
+- more than one distinct value (the quadrature nodes of ``E(n)``,
+  ``n >= 1``): :class:`JackTable`, the Koev–Edelman recursion over
+  horizontal strips, which builds every ``C_kappa`` of a series one
+  variable and one weight layer at a time from branching coefficients
+  shared by all series at the same ``alpha`` and number of variables.
+
+The Schur bialternant at ``alpha == 1`` and the monomial expansion
+driven by the eigenoperator recurrence evaluate one ``kappa`` at a time.
+No route uses them; tests compare :class:`JackTable` against them
+through :func:`jack_C_oracle_signlog`.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from collections import Counter
-from functools import cache
+from dataclasses import dataclass
+from functools import cache, lru_cache
 from itertools import permutations
 
 import numpy as np
@@ -32,7 +44,10 @@ __all__ = [
     "monomial_eval",
     "jack_C_eval",
     "jack_C_eval_signlog",
+    "jack_C_oracle_signlog",
+    "JackTable",
     "MAX_EXPANSION_WEIGHT",
+    "MAX_STRIP_PAIRS",
 ]
 
 #: Hard ceiling on the weight accepted by :func:`jack_in_monomial_basis`.
@@ -191,15 +206,279 @@ def _schur_signlog(kappa: tuple[int, ...], xs: tuple[float, ...]) -> tuple[int, 
     return sign_top * sign_bot, k * math.log(scale) + log_top - log_bot
 
 
+#: Most horizontal strips one strip table may hold (32 bytes each).
+MAX_STRIP_PAIRS = 2_000_000
+
+
+def _hook_ratio_products(alpha: float, max_leg: int, top: int) -> np.ndarray:
+    """``G[l, n] = prod_{a < n} (l + 1 + alpha a) / (l + alpha (a + 1))``.
+
+    Each row extends its product one box (one unit of arm) at a time, so
+    a row of a longer table starts with the same floats as a shorter one.
+    """
+    legs = np.arange(max_leg + 1, dtype=float)[:, None]
+    arms = np.arange(top, dtype=float)[None, :]
+    ratios = (legs + 1.0 + alpha * arms) / (legs + alpha * (arms + 1.0))
+    table = np.ones((max_leg + 1, top + 1))
+    np.multiply.accumulate(ratios, axis=1, out=table[:, 1:])
+    return table
+
+
+def _hook_log_sums(alpha: float, max_leg: int, top: int) -> np.ndarray:
+    """``L[l, n] = sum_{a=1..n} log(l + alpha a)``: the lower hooks of ``n``
+    consecutive cells of leg ``l``, added one box at a time."""
+    legs = np.arange(max_leg + 1, dtype=float)[:, None]
+    arms = np.arange(1, top + 1, dtype=float)[None, :]
+    table = np.zeros((max_leg + 1, top + 1))
+    np.add.accumulate(np.log(legs + alpha * arms), axis=1, out=table[:, 1:])
+    return table
+
+
+def _rank_tables(parts: int, top: int) -> list[np.ndarray]:
+    """``T[j][r, q]``: partitions of ``r`` into at most ``j + 1`` parts
+    whose first part lies in ``1..q``, for ``j < parts`` and ``r, q <= top``.
+    """
+    size = top + 1
+    # bounded[r, p]: partitions of r into at most j parts, each at most p.
+    bounded = np.zeros((size, size), dtype=np.int64)
+    bounded[0, :] = 1
+    rows = np.arange(size)[:, None]
+    cols = np.arange(size)[None, :]
+    tables = []
+    for _ in range(parts):
+        # first part exactly p, the rest bounded by p
+        first = np.where(rows >= cols, bounded[np.maximum(rows - cols, 0), cols], 0)
+        first[:, 0] = 0
+        tables.append(np.cumsum(first, axis=1))
+        grown = np.zeros_like(bounded)
+        grown[0, :] = 1
+        for p in range(1, size):
+            grown[:, p] = grown[:, p - 1]
+            grown[p:, p] += bounded[: size - p, p]
+        bounded = grown
+    return tables
+
+
+@dataclass(frozen=True, slots=True)
+class _StripLayer:
+    """The horizontal strips ``kappa/mu`` of one weight layer ``|kappa| = k``."""
+
+    start: int
+    count: int
+    owner: np.ndarray
+    mu: np.ndarray
+    size: np.ndarray
+    psi: np.ndarray
+    ends: list[int]
+    log_norm: np.ndarray
+
+
+class _StripTable:
+    """Jack branching coefficients for partitions of at most ``parts`` parts.
+
+    ``P_kappa(x_1..x_j) = sum_mu P_mu(x_1..x_{j-1}) x_j^{|kappa/mu|}
+    psi_{kappa/mu}`` over horizontal strips ``kappa/mu``, with Macdonald's
+    coefficient ``psi_{kappa/mu} = prod b_mu(s) / b_kappa(s)`` over the
+    cells ``s`` of ``mu`` that share a row but no column with the strip,
+    ``b(s) = (leg + 1 + alpha arm) / (leg + alpha (arm + 1))``.  In row
+    ``i`` those cells split into runs of constant leg ``r - i`` (columns
+    ``kappa_{r+1} < c <= mu_r``, ``r >= i``) over which the arm moves one
+    box at a time, so every run is a ratio of two entries of the
+    one-box hook-ratio products ``G`` and a strip costs ``O(parts**2)``
+    table reads, whatever its size.
+
+    Partitions are numbered by weight, then in the order of
+    ``partitions_of_weight(k, parts)``.  Layer ``k`` holds the number
+    ``start`` of its first partition and flat arrays over its strips: the
+    position of ``kappa`` in its layer (``owner``), the number of ``mu``
+    (``mu``), the strip size ``k - |mu|`` (``size``) and ``psi``.  Only
+    ``mu`` of at most ``parts - 1`` parts is kept, since the last variable
+    added is the last one there is.  Strips are sorted stably by the
+    number of parts of ``mu``, and ``ends[l]`` counts those with at most
+    ``l`` parts, so adding the ``j``-th variable reads a prefix.
+    """
+
+    def __init__(self, alpha: float, parts: int) -> None:
+        self.alpha = alpha
+        self.parts = parts
+        self.layers: list[_StripLayer] = []
+        self.offsets = [0]  # number of the first partition of each weight
+        self.pairs = 0
+        self._top = -1
+        self._hooks = np.ones((parts, 1))
+        self._lower = np.zeros((parts, 1))
+        self._ranks: list[np.ndarray] = []
+        self._lock = threading.Lock()
+
+    def layer(self, k: int) -> _StripLayer:
+        """Layer ``k``, built (with every layer below it) on first use."""
+        if k >= len(self.layers):
+            with self._lock:
+                while len(self.layers) <= k:
+                    self._build(len(self.layers))
+        return self.layers[k]
+
+    def _build(self, k: int) -> None:
+        parts = self.parts
+        if k > self._top:
+            self._top = max(2 * self._top, k, 16)
+            self._hooks = _hook_ratio_products(self.alpha, parts - 1, self._top)
+            self._lower = _hook_log_sums(self.alpha, parts - 1, self._top)
+            self._ranks = _rank_tables(parts, self._top)
+        kappas = partitions_of_weight(k, parts)
+        count = len(kappas)
+        padded = np.zeros((count, parts + 1), dtype=np.int32)
+        for row, kappa in enumerate(kappas):
+            padded[row, : len(kappa)] = kappa
+        # mu_i runs over kappa_{i+1}..kappa_i; the last part of mu is 0.
+        radix = padded[:, :parts] - padded[:, 1:] + 1
+        radix[:, parts - 1] = 1
+        per_kappa = radix.prod(axis=1)
+        total = int(per_kappa.sum())
+        if self.pairs + total > MAX_STRIP_PAIRS:
+            raise ResourceLimitError(
+                f"Jack strip table at alpha={self.alpha} with {parts} variables "
+                f"would exceed {MAX_STRIP_PAIRS} strips at weight {k}"
+            )
+        owner = np.repeat(np.arange(count), per_kappa)
+        digit = np.arange(total) - np.repeat(np.cumsum(per_kappa) - per_kappa, per_kappa)
+        kap = padded[owner]
+        mu = np.zeros_like(kap)
+        for i in range(parts - 1):
+            base = radix[owner, i]
+            mu[:, i] = kap[:, i] - digit % base
+            digit //= base
+        mu_parts = np.count_nonzero(mu, axis=1)
+        order = np.argsort(mu_parts, kind="stable")
+        owner, kap, mu = owner[order], kap[order], mu[order]
+        ends = np.searchsorted(mu_parts[order], np.arange(parts), side="right")
+
+        psi = np.ones(total)
+        hooks = self._hooks
+        for i in range(parts):
+            for r in range(i, parts):
+                g = hooks[r - i]
+                psi *= (g[mu[:, i] - kap[:, r + 1]] * g[kap[:, i] - mu[:, r]]) / (
+                    g[mu[:, i] - mu[:, r]] * g[kap[:, i] - kap[:, r + 1]]
+                )
+
+        mu_weight = mu.sum(axis=1)
+        index = np.asarray(self.offsets)[mu_weight]
+        remaining = mu_weight.copy()
+        bound = mu_weight.copy()
+        for i in range(parts):
+            ranks = self._ranks[parts - 1 - i]
+            index += ranks[remaining, np.minimum(bound, remaining)] - ranks[remaining, mu[:, i]]
+            remaining -= mu[:, i]
+            bound = mu[:, i]
+
+        # log(C_kappa / P_kappa) = log(alpha^k k! / prod of lower hooks), the
+        # hooks summed over the same constant-leg runs, now of kappa itself.
+        log_norm = np.full(count, k * math.log(self.alpha) + math.lgamma(k + 1))
+        for i in range(parts):
+            for r in range(i, parts):
+                lower = self._lower[r - i]
+                row = padded[:, i]
+                log_norm -= lower[row - padded[:, r + 1]] - lower[row - padded[:, r]]
+        start = self.offsets[-1]
+        self.offsets.append(start + count)
+        self.pairs += total
+        self.layers.append(
+            _StripLayer(start, count, owner, index, k - mu_weight, psi, ends.tolist(), log_norm)
+        )
+
+
+@lru_cache(maxsize=8)
+def _strip_table(alpha: float, parts: int) -> _StripTable:
+    """The strip table of ``(alpha, parts)``, shared by every argument.
+
+    Its contents depend on nothing else, and a layer is the same whether
+    it was built for this series or an earlier one.
+    """
+    return _StripTable(alpha, parts)
+
+
+class JackTable:
+    """``C_kappa(x)`` for every partition, one weight layer at a time.
+
+    The evaluator for arguments with more than one distinct value.  It
+    tabulates ``P_kappa(x_1..x_j / s)``, ``j = 1..m``, with ``s =
+    max|x|``, by the branching rule over horizontal strips (Koev and
+    Edelman, Math. Comp. 75 (2006) 833), reading the coefficients from the
+    shared strip table of ``(alpha, m)``.  Arguments that are all
+    nonpositive are tabulated at ``|x|`` and given the sign
+    ``(-1)**|kappa|``, so the table sums no terms of mixed sign.
+
+    Parameters
+    ----------
+    x : tuple of float
+        Argument values; zeros count as variables.
+    alpha : float
+        Positive deformation parameter.
+    """
+
+    def __init__(self, x: tuple[float, ...], alpha: float) -> None:
+        scale = max(abs(v) for v in x)
+        self._negative = all(v <= 0.0 for v in x)
+        if self._negative:
+            x = tuple(-v for v in x)
+        self._y = sorted(v / scale for v in x)
+        self._log_scale = math.log(scale)
+        parts = len(self._y)
+        self._strips = _strip_table(float(alpha), parts)
+        self._values = np.zeros((parts + 1, 64))
+        self._values[0, 0] = 1.0
+        self._powers = np.zeros((parts, 16))
+        self._done = -1
+
+    def layer(self, k: int) -> tuple[list[float], list[float], int]:
+        """Layer ``k``, over ``partitions_of_weight(k, m)``.
+
+        Returns
+        -------
+        tuple
+            ``(values, log_factors, sign)`` with ``C_kappa(x) = sign *
+            values[i] * exp(log_factors[i])`` for the ``i``-th partition.
+            A value below the float range of the scaled table reads 0.
+        """
+        while self._done < k:
+            self._extend(self._done + 1)
+        strips = self._strips.layer(k)
+        values = self._values[-1, strips.start : strips.start + strips.count].tolist()
+        log_factors = (strips.log_norm + k * self._log_scale).tolist()
+        return values, log_factors, -1 if self._negative and k % 2 else 1
+
+    def _extend(self, k: int) -> None:
+        strips = self._strips.layer(k)
+        start = strips.start
+        stop = start + strips.count
+        if stop > self._values.shape[1]:
+            grown = np.zeros((self._values.shape[0], max(2 * self._values.shape[1], stop)))
+            grown[:, :start] = self._values[:, :start]
+            self._values = grown
+        if k >= self._powers.shape[1]:
+            grown = np.zeros((self._powers.shape[0], 2 * k))
+            grown[:, :k] = self._powers[:, :k]
+            self._powers = grown
+        self._powers[:, k] = [y**k for y in self._y]
+        values = self._values
+        for j in range(1, values.shape[0]):
+            end = strips.ends[j - 1]
+            terms = values[j - 1][strips.mu[:end]] * self._powers[j - 1][strips.size[:end]]
+            values[j, start:stop] = np.bincount(
+                strips.owner[:end], weights=terms * strips.psi[:end], minlength=strips.count
+            )
+        self._done = k
+
+
 def jack_C_eval_signlog(
     kappa: tuple[int, ...], x: tuple[float, ...], alpha: float
 ) -> tuple[int, float]:
     """Sign and log-magnitude of ``C_kappa(x)`` at parameter ``alpha``.
 
-    Dispatch: empty partitions and argument lists are immediate; zero
-    arguments are dropped (stability); repeated single values use the
-    identity evaluation; ``alpha == 1`` uses the determinantal path; the
-    general case expands into monomials restricted to ``len(x)`` parts.
+    Zero arguments are dropped.  One distinct value uses the closed-form
+    identity evaluation; more than one builds a :class:`JackTable` up to
+    the weight of ``kappa``.
 
     Returns
     -------
@@ -212,12 +491,33 @@ def jack_C_eval_signlog(
     xs = tuple(v for v in x if v != 0.0)
     if len(kappa) > len(xs):
         return 0, -math.inf
-
     if all(v == xs[0] for v in xs):
         log_id = jack_C_at_identity_log(kappa, alpha, len(xs))
         sign = 1 if xs[0] > 0 or k % 2 == 0 else -1
         return sign, k * math.log(abs(xs[0])) + log_id
+    position = partitions_of_weight(k, len(xs)).index(tuple(kappa))
+    values, log_factors, sign = JackTable(xs, alpha).layer(k)
+    value = values[position]
+    if value == 0.0:
+        return 0, -math.inf
+    return (sign if value > 0.0 else -sign), math.log(abs(value)) + log_factors[position]
 
+
+def jack_C_oracle_signlog(
+    kappa: tuple[int, ...], x: tuple[float, ...], alpha: float
+) -> tuple[int, float]:
+    """Sign and log-magnitude of ``C_kappa(x)`` by a reference evaluator.
+
+    The Schur bialternant at ``alpha == 1`` and the monomial expansion
+    otherwise; one ``kappa`` at a time, with no table.  Tests compare
+    :class:`JackTable` against it.  Zero arguments are dropped.
+    """
+    k = sum(kappa)
+    if k == 0:
+        return 1, 0.0
+    xs = tuple(v for v in x if v != 0.0)
+    if len(kappa) > len(xs):
+        return 0, -math.inf
     if alpha == 1.0:
         sign, log_s = _schur_signlog(kappa, xs)
         if sign == 0:

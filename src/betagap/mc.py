@@ -168,15 +168,18 @@ def _count_below(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray
     """Eigenvalues of each tridiagonal matrix strictly below ``x``.
 
     Vectorized Sturm/LDL pivot count: the number of negative pivots of
-    ``T - x I`` equals the number of eigenvalues below ``x``.
+    ``T - x I`` equals the number of eigenvalues below ``x``.  An exactly
+    zero pivot is replaced by ``-1e-300`` before it is counted, so the
+    pivot that is counted is the one carried into the next step.
     """
     batch, n = diag.shape
     x = np.broadcast_to(np.asarray(x, dtype=float), (batch,))
     q = diag[:, 0] - x
+    q = np.where(q == 0.0, -1e-300, q)
     count = (q < 0.0).astype(np.int64)
     for i in range(1, n):
-        q = np.where(q == 0.0, -1e-300, q)
         q = diag[:, i] - x - off[:, i - 1] ** 2 / q
+        q = np.where(q == 0.0, -1e-300, q)
         count += q < 0.0
     return count
 

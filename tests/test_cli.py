@@ -27,7 +27,7 @@ EXACT_HARD_ROW = (
 
 EXACT_EXCESS_ROW = (
     "4.0,2.0,1.0,1,,exact_En_hard,0.1613575220817058,"
-    "-1.8241327419135258,,16,2.257136383875877e-15,"
+    "-1.8241327419135258,,16,2.2571363838758607e-15,"
 )
 
 EXACT_FINITEN_ROW = (
@@ -232,6 +232,41 @@ def test_check_runs_all_identities(capsys: pytest.CaptureFixture[str]) -> None:
     assert len(lines) == len(IDENTITY_NAMES)
     assert all(line.startswith("PASS") for line in lines)
     assert {line.split()[1] for line in lines} == IDENTITY_NAMES
+
+
+def test_check_json_lines(capsys: pytest.CaptureFixture[str]) -> None:
+    code, out = run_cli(capsys, "check", "--format", "json")
+    assert code == 0
+    records = [json.loads(line) for line in out.strip().splitlines()]
+    assert {record["name"] for record in records} == IDENTITY_NAMES
+    assert all(record["passed"] is True for record in records)
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("exact", "--beta", "2", "--a", "1", "--s", "-1", "--N", "5"), "--s"),
+        (("exact", "--beta", "2", "--a", "1", "--s", "nan"), "--s"),
+        (("exact", "--beta", "2", "--a", "1", "--s", "inf"), "--s"),
+        (("mc", "--beta", "2", "--a", "1", "--N", "5", "--s", "nan"), "--s"),
+        (("mc", "--beta", "2", "--a", "1", "--N", "5", "--s", "inf"), "--s"),
+        (("contour", "--beta", "2", "--a", "1", "--s", "-1"), "--s"),
+        (("contour", "--beta", "2", "--a", "1", "--s", "nan"), "--s"),
+        (("sweep", "--beta", "2", "--a", "1", "--s-min", "-1", "--s-max", "2",
+          "--s-count", "3"), "--s-min"),
+        (("sweep", "--beta", "2", "--a", "1", "--s-min", "0", "--s-max", "inf",
+          "--s-count", "3"), "--s-max"),
+        (("asympt", "--beta", "2", "--a", "1", "--s", "0"), "--s"),
+    ],
+)
+def test_bad_endpoint_exits_2(
+    capsys: pytest.CaptureFixture[str], argv: tuple[str, ...], flag: str
+) -> None:
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"]["type"] == "ValueError"
+    assert record["error"]["message"].startswith(f"{flag} must be finite")
 
 
 def test_report_arbitration_content(capsys: pytest.CaptureFixture[str]) -> None:

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betagap import jack
 from betagap.errors import (
     CancellationError,
     LowerParameterPoleError,
@@ -248,3 +249,37 @@ def test_value_log_consistency(c: float, t: float) -> None:
     np.testing.assert_allclose(
         result.sign * math.exp(result.log_value), result.value, rtol=1e-12
     )
+
+
+# Values of the Schur/monomial route that summed these series before the
+# strip-table evaluator, at the argument shapes of the E(n) quadrature
+# nodes: (u, v, v) for n = 1 and (u, u, v, v) for n = 2 at beta = 2, and
+# the negative arguments of the finite-N route.
+NODE_SHAPE_VALUES = [
+    ((), (3.0,), 1.0, ((1.0, 1), (0.3, 2)), 1.6936281220249383),
+    ((), (3.0,), 1.0, ((1.0, 1), (0.85, 2)), 2.4567838771852704),
+    ((), (4.0,), 1.0, ((0.2, 2), (0.75, 2)), 1.603970515271471),
+    ((), (3.5,), 0.5, ((2.5, 1), (0.6, 2)), 2.824598224258634),
+    ((), (2.5,), 2.0, ((0.4, 2), (1.3, 2)), 3.747896515367136),
+    ((-10.0,), (3.0,), 1.0, ((-0.5, 1), (-0.2, 2)), 16.854798652831743),
+    ((-5.0,), (4.0,), 1.0, ((-0.5, 2), (-0.35, 2)), 8.255653876199114),
+]
+
+
+@pytest.mark.parametrize("upper, lower, alpha, blocks, want", NODE_SHAPE_VALUES)
+def test_node_shapes_match_previous_route(upper, lower, alpha, blocks, want) -> None:
+    result = pFq_alpha(HypergeomSpec(upper, lower, alpha, ArgBlocks(blocks)))
+    np.testing.assert_allclose(result.value, want, rtol=1e-13)
+
+
+def test_series_bit_identical_cold_and_warm() -> None:
+    spec = HypergeomSpec((), (3.0,), 1.0, ArgBlocks(((2.0, 1), (1.1, 2))))
+    deep = HypergeomSpec((), (3.0,), 1.0, ArgBlocks(((60.0, 1), (40.0, 2))))
+    jack._strip_table.cache_clear()
+    cold = pFq_alpha(spec)
+    warm = pFq_alpha(spec)
+    # tables first built deeper, with larger hook and rank tables
+    jack._strip_table.cache_clear()
+    pFq_alpha(deep)
+    after_deep = pFq_alpha(spec)
+    assert cold == warm == after_deep

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betagap import jack
 from betagap.errors import ResourceLimitError
 from betagap.jack import (
+    JackTable,
     jack_C_eval,
     jack_C_eval_signlog,
+    jack_C_oracle_signlog,
     jack_in_monomial_basis,
     monomial_eval,
     rho,
@@ -146,3 +151,81 @@ def test_sum_rule_property(xs, alpha, k) -> None:
 def test_expansion_weight_ceiling() -> None:
     with pytest.raises(ResourceLimitError):
         jack_in_monomial_basis((201,), 1.0)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize(
+    "x",
+    [
+        (0.9, 0.4),
+        (1.0, 0.5, 0.5),
+        (0.7, 0.7, 0.2, 0.2),
+        (1.0, 0.6, 0.6, 0.3, 0.3),
+        (-0.8, -0.3),
+        (-1.0, -0.45, -0.45),
+        (-1.0, -0.6, -0.6, -0.3, -0.3),
+    ],
+)
+def test_table_matches_oracle(x: tuple[float, ...], alpha: float) -> None:
+    # Schur bialternant at alpha = 1, monomial expansion otherwise.
+    table = JackTable(x, alpha)
+    for k in range(13):
+        values, log_factors, sign = table.layer(k)
+        kappas = partitions_of_weight(k, len(x))
+        assert len(values) == len(kappas)
+        for kappa, value, log_factor in zip(kappas, values, log_factors):
+            want_sign, want_log = jack_C_oracle_signlog(kappa, x, alpha)
+            got = sign * value * math.exp(log_factor)
+            want = want_sign * math.exp(want_log)
+            assert abs(got - want) <= 1e-13 * abs(want), (kappa, got, want)
+
+
+def test_table_with_zero_variable() -> None:
+    # A zero argument is a variable of the table whose every strip vanishes.
+    x = (0.8, 0.0, 0.3)
+    table = JackTable(x, 1.5)
+    for k in range(7):
+        values, log_factors, sign = table.layer(k)
+        for kappa, value, log_factor in zip(partitions_of_weight(k, 3), values, log_factors):
+            if len(kappa) == 3:
+                assert value == 0.0
+                continue
+            want_sign, want_log = jack_C_oracle_signlog(kappa, x, 1.5)
+            np.testing.assert_allclose(
+                sign * value * math.exp(log_factor), want_sign * math.exp(want_log), rtol=1e-13
+            )
+
+
+def test_strip_budget_raises(monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.setattr(jack, "MAX_STRIP_PAIRS", 500)
+    table = JackTable((1.0, 0.5, 0.25), 0.8125)
+    with pytest.raises(ResourceLimitError):
+        table.layer(40)
+    jack._strip_table.cache_clear()
+
+
+def test_shared_strip_table_under_threads() -> None:
+    # Threads extending one shared strip table must not interleave layers.
+    x = (1.0, 0.55, 0.55, 0.2)
+    alpha = 1.375
+    jack._strip_table.cache_clear()
+    want = [JackTable(x, alpha).layer(k) for k in range(19)]
+    jack._strip_table.cache_clear()
+    results: list = [None] * 8
+
+    def work(slot: int) -> None:
+        table = JackTable(x, alpha)
+        results[slot] = [table.layer(k) for k in range(19)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == want for result in results)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from betagap.gap import exact_E0_finiteN, exact_En_finiteN
 from betagap.mc import (
     EnsembleSpec,
+    _count_below,
     estimate_gap,
     sample_bidiagonal,
     sample_smallest,
@@ -75,6 +76,25 @@ def test_eigensolver_matches_dense() -> None:
     dense = np.sort(np.linalg.eigvalsh((np.diag(b) + np.diag(c, -1)) @ (np.diag(b) + np.diag(c, -1)).T))
     np.testing.assert_allclose(smallest_eigenvalues(b, c, 6), dense, rtol=1e-10)
     np.testing.assert_allclose(smallest_eigenvalues(b, c, 2), dense[:2], rtol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "b, c",
+    [([1.0, 1.0, 1.0], [1.0, 1.0]), ([2.0] * 5, [2.0] * 4)],
+)
+def test_eigensolver_tied_entries(b: list[float], c: list[float]) -> None:
+    # Equal entries make an exact zero pivot on the bisection path.
+    B = np.diag(b) + np.diag(c, -1)
+    dense = np.sort(np.linalg.eigvalsh(B @ B.T))
+    got = smallest_eigenvalues(np.asarray(b), np.asarray(c), len(b))
+    np.testing.assert_allclose(got, dense, rtol=1e-8, atol=1e-12)
+
+
+def test_zero_first_pivot_counts_as_negative() -> None:
+    # T = [[1, 1], [1, 2]] has eigenvalues (3 -+ sqrt 5) / 2; at x = 1 the
+    # first pivot is exactly zero and one eigenvalue lies below x.
+    count = _count_below(np.array([[1.0, 2.0]]), np.array([[1.0]]), np.array([1.0]))
+    assert count.tolist() == [1]
 
 
 @settings(deadline=None, max_examples=30)
