@@ -44,7 +44,6 @@ from .errors import (
 )
 from .gap import (
     AsymptoticForm,
-    GapQuery,
     LinearStatistic,
     asymptotic_E0,
     asymptotic_En,
@@ -56,6 +55,7 @@ from .gap import (
     exact_E0_hard,
     exact_E0_hard_detailed,
     exact_En_finiteN,
+    exact_En_finiteN_detailed,
     exact_En_hard,
     exact_En_hard_detailed,
     large_deviation_E0,
@@ -67,7 +67,6 @@ from .gap import (
     log_norm_ratio_stirling,
     multi_F01_asympt,
     rescale_endpoint,
-    scale_to_hard_edge,
     smallest_eigenvalue_pdf,
 )
 from .hypergeom import ArgBlocks, HypergeomSpec, SeriesResult, pFq_alpha
@@ -129,7 +128,6 @@ __all__ = [
     "log_morris_value",
     "morris_value",
     # gap probabilities
-    "GapQuery",
     "AsymptoticForm",
     "LinearStatistic",
     "rescale_endpoint",
@@ -140,6 +138,7 @@ __all__ = [
     "exact_En_hard",
     "exact_En_hard_detailed",
     "exact_En_finiteN",
+    "exact_En_finiteN_detailed",
     "smallest_eigenvalue_pdf",
     "asymptotic_E0",
     "asymptotic_En",
@@ -151,7 +150,6 @@ __all__ = [
     "log_large_deviation_E0",
     "log_norm_ratio_exact",
     "log_norm_ratio_stirling",
-    "scale_to_hard_edge",
     "multi_F01_asympt",
     "log_multi_F01_asympt",
     "duality_check",

@@ -10,7 +10,8 @@ competing asymptotic exponents (``report``).
 Records are emitted as CSV (stable schema) or JSON lines, with values
 in both linear and log space.  Identical invocations produce
 bit-identical output; Monte Carlo commands are deterministic given
-``--seed`` and the thread count.  Exit codes: 0 success, 2 parameter
+``--seed``, whatever ``--threads``.  JSON output is strict, with
+non-finite floats written as null.  Exit codes: 0 success, 2 parameter
 errors (quantization/validation), 3 numerical failures — the latter
 two accompanied by a machine-readable error record on stdout.
 """
@@ -20,9 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from typing import IO
 
@@ -43,10 +42,9 @@ from .gap import (
     asymptotic_En,
     duality_check,
     exact_E0_finiteN,
-    exact_E0_finiteN_detailed,
     exact_E0_hard,
     exact_E0_hard_detailed,
-    exact_En_finiteN,
+    exact_En_finiteN_detailed,
     exact_En_hard_detailed,
     log_large_deviation_E0,
 )
@@ -78,7 +76,7 @@ class RunConfig:
     fmt: str = "csv"
     variant: str = "F1A"
     route: str = "contour"
-    threads: int | None = None
+    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.tol <= 0:
@@ -133,10 +131,26 @@ class Record:
         return out
 
 
+def _strict(item):
+    """``item`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(item, float) and not math.isfinite(item):
+        return None
+    if isinstance(item, dict):
+        return {key: _strict(value) for key, value in item.items()}
+    if isinstance(item, (list, tuple)):
+        return [_strict(value) for value in item]
+    return item
+
+
+def _json_line(obj) -> str:
+    """Strict JSON (no NaN or Infinity tokens); non-finite floats become null."""
+    return json.dumps(_strict(obj), allow_nan=False)
+
+
 def _emit(records: list[Record], config: RunConfig, sink: IO[str]) -> None:
     if config.fmt == "json":
         for record in records:
-            print(json.dumps(record.json_obj()), file=sink)
+            print(_json_line(record.json_obj()), file=sink)
     else:
         print(CSV_HEADER, file=sink)
         for record in records:
@@ -160,34 +174,19 @@ def _exact_record(
     max_weight: int | None,
 ) -> Record:
     """Evaluate one exact gap probability and package diagnostics."""
-    if n == 0 and N is None:
-        log_value, series = exact_E0_hard_detailed(s, a, beta, tol, max_weight)
-        return Record(
-            s=s, beta=beta, a=a, n=n, method="exact_E0_hard",
-            value=_safe_exp(log_value), log_value=log_value,
-            trunc_weight=series.max_weight_used, tail_bound=series.tail_estimate,
-        )
-    if n == 0:
-        log_value, series = exact_E0_finiteN_detailed(s, a, beta, N, tol, max_weight)
-        return Record(
-            s=s, beta=beta, a=a, n=n, N=N, method="exact_E0_finiteN",
-            value=_safe_exp(log_value), log_value=log_value,
-            trunc_weight=series.max_weight_used, tail_bound=series.tail_estimate,
-        )
     if N is None:
         log_value, diag = exact_En_hard_detailed(
             s, a, beta, n, tol, max_weight=max_weight
         )
-        return Record(
-            s=s, beta=beta, a=a, n=n, method="exact_En_hard",
-            value=_safe_exp(log_value), log_value=log_value,
-            trunc_weight=diag["trunc_weight"], tail_bound=diag["tail_bound"],
+    else:
+        log_value, diag = exact_En_finiteN_detailed(
+            s, a, beta, n, N, tol, max_weight=max_weight
         )
-    value = exact_En_finiteN(s, a, beta, n, N, tol)
-    log_value = math.log(value) if value > 0 else -math.inf
     return Record(
-        s=s, beta=beta, a=a, n=n, N=N, method="exact_En_finiteN",
-        value=value, log_value=log_value,
+        s=s, beta=beta, a=a, n=n, N=N,
+        method=f"exact_E{'0' if n == 0 else 'n'}_{'hard' if N is None else 'finiteN'}",
+        value=_safe_exp(log_value), log_value=log_value,
+        trunc_weight=diag["trunc_weight"], tail_bound=diag["tail_bound"],
     )
 
 
@@ -201,20 +200,13 @@ def _run_exact(config: RunConfig, sink: IO[str]) -> int:
 
 
 def _run_sweep(config: RunConfig, sink: IO[str]) -> int:
-    threads = _thread_count(config)
-    points = list(config.s_grid)
-
-    def one(s: float) -> Record:
-        return _exact_record(
+    records = [
+        _exact_record(
             s, config.a, config.beta, config.n, config.N,
             config.tol, config.max_weight,
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(one, points))
-    else:
-        records = [one(s) for s in points]
+        for s in config.s_grid
+    ]
     _emit(records, config, sink)
     return 0
 
@@ -264,26 +256,11 @@ def _run_contour(config: RunConfig, sink: IO[str]) -> int:
     return 0
 
 
-def _thread_count(config: RunConfig) -> int:
-    if config.threads is not None:
-        return config.threads
-    return int(os.environ.get("BETAGAP_THREADS", "1"))
-
-
 def _run_mc(config: RunConfig, sink: IO[str]) -> int:
     spec = EnsembleSpec(config.beta, config.a, config.N)
-    if config.threads is not None:
-        previous = os.environ.get("BETAGAP_THREADS")
-        os.environ["BETAGAP_THREADS"] = str(config.threads)
-        try:
-            estimate = estimate_gap(spec, config.s, config.n, config.samples, config.seed)
-        finally:
-            if previous is None:
-                del os.environ["BETAGAP_THREADS"]
-            else:
-                os.environ["BETAGAP_THREADS"] = previous
-    else:
-        estimate = estimate_gap(spec, config.s, config.n, config.samples, config.seed)
+    estimate = estimate_gap(
+        spec, config.s, config.n, config.samples, config.seed, config.threads
+    )
     p = estimate.probability
     record = Record(
         s=config.s, beta=config.beta, a=config.a, n=config.n, N=config.N,
@@ -397,7 +374,7 @@ def _run_check(config: RunConfig, sink: IO[str]) -> int:
         failures += not passed
         if config.fmt == "json":
             print(
-                json.dumps(
+                _json_line(
                     {"name": name, "residual": residual, "tol": tol, "passed": passed}
                 ),
                 file=sink,
@@ -456,7 +433,7 @@ def _run_report(config: RunConfig, sink: IO[str]) -> int:
             "fitted_constant": const,
             "fitted_constant_pinned_slope": pinned,
         }
-        print(json.dumps(payload), file=sink)
+        print(_json_line(payload), file=sink)
         return 0
     print(f"exponent arbitration at beta={beta!r}, a={a!r}", file=sink)
     print(f"  s grid: {', '.join(repr(s) for s in grid)}", file=sink)
@@ -538,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("check", help="asserting identity/consistency suite")
     p.add_argument("--format", choices=("csv", "json"), default="csv", dest="fmt")
@@ -553,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--log-grid", action="store_true", dest="log_grid")
     p.add_argument("--tol", type=float, default=1e-12)
     p.add_argument("--max-weight", type=int, default=None, dest="max_weight")
-    p.add_argument("--threads", type=int, default=None)
 
     p = sub.add_parser("report", help="side-by-side asymptotic exponents (no assertions)")
     _add_common(p)

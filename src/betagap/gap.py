@@ -11,7 +11,9 @@ other exponential rates into this convention.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,6 @@ from .errors import ParameterQuantizationError, QuadratureError
 from .hypergeom import ArgBlocks, HypergeomSpec, SeriesResult, pFq_alpha
 
 __all__ = [
-    "GapQuery",
     "AsymptoticForm",
     "LinearStatistic",
     "rescale_endpoint",
@@ -37,6 +38,7 @@ __all__ = [
     "exact_En_hard",
     "exact_En_hard_detailed",
     "exact_En_finiteN",
+    "exact_En_finiteN_detailed",
     "smallest_eigenvalue_pdf",
     "asymptotic_E0",
     "asymptotic_En",
@@ -48,7 +50,6 @@ __all__ = [
     "log_large_deviation_E0",
     "log_norm_ratio_exact",
     "log_norm_ratio_stirling",
-    "scale_to_hard_edge",
     "multi_F01_asympt",
     "log_multi_F01_asympt",
     "duality_check",
@@ -63,33 +64,6 @@ def _quantized(name: str, value: float) -> int:
             f"{name} must be a nonnegative integer for this route, got {value}"
         )
     return int(rounded)
-
-
-@dataclass(frozen=True)
-class GapQuery:
-    """One gap-probability request.
-
-    ``N`` selects the finite-size ensemble; ``None`` means the
-    hard-edge scaling limit.
-    """
-
-    s: float
-    a: float
-    beta: float
-    n: int = 0
-    N: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.s < 0:
-            raise ValueError(f"s must be nonnegative, got {self.s}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.a < 0:
-            raise ValueError(f"a must be nonnegative, got {self.a}")
-        if self.n < 0:
-            raise ValueError(f"n must be nonnegative, got {self.n}")
-        if self.N is not None and self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N}")
 
 
 @dataclass(frozen=True)
@@ -260,6 +234,58 @@ def _jacobi_rule(order: int, power: float) -> tuple[np.ndarray, np.ndarray]:
     return (nodes + 1.0) / 2.0, weights * 0.5 ** (power + 1.0)
 
 
+def _vandermonde(y: tuple[float, ...], beta: float) -> float:
+    """``prod_{i<j} |y_j - y_i|**beta``."""
+    vander = 1.0
+    for yi, yj in itertools.combinations(y, 2):
+        vander *= abs(yj - yi) ** beta
+    return vander
+
+
+def _settled_quadrature(
+    integrand: Callable[[tuple[float, ...]], float],
+    n: int,
+    power: float,
+    quad_tol: float,
+) -> tuple[float, int, float]:
+    """``int_{[0,1]^n} prod_i (1 - y_i)**power integrand(y) dy``.
+
+    A tensor Gauss–Jacobi rule raises its order through ``_QUAD_ORDERS``
+    until two successive values agree to ``quad_tol``; if none do, the
+    last value is kept when its change is below ``sqrt(quad_tol)``.
+    Returns the value, the last order and the last relative change.
+    """
+    previous = None
+    rel_change = math.inf
+    for order in _QUAD_ORDERS:
+        nodes, weights = _jacobi_rule(order, power)
+        total = 0.0
+        for point in itertools.product(zip(nodes, weights), repeat=n):
+            y, w = zip(*point)
+            total += math.prod(w) * integrand(y)
+        if previous is not None and total != 0.0:
+            rel_change = abs(total - previous) / abs(total)
+            if rel_change < quad_tol:
+                return total, order, rel_change
+        previous = total
+    if rel_change < math.sqrt(quad_tol):
+        return previous, order, rel_change
+    raise QuadratureError(
+        f"integral not settled at order {order} (relative change {rel_change:.3e})"
+    )
+
+
+def _diagnostics(order: int, rel_change: float, trunc_weight: int, tail: float) -> dict:
+    """Quadrature order and change, deepest series weight, and a tail
+    bound covering both the series and the quadrature."""
+    return {
+        "order": order,
+        "rel_change": rel_change,
+        "trunc_weight": trunc_weight,
+        "tail_bound": max(tail, rel_change),
+    }
+
+
 def _log_A_quad(n: int, a: float, beta: float) -> float:
     """Log of the ``n``-eigenvalue quadrature prefactor constant."""
     log_value = (
@@ -289,25 +315,21 @@ def exact_En_hard_detailed(
     positions with the lower-parameter ``a + 2n`` series evaluated at
     mixed argument blocks.  The quadrature rule absorbs the
     ``(1 - y)**(a beta / 2)`` factor and escalates its order until two
-    successive evaluations agree to ``quad_tol``.
+    successive evaluations agree to ``quad_tol``.  The diagnostics are
+    ``order``, ``rel_change``, ``trunc_weight`` and ``tail_bound``.
     """
     if n < 0 or n > 3:
         raise ValueError(f"n must be between 0 and 3, got {n}")
     if n == 0:
         log_value, series = exact_E0_hard_detailed(s, a, beta, tol, max_weight)
-        return log_value, {
-            "order": 0,
-            "rel_change": 0.0,
-            "trunc_weight": series.max_weight_used,
-            "tail_bound": series.tail_estimate,
-        }
+        return log_value, _diagnostics(
+            0, 0.0, series.max_weight_used, series.tail_estimate
+        )
     m0 = _quantized("beta*a/2", beta * a / 2.0)
     mb = _quantized("beta", beta)
     alpha = beta / 2.0
     lower = a + 2.0 * n
-
-    max_used = 0
-    max_tail = 0.0
+    max_used, max_tail = 0, 0.0
 
     def integrand(y: tuple[float, ...]) -> float:
         nonlocal max_used, max_tail
@@ -318,59 +340,18 @@ def exact_En_hard_detailed(
         series = pFq_alpha(spec, tol=tol, max_weight=max_weight)
         max_used = max(max_used, series.max_weight_used)
         max_tail = max(max_tail, series.tail_estimate)
-        vander = 1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                vander *= abs(y[j] - y[i]) ** beta
-        return vander * series.value
+        return _vandermonde(y, beta) * series.value
 
-    previous = None
-    result = None
-    rel_change = math.inf
-    order_used = 0
-    for order in _QUAD_ORDERS:
-        nodes, weights = _jacobi_rule(order, beta * a / 2.0)
-        total = 0.0
-        if n == 1:
-            for yi, wi in zip(nodes, weights):
-                total += wi * integrand((yi,))
-        elif n == 2:
-            for yi, wi in zip(nodes, weights):
-                for yj, wj in zip(nodes, weights):
-                    total += wi * wj * integrand((yi, yj))
-        else:
-            for yi, wi in zip(nodes, weights):
-                for yj, wj in zip(nodes, weights):
-                    for yk, wk in zip(nodes, weights):
-                        total += wi * wj * wk * integrand((yi, yj, yk))
-        order_used = order
-        if previous is not None and total != 0.0:
-            rel_change = abs(total - previous) / abs(total)
-            if rel_change < quad_tol:
-                result = total
-                break
-        previous = total
-    if result is None:
-        if previous is not None and rel_change < math.sqrt(quad_tol):
-            result = previous
-        else:
-            raise QuadratureError(
-                f"integral not settled at order {order_used} "
-                f"(relative change {rel_change:.3e})"
-            )
-
+    total, order, rel_change = _settled_quadrature(
+        integrand, n, beta * a / 2.0, quad_tol
+    )
     log_pref = (
         _log_A_quad(n, a, beta)
         + (n + beta / 2.0 * n * (n + a - 1.0)) * math.log(s)
         - beta * s / 8.0
     )
-    log_value = log_pref + math.log(result)
-    return log_value, {
-        "order": order_used,
-        "rel_change": rel_change,
-        "trunc_weight": max_used,
-        "tail_bound": max(max_tail, rel_change),
-    }
+    log_value = log_pref + math.log(total)
+    return log_value, _diagnostics(order, rel_change, max_used, max_tail)
 
 
 def exact_En_hard(
@@ -420,7 +401,7 @@ def _log_laguerre_norm(a: float, beta: float, N: int) -> float:
     return log_value
 
 
-def exact_En_finiteN(
+def exact_En_finiteN_detailed(
     s: float,
     a: float,
     beta: float,
@@ -429,8 +410,10 @@ def exact_En_finiteN(
     tol: float = 1e-12,
     quad_tol: float = 1e-9,
     variant: str = "corrected",
-) -> float:
-    """Finite-size probability of exactly ``n`` eigenvalues in ``(0, s)``.
+    max_weight: int | None = None,
+) -> tuple[float, dict]:
+    """Finite-size ``E(n; (0, s))`` for ``n <= 3``: log value and the
+    diagnostics of :func:`exact_En_hard_detailed`.
 
     The ``"corrected"`` variant carries the binomial label count
     ``C(N+n, n)``, the normalization ratio of the shifted-weight
@@ -438,35 +421,21 @@ def exact_En_finiteN(
     the terminating series.  The ``"printed"`` variant reproduces an
     alternative bookkeeping (prefactor ``(N)_n / n!``, same-weight
     normalization ratio, multiplicity ``a``) kept for comparison; it
-    requires integer ``a``.
-
-    Parameters
-    ----------
-    s : float
-        Gap endpoint on the unscaled eigenvalue axis.
-    a, beta : float
-        Ensemble parameters (``beta * a / 2`` and ``beta`` integral).
-    n : int
-        Conditioned eigenvalue count (at most 3).
-    N : int
-        Number of remaining eigenvalues; the ensemble size is ``N + n``.
-    tol, quad_tol
-        Series and quadrature controls.
-    variant : str
-        ``"corrected"`` or ``"printed"``.
-
-    Returns
-    -------
-    float
-        ``E_{N+n}(n; (0, s))``.
+    requires integer ``a``.  ``max_weight`` defaults to
+    ``max(N (beta a / 2 + n beta), 200)``.
     """
     if n < 0 or n > 3:
         raise ValueError(f"n must be between 0 and 3, got {n}")
     if n == 0:
-        return exact_E0_finiteN(s, a, beta, N, tol)
+        log_value, series = exact_E0_finiteN_detailed(s, a, beta, N, tol, max_weight)
+        return log_value, _diagnostics(
+            0, 0.0, series.max_weight_used, series.tail_estimate
+        )
     m0 = _quantized("beta*a/2", beta * a / 2.0)
     mb = _quantized("beta", beta)
     alpha = beta / 2.0
+    if max_weight is None:
+        max_weight = max(N * (m0 + n * mb), 200)
 
     if variant == "corrected":
         log_pref = (
@@ -488,61 +457,69 @@ def exact_En_finiteN(
         cond_mult = _quantized("a", a)
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    max_used, max_tail = 0, 0.0
 
     def integrand(u: tuple[float, ...]) -> float:
+        nonlocal max_used, max_tail
         blocks = [(-s, m0)] + [(-s * uj, cond_mult) for uj in u]
         spec = HypergeomSpec(
             upper=(-float(N),), lower=(a + 2.0 * n,), alpha=alpha,
             args=ArgBlocks(tuple(blocks)),
         )
-        series = pFq_alpha(spec, tol=tol, max_weight=max(N * (m0 + n * mb), 200))
-        vander = 1.0
-        for i in range(n):
-            for j in range(i + 1, n):
-                vander *= abs(u[j] - u[i]) ** beta
+        series = pFq_alpha(spec, tol=tol, max_weight=max_weight)
+        max_used = max(max_used, series.max_weight_used)
+        max_tail = max(max_tail, series.tail_estimate)
         expo = math.exp(beta * s * sum(u) / 2.0)
-        return vander * expo * series.value
+        return _vandermonde(u, beta) * expo * series.value
 
-    previous = None
-    result = None
-    rel_change = math.inf
-    for order in _QUAD_ORDERS:
-        nodes, weights = _jacobi_rule(order, a * beta / 2.0)
-        total = 0.0
-        if n == 1:
-            for ui, wi in zip(nodes, weights):
-                total += wi * integrand((ui,))
-        elif n == 2:
-            for ui, wi in zip(nodes, weights):
-                for uj, wj in zip(nodes, weights):
-                    total += wi * wj * integrand((ui, uj))
-        else:
-            for ui, wi in zip(nodes, weights):
-                for uj, wj in zip(nodes, weights):
-                    for uk, wk in zip(nodes, weights):
-                        total += wi * wj * wk * integrand((ui, uj, uk))
-        if previous is not None and total != 0.0:
-            rel_change = abs(total - previous) / abs(total)
-            if rel_change < quad_tol:
-                result = total
-                break
-        previous = total
-    if result is None:
-        if previous is not None and rel_change < math.sqrt(quad_tol):
-            result = previous
-        else:
-            raise QuadratureError(
-                f"integral not settled (relative change {rel_change:.3e})"
-            )
-
+    total, order, rel_change = _settled_quadrature(
+        integrand, n, a * beta / 2.0, quad_tol
+    )
     # y = s u substitution: s^n from dy, (s (1 - u))^(a beta / 2) from the
     # shifted weight, s^beta per coordinate pair from the repulsion.
     log_scale = (
         n + n * a * beta / 2.0 + beta * n * (n - 1.0) / 2.0
     ) * math.log(s)
     log_value = (
-        log_pref + log_scale - beta * s * (N + n) / 2.0 + math.log(result)
+        log_pref + log_scale - beta * s * (N + n) / 2.0 + math.log(total)
     )
+    return log_value, _diagnostics(order, rel_change, max_used, max_tail)
+
+
+def exact_En_finiteN(
+    s: float,
+    a: float,
+    beta: float,
+    n: int,
+    N: int,
+    tol: float = 1e-12,
+    quad_tol: float = 1e-9,
+    variant: str = "corrected",
+) -> float:
+    """Finite-size probability of exactly ``n`` eigenvalues in ``(0, s)``.
+
+    Parameters
+    ----------
+    s : float
+        Gap endpoint on the unscaled eigenvalue axis.
+    a, beta : float
+        Ensemble parameters (``beta * a / 2`` and ``beta`` integral).
+    n : int
+        Conditioned eigenvalue count (at most 3).
+    N : int
+        Number of remaining eigenvalues; the ensemble size is ``N + n``.
+    tol, quad_tol
+        Series and quadrature controls.
+    variant : str
+        ``"corrected"`` or ``"printed"``; see
+        :func:`exact_En_finiteN_detailed`.
+
+    Returns
+    -------
+    float
+        ``E_{N+n}(n; (0, s))``.
+    """
+    log_value, _ = exact_En_finiteN_detailed(s, a, beta, n, N, tol, quad_tol, variant)
     return math.exp(log_value)
 
 
@@ -820,22 +797,6 @@ def log_large_deviation_E0(N: int, s_tilde: float, a: float, beta: float) -> flo
 def large_deviation_E0(N: int, s_tilde: float, a: float, beta: float) -> float:
     """Bulk-scale gap probability (may underflow; see the log variant)."""
     return math.exp(log_large_deviation_E0(N, s_tilde, a, beta))
-
-
-def scale_to_hard_edge(N: int, s: float, a: float, beta: float) -> AsymptoticForm:
-    """Hard-edge form the large-deviation route approaches.
-
-    At ``s_tilde = s / (4 N)**2`` the large-deviation formula converges,
-    as ``N`` grows with ``s`` fixed, to the ``"F1A"`` asymptotic form in
-    the hard-edge variable ``s``; that limiting form is returned.  The
-    arguments ``N`` and ``s`` fix the regime the caller is matching and
-    are validated only.
-    """
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
-    if N < 1:
-        raise ValueError(f"N must be positive, got {N}")
-    return asymptotic_E0(a, beta, variant="F1A")
 
 
 def log_multi_F01_asympt(

@@ -31,9 +31,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .partitions import (
     dominates,
-    gen_pochhammer,  # noqa: F401  (re-exported for convenience)
     hook_products_log,
-    jack_C_at_identity,
     jack_C_at_identity_log,
     partitions_of_weight,
 )

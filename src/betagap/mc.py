@@ -10,15 +10,13 @@ never formed.
 
 Sampling is deterministic given a seed: work is split into fixed-size
 chunks with independently spawned RNG streams, so the estimate is
-bit-identical for a fixed seed regardless of thread count.  Threads
-are controlled by the ``BETAGAP_THREADS`` environment variable
-(default 1).
+bit-identical for a fixed seed regardless of the ``threads`` argument
+of :func:`estimate_gap` (default 1).
 """
 
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -308,6 +306,7 @@ def estimate_gap(
     n: int = 0,
     samples: int = 100_000,
     seed: int = 0,
+    threads: int = 1,
 ) -> McEstimate:
     """Estimate the probability of exactly ``n`` eigenvalues in a gap.
 
@@ -327,8 +326,10 @@ def estimate_gap(
         Number of Monte Carlo samples, at least 1000.
     seed : int
         RNG seed.  Fixed ``(spec, s, n, samples, seed)`` gives a
-        bit-identical estimate, independent of the thread count taken
-        from ``BETAGAP_THREADS``.
+        bit-identical estimate, independent of ``threads``.
+    threads : int
+        Worker threads over the sample chunks, at least 1; at most one
+        thread per chunk is started.
 
     Returns
     -------
@@ -341,14 +342,15 @@ def estimate_gap(
         raise ValueError(f"s must be nonnegative, got {s}")
     if n < 0 or n != int(n):
         raise ValueError(f"n must be a nonnegative integer, got {n}")
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     threshold = s / (4.0 * spec.N)
     children = np.random.SeedSequence(seed).spawn(-(-samples // _CHUNK))
     sizes = [
         min(_CHUNK, samples - idx * _CHUNK) for idx in range(len(children))
     ]
-    threads = int(os.environ.get("BETAGAP_THREADS", "1"))
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=min(threads, len(children))) as pool:
             hits = sum(
                 pool.map(
                     lambda item: _gap_hits(spec, threshold, int(n), item[0], item[1]),

@@ -85,6 +85,21 @@ def test_exact_finite_ensemble_row(capsys: pytest.CaptureFixture[str]) -> None:
     assert out.strip().splitlines()[1] == EXACT_FINITEN_ROW
 
 
+def test_exact_finite_excess_row(capsys: pytest.CaptureFixture[str]) -> None:
+    # The finite-size E(n) route reports its own log value and diagnostics.
+    code, out = run_cli(
+        capsys, "exact", "--beta", "2", "--a", "1", "--s", "0.5", "--n", "1",
+        "--N", "5", "--format", "json",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert record["method"] == "exact_En_finiteN"
+    assert record["value"] == 0.6732268230326235
+    assert record["log_value"] == -0.3956729733822595
+    assert record["trunc_weight"] == 15
+    assert 0.0 < record["tail_bound"] < 1e-12
+
+
 def test_csv_row_parses_and_round_trips(capsys: pytest.CaptureFixture[str]) -> None:
     _, out = run_cli(capsys, "exact", "--beta", "2", "--a", "1", "--s", "4")
     reader = csv.DictReader(io.StringIO(out))
@@ -188,6 +203,46 @@ def test_mc_thread_count_does_not_change_result(
     _, serial = run_cli(capsys, *base, "--threads", "1")
     _, parallel = run_cli(capsys, *base, "--threads", "4")
     assert serial == parallel
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_mc_threads_below_one_exits_2(
+    capsys: pytest.CaptureFixture[str], threads: str
+) -> None:
+    code, out = run_cli(
+        capsys, "mc", "--beta", "2", "--a", "0", "--N", "20", "--s", "1.6",
+        "--samples", "2000", "--threads", threads,
+    )
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"] == {
+        "type": "ValueError",
+        "message": f"threads must be at least 1, got {threads}",
+    }
+
+
+def test_json_output_is_strict(capsys: pytest.CaptureFixture[str]) -> None:
+    # Every sample has an eigenvalue in the gap, so log(0) is -inf: JSON
+    # carries it as null (CSV keeps "-inf").
+    argv = (
+        "mc", "--beta", "2", "--a", "1", "--N", "5", "--s", "2000",
+        "--samples", "2000",
+    )
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    record = json.loads(out, parse_constant=lambda token: pytest.fail(token))
+    assert record["value"] == 0.0 and record["log_value"] is None
+    _, out = run_cli(capsys, *argv)
+    assert out.strip().splitlines()[1].split(",")[7] == "-inf"
+
+
+def test_sweep_has_no_threads_flag() -> None:
+    with pytest.raises(SystemExit) as excinfo:
+        main([
+            "sweep", "--beta", "2", "--a", "1", "--s-min", "1", "--s-max", "4",
+            "--s-count", "3", "--threads", "2",
+        ])
+    assert excinfo.value.code == 2
 
 
 def test_sweep_linear_grid(capsys: pytest.CaptureFixture[str]) -> None:

@@ -12,20 +12,25 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from betagap.barnes import log_tau_hard_n, tau_hard
-from betagap.errors import ParameterQuantizationError
+from betagap.errors import ParameterQuantizationError, QuadratureError
 from betagap.gap import (
-    GapQuery,
+    _QUAD_ORDERS,
     LinearStatistic,
+    _settled_quadrature,
+    _vandermonde,
     asymptotic_E0,
     asymptotic_En,
     asymptotic_En_ratio,
     char_poly_moment_asympt,
     duality_check,
     exact_E0_finiteN,
+    exact_E0_finiteN_detailed,
     exact_E0_hard,
     exact_E0_hard_detailed,
     exact_En_finiteN,
+    exact_En_finiteN_detailed,
     exact_En_hard,
+    exact_En_hard_detailed,
     large_deviation_E0,
     linstat_mean,
     linstat_variance,
@@ -34,7 +39,6 @@ from betagap.gap import (
     log_norm_ratio_exact,
     log_norm_ratio_stirling,
     rescale_endpoint,
-    scale_to_hard_edge,
     smallest_eigenvalue_pdf,
 )
 
@@ -154,6 +158,106 @@ def test_excess_count_validation() -> None:
         exact_En_finiteN(1.0, 1.0, 2.0, -1, 5)
 
 
+# (s, a, beta, n) -> (log value, order, rel_change, trunc_weight, tail_bound),
+# as computed before both routes shared one quadrature loop.
+HARD_EXCESS_PINS = {
+    (1.0, 0.0, 1.0, 1): (-2.1421585207014013, 12, 0.0, 9, 2.6652033157972648e-18),
+    (1.0, 0.0, 2.0, 1): (-1.508799814031318, 12, 0.0, 11, 2.7233655320910316e-17),
+    (1.0, 1.0, 2.0, 1): (
+        -4.269634634858525, 12, 1.9318143717247055e-16, 12, 1.9318143717247055e-16
+    ),
+    (1.0, 2.0, 1.0, 1): (
+        -5.992396265376199, 12, 4.086173641285412e-16, 10, 4.086173641285412e-16
+    ),
+    (10.0, 0.0, 2.0, 1): (
+        -0.17714816856738902, 12, 8.703591194517246e-16, 17, 5.095812979080136e-15
+    ),
+    (10.0, 1.0, 2.0, 1): (
+        -0.6179399721991096, 12, 4.2265105151566457e-16, 20, 2.133172135554856e-14
+    ),
+    (4.0, 0.0, 1.0, 1): (
+        -0.9466111376720513, 12, 3.470571356511471e-16, 11, 3.470571356511471e-16
+    ),
+    (4.0, 0.0, 2.0, 1): (
+        -0.4653945511863852, 12, 3.9028807669026074e-16, 14, 5.668373832375436e-16
+    ),
+    (4.0, 0.0, 2.0, 2): (
+        -5.464790441170957, 12, 3.216050254958443e-15, 16, 3.5474450952160057e-15
+    ),
+    (4.0, 1.0, 2.0, 1): (
+        -1.8241327419135258, 12, 1.2656002044576434e-16, 16, 2.2571363838758607e-15
+    ),
+    (4.0, 2.0, 1.0, 1): (-3.3461246569469507, 12, 0.0, 13, 2.542404740111984e-16),
+}
+
+# (s, a, beta, n, N) -> E_{N+n}(n; (0, s)), pinned the same way.
+FINITE_EXCESS_PINS = {
+    (0.5, 0.0, 1.0, 1, 10): 0.6312057207905937,
+    (0.5, 0.0, 1.0, 1, 5): 0.6894767780690157,
+    (0.5, 0.0, 2.0, 1, 10): 0.5172571788964266,
+    (0.5, 0.0, 2.0, 1, 5): 0.8219353346969265,
+    (0.5, 1.0, 2.0, 1, 10): 0.8092526487361318,
+    (0.5, 1.0, 2.0, 1, 5): 0.6732268230326235,
+    (0.5, 2.0, 1.0, 1, 10): 0.5214370513219542,
+    (0.5, 2.0, 1.0, 1, 5): 0.27502815900556465,
+    (0.5, 1.0, 2.0, 2, 4): 0.011505657728140873,
+    (0.3, 0.0, 2.0, 3, 1): 2.5108334296493103e-08,
+}
+
+
+@pytest.mark.parametrize("args", sorted(HARD_EXCESS_PINS))
+def test_hard_excess_pinned_bits(args: tuple) -> None:
+    log_value, order, rel_change, trunc_weight, tail_bound = HARD_EXCESS_PINS[args]
+    assert exact_En_hard_detailed(*args) == (
+        log_value,
+        {
+            "order": order,
+            "rel_change": rel_change,
+            "trunc_weight": trunc_weight,
+            "tail_bound": tail_bound,
+        },
+    )
+
+
+@pytest.mark.parametrize("args", sorted(FINITE_EXCESS_PINS))
+def test_finite_excess_pinned_bits(args: tuple) -> None:
+    assert exact_En_finiteN(*args) == FINITE_EXCESS_PINS[args]
+
+
+def test_finite_excess_detailed() -> None:
+    log_value, diag = exact_En_finiteN_detailed(0.5, 1.0, 2.0, 1, 5)
+    assert math.exp(log_value) == exact_En_finiteN(0.5, 1.0, 2.0, 1, 5)
+    assert diag["trunc_weight"] == 15
+    assert diag["tail_bound"] >= diag["rel_change"] > 0.0
+    assert diag["order"] == 12
+
+
+def test_finite_excess_zero_delegates_to_gap() -> None:
+    log_value, diag = exact_En_finiteN_detailed(0.5, 1.0, 2.0, 0, 6)
+    want_log, series = exact_E0_finiteN_detailed(0.5, 1.0, 2.0, 6)
+    assert log_value == want_log
+    assert diag == {
+        "order": 0,
+        "rel_change": 0.0,
+        "trunc_weight": series.max_weight_used,
+        "tail_bound": series.tail_estimate,
+    }
+
+
+def test_settled_quadrature_escalates_then_raises() -> None:
+    # int_0^1 int_0^1 (1 - x)(1 - y)(x + y) dx dy = 1/6; the rule is exact
+    # for polynomials, so the second order already agrees with the first.
+    total, order, rel_change = _settled_quadrature(
+        lambda y: y[0] + y[1], 2, 1.0, 1e-12
+    )
+    assert math.isclose(total, 1.0 / 6.0, rel_tol=1e-14)
+    assert order == _QUAD_ORDERS[1] and rel_change < 1e-12
+    assert _vandermonde((0.5, 0.25, 1.0), 2.0) == 0.0625 * 0.25 * 0.5625
+    # A kink inside (0, 1) keeps changing in the fifth digits at every order.
+    with pytest.raises(QuadratureError, match="not settled at order 60"):
+        _settled_quadrature(lambda y: abs(y[0] - 1.0 / 3.0) ** 0.5, 1, 0.0, 1e-12)
+
+
 def test_smallest_eigenvalue_density() -> None:
     # At a = 0, beta = 2 the smallest-eigenvalue density is
     # exp(-s/4) / 4 exactly.
@@ -230,18 +334,6 @@ def test_excess_ratio_coefficients() -> None:
         np.testing.assert_allclose(
             form.c_const, log_tau_hard_n(n, a, beta), rtol=1e-13
         )
-
-
-def test_scale_to_hard_edge_returns_leading_form() -> None:
-    form = scale_to_hard_edge(40, 2.0, 1.0, 2.0)
-    reference = asymptotic_E0(1.0, 2.0, variant="F1A")
-    assert form.source == "F1A"
-    assert (form.c_s, form.c_sqrt, form.c_log, form.c_const) == (
-        reference.c_s,
-        reference.c_sqrt,
-        reference.c_log,
-        reference.c_const,
-    )
 
 
 def test_duality_of_asymptotic_forms() -> None:
@@ -369,20 +461,6 @@ def test_norm_ratio_stirling_error_shrinks() -> None:
 
 
 # ------------------------------------------------------------------ validation
-
-
-def test_gap_query_validation() -> None:
-    query = GapQuery(s=1.0, a=1.0, beta=2.0)
-    assert query.n == 0 and query.N is None
-    for kwargs in (
-        dict(s=-1.0, a=1.0, beta=2.0),
-        dict(s=1.0, a=-0.5, beta=2.0),
-        dict(s=1.0, a=1.0, beta=0.0),
-        dict(s=1.0, a=1.0, beta=2.0, n=-1),
-        dict(s=1.0, a=1.0, beta=2.0, N=0),
-    ):
-        with pytest.raises(ValueError):
-            GapQuery(**kwargs)
 
 
 def test_quantization_errors() -> None:

@@ -185,16 +185,15 @@ def test_bit_identical_runs() -> None:
     assert third.probability != first.probability
 
 
-def test_thread_count_does_not_change_result(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
+def test_thread_count_does_not_change_result() -> None:
     spec = EnsembleSpec(beta=2.0, a=1.0, N=5)
-    monkeypatch.setenv("BETAGAP_THREADS", "1")
-    serial = estimate_gap(spec, 1.0, samples=20_000, seed=9)
-    monkeypatch.setenv("BETAGAP_THREADS", "4")
-    threaded = estimate_gap(spec, 1.0, samples=20_000, seed=9)
+    serial = estimate_gap(spec, 1.0, samples=20_000, seed=9, threads=1)
+    threaded = estimate_gap(spec, 1.0, samples=20_000, seed=9, threads=4)
     assert serial.probability == threaded.probability
     assert serial.stderr == threaded.stderr
+    for threads in (0, -1):
+        with pytest.raises(ValueError, match="threads"):
+            estimate_gap(spec, 1.0, samples=20_000, seed=9, threads=threads)
 
 
 def test_zero_threshold_is_certain() -> None:
