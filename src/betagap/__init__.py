@@ -80,12 +80,7 @@ from .mc import (
     sample_spectrum,
     smallest_eigenvalues,
 )
-from .partitions import (
-    gen_pochhammer,
-    hook_norm,
-    jack_C_at_identity,
-    partitions_of_weight,
-)
+from .partitions import partitions_of_weight
 
 __version__ = "0.1.0"
 
@@ -101,9 +96,6 @@ __all__ = [
     "ResourceLimitError",
     # partitions / jack / hypergeom
     "partitions_of_weight",
-    "hook_norm",
-    "gen_pochhammer",
-    "jack_C_at_identity",
     "jack_C_eval",
     "jack_in_monomial_basis",
     "monomial_eval",

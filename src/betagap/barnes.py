@@ -15,7 +15,7 @@ from functools import cache
 import numpy as np
 from scipy.special import zeta as hurwitz_zeta
 
-from .errors import NonConvergenceError, ParameterQuantizationError
+from .errors import NonConvergenceError, quantized
 
 __all__ = [
     "log_gamma2",
@@ -172,15 +172,6 @@ def f_beta_half(n: float, beta: float) -> float:
     return math.exp(log_f_beta_half(n, beta))
 
 
-def _even_integer_ratio(name: str, value: float) -> int:
-    rounded = round(value)
-    if abs(value - rounded) > 1e-9 or rounded < 0:
-        raise ParameterQuantizationError(
-            f"{name} must be a nonnegative integer for this route, got {value}"
-        )
-    return int(rounded)
-
-
 def log_tau_hard(a: float, beta: float) -> float:
     """Log of the leading hard-edge constant via its gamma product.
 
@@ -189,7 +180,7 @@ def log_tau_hard(a: float, beta: float) -> float:
     a/2} Gamma(2 j / beta)``.
     """
     _require_positive("beta", beta)
-    m = _even_integer_ratio("beta*a/2", beta * a / 2.0)
+    m = quantized("beta*a/2", beta * a / 2.0)
     log_value = (1.0 - beta / 2.0) * a * math.log(2.0) - beta * a / 4.0 * _LOG_2PI
     for j in range(1, m + 1):
         log_value += math.lgamma(2.0 * j / beta)
@@ -261,8 +252,8 @@ def log_tau_hard_n(n: float, a: float, beta: float, route: str = "continued") ->
             - log_f_beta_half(a, beta)
         )
     if route == "literal":
-        n_int = _even_integer_ratio("n", n)
-        bn = _even_integer_ratio("beta*n", beta * n)
+        n_int = quantized("n", n)
+        bn = quantized("beta*n", beta * n)
         log_value = (
             -(a + n) * beta * n * math.log(2.0)
             - math.lgamma(n + 1.0)
@@ -340,7 +331,7 @@ def log_b_const(a: float, beta: float) -> float:
     integer.
     """
     _require_positive("beta", beta)
-    m = _even_integer_ratio("a*beta/2", a * beta / 2.0)
+    m = quantized("a*beta/2", a * beta / 2.0)
     log_value = 0.0
     for j in range(1, m + 1):
         log_value += (

@@ -79,8 +79,10 @@ class RunConfig:
     threads: int = 1
 
     def __post_init__(self) -> None:
-        if self.tol <= 0:
+        if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
+        if self.max_weight is not None and self.max_weight < 0:
+            raise ValueError(f"max-weight must be nonnegative, got {self.max_weight}")
         if self.s_grid is not None:
             if any(g <= 0 for g in self.s_grid):
                 raise ValueError("grid bounds must be positive")
@@ -551,7 +553,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     values = vars(args).copy()
     if args.command in ("exact", "mc", "contour"):
         _check_endpoint("--s", args.s)
-    elif args.command == "asympt":
+    elif args.command in ("asympt", "largedev"):
         _check_endpoint("--s", args.s, positive=True)
     elif args.command == "sweep":
         _check_endpoint("--s-min", args.s_min)

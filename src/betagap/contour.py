@@ -28,6 +28,7 @@ from .errors import (
     ParameterQuantizationError,
     QuadratureError,
     ResourceLimitError,
+    quantized,
 )
 
 __all__ = [
@@ -68,17 +69,10 @@ class ContourSpec:
 
 def _dimension(a: float, beta: float) -> int:
     """Quantize ``beta a / 2`` and enforce the dimension cap."""
-    value = beta * a / 2.0
-    rounded = round(value)
-    if abs(value - rounded) > 1e-9 or rounded < 0:
-        raise ParameterQuantizationError(
-            f"beta*a/2 must be a nonnegative integer for this route, got {value}"
-        )
-    if rounded > 2:
-        raise ResourceLimitError(
-            f"integral dimension beta*a/2 = {rounded} exceeds the cap of 2"
-        )
-    return int(rounded)
+    m = quantized("beta*a/2", beta * a / 2.0)
+    if m > 2:
+        raise ResourceLimitError(f"integral dimension beta*a/2 = {m} exceeds the cap of 2")
+    return m
 
 
 def _check_imag(value: complex, where: str) -> float:

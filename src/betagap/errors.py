@@ -1,10 +1,13 @@
-"""Exception hierarchy shared by all betagap modules."""
+"""Exception hierarchy and integer-parameter rule shared by all betagap modules."""
 
 from __future__ import annotations
+
+import math
 
 __all__ = [
     "BetagapError",
     "ParameterQuantizationError",
+    "quantized",
     "LowerParameterPoleError",
     "CancellationError",
     "NonConvergenceError",
@@ -24,6 +27,24 @@ class ParameterQuantizationError(BetagapError, ValueError):
     ``beta * a / 2`` is a nonnegative integer; this error reports which
     quantity failed and what it evaluated to.
     """
+
+
+def quantized(name: str, value: float) -> int:
+    """``value`` as a nonnegative integer, to within ``1e-9``.
+
+    Raises
+    ------
+    ParameterQuantizationError
+        Naming ``name`` when ``value`` is NaN, infinite, negative or not
+        within ``1e-9`` of an integer.
+    """
+    if math.isfinite(value):
+        rounded = round(value)
+        if abs(value - rounded) <= 1e-9 and rounded >= 0:
+            return int(rounded)
+    raise ParameterQuantizationError(
+        f"{name} must be a nonnegative integer for this route, got {value}"
+    )
 
 
 class LowerParameterPoleError(BetagapError, ZeroDivisionError):

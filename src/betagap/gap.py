@@ -24,7 +24,7 @@ from .barnes import (
     log_f_beta_half,
     log_tau_hard_n,
 )
-from .errors import ParameterQuantizationError, QuadratureError
+from .errors import QuadratureError, quantized
 from .hypergeom import ArgBlocks, HypergeomSpec, SeriesResult, pFq_alpha
 
 __all__ = [
@@ -54,16 +54,6 @@ __all__ = [
     "log_multi_F01_asympt",
     "duality_check",
 ]
-
-
-def _quantized(name: str, value: float) -> int:
-    """Round to a nonnegative integer or raise ParameterQuantizationError."""
-    rounded = round(value)
-    if abs(value - rounded) > 1e-9 or rounded < 0:
-        raise ParameterQuantizationError(
-            f"{name} must be a nonnegative integer for this route, got {value}"
-        )
-    return int(rounded)
 
 
 @dataclass(frozen=True)
@@ -136,7 +126,7 @@ def exact_E0_hard_detailed(
     parameter ``a`` hypergeometric series with ``beta a / 2`` repeated
     arguments ``s / 4`` at deformation ``beta / 2``.
     """
-    m = _quantized("beta*a/2", beta * a / 2.0)
+    m = quantized("beta*a/2", beta * a / 2.0)
     spec = HypergeomSpec(
         upper=(), lower=(a,) if m else (), alpha=beta / 2.0,
         args=ArgBlocks(((s / 4.0, m),)),
@@ -181,9 +171,12 @@ def exact_E0_finiteN_detailed(
 
     Terminating route ``exp(-beta N s / 2)`` times the series with
     upper parameter ``-N``, lower parameter ``a``, and ``beta a / 2``
-    repeated arguments ``-s``.
+    repeated arguments ``-s``.  ``N = 0`` is the empty ensemble, whose
+    gap probability is 1.
     """
-    m = _quantized("beta*a/2", beta * a / 2.0)
+    if N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
+    m = quantized("beta*a/2", beta * a / 2.0)
     if max_weight is None:
         max_weight = max(int(N) * max(m, 1), 200)
     spec = HypergeomSpec(
@@ -325,8 +318,8 @@ def exact_En_hard_detailed(
         return log_value, _diagnostics(
             0, 0.0, series.max_weight_used, series.tail_estimate
         )
-    m0 = _quantized("beta*a/2", beta * a / 2.0)
-    mb = _quantized("beta", beta)
+    m0 = quantized("beta*a/2", beta * a / 2.0)
+    mb = quantized("beta", beta)
     alpha = beta / 2.0
     lower = a + 2.0 * n
     max_used, max_tail = 0, 0.0
@@ -431,8 +424,10 @@ def exact_En_finiteN_detailed(
         return log_value, _diagnostics(
             0, 0.0, series.max_weight_used, series.tail_estimate
         )
-    m0 = _quantized("beta*a/2", beta * a / 2.0)
-    mb = _quantized("beta", beta)
+    if N < 0:
+        raise ValueError(f"N must be nonnegative, got {N}")
+    m0 = quantized("beta*a/2", beta * a / 2.0)
+    mb = quantized("beta", beta)
     alpha = beta / 2.0
     if max_weight is None:
         max_weight = max(N * (m0 + n * mb), 200)
@@ -454,7 +449,7 @@ def exact_En_finiteN_detailed(
             + _log_laguerre_norm(a, beta, N)
             - _log_laguerre_norm(a, beta, N + n)
         )
-        cond_mult = _quantized("a", a)
+        cond_mult = quantized("a", a)
     else:
         raise ValueError(f"unknown variant {variant!r}")
     max_used, max_tail = 0, 0.0
@@ -778,7 +773,9 @@ def log_large_deviation_E0(N: int, s_tilde: float, a: float, beta: float) -> flo
     float
         ``log E``.
     """
-    if s_tilde <= 0:
+    if N < 1:
+        raise ValueError(f"N must be at least 1, got {N}")
+    if not s_tilde > 0:
         raise ValueError(f"s_tilde must be positive, got {s_tilde}")
     root = math.sqrt(s_tilde * (s_tilde + 1.0))
     plus = math.sqrt(s_tilde + 1.0) + math.sqrt(s_tilde)

@@ -2,7 +2,9 @@
 
 Partitions are represented as tuples of weakly decreasing positive
 integers; the empty partition is ``()``.  Cells of the Young diagram are
-indexed ``(i, j)`` with 1-based row ``i`` and column ``j``.
+indexed ``(i, j)`` with 1-based row ``i`` and column ``j``.  Products
+over cells are returned as logarithms: deep series reach magnitudes far
+outside the float range.
 """
 
 from __future__ import annotations
@@ -14,12 +16,8 @@ __all__ = [
     "partitions_of_weight",
     "conjugate",
     "dominates",
-    "hook_norm",
-    "hook_products",
     "hook_products_log",
-    "gen_pochhammer",
     "gen_pochhammer_signlog",
-    "jack_C_at_identity",
     "jack_C_at_identity_log",
 ]
 
@@ -90,38 +88,13 @@ def _cells(kappa: tuple[int, ...]):
             yield row - j, kp[j - 1] - i
 
 
-def hook_products(kappa: tuple[int, ...], alpha: float) -> tuple[float, float]:
-    """Upper and lower alpha-deformed hook products.
+def hook_products_log(kappa: tuple[int, ...], alpha: float) -> tuple[float, float]:
+    """Logarithms of the upper and lower alpha-deformed hook products.
 
     Per cell the upper hook is ``leg + 1 + alpha*arm`` and the lower
-    hook is ``leg + alpha*(arm + 1)``.
-
-    Parameters
-    ----------
-    kappa : tuple of int
-        Partition.
-    alpha : float
-        Positive deformation parameter.
-
-    Returns
-    -------
-    tuple of float
-        ``(upper, lower)`` hook products; both are 1 for the empty
-        partition.
-    """
-    upper = 1.0
-    lower = 1.0
-    for arm, leg in _cells(kappa):
-        upper *= leg + 1 + alpha * arm
-        lower *= leg + alpha * (arm + 1)
-    return upper, lower
-
-
-def hook_products_log(kappa: tuple[int, ...], alpha: float) -> tuple[float, float]:
-    """Logarithms of the upper and lower hook products.
-
-    Accumulated cell by cell so deep partitions whose hook products
-    overflow a float stay representable.
+    hook is ``leg + alpha*(arm + 1)``; both products are 1 for the empty
+    partition.  Accumulated cell by cell so deep partitions whose hook
+    products overflow a float stay representable.
     """
     log_upper = 0.0
     log_lower = 0.0
@@ -131,44 +104,14 @@ def hook_products_log(kappa: tuple[int, ...], alpha: float) -> tuple[float, floa
     return log_upper, log_lower
 
 
-def hook_norm(kappa: tuple[int, ...], alpha: float) -> float:
-    """Product of upper times lower hooks over all cells of ``kappa``."""
-    upper, lower = hook_products(kappa, alpha)
-    return upper * lower
-
-
-def gen_pochhammer(x: float, kappa: tuple[int, ...], alpha: float) -> float:
-    """Generalized Pochhammer symbol ``[x]_kappa`` at parameter ``alpha``.
-
-    Defined as ``prod_j (x - (j-1)/alpha)_(kappa_j)`` with the ordinary
-    rising factorial in each row.  Exact zeros (negative-integer ladder
-    hits) are preserved, which is what terminates hypergeometric series
-    with negative-integer upper parameters.
-
-    Parameters
-    ----------
-    x : float
-        Argument.
-    kappa : tuple of int
-        Partition.
-    alpha : float
-        Positive deformation parameter.
-
-    Returns
-    -------
-    float
-        The product; 1 for the empty partition.
-    """
-    value = 1.0
-    for j, part in enumerate(kappa, start=1):
-        base = x - (j - 1) / alpha
-        for t in range(part):
-            value *= base + t
-    return value
-
-
 def gen_pochhammer_signlog(x: float, kappa: tuple[int, ...], alpha: float) -> tuple[int, float]:
-    """Sign and log-magnitude of ``gen_pochhammer``.
+    """Sign and log-magnitude of the generalized Pochhammer symbol.
+
+    ``[x]_kappa`` at parameter ``alpha`` is ``prod_j (x - (j-1)/alpha)_(kappa_j)``
+    with the ordinary rising factorial in each row; it is 1 for the empty
+    partition.  Exact zeros (negative-integer ladder hits) are preserved,
+    which is what terminates hypergeometric series with negative-integer
+    upper parameters.
 
     Returns
     -------
@@ -190,40 +133,14 @@ def gen_pochhammer_signlog(x: float, kappa: tuple[int, ...], alpha: float) -> tu
     return sign, log_abs
 
 
-def jack_C_at_identity(kappa: tuple[int, ...], alpha: float, m: int) -> float:
-    """Jack polynomial ``C_kappa`` evaluated at ``m`` ones.
-
-    Equal to ``alpha**|kappa| * |kappa|! * prod_cells (m - (i-1) +
-    alpha*(j-1)) / hook_norm(kappa, alpha)`` and identically zero when
-    the partition has more parts than there are variables.
-
-    Parameters
-    ----------
-    kappa : tuple of int
-        Partition.
-    alpha : float
-        Positive deformation parameter.
-    m : int
-        Number of variables.
-
-    Returns
-    -------
-    float
-        ``C_kappa(1, ..., 1)``; always strictly positive when
-        ``len(kappa) <= m``.
-    """
-    if len(kappa) > m:
-        return 0.0
-    k = sum(kappa)
-    value = alpha**k * math.factorial(k) / hook_norm(kappa, alpha)
-    for i, row in enumerate(kappa, start=1):
-        for j in range(1, row + 1):
-            value *= m - (i - 1) + alpha * (j - 1)
-    return value
-
-
 def jack_C_at_identity_log(kappa: tuple[int, ...], alpha: float, m: int) -> float:
-    """Logarithm of ``jack_C_at_identity`` (``-inf`` when it vanishes)."""
+    """Logarithm of the Jack polynomial ``C_kappa`` at ``m`` ones.
+
+    ``C_kappa(1, ..., 1) = alpha**|kappa| |kappa|! prod_cells (m - (i-1) +
+    alpha*(j-1)) / (upper * lower hook products)``, strictly positive
+    when ``len(kappa) <= m``; with more parts than variables it vanishes
+    and the logarithm is ``-inf``.
+    """
     if len(kappa) > m:
         return -math.inf
     k = sum(kappa)

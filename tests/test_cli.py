@@ -312,6 +312,7 @@ def test_check_json_lines(capsys: pytest.CaptureFixture[str]) -> None:
         (("sweep", "--beta", "2", "--a", "1", "--s-min", "0", "--s-max", "inf",
           "--s-count", "3"), "--s-max"),
         (("asympt", "--beta", "2", "--a", "1", "--s", "0"), "--s"),
+        (("largedev", "--beta", "2", "--a", "1", "--N", "10", "--s", "nan"), "--s"),
     ],
 )
 def test_bad_endpoint_exits_2(
@@ -322,6 +323,49 @@ def test_bad_endpoint_exits_2(
     record = json.loads(out)
     assert record["error"]["type"] == "ValueError"
     assert record["error"]["message"].startswith(f"{flag} must be finite")
+
+
+@pytest.mark.parametrize(
+    "argv, error_type, message",
+    [
+        (("exact", "--beta", "2", "--a", "inf", "--s", "1"),
+         "ParameterQuantizationError", "beta*a/2 must be a nonnegative integer"),
+        (("contour", "--beta", "2", "--a", "inf", "--s", "1"),
+         "ParameterQuantizationError", "beta*a/2 must be a nonnegative integer"),
+        (("exact", "--beta", "2", "--a", "nan", "--s", "1"),
+         "ParameterQuantizationError", "beta*a/2 must be a nonnegative integer"),
+        (("exact", "--beta", "inf", "--a", "0", "--s", "1", "--n", "1"),
+         "ParameterQuantizationError", "beta*a/2 must be a nonnegative integer"),
+        (("sweep", "--beta", "2", "--a", "1", "--s-min", "1", "--s-max", "2",
+          "--s-count", "2", "--N", "-1"), "ValueError", "N must be nonnegative"),
+        (("exact", "--beta", "2", "--a", "1", "--s", "1", "--N", "-2"),
+         "ValueError", "N must be nonnegative"),
+        (("exact", "--beta", "2", "--a", "1", "--s", "1", "--N", "-2", "--n", "1"),
+         "ValueError", "N must be nonnegative"),
+        (("largedev", "--beta", "2", "--a", "1", "--N", "-3", "--s", "0.3"),
+         "ValueError", "N must be at least 1"),
+        (("exact", "--beta", "2", "--a", "1", "--s", "1", "--tol", "nan"),
+         "ValueError", "tol must be positive"),
+        (("exact", "--beta", "2", "--a", "1", "--s", "1", "--max-weight", "-5"),
+         "ValueError", "max-weight must be nonnegative"),
+    ],
+    ids=[
+        "exact-a-inf", "contour-a-inf", "exact-a-nan", "exact-beta-inf",
+        "sweep-N-negative", "exact-N-negative", "exact-n1-N-negative",
+        "largedev-N-negative", "exact-tol-nan", "exact-max-weight-negative",
+    ],
+)
+def test_bad_parameter_exits_2(
+    capsys: pytest.CaptureFixture[str],
+    argv: tuple[str, ...],
+    error_type: str,
+    message: str,
+) -> None:
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    record = json.loads(out)
+    assert record["error"]["type"] == error_type
+    assert record["error"]["message"].startswith(message)
 
 
 def test_report_arbitration_content(capsys: pytest.CaptureFixture[str]) -> None:

@@ -470,6 +470,32 @@ def test_quantization_errors() -> None:
         exact_En_hard(1.0, 1.0, 2.5, 1)  # beta not an integer
 
 
+def test_finite_routes_reject_negative_size() -> None:
+    with pytest.raises(ValueError, match="N must be nonnegative"):
+        exact_E0_finiteN_detailed(1.0, 1.0, 2.0, -2)
+    with pytest.raises(ValueError, match="N must be nonnegative"):
+        exact_En_finiteN_detailed(1.0, 1.0, 2.0, 1, -2)
+
+
+def test_finite_routes_at_zero_size() -> None:
+    # No remaining eigenvalues: the gap is empty for sure, and with one
+    # eigenvalue of density x exp(-x) at beta = 2, a = 1 the chance it
+    # lies in (0, 1) is 1 - 2/e.
+    assert exact_E0_finiteN(1.0, 1.0, 2.0, 0) == 1.0
+    np.testing.assert_allclose(
+        exact_En_finiteN(1.0, 1.0, 2.0, 1, 0), 1.0 - 2.0 / math.e, rtol=1e-12
+    )
+
+
+@pytest.mark.parametrize(
+    "N, s_tilde, message",
+    [(0, 0.3, "N must be at least 1"), (10, math.nan, "s_tilde must be positive")],
+)
+def test_large_deviation_rejects_bad_input(N: int, s_tilde: float, message: str) -> None:
+    with pytest.raises(ValueError, match=message):
+        log_large_deviation_E0(N, s_tilde, 1.0, 2.0)
+
+
 @settings(deadline=None, max_examples=30)
 @given(
     s_pair=st.tuples(
