@@ -13,9 +13,8 @@ import math
 from functools import cache
 
 import numpy as np
-from scipy.special import zeta as hurwitz_zeta
 
-from .errors import NonConvergenceError, quantized
+from .errors import NonConvergenceError, ResourceLimitError, quantized
 
 __all__ = [
     "log_gamma2",
@@ -33,6 +32,7 @@ __all__ = [
     "b_const",
     "log_morris_value",
     "morris_value",
+    "MAX_SHIFT_STEPS",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -53,6 +53,10 @@ _BERNOULLI = {
 #: Highest inverse-power order used in the tail resummation.
 _TAIL_ORDER = 13
 
+#: Most unit steps :func:`log_gamma2` takes to bring ``z`` into its window
+#: (each one ``lgamma`` and one ``log``; 100k take about 0.1 s).
+MAX_SHIFT_STEPS = 100_000
+
 
 def _bernoulli_poly(n: int, z: float) -> float:
     """Bernoulli polynomial ``B_n(z)`` from the number table."""
@@ -65,12 +69,14 @@ def _bernoulli_poly(n: int, z: float) -> float:
 
 
 def _require_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _shintani_window(z: float, tau: float, tol: float) -> float:
     """Log double gamma for ``z`` in the window ``[1, 2 + tau]``."""
+    from scipy.special import zeta as hurwitz_zeta
+
     n0 = max(32, math.ceil(32.0 / tau))
     for _ in range(8):
         core = (
@@ -125,9 +131,21 @@ def log_gamma2(z: float, tau: float, tol: float = 1e-13) -> float:
     -------
     float
         ``log Gamma_2(z; 1, tau)``.
+
+    Raises
+    ------
+    ValueError
+        If ``z`` or ``tau`` is not positive and finite.
+    ResourceLimitError
+        If ``z`` lies more than ``MAX_SHIFT_STEPS`` unit steps above the
+        window.
     """
     _require_positive("z", z)
     _require_positive("tau", tau)
+    if z - (2.0 + tau) > MAX_SHIFT_STEPS:
+        raise ResourceLimitError(
+            f"log_gamma2 at z={z} needs more than {MAX_SHIFT_STEPS} shift steps"
+        )
 
     def delta_one(w: float) -> float:
         # log Gamma_2(w + 1) - log Gamma_2(w)

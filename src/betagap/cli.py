@@ -26,7 +26,6 @@ from dataclasses import dataclass, fields
 from typing import IO
 
 import numpy as np
-from scipy.special import gammaln
 
 from .barnes import (
     a_const,
@@ -283,6 +282,8 @@ def _identity_suite() -> list[tuple[str, float, float]]:
     constant constructions, the duality of asymptotic forms and
     constants, and series-vs-quadrature route equivalence.
     """
+    from scipy.special import gammaln
+
     log_2pi = math.log(2.0 * math.pi)
     rows: list[tuple[str, float, float]] = []
 
@@ -558,6 +559,12 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     elif args.command == "sweep":
         _check_endpoint("--s-min", args.s_min)
         _check_endpoint("--s-max", args.s_max)
+    if args.command in ("asympt", "largedev", "report"):
+        # the double-gamma constants walk their argument down one unit at
+        # a time, and name their own variables, not these flags
+        for flag, value in (("--a", args.a), ("--beta", args.beta)):
+            if not math.isfinite(value):
+                raise ValueError(f"{flag} must be finite, got {value}")
     if args.command == "sweep":
         count = values.pop("s_count")
         lo, hi = values.pop("s_min"), values.pop("s_max")

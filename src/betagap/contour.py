@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .barnes import log_b_const, log_morris_value
 from .errors import (
@@ -276,6 +275,8 @@ def _contour_nodes(
     ray edge, -1 lower ray edge), the circle angles, and the ray
     coordinates.
     """
+    from scipy.special import roots_legendre
+
     root_s = math.sqrt(s)
 
     theta, tw = roots_legendre(circle_n)

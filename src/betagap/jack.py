@@ -4,7 +4,11 @@
 = (x_1 + ... + x_m)**k``.  Which evaluator serves which argument:
 
 - one distinct nonzero value (every ``E(0)`` series): the closed-form
-  identity evaluation ``x**|kappa| C_kappa(1, ..., 1)``;
+  identity evaluation ``x**|kappa| C_kappa(1, ..., 1)``.  The series of
+  :mod:`betagap.hypergeom` takes ``C_kappa(1, ..., 1)`` into its cached
+  coefficient layers, with the hook products summed over the same
+  constant-leg runs as the strip table's normalization
+  (:func:`_hook_log_sums`, :func:`_subtract_hook_runs`);
 - more than one distinct value (the quadrature nodes of ``E(n)``,
   ``n >= 1``): :class:`JackTable`, the Koev–Edelman recursion over
   horizontal strips, which builds every ``C_kappa`` of a series one
@@ -222,14 +226,35 @@ def _hook_ratio_products(alpha: float, max_leg: int, top: int) -> np.ndarray:
     return table
 
 
-def _hook_log_sums(alpha: float, max_leg: int, top: int) -> np.ndarray:
+def _hook_log_sums(alpha: float, max_leg: int, top: int, upper: bool = False) -> np.ndarray:
     """``L[l, n] = sum_{a=1..n} log(l + alpha a)``: the lower hooks of ``n``
-    consecutive cells of leg ``l``, added one box at a time."""
+    consecutive cells of leg ``l``, added one box at a time.  With
+    ``upper``, ``sum_{a=0..n-1} log(l + 1 + alpha a)``: the upper hooks."""
     legs = np.arange(max_leg + 1, dtype=float)[:, None]
-    arms = np.arange(1, top + 1, dtype=float)[None, :]
+    if upper:
+        hooks = legs + 1.0 + alpha * np.arange(top, dtype=float)[None, :]
+    else:
+        hooks = legs + alpha * np.arange(1, top + 1, dtype=float)[None, :]
     table = np.zeros((max_leg + 1, top + 1))
-    np.add.accumulate(np.log(legs + alpha * arms), axis=1, out=table[:, 1:])
+    np.add.accumulate(np.log(hooks), axis=1, out=table[:, 1:])
     return table
+
+
+def _subtract_hook_runs(out: np.ndarray, sums: np.ndarray, padded: np.ndarray) -> None:
+    """Subtract from ``out`` each row's hook logs, read from ``sums``.
+
+    ``padded`` holds one partition per row, with at least one trailing
+    zero column.  In row ``i`` the cells of leg ``r - i`` are the columns
+    ``kappa_{r+1} < c <= kappa_r``, ``r >= i``, over which the arm moves
+    one box at a time, so each run is a difference of two entries of
+    :func:`_hook_log_sums` (``sums``), upper or lower.
+    """
+    parts = padded.shape[1] - 1
+    for i in range(parts):
+        row = padded[:, i]
+        for r in range(i, parts):
+            run = sums[r - i]
+            out -= run[row - padded[:, r + 1]] - run[row - padded[:, r]]
 
 
 def _rank_tables(parts: int, top: int) -> list[np.ndarray]:
@@ -373,11 +398,7 @@ class _StripTable:
         # log(C_kappa / P_kappa) = log(alpha^k k! / prod of lower hooks), the
         # hooks summed over the same constant-leg runs, now of kappa itself.
         log_norm = np.full(count, k * math.log(self.alpha) + math.lgamma(k + 1))
-        for i in range(parts):
-            for r in range(i, parts):
-                lower = self._lower[r - i]
-                row = padded[:, i]
-                log_norm -= lower[row - padded[:, r + 1]] - lower[row - padded[:, r]]
+        _subtract_hook_runs(log_norm, self._lower, padded)
         start = self.offsets[-1]
         self.offsets.append(start + count)
         self.pairs += total
@@ -429,21 +450,23 @@ class JackTable:
         self._powers = np.zeros((parts, 16))
         self._done = -1
 
-    def layer(self, k: int) -> tuple[list[float], list[float], int]:
+    def layer(self, k: int) -> tuple[np.ndarray, np.ndarray, int]:
         """Layer ``k``, over ``partitions_of_weight(k, m)``.
 
         Returns
         -------
         tuple
-            ``(values, log_factors, sign)`` with ``C_kappa(x) = sign *
-            values[i] * exp(log_factors[i])`` for the ``i``-th partition.
-            A value below the float range of the scaled table reads 0.
+            ``(values, log_factors, sign)``, two arrays and an int, with
+            ``C_kappa(x) = sign * values[i] * exp(log_factors[i])`` for the
+            ``i``-th partition.  A value below the float range of the
+            scaled table reads 0.  ``values`` is a read-only view.
         """
         while self._done < k:
             self._extend(self._done + 1)
         strips = self._strips.layer(k)
-        values = self._values[-1, strips.start : strips.start + strips.count].tolist()
-        log_factors = (strips.log_norm + k * self._log_scale).tolist()
+        values = self._values[-1, strips.start : strips.start + strips.count]
+        values.flags.writeable = False
+        log_factors = strips.log_norm + k * self._log_scale
         return values, log_factors, -1 if self._negative and k % 2 else 1
 
     def _extend(self, k: int) -> None:
@@ -495,10 +518,11 @@ def jack_C_eval_signlog(
         return sign, k * math.log(abs(xs[0])) + log_id
     position = partitions_of_weight(k, len(xs)).index(tuple(kappa))
     values, log_factors, sign = JackTable(xs, alpha).layer(k)
-    value = values[position]
+    value = float(values[position])
     if value == 0.0:
         return 0, -math.inf
-    return (sign if value > 0.0 else -sign), math.log(abs(value)) + log_factors[position]
+    log_abs = math.log(abs(value)) + float(log_factors[position])
+    return (sign if value > 0.0 else -sign), log_abs
 
 
 def jack_C_oracle_signlog(

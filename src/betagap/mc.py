@@ -21,7 +21,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 __all__ = [
     "EnsembleSpec",
@@ -159,6 +158,8 @@ def sample_spectrum(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
     diag, off = _tridiagonal(b, c)
     if spec.N == 1:
         return diag[0] / spec.beta
+    from scipy.linalg import eigvalsh_tridiagonal
+
     return eigvalsh_tridiagonal(diag[0], off[0]) / spec.beta
 
 

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from betagap.barnes import (
+    MAX_SHIFT_STEPS,
     a_const,
     b_const,
     duality_constants,
@@ -239,6 +242,38 @@ def test_domain_errors() -> None:
     for z, tau in ((0.0, 1.0), (-1.0, 2.0), (1.0, 0.0), (1.0, -2.0)):
         with pytest.raises(ValueError):
             log_gamma2(z, tau)
+
+
+def test_non_finite_and_huge_arguments() -> None:
+    # In a child process with a timeout: an infinite or huge z used to be
+    # walked down to the window one unit per step, without end or bound.
+    script = """
+import math
+from betagap.barnes import log_gamma2
+from betagap.errors import ResourceLimitError
+for z, tau in ((math.inf, 1.0), (1.0, math.inf), (math.nan, 1.0), (1.0, math.nan), (1e9, 1.0)):
+    try:
+        log_gamma2(z, tau)
+    except (ValueError, ResourceLimitError) as exc:
+        print(type(exc).__name__, exc)
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=False, timeout=60
+    )
+    assert result.stdout.splitlines() == [
+        "ValueError z must be positive and finite, got inf",
+        "ValueError tau must be positive and finite, got inf",
+        "ValueError z must be positive and finite, got nan",
+        "ValueError tau must be positive and finite, got nan",
+        f"ResourceLimitError log_gamma2 at z=1000000000.0 needs more than "
+        f"{MAX_SHIFT_STEPS} shift steps",
+    ]
+    # the largest argument inside the budget still evaluates
+    z = MAX_SHIFT_STEPS + 1.5
+    np.testing.assert_allclose(
+        log_gamma2(z + 1.0, 1.0), log_gamma2(z, 1.0) + 0.5 * LOG_2PI - math.lgamma(z),
+        rtol=1e-9,
+    )
 
 
 @settings(deadline=None, max_examples=60)

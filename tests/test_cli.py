@@ -22,17 +22,24 @@ EXPECTED_HEADER = "s,beta,a,n,N,method,value,log_value,stderr,trunc_weight,tail_
 
 EXACT_HARD_ROW = (
     "4.0,2.0,1.0,0,,exact_E0_hard,0.8386125671260257,"
-    "-0.17600645851704377,,12,4.3583898233049765e-18,"
+    "-0.17600645851704377,,12,1.91192223376708e-18,"
 )
 
 EXACT_EXCESS_ROW = (
     "4.0,2.0,1.0,1,,exact_En_hard,0.1613575220817058,"
-    "-1.8241327419135258,,16,2.2571363838758607e-15,"
+    "-1.8241327419135258,,16,8.7161123370131195e-16,"
 )
 
 EXACT_FINITEN_ROW = (
     "0.5,2.0,1.0,0,8,exact_E0_finiteN,0.18066842552801307,"
     "-1.711091830863083,,8,0.0,"
+)
+
+# Deep finite-N series: value 1.6e-76, so an absolute last-layer tail
+# (1.6e-3 here) would say nothing about it; the relative tail does.
+EXACT_FINITEN_DEEP_ROW = (
+    "0.5,2.0,1.0,0,400,exact_E0_finiteN,1.590267001969877e-76,"
+    "-174.53256513964607,,38,1.4237138032578096e-14,"
 )
 
 IDENTITY_NAMES = {
@@ -85,6 +92,14 @@ def test_exact_finite_ensemble_row(capsys: pytest.CaptureFixture[str]) -> None:
     assert out.strip().splitlines()[1] == EXACT_FINITEN_ROW
 
 
+def test_exact_tail_bound_is_relative(capsys: pytest.CaptureFixture[str]) -> None:
+    code, out = run_cli(
+        capsys, "exact", "--beta", "2", "--a", "1", "--s", "0.5", "--N", "400"
+    )
+    assert code == 0
+    assert out.strip().splitlines()[1] == EXACT_FINITEN_DEEP_ROW
+
+
 def test_exact_finite_excess_row(capsys: pytest.CaptureFixture[str]) -> None:
     # The finite-size E(n) route reports its own log value and diagnostics.
     code, out = run_cli(
@@ -131,7 +146,7 @@ def test_json_format_matches_csv(capsys: pytest.CaptureFixture[str]) -> None:
         "log_value": -0.17600645851704377,
         "stderr": None,
         "trunc_weight": 12,
-        "tail_bound": 4.3583898233049765e-18,
+        "tail_bound": 1.91192223376708e-18,
         "seed": None,
     }
 
@@ -374,8 +389,8 @@ def test_report_arbitration_content(capsys: pytest.CaptureFixture[str]) -> None:
     assert "exponent arbitration at beta=2.0, a=1.0" in out
     assert "F1A: -0.25" in out
     assert "MG: -0.125" in out
-    assert "fitted: -0.25487791108741603" in out
-    assert "fitted (slope pinned to F1A): -0.909446064218962" in out
+    assert "fitted: -0.2548779110874152\n" in out
+    assert "fitted (slope pinned to F1A): -0.9094460642189628\n" in out
     assert "informational only" in out
 
 
@@ -431,3 +446,44 @@ def test_module_entry_point() -> None:
     )
     assert result.returncode == 0
     assert result.stdout.strip().splitlines() == [EXPECTED_HEADER, EXACT_HARD_ROW]
+
+
+# Double-gamma routes at non-finite or huge parameters, each in a child
+# process with a timeout: an infinite --a used to walk log_gamma2's
+# argument down one unit per step without end.
+DOUBLE_GAMMA_BOUNDARY = [
+    (("asympt", "--beta", "2", "--a", "inf", "--s", "10"),
+     2, "ValueError", "--a must be finite, got inf"),
+    (("asympt", "--beta", "2", "--a", "nan", "--s", "10"),
+     2, "ValueError", "--a must be finite, got nan"),
+    (("asympt", "--beta", "inf", "--a", "1", "--s", "10"),
+     2, "ValueError", "--beta must be finite, got inf"),
+    (("largedev", "--beta", "2", "--a", "nan", "--N", "5", "--s", "0.3"),
+     2, "ValueError", "--a must be finite, got nan"),
+    (("report", "--beta", "nan", "--a", "1"),
+     2, "ValueError", "--beta must be finite, got nan"),
+    (("asympt", "--beta", "2", "--a", "1e9", "--s", "10"),
+     3, "ResourceLimitError", "log_gamma2 at z=1000000001.0 needs more than"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code, error_type, message",
+    DOUBLE_GAMMA_BOUNDARY,
+    ids=["asympt-a-inf", "asympt-a-nan", "asympt-beta-inf", "largedev-a-nan",
+         "report-beta-nan", "asympt-a-huge"],
+)
+def test_double_gamma_boundary_exits(
+    argv: tuple[str, ...], exit_code: int, error_type: str, message: str
+) -> None:
+    result = subprocess.run(
+        [sys.executable, "-m", "betagap", *argv],
+        capture_output=True,
+        text=True,
+        check=False,
+        timeout=60,
+    )
+    assert result.returncode == exit_code
+    record = json.loads(result.stdout)
+    assert record["error"]["type"] == error_type
+    assert record["error"]["message"].startswith(message)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import math
+import sys
+import threading
+from functools import cache
 
 import mpmath as mp
 import numpy as np
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betagap import jack
+from betagap import hypergeom, jack
 from betagap.errors import (
     CancellationError,
     LowerParameterPoleError,
@@ -24,6 +27,11 @@ from betagap.hypergeom import (
     F01_repeated,
     confluence_check,
     pFq_alpha,
+)
+from betagap.partitions import (
+    gen_pochhammer_signlog,
+    jack_C_at_identity_log,
+    partitions_of_weight,
 )
 
 mp.mp.dps = 40
@@ -283,3 +291,234 @@ def test_series_bit_identical_cold_and_warm() -> None:
     pFq_alpha(deep)
     after_deep = pFq_alpha(spec)
     assert cold == warm == after_deep
+
+
+# --- whole-layer coefficients against the scalar one-partition forms ---
+
+# Each scalar value is reused across parameter sets and identity counts.
+_pochhammer = cache(gen_pochhammer_signlog)
+_identity_log = cache(jack_C_at_identity_log)
+
+
+def _scalar_coefficient(
+    kappa: tuple[int, ...],
+    upper: tuple[float, ...],
+    lower: tuple[float, ...],
+    alpha: float,
+    identity: int | None,
+) -> tuple[int, float] | str:
+    """Sign and log of one term's argument-free factor, by the scalar
+    forms; ``(0, -inf)`` for a vanishing term, or the pole message."""
+    k = sum(kappa)
+    sign = 1
+    if identity is None:
+        log_mag = -math.lgamma(k + 1)
+    else:
+        log_mag = _identity_log(kappa, alpha, identity) - math.lgamma(k + 1)
+    for a in upper:
+        s_a, l_a = _pochhammer(a, kappa, alpha)
+        if s_a == 0:
+            return 0, -math.inf
+        sign *= s_a
+        log_mag += l_a
+    for b in lower:
+        s_b, l_b = _pochhammer(b, kappa, alpha)
+        if s_b == 0:
+            return f"lower parameter {b} has a pole at partition {kappa}"
+        sign *= s_b
+        log_mag -= l_b
+    if log_mag == -math.inf:
+        return 0, -math.inf
+    return sign, log_mag
+
+
+def _parameter_sets(alpha: float) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
+    # 1/alpha - 1 puts a zero factor in row 2 when alpha != 1 (row 1 at
+    # alpha = 1): exact zeros as an upper parameter, a pole as a lower one.
+    ladder = 1.0 / alpha - 1.0 if alpha != 1.0 else -1.0
+    return [
+        ((), (2.2,)),
+        ((-6.0, 0.7), (1.3,)),
+        ((ladder, 1.9), (2.6,)),
+        ((-4.0, ladder), (0.9, 3.1)),
+        ((1.1,), (2.7, ladder)),
+    ]
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("parts", [1, 2, 3, 4, 5])
+def test_coefficient_layers_match_scalar_forms(alpha: float, parts: int) -> None:
+    for upper, lower in _parameter_sets(alpha):
+        for identity in (None, parts):
+            coefficients = hypergeom._Coefficients(upper, lower, alpha, parts, identity)
+            cap = coefficients.cap
+            for k in range(31):
+                if cap is not None and k > cap * parts:
+                    break
+                kappas = partitions_of_weight(k, parts)
+                want = [
+                    (row, _scalar_coefficient(kappa, upper, lower, alpha, identity))
+                    for row, kappa in enumerate(kappas)
+                    if cap is None or not kappa or kappa[0] <= cap
+                ]
+                layer = coefficients.layer(k)
+                assert layer.nonempty == bool(want)
+                poles = [w for _, w in want if isinstance(w, str)]
+                if poles:
+                    assert layer.pole == poles[0]
+                    break
+                assert layer.pole is None
+                live = [(row, w) for row, w in want if w[0] != 0]
+                assert layer.rows.tolist() == [row for row, _ in live]
+                assert layer.negative.tolist() == [w[0] < 0 for _, w in live]
+                logs = np.array([w[1] for _, w in live])
+                np.testing.assert_allclose(layer.log_coef, logs, rtol=1e-13, atol=2e-13)
+
+
+def _reference_series(spec: HypergeomSpec, tol: float = 1e-12) -> tuple:
+    """The series summed one partition at a time from the scalar forms,
+    as before whole-layer sums: (value, log value, terms, last weight)."""
+    m = spec.args.num_variables
+    xs = spec.args.expanded()
+    cap = hypergeom._termination_cap(spec.upper)
+    distinct = {value for value, _ in spec.args.blocks if value != 0.0}
+    table = jack.JackTable(xs, spec.alpha) if len(distinct) > 1 else None
+    log_pos = log_neg = -math.inf
+    float_sum = float_comp = 0.0
+    terms = small_layers = k = weight = 0
+    while cap is None or k <= cap * m:
+        layer_log = -math.inf
+        if table is not None:
+            values, log_factors, table_sign = table.layer(k)
+        kappas = partitions_of_weight(k, m)
+        if k > 0 and not any(cap is None or kappa[0] <= cap for kappa in kappas):
+            break
+        for position, kappa in enumerate(kappas):
+            if cap is not None and kappa and kappa[0] > cap:
+                continue
+            coefficient = _scalar_coefficient(kappa, spec.upper, spec.lower, spec.alpha, None)
+            if isinstance(coefficient, str):
+                raise LowerParameterPoleError(coefficient)
+            if coefficient[0] == 0:
+                continue
+            sign, log_mag = coefficient
+            if table is None:
+                s_c, l_c = jack.jack_C_eval_signlog(kappa, xs, spec.alpha)
+            else:
+                value = values[position]
+                s_c = 0 if value == 0.0 else table_sign * (1 if value > 0.0 else -1)
+                l_c = math.log(abs(value)) + log_factors[position] if s_c else -math.inf
+            if s_c == 0:
+                continue
+            sign *= s_c
+            log_mag += l_c
+            terms += 1
+            layer_log = np.logaddexp(layer_log, log_mag)
+            if sign > 0:
+                log_pos = np.logaddexp(log_pos, log_mag)
+            else:
+                log_neg = np.logaddexp(log_neg, log_mag)
+            term = sign * math.exp(log_mag)
+            fresh = float_sum + term
+            if abs(float_sum) >= abs(term):
+                float_comp += (float_sum - fresh) + term
+            else:
+                float_comp += (term - fresh) + float_sum
+            float_sum = fresh
+        weight = k
+        log_s, _ = hypergeom._signed_log_diff(log_pos, log_neg)
+        if k > 0 and layer_log < math.log(tol) + log_s:
+            small_layers += 1
+            if small_layers >= 3:
+                break
+        else:
+            small_layers = 0
+        k += 1
+    log_s, _ = hypergeom._signed_log_diff(log_pos, log_neg)
+    return float_sum + float_comp, log_s, terms, weight
+
+
+REFERENCE_SPECS = [
+    # one distinct value: E(0) shapes, a zero block, upper zeros, 2F1
+    ((), (3.0,), 1.0, ((2.5, 3),)),
+    ((), (4.0,), 0.5, ((5.0, 2),)),
+    ((), (2.5,), 1.5, ((0.0, 2), (1.3, 2))),
+    ((-0.5,), (2.2,), 2.0, ((0.9, 3),)),
+    ((0.35, 1.4), (2.6,), 1.0, ((0.55, 1),)),
+    ((), (2.3,), 1.0, ((0.0, 3),)),
+    # lower-parameter poles, met before and after the series would stop
+    ((), (2.0,), 1.0, ((0.0, 3),)),
+    ((), (2.5,), 0.8, ((0.7, 3),)),
+    # terminating finite-N shapes
+    ((-10.0,), (3.0,), 2.0, ((-0.8, 2),)),
+    ((-5.0,), (4.0,), 1.0, ((-0.5, 2), (-0.35, 2))),
+    # mixed arguments: quadrature nodes, a zero variable, mixed signs
+    ((), (3.0,), 1.0, ((1.0, 1), (0.3, 2))),
+    ((), (2.7,), 1.5, ((0.0, 1), (0.8, 1), (0.3, 2))),
+    ((), (3.3,), 0.5, ((-0.7, 1), (0.4, 2))),
+]
+
+
+@pytest.mark.parametrize("upper, lower, alpha, blocks", REFERENCE_SPECS)
+def test_series_matches_scalar_reference_sum(upper, lower, alpha, blocks) -> None:
+    spec = HypergeomSpec(upper, lower, alpha, ArgBlocks(blocks))
+    try:
+        want = _reference_series(spec)
+    except LowerParameterPoleError as exc:
+        with pytest.raises(LowerParameterPoleError) as raised:
+            pFq_alpha(spec)
+        assert str(raised.value) == str(exc)
+        return
+    value, log_value, terms, weight = want
+    result = pFq_alpha(spec)
+    assert abs(result.value - value) <= 1e-13 * abs(value)
+    assert abs(result.log_value - log_value) <= 1e-13 * max(1.0, abs(log_value))
+    assert result.term_count == terms
+    assert result.max_weight_used == weight
+
+
+def test_series_bit_identical_cold_warm_and_deeper_coefficients() -> None:
+    spec = HypergeomSpec((0.7,), (3.1,), 1.5, ArgBlocks(((-0.5, 3),)))
+    deep = HypergeomSpec((0.7,), (3.1,), 1.5, ArgBlocks(((-9.0, 3),)))
+    hypergeom._coefficients.cache_clear()
+    cold = pFq_alpha(spec)
+    warm = pFq_alpha(spec)
+    # the same entry first built deeper, with larger cumulative tables
+    hypergeom._coefficients.cache_clear()
+    pFq_alpha(deep)
+    after_deep = pFq_alpha(spec)
+    assert cold == warm == after_deep
+    assert pFq_alpha(deep).max_weight_used > 2 * cold.max_weight_used
+
+
+def test_shared_coefficients_under_threads() -> None:
+    # Threads extending one shared coefficient entry must not interleave layers.
+    key = ((-9.0, 0.7), (2.4,), 1.375, 4, 4)
+
+    def layers(entry) -> list:
+        return [
+            (layer.rows.tolist(), layer.log_coef.tolist(), layer.negative.tolist())
+            for layer in (entry.layer(k) for k in range(40))
+        ]
+
+    want = layers(hypergeom._Coefficients(*key))
+    hypergeom._coefficients.cache_clear()
+    results: list = [None] * 8
+    start = threading.Barrier(8)
+
+    def work(slot: int) -> None:
+        start.wait()
+        results[slot] = layers(hypergeom._coefficients(*key))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == want for result in results)

@@ -204,18 +204,23 @@ def test_strip_budget_raises(monkeypatch: pytest.MonkeyPatch) -> None:
     jack._strip_table.cache_clear()
 
 
+def _layer_lists(table: JackTable, k: int) -> tuple[list, list, int]:
+    values, log_factors, sign = table.layer(k)
+    return values.tolist(), log_factors.tolist(), sign
+
+
 def test_shared_strip_table_under_threads() -> None:
     # Threads extending one shared strip table must not interleave layers.
     x = (1.0, 0.55, 0.55, 0.2)
     alpha = 1.375
     jack._strip_table.cache_clear()
-    want = [JackTable(x, alpha).layer(k) for k in range(19)]
+    want = [_layer_lists(JackTable(x, alpha), k) for k in range(19)]
     jack._strip_table.cache_clear()
     results: list = [None] * 8
 
     def work(slot: int) -> None:
         table = JackTable(x, alpha)
-        results[slot] = [table.layer(k) for k in range(19)]
+        results[slot] = [_layer_lists(table, k) for k in range(19)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
