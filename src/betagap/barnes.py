@@ -53,6 +53,9 @@ _BERNOULLI = {
 #: Highest inverse-power order used in the tail resummation.
 _TAIL_ORDER = 13
 
+#: Relative tolerance of the tail resummation.
+_WINDOW_TOL = 1e-13
+
 #: Most unit steps :func:`log_gamma2` takes to bring ``z`` into its window
 #: (each one ``lgamma`` and one ``log``; 100k take about 0.1 s).
 MAX_SHIFT_STEPS = 100_000
@@ -73,8 +76,9 @@ def _require_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _shintani_window(z: float, tau: float, tol: float) -> float:
-    """Log double gamma for ``z`` in the window ``[1, 2 + tau]``."""
+def _shintani_window(z: float, tau: float) -> float:
+    """Log double gamma for ``z`` in the window ``[1, 2 + tau]``, with the
+    tail resummation settled to relative tolerance ``_WINDOW_TOL``."""
     from scipy.special import zeta as hurwitz_zeta
 
     n0 = max(32, math.ceil(32.0 / tau))
@@ -101,7 +105,7 @@ def _shintani_window(z: float, tau: float, tol: float) -> float:
             )
             last = (-1.0) ** (k + 1) * coeff * float(hurwitz_zeta(k, n0 + 1))
             tail += last
-        if abs(last) < tol * max(1.0, abs(core + tail)):
+        if abs(last) < _WINDOW_TOL * max(1.0, abs(core + tail)):
             return core + tail
         n0 *= 2
     raise NonConvergenceError(
@@ -110,7 +114,7 @@ def _shintani_window(z: float, tau: float, tol: float) -> float:
 
 
 @cache
-def log_gamma2(z: float, tau: float, tol: float = 1e-13) -> float:
+def log_gamma2(z: float, tau: float) -> float:
     """Logarithm of the double gamma function ``Gamma_2(z; 1, tau)``.
 
     Normalized so that ``z * Gamma_2(z) -> 1`` as ``z -> 0+``, with the
@@ -124,8 +128,6 @@ def log_gamma2(z: float, tau: float, tol: float = 1e-13) -> float:
         Positive argument.
     tau : float
         Positive second quasi-period (the first is fixed at 1).
-    tol : float
-        Relative tolerance of the tail resummation.
 
     Returns
     -------
@@ -158,12 +160,12 @@ def log_gamma2(z: float, tau: float, tol: float = 1e-13) -> float:
     while z < 1.0:
         shift -= delta_one(z)
         z += 1.0
-    return _shintani_window(z, tau, tol) + shift
+    return _shintani_window(z, tau) + shift
 
 
-def gamma2(z: float, tau: float, tol: float = 1e-13) -> float:
+def gamma2(z: float, tau: float) -> float:
     """Double gamma function ``Gamma_2(z; 1, tau)``."""
-    return math.exp(log_gamma2(z, tau, tol))
+    return math.exp(log_gamma2(z, tau))
 
 
 def log_f_beta_half(n: float, beta: float) -> float:

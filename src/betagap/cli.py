@@ -49,44 +49,12 @@ from .gap import (
 )
 from .mc import EnsembleSpec, estimate_gap
 
-__all__ = ["RunConfig", "Record", "build_parser", "run", "main"]
+__all__ = ["Record", "build_parser", "run", "main"]
 
 CSV_HEADER = "s,beta,a,n,N,method,value,log_value,stderr,trunc_weight,tail_bound,seed"
 
 #: Default abscissas for exponent fitting: geometric grid on [100, 400].
 _REPORT_GRID = tuple(100.0 * 2.0 ** (k / 2.0) for k in range(5))
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Parsed invocation: one subcommand plus its parameters."""
-
-    command: str
-    beta: float = 2.0
-    a: float = 0.0
-    n: int = 0
-    s: float | None = None
-    s_grid: tuple[float, ...] | None = None
-    N: int | None = None
-    tol: float = 1e-12
-    max_weight: int | None = None
-    samples: int = 100_000
-    seed: int = 0
-    fmt: str = "csv"
-    variant: str = "F1A"
-    route: str = "contour"
-    threads: int = 1
-
-    def __post_init__(self) -> None:
-        if not self.tol > 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
-        if self.max_weight is not None and self.max_weight < 0:
-            raise ValueError(f"max-weight must be nonnegative, got {self.max_weight}")
-        if self.s_grid is not None:
-            if any(g <= 0 for g in self.s_grid):
-                raise ValueError("grid bounds must be positive")
-            if any(b <= a for a, b in zip(self.s_grid, self.s_grid[1:])):
-                raise ValueError("grid must be strictly increasing")
 
 
 @dataclass(frozen=True)
@@ -148,8 +116,8 @@ def _json_line(obj) -> str:
     return json.dumps(_strict(obj), allow_nan=False)
 
 
-def _emit(records: list[Record], config: RunConfig, sink: IO[str]) -> None:
-    if config.fmt == "json":
+def _emit(records: list[Record], args: argparse.Namespace, sink: IO[str]) -> None:
+    if args.fmt == "json":
         for record in records:
             print(_json_line(record.json_obj()), file=sink)
     else:
@@ -165,23 +133,16 @@ def _safe_exp(log_value: float) -> float:
         return math.inf
 
 
-def _exact_record(
-    s: float,
-    a: float,
-    beta: float,
-    n: int,
-    N: int | None,
-    tol: float,
-    max_weight: int | None,
-) -> Record:
-    """Evaluate one exact gap probability and package diagnostics."""
+def _exact_record(args: argparse.Namespace, s: float) -> Record:
+    """Evaluate one exact gap probability at ``s`` and package diagnostics."""
+    a, beta, n, N = args.a, args.beta, args.n, args.N
     if N is None:
         log_value, diag = exact_En_hard_detailed(
-            s, a, beta, n, tol, max_weight=max_weight
+            s, a, beta, n, args.tol, max_weight=args.max_weight
         )
     else:
         log_value, diag = exact_En_finiteN_detailed(
-            s, a, beta, n, N, tol, max_weight=max_weight
+            s, a, beta, n, N, args.tol, max_weight=args.max_weight
         )
     return Record(
         s=s, beta=beta, a=a, n=n, N=N,
@@ -191,85 +152,76 @@ def _exact_record(
     )
 
 
-def _run_exact(config: RunConfig, sink: IO[str]) -> int:
-    record = _exact_record(
-        config.s, config.a, config.beta, config.n, config.N,
-        config.tol, config.max_weight,
-    )
-    _emit([record], config, sink)
+def _run_sweep(args: argparse.Namespace, sink: IO[str]) -> int:
+    _emit([_exact_record(args, s) for s in args.s_grid], args, sink)
     return 0
 
 
-def _run_sweep(config: RunConfig, sink: IO[str]) -> int:
-    records = [
-        _exact_record(
-            s, config.a, config.beta, config.n, config.N,
-            config.tol, config.max_weight,
+def _emit_form(
+    args: argparse.Namespace, sink: IO[str], method: str, log_value: float, n: int,
+    N: int | None = None,
+) -> int:
+    """Emit the row of an asymptotic form at ``--s``.  A log value above 0
+    is no probability: the form does not hold there, so this raises."""
+    if not log_value <= 0.0:
+        raise ValueError(
+            f"--s {args.s} is outside the range of the {method} form: "
+            f"its log value {log_value} is above 0"
         )
-        for s in config.s_grid
-    ]
-    _emit(records, config, sink)
+    record = Record(
+        s=args.s, beta=args.beta, a=args.a, n=n, N=N, method=method,
+        value=math.exp(log_value), log_value=log_value,
+    )
+    _emit([record], args, sink)
     return 0
 
 
-def _run_asympt(config: RunConfig, sink: IO[str]) -> int:
-    if config.n == 0:
-        form = asymptotic_E0(config.a, config.beta, config.variant)
+def _run_asympt(args: argparse.Namespace, sink: IO[str]) -> int:
+    if args.n == 0:
+        form = asymptotic_E0(args.a, args.beta, args.variant)
     else:
-        form = asymptotic_En(config.n, config.a, config.beta)
-    log_value = form.log_evaluate(config.s)
-    record = Record(
-        s=config.s, beta=config.beta, a=config.a, n=config.n,
-        method=f"asymptotic[{form.source}]",
-        value=_safe_exp(log_value), log_value=log_value,
-    )
-    _emit([record], config, sink)
-    return 0
+        form = asymptotic_En(args.n, args.a, args.beta)
+    method = f"asymptotic[{form.source}]"
+    return _emit_form(args, sink, method, form.log_evaluate(args.s), args.n)
 
 
-def _run_largedev(config: RunConfig, sink: IO[str]) -> int:
-    log_value = log_large_deviation_E0(config.N, config.s, config.a, config.beta)
-    record = Record(
-        s=config.s, beta=config.beta, a=config.a, n=0, N=config.N,
-        method="large_deviation_E0",
-        value=_safe_exp(log_value), log_value=log_value,
-    )
-    _emit([record], config, sink)
-    return 0
+def _run_largedev(args: argparse.Namespace, sink: IO[str]) -> int:
+    log_value = log_large_deviation_E0(args.N, args.s, args.a, args.beta)
+    return _emit_form(args, sink, "large_deviation_E0", log_value, 0, args.N)
 
 
-def _run_contour(config: RunConfig, sink: IO[str]) -> int:
-    if config.N is not None:
-        value = torus_E0_finiteN(config.s, config.a, config.beta, config.N, tol=config.tol)
+def _run_contour(args: argparse.Namespace, sink: IO[str]) -> int:
+    if args.N is not None:
+        value = torus_E0_finiteN(args.s, args.a, args.beta, args.N, tol=args.tol)
         method = "torus_E0_finiteN"
-    elif config.route == "torus":
-        value = torus_E0_hard(config.s, config.a, config.beta, tol=config.tol)
+    elif args.route == "torus":
+        value = torus_E0_hard(args.s, args.a, args.beta, tol=args.tol)
         method = "torus_E0_hard"
     else:
-        value = hard_contour_E0(config.s, config.a, config.beta)
+        value = hard_contour_E0(args.s, args.a, args.beta)
         method = "hard_contour_E0"
     record = Record(
-        s=config.s, beta=config.beta, a=config.a, n=0, N=config.N,
+        s=args.s, beta=args.beta, a=args.a, n=0, N=args.N,
         method=method, value=value,
         log_value=math.log(value) if value > 0 else -math.inf,
     )
-    _emit([record], config, sink)
+    _emit([record], args, sink)
     return 0
 
 
-def _run_mc(config: RunConfig, sink: IO[str]) -> int:
-    spec = EnsembleSpec(config.beta, config.a, config.N)
+def _run_mc(args: argparse.Namespace, sink: IO[str]) -> int:
+    spec = EnsembleSpec(args.beta, args.a, args.N)
     estimate = estimate_gap(
-        spec, config.s, config.n, config.samples, config.seed, config.threads
+        spec, args.s, args.n, args.samples, args.seed, args.threads
     )
     p = estimate.probability
     record = Record(
-        s=config.s, beta=config.beta, a=config.a, n=config.n, N=config.N,
+        s=args.s, beta=args.beta, a=args.a, n=args.n, N=args.N,
         method="mc_estimate_gap", value=p,
         log_value=math.log(p) if p > 0 else -math.inf,
         stderr=estimate.stderr, seed=estimate.seed,
     )
-    _emit([record], config, sink)
+    _emit([record], args, sink)
     return 0
 
 
@@ -370,12 +322,12 @@ def _identity_suite() -> list[tuple[str, float, float]]:
     return rows
 
 
-def _run_check(config: RunConfig, sink: IO[str]) -> int:
+def _run_check(args: argparse.Namespace, sink: IO[str]) -> int:
     failures = 0
     for name, residual, tol in _identity_suite():
         passed = bool(residual < tol)
         failures += not passed
-        if config.fmt == "json":
+        if args.fmt == "json":
             print(
                 _json_line(
                     {"name": name, "residual": residual, "tol": tol, "passed": passed}
@@ -414,16 +366,16 @@ def _fit_exponent(
     return float(slope), float(const), pinned
 
 
-def _run_report(config: RunConfig, sink: IO[str]) -> int:
-    beta, a = config.beta, config.a
-    grid = config.s_grid if config.s_grid is not None else _REPORT_GRID
+def _run_report(args: argparse.Namespace, sink: IO[str]) -> int:
+    beta, a = args.beta, args.a
+    grid = _REPORT_GRID
     forms = {
         variant: asymptotic_E0(a, beta, variant) for variant in ("PU", "MG", "F1A")
     }
     slope, const, pinned = _fit_exponent(
-        beta, a, grid, config.tol, config.max_weight, forms["F1A"].c_log
+        beta, a, grid, args.tol, args.max_weight, forms["F1A"].c_log
     )
-    if config.fmt == "json":
+    if args.fmt == "json":
         payload = {
             "beta": beta,
             "a": a,
@@ -454,7 +406,7 @@ def _run_report(config: RunConfig, sink: IO[str]) -> int:
 
 
 _RUNNERS = {
-    "exact": _run_exact,
+    "exact": _run_sweep,
     "asympt": _run_asympt,
     "largedev": _run_largedev,
     "contour": _run_contour,
@@ -465,9 +417,10 @@ _RUNNERS = {
 }
 
 
-def run(config: RunConfig, sink: IO[str]) -> int:
-    """Execute one parsed invocation, writing records to the sink."""
-    return _RUNNERS[config.command](config, sink)
+def run(args: argparse.Namespace, sink: IO[str]) -> int:
+    """Execute one invocation checked by ``_config_from_args``, writing
+    records to the sink."""
+    return _RUNNERS[args.command](args, sink)
 
 
 def _add_common(parser: argparse.ArgumentParser, *, need_s: bool = False) -> None:
@@ -550,8 +503,9 @@ def _check_endpoint(flag: str, value: float, *, positive: bool = False) -> None:
         raise ValueError(f"{flag} must be finite and {kind}, got {value}")
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    values = vars(args).copy()
+def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
+    """Check a parsed invocation and give ``exact`` and ``sweep`` their
+    ``s_grid``; raises ``ValueError`` naming the offending flag."""
     if args.command in ("exact", "mc", "contour"):
         _check_endpoint("--s", args.s)
     elif args.command in ("asympt", "largedev"):
@@ -565,20 +519,29 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         for flag, value in (("--a", args.a), ("--beta", args.beta)):
             if not math.isfinite(value):
                 raise ValueError(f"{flag} must be finite, got {value}")
-    if args.command == "sweep":
-        count = values.pop("s_count")
-        lo, hi = values.pop("s_min"), values.pop("s_max")
+    if args.command == "exact":
+        args.s_grid = (args.s,)
+    elif args.command == "sweep":
+        count, lo, hi = args.s_count, args.s_min, args.s_max
         if count < 1:
             raise ValueError(f"s-count must be positive, got {count}")
         if count > 1 and hi <= lo:
             raise ValueError(f"grid needs s-max > s-min, got [{lo}, {hi}]")
-        if values.pop("log_grid"):
+        if args.log_grid:
             grid = np.geomspace(lo, hi, count)
         else:
             grid = np.linspace(lo, hi, count)
-        values["s_grid"] = tuple(float(g) for g in grid)
-    allowed = {f.name for f in fields(RunConfig)}
-    return RunConfig(**{k: v for k, v in values.items() if k in allowed})
+        args.s_grid = tuple(float(g) for g in grid)
+    if not getattr(args, "tol", 1.0) > 0:
+        raise ValueError(f"tol must be positive, got {args.tol}")
+    if getattr(args, "max_weight", None) is not None and args.max_weight < 0:
+        raise ValueError(f"max-weight must be nonnegative, got {args.max_weight}")
+    if args.command == "sweep":
+        if any(g <= 0 for g in args.s_grid):
+            raise ValueError("grid bounds must be positive")
+        if any(b <= a for a, b in zip(args.s_grid, args.s_grid[1:])):
+            raise ValueError("grid must be strictly increasing")
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -586,8 +549,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _config_from_args(args)
-        return run(config, sys.stdout)
+        return run(_config_from_args(args), sys.stdout)
     except (ParameterQuantizationError, ValueError) as exc:
         print(json.dumps({"error": {"type": type(exc).__name__, "message": str(exc)}}))
         return 2

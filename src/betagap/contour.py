@@ -123,12 +123,41 @@ def _settled_limit(
     )
 
 
+def _torus_trapezoid(
+    nodes: Callable[[int], tuple[np.ndarray, np.ndarray, float]],
+    start: int,
+    m: int,
+    beta: float,
+    tol: float,
+    label: str,
+) -> float:
+    """Settled trapezoid rule on the ``m``-torus, ``m`` in ``{1, 2}``.
+
+    ``nodes(n)`` gives the one-variable integrand ``f``, the circle points
+    ``z`` and the weight ``w`` of an ``n``-point grid.  Dimension 1 sums
+    ``f w``; dimension 2 couples two copies through the pair interaction
+    ``|z_j - z_k|**(4/beta)``.  The grid starts at ``start`` points per
+    dimension and doubles over 6 levels in dimension 1, 4 in dimension 2.
+    Returns the real part of the settled value.
+    """
+
+    def evaluate(level: int) -> complex:
+        f, z, w = nodes(start * 2**level)
+        if m == 1:
+            return complex(np.sum(f) * w)
+        pair = np.abs(z[:, None] - z[None, :]) ** (4.0 / beta)
+        return complex(f @ pair @ f * w * w)
+
+    levels = 6 if m == 1 else 4
+    total = _settled_limit(evaluate, levels, tol, label)[0]
+    return _check_imag(total, label)
+
+
 def torus_E0_finiteN(
     s: float,
     a: float,
     beta: float,
     N: int,
-    resolution: int | None = None,
     tol: float = 1e-8,
 ) -> float:
     """Finite-size gap probability via the normalized torus integral.
@@ -138,7 +167,8 @@ def torus_E0_finiteN(
     phases, ``exp(s exp(2 pi i x))`` factors, and the pair interaction
     ``|exp(2 pi i x_k) - exp(2 pi i x_j)|**(4/beta)``, divided by the
     gamma-product evaluation of the same integral at ``s = 0`` and
-    scaled by ``exp(-beta N s / 2)``.
+    scaled by ``exp(-beta N s / 2)``.  The grid starts at 512 points in
+    dimension 1 and 256 per dimension in dimension 2.
 
     Parameters
     ----------
@@ -148,9 +178,6 @@ def torus_E0_finiteN(
         Ensemble parameters with ``beta * a / 2`` in ``{0, 1, 2}``.
     N : int
         Ensemble size.
-    resolution : int, optional
-        Starting grid size per dimension (default 512 for dimension 1,
-        256 for dimension 2).
     tol : float
         Relative tolerance; see :func:`ContourSpec`.
 
@@ -164,32 +191,23 @@ def torus_E0_finiteN(
         return math.exp(-beta * N * s / 2.0)
     if N < 1:
         raise ValueError(f"N must be a positive integer, got {N}")
-    if resolution is None:
-        resolution = 512 if m == 1 else 256
-    if resolution < 8:
-        raise ValueError("resolution must be at least 8")
 
     cos_power = N - 1.0 + 2.0 / beta
     log_morris = log_morris_value(m, 2.0 / beta - 1.0, float(N), 2.0 / beta)
 
-    def evaluate(level: int) -> complex:
-        n = resolution * 2**level
+    def nodes(n: int) -> tuple[np.ndarray, np.ndarray, float]:
         x = -0.5 + np.arange(1, n) / n  # interior trapezoid nodes; endpoints vanish
-        w = 1.0 / n
+        z = np.exp(2j * math.pi * x)
         f = (
             (2.0 * np.cos(math.pi * x)) ** cos_power
             * np.exp(1j * math.pi * x * (2.0 / beta - 1.0 - N))
-            * np.exp(s * np.exp(2j * math.pi * x))
+            * np.exp(s * z)
         )
-        if m == 1:
-            return complex(np.sum(f) * w)
-        z = np.exp(2j * math.pi * x)
-        pair = np.abs(z[:, None] - z[None, :]) ** (4.0 / beta)
-        return complex(f @ pair @ f * w * w)
+        return f, z, 1.0 / n
 
-    levels = 6 if m == 1 else 4
-    total = _settled_limit(evaluate, levels, tol, "torus finite-size integral")[0]
-    value = _check_imag(total, "torus finite-size integral")
+    value = _torus_trapezoid(
+        nodes, 512 if m == 1 else 256, m, beta, tol, "torus finite-size integral"
+    )
     return math.exp(-beta * N * s / 2.0 - log_morris) * value
 
 
@@ -197,14 +215,14 @@ def torus_E0_hard(
     s: float,
     a: float,
     beta: float,
-    resolution: int | None = None,
     tol: float = 1e-8,
 ) -> float:
     """Hard-edge gap probability via the periodic circle integral.
 
     Valid for ``2 / beta`` a positive integer (the integrand is then
     single-valued on the circle) and ``beta a / 2`` in ``{0, 1, 2}``;
-    the grid is uniform (periodic trapezoid).
+    the grid is uniform (periodic trapezoid) and starts at 256 points
+    per dimension.
 
     Parameters
     ----------
@@ -212,8 +230,6 @@ def torus_E0_hard(
         Gap size in hard-edge units.
     a, beta : float
         Ensemble parameters.
-    resolution : int, optional
-        Starting grid size per dimension (default 256).
     tol : float
         Relative tolerance; see :func:`ContourSpec`.
 
@@ -231,10 +247,6 @@ def torus_E0_hard(
             f"2/beta must be a positive integer for the circle route, got {2.0 / beta}"
         )
     q = float(round(q_raw))
-    if resolution is None:
-        resolution = 256
-    if resolution < 8:
-        raise ValueError("resolution must be at least 8")
 
     root_s = math.sqrt(s)
     log_pref = (
@@ -244,26 +256,18 @@ def torus_E0_hard(
         - m * math.log(2.0 * math.pi)
     )
 
-    def evaluate(level: int) -> complex:
-        n = resolution * 2**level
+    def nodes(n: int) -> tuple[np.ndarray, np.ndarray, float]:
         theta = -math.pi + 2.0 * math.pi * np.arange(n) / n
-        w = 2.0 * math.pi / n
         f = np.exp(root_s * np.cos(theta) + 1j * q * theta)
-        if m == 1:
-            return complex(np.sum(f) * w)
-        z = np.exp(1j * theta)
-        pair = np.abs(z[:, None] - z[None, :]) ** (4.0 / beta)
-        return complex(f @ pair @ f * w * w)
+        return f, np.exp(1j * theta), 2.0 * math.pi / n
 
-    levels = 6 if m == 1 else 4
-    total = _settled_limit(evaluate, levels, tol, "circle integral")[0]
-    value = _check_imag(total, "circle integral")
+    value = _torus_trapezoid(nodes, 256, m, beta, tol, "circle integral")
     return math.exp(log_pref) * value
 
 
 def _contour_nodes(
     s: float, q: float, radius: float, circle_n: int, ray_n: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quadrature nodes along the deformed contour.
 
     The contour is a circle of the given radius plus two negative-axis
@@ -271,9 +275,8 @@ def _contour_nodes(
     to cluster nodes at the origin.  Returns complex positions ``z``,
     complex amplitudes ``amp`` (measure ``dz / (2 pi i z)`` with
     traversal direction, times the branch-resolved integrand factor
-    ``exp(sqrt(s)(z + 1/z)/2) z**q``), a side tag (0 circle, +1 upper
-    ray edge, -1 lower ray edge), the circle angles, and the ray
-    coordinates.
+    ``exp(sqrt(s)(z + 1/z)/2) z**q``), and a side tag (0 circle, +1
+    upper ray edge, -1 lower ray edge).
     """
     from scipy.special import roots_legendre
 
@@ -302,7 +305,7 @@ def _contour_nodes(
     side = np.concatenate(
         [np.zeros(circle_n), np.ones(ray_n), -np.ones(ray_n)]
     ).astype(int)
-    return z, amp, side, theta, u
+    return z, amp, side
 
 
 def _contour_components(
@@ -321,7 +324,7 @@ def _contour_components(
     """
     m = _dimension(a, beta)
     q = 2.0 / beta - 1.0
-    z, amp, side, _, _ = _contour_nodes(s, q, radius, circle_n, ray_n)
+    z, amp, side = _contour_nodes(s, q, radius, circle_n, ray_n)
     if m == 1:
         total = complex(np.sum(amp))
         circle_only = complex(np.sum(amp[side == 0]))

@@ -218,6 +218,7 @@ def exact_E0_finiteN(
 
 
 _QUAD_ORDERS = (8, 12, 18, 27, 40, 60)
+_QUAD_TOL = 1e-9
 
 
 def roots_jacobi(order: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -310,7 +311,6 @@ def exact_En_hard_detailed(
     beta: float,
     n: int,
     tol: float = 1e-12,
-    quad_tol: float = 1e-9,
     max_weight: int | None = None,
 ) -> tuple[float, dict]:
     """Hard-edge ``E(n; (0, s))`` for ``n <= 3``: log value and diagnostics.
@@ -319,7 +319,7 @@ def exact_En_hard_detailed(
     positions with the lower-parameter ``a + 2n`` series evaluated at
     mixed argument blocks.  The quadrature rule absorbs the
     ``(1 - y)**(a beta / 2)`` factor and escalates its order until two
-    successive evaluations agree to ``quad_tol``.  The diagnostics are
+    successive evaluations agree to ``_QUAD_TOL``.  The diagnostics are
     ``order``, ``rel_change``, ``trunc_weight`` and ``tail_bound``.
     """
     if n < 0 or n > 3:
@@ -347,7 +347,7 @@ def exact_En_hard_detailed(
         return _vandermonde(y, beta) * series.value
 
     total, order, rel_change = _settled_quadrature(
-        integrand, n, beta * a / 2.0, quad_tol
+        integrand, n, beta * a / 2.0, _QUAD_TOL
     )
     log_pref = (
         _log_A_quad(n, a, beta)
@@ -364,7 +364,6 @@ def exact_En_hard(
     beta: float,
     n: int,
     tol: float = 1e-12,
-    quad_tol: float = 1e-9,
     max_weight: int | None = None,
 ) -> float:
     """Hard-edge probability of exactly ``n`` eigenvalues in ``(0, s)``.
@@ -378,15 +377,15 @@ def exact_En_hard(
         ``beta`` to be nonnegative integers.
     n : int
         Number of eigenvalues conditioned inside the gap (at most 3).
-    tol, quad_tol, max_weight
-        Series and quadrature controls.
+    tol, max_weight
+        Series controls.
 
     Returns
     -------
     float
         ``E(n; (0, s))``.
     """
-    log_value, _ = exact_En_hard_detailed(s, a, beta, n, tol, quad_tol, max_weight)
+    log_value, _ = exact_En_hard_detailed(s, a, beta, n, tol, max_weight)
     return math.exp(log_value)
 
 
@@ -412,7 +411,6 @@ def exact_En_finiteN_detailed(
     n: int,
     N: int,
     tol: float = 1e-12,
-    quad_tol: float = 1e-9,
     variant: str = "corrected",
     max_weight: int | None = None,
 ) -> tuple[float, dict]:
@@ -479,7 +477,7 @@ def exact_En_finiteN_detailed(
         return _vandermonde(u, beta) * expo * series.value
 
     total, order, rel_change = _settled_quadrature(
-        integrand, n, a * beta / 2.0, quad_tol
+        integrand, n, a * beta / 2.0, _QUAD_TOL
     )
     # y = s u substitution: s^n from dy, (s (1 - u))^(a beta / 2) from the
     # shifted weight, s^beta per coordinate pair from the repulsion.
@@ -499,7 +497,6 @@ def exact_En_finiteN(
     n: int,
     N: int,
     tol: float = 1e-12,
-    quad_tol: float = 1e-9,
     variant: str = "corrected",
 ) -> float:
     """Finite-size probability of exactly ``n`` eigenvalues in ``(0, s)``.
@@ -514,8 +511,8 @@ def exact_En_finiteN(
         Conditioned eigenvalue count (at most 3).
     N : int
         Number of remaining eigenvalues; the ensemble size is ``N + n``.
-    tol, quad_tol
-        Series and quadrature controls.
+    tol
+        Series tolerance.
     variant : str
         ``"corrected"`` or ``"printed"``; see
         :func:`exact_En_finiteN_detailed`.
@@ -525,7 +522,7 @@ def exact_En_finiteN(
     float
         ``E_{N+n}(n; (0, s))``.
     """
-    log_value, _ = exact_En_finiteN_detailed(s, a, beta, n, N, tol, quad_tol, variant)
+    log_value, _ = exact_En_finiteN_detailed(s, a, beta, n, N, tol, variant)
     return math.exp(log_value)
 
 

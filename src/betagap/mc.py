@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -33,6 +34,7 @@ __all__ = [
 ]
 
 _CHUNK = 4096
+_BISECT_REL_TOL = 1e-12
 _ZERO_CUTOFF = 1e-14  # eigenvalues below this times the trace count as 0
 
 
@@ -40,9 +42,9 @@ _ZERO_CUTOFF = 1e-14  # eigenvalues below this times the trace count as 0
 class EnsembleSpec:
     """Laguerre beta-ensemble parameters.
 
-    ``beta`` is the inverse-temperature (positive), ``a`` the exponent
-    parameter of the weight ``lambda**(a beta/2) exp(-beta lambda/2)``
-    (nonnegative), ``N`` the number of eigenvalues.
+    ``beta`` is the inverse-temperature (positive and finite), ``a`` the
+    exponent parameter of the weight ``lambda**(a beta/2) exp(-beta
+    lambda/2)`` (nonnegative and finite), ``N`` the number of eigenvalues.
     """
 
     beta: float
@@ -50,10 +52,10 @@ class EnsembleSpec:
     N: int
 
     def __post_init__(self) -> None:
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.a < 0:
-            raise ValueError(f"a must be nonnegative, got {self.a}")
+        if not (self.beta > 0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        if not (self.a >= 0 and math.isfinite(self.a)):
+            raise ValueError(f"a must be nonnegative and finite, got {self.a}")
         if self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
 
@@ -183,29 +185,26 @@ def _count_below(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray
     return count
 
 
-def _batch_smallest(
-    diag: np.ndarray, off: np.ndarray, rel_tol: float = 1e-12
-) -> np.ndarray:
-    """Smallest eigenvalue of each tridiagonal matrix, by bisection."""
-    batch, n = diag.shape
+def _bisect(diag: np.ndarray, off: np.ndarray, j: int) -> np.ndarray:
+    """The ``j``-th smallest eigenvalue of each tridiagonal matrix, by
+    Sturm-count bisection on ``[0, Gershgorin bound]`` to relative
+    tolerance ``_BISECT_REL_TOL``."""
     hi = diag + np.abs(np.pad(off, ((0, 0), (1, 0)))) + np.abs(
         np.pad(off, ((0, 0), (0, 1)))
     )
     hi = np.max(hi, axis=1)
-    lo = np.zeros(batch)
+    lo = np.zeros(diag.shape[0])
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        below = _count_below(diag, off, mid) >= 1
+        below = _count_below(diag, off, mid) >= j
         hi = np.where(below, mid, hi)
         lo = np.where(below, lo, mid)
-        if np.all(hi - lo <= rel_tol * np.maximum(hi, 1e-300)):
+        if np.all(hi - lo <= _BISECT_REL_TOL * np.maximum(hi, 1e-300)):
             break
     return 0.5 * (lo + hi)
 
 
-def smallest_eigenvalues(
-    diag: np.ndarray, subdiag: np.ndarray, k: int, rel_tol: float = 1e-12
-) -> np.ndarray:
+def smallest_eigenvalues(diag: np.ndarray, subdiag: np.ndarray, k: int) -> np.ndarray:
     """The ``k`` smallest squared singular values of a bidiagonal matrix.
 
     Parameters
@@ -216,8 +215,6 @@ def smallest_eigenvalues(
     k : int
         How many of the smallest eigenvalues of ``B B^T`` to return,
         ``1 <= k <= N``.
-    rel_tol : float
-        Relative bisection tolerance.
 
     Returns
     -------
@@ -231,26 +228,24 @@ def smallest_eigenvalues(
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
     t_diag, t_off = _tridiagonal(diag[None, :], subdiag[None, :])
-    gersh = float(
-        np.max(
-            t_diag[0]
-            + np.abs(np.pad(t_off[0], (1, 0)))
-            + np.abs(np.pad(t_off[0], (0, 1)))
-        )
-    )
-    values = np.empty(k)
-    for j in range(1, k + 1):
-        lo, hi = 0.0, gersh
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if int(_count_below(t_diag, t_off, np.array([mid]))[0]) >= j:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo <= rel_tol * max(hi, 1e-300):
-                break
-        values[j - 1] = 0.5 * (lo + hi)
-    return values
+    return np.array([_bisect(t_diag, t_off, j)[0] for j in range(1, k + 1)])
+
+
+def _chunks(samples: int, seed: int) -> list[tuple[int, int, np.random.SeedSequence]]:
+    """``(offset, size, seed sequence)`` of each chunk of a seeded run."""
+    children = np.random.SeedSequence(seed).spawn(-(-samples // _CHUNK))
+    return [
+        (idx * _CHUNK, min(_CHUNK, samples - idx * _CHUNK), child)
+        for idx, child in enumerate(children)
+    ]
+
+
+def _draw_tridiagonal(
+    spec: EnsembleSpec, size: int, child: np.random.SeedSequence
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tridiagonal entries of ``B B^T`` for one chunk's bidiagonal draws."""
+    b, c = sample_bidiagonal(spec, np.random.default_rng(child), size=size)
+    return _tridiagonal(b, c)
 
 
 def sample_smallest(spec: EnsembleSpec, samples: int, seed: int) -> np.ndarray:
@@ -273,24 +268,18 @@ def sample_smallest(spec: EnsembleSpec, samples: int, seed: int) -> np.ndarray:
     if samples < 1:
         raise ValueError(f"samples must be positive, got {samples}")
     out = np.empty(samples)
-    children = np.random.SeedSequence(seed).spawn(-(-samples // _CHUNK))
-    for idx, child in enumerate(children):
-        lo = idx * _CHUNK
-        size = min(_CHUNK, samples - lo)
-        rng = np.random.default_rng(child)
-        b, c = sample_bidiagonal(spec, rng, size=size)
-        diag, off = _tridiagonal(b, c)
-        out[lo : lo + size] = _batch_smallest(diag, off) / spec.beta
+    for lo, size, child in _chunks(samples, seed):
+        diag, off = _draw_tridiagonal(spec, size, child)
+        out[lo : lo + size] = _bisect(diag, off, 1) / spec.beta
     return out
 
 
 def _gap_hits(
-    spec: EnsembleSpec, threshold: float, n: int, size: int, child: np.random.SeedSequence
+    spec: EnsembleSpec, threshold: float, n: int, chunk: tuple[int, int, np.random.SeedSequence]
 ) -> int:
     """Samples in one chunk with exactly ``n`` eigenvalues below the threshold."""
-    rng = np.random.default_rng(child)
-    b, c = sample_bidiagonal(spec, rng, size=size)
-    diag, off = _tridiagonal(b, c)
+    _, size, child = chunk
+    diag, off = _draw_tridiagonal(spec, size, child)
     counts = _count_below(diag, off, spec.beta * threshold)
     if threshold > 0.0:
         # Guard against round-off at the hard edge: eigenvalues below a
@@ -320,7 +309,7 @@ def estimate_gap(
     spec : EnsembleSpec
         Ensemble parameters.
     s : float
-        Gap size in hard-edge units; nonnegative.
+        Gap size in hard-edge units; finite and nonnegative.
     n : int
         Number of eigenvalues conditioned to lie in the gap.
     samples : int
@@ -339,30 +328,20 @@ def estimate_gap(
     """
     if samples < 1000:
         raise ValueError(f"samples must be at least 1000, got {samples}")
-    if s < 0:
-        raise ValueError(f"s must be nonnegative, got {s}")
+    if not (s >= 0 and math.isfinite(s)):
+        raise ValueError(f"s must be finite and nonnegative, got {s}")
     if n < 0 or n != int(n):
         raise ValueError(f"n must be a nonnegative integer, got {n}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     threshold = s / (4.0 * spec.N)
-    children = np.random.SeedSequence(seed).spawn(-(-samples // _CHUNK))
-    sizes = [
-        min(_CHUNK, samples - idx * _CHUNK) for idx in range(len(children))
-    ]
+    chunks = _chunks(samples, seed)
+    hits_in = partial(_gap_hits, spec, threshold, int(n))
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(children))) as pool:
-            hits = sum(
-                pool.map(
-                    lambda item: _gap_hits(spec, threshold, int(n), item[0], item[1]),
-                    zip(sizes, children),
-                )
-            )
+        with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
+            hits = sum(pool.map(hits_in, chunks))
     else:
-        hits = sum(
-            _gap_hits(spec, threshold, int(n), size, child)
-            for size, child in zip(sizes, children)
-        )
+        hits = sum(map(hits_in, chunks))
     p_hat = hits / samples
     stderr = math.sqrt(p_hat * (1.0 - p_hat) / samples)
     return McEstimate(probability=p_hat, stderr=stderr, samples=samples, seed=seed)

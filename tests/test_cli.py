@@ -363,11 +363,35 @@ def test_bad_endpoint_exits_2(
          "ValueError", "tol must be positive"),
         (("exact", "--beta", "2", "--a", "1", "--s", "1", "--max-weight", "-5"),
          "ValueError", "max-weight must be nonnegative"),
+        (("sweep", "--beta", "2", "--a", "1", "--s-min", "0", "--s-max", "4",
+          "--s-count", "3"), "ValueError", "grid bounds must be positive"),
+        (("sweep", "--beta", "2", "--a", "1", "--s-min", "1",
+          "--s-max", "1.0000000000000002", "--s-count", "5"),
+         "ValueError", "grid must be strictly increasing"),
+        (("sweep", "--beta", "2", "--a", "1", "--s-min", "0", "--s-max", "4",
+          "--s-count", "3", "--tol", "0"), "ValueError", "tol must be positive"),
+        (("mc", "--beta", "2", "--a", "nan", "--N", "5", "--s", "1",
+          "--samples", "2000"), "ValueError", "a must be nonnegative and finite"),
+        (("mc", "--beta", "2", "--a", "inf", "--N", "5", "--s", "1",
+          "--samples", "2000"), "ValueError", "a must be nonnegative and finite"),
+        (("mc", "--beta", "inf", "--a", "1", "--N", "5", "--s", "1",
+          "--samples", "2000"), "ValueError", "beta must be positive and finite"),
+        # asymptotic forms whose value would be 1.986, inf and 56.7: each
+        # does not hold at this --s, so no row is printed
+        (("asympt", "--beta", "2", "--a", "3", "--s", "1"), "ValueError",
+         "--s 1.0 is outside the range of the asymptotic[F1A] form: its log value 0.686"),
+        (("asympt", "--beta", "2", "--a", "1e5", "--s", "10"), "ValueError",
+         "--s 10.0 is outside the range of the asymptotic[F1A] form"),
+        (("largedev", "--beta", "2", "--a", "3", "--N", "1", "--s", "0.01"), "ValueError",
+         "--s 0.01 is outside the range of the large_deviation_E0 form: its log value 4.03"),
     ],
     ids=[
         "exact-a-inf", "contour-a-inf", "exact-a-nan", "exact-beta-inf",
         "sweep-N-negative", "exact-N-negative", "exact-n1-N-negative",
         "largedev-N-negative", "exact-tol-nan", "exact-max-weight-negative",
+        "sweep-grid-zero", "sweep-grid-tied", "sweep-tol-before-grid",
+        "mc-a-nan", "mc-a-inf", "mc-beta-inf",
+        "asympt-above-1", "asympt-inf", "largedev-above-1",
     ],
 )
 def test_bad_parameter_exits_2(
@@ -381,6 +405,17 @@ def test_bad_parameter_exits_2(
     record = json.loads(out)
     assert record["error"]["type"] == error_type
     assert record["error"]["message"].startswith(message)
+
+
+def test_exact_at_zero_endpoint(capsys: pytest.CaptureFixture[str]) -> None:
+    # exact runs as a one-point sweep, but s = 0 stays valid there.
+    code, out = run_cli(
+        capsys, "exact", "--beta", "2", "--a", "1", "--s", "0", "--format", "json"
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert (record["value"], record["log_value"]) == (1.0, 0.0)
+    assert (record["trunc_weight"], record["tail_bound"]) == (3, 0.0)
 
 
 def test_report_arbitration_content(capsys: pytest.CaptureFixture[str]) -> None:

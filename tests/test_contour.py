@@ -88,6 +88,20 @@ def test_zero_dimension_is_exact_exponential() -> None:
     )
 
 
+def test_torus_and_contour_pinned_bits() -> None:
+    # Exact bits of both torus routes in dimensions 1 and 2, which share
+    # one trapezoid body, and of the contour's parts.
+    assert torus_E0_finiteN(0.5, 2.0 / 3.0, 3.0, 4) == 0.2750488006388016
+    assert torus_E0_finiteN(0.4, 2.0, 2.0, 3) == 0.9412444954504848
+    assert torus_E0_hard(2.0, 1.0, 2.0) == 0.9498773125498133
+    assert torus_E0_hard(1.5, 4.0, 1.0) == 0.9999301184155079
+    assert hard_contour_E0_parts(1.0, 3.0, 4.0 / 3.0) == {
+        "value": 0.9999266070184027,
+        "circle": 1.7706559597555644,
+        "rays": -0.7707293527371617,
+    }
+
+
 # --------------------------------------------------------------- independence
 
 

@@ -33,6 +33,10 @@ def test_spec_validation() -> None:
         EnsembleSpec(beta=2.0, a=-0.2, N=3)
     with pytest.raises(ValueError):
         EnsembleSpec(beta=2.0, a=1.0, N=0)
+    # A NaN ``a`` passes ``a < 0`` and would sample NaN chi degrees.
+    for beta, a in ((2.0, math.nan), (2.0, math.inf), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite"):
+            EnsembleSpec(beta=beta, a=a, N=5)
 
 
 def test_estimate_validation() -> None:
@@ -41,6 +45,9 @@ def test_estimate_validation() -> None:
         estimate_gap(spec, 1.0, samples=500, seed=0)
     with pytest.raises(ValueError):
         estimate_gap(spec, -1.0, samples=1000, seed=0)
+    for s in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="s must be finite"):
+            estimate_gap(spec, s, samples=1000, seed=0)
 
 
 # ---------------------------------------------------------------- eigensolver
@@ -212,6 +219,51 @@ def test_monotone_in_threshold_with_common_seed() -> None:
         for s in (0.5, 1.0, 2.0)
     ]
     assert probs[0] >= probs[1] >= probs[2]
+
+
+# Exact bits of the Sturm bisection and of the chunk plan that
+# sample_smallest and estimate_gap share.
+
+
+def test_bisection_pinned_bits() -> None:
+    b = np.array([0.75, 1.5, 0.5, 2.0, 1.25, 1.0])
+    c = np.array([0.5, 1.0, 0.25, 1.5, 0.75])
+    assert smallest_eigenvalues(b, c, 6).tolist() == [
+        0.13204260985222227,
+        0.48389675537031707,
+        0.6443497133814091,
+        1.9365380932875667,
+        3.5333134191579916,
+        7.019859408950708,
+    ]
+    tied = smallest_eigenvalues(np.ones(3), np.ones(2), 3)
+    assert tied.tolist() == [0.19806226419512996, 1.5549581320869947, 3.246979603717591]
+
+
+def test_sampler_pinned_bits() -> None:
+    # 9000 samples span three chunks of 4096.
+    lam = sample_smallest(EnsembleSpec(beta=2.0, a=1.0, N=5), 9000, seed=21)
+    assert {i: float(lam[i]) for i in (0, 4095, 4096, 8191, 8192, 8999)} == {
+        0: 0.280282532696544,
+        4095: 0.5707739985420103,
+        4096: 0.281434530167125,
+        8191: 0.15066869842642072,
+        8192: 0.466137900899661,
+        8999: 0.4872789194244244,
+    }
+    assert math.fsum(lam) == 4528.448934379949
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_estimate_pinned_bits(threads: int) -> None:
+    est = estimate_gap(
+        EnsembleSpec(2.0, 1.0, 5), 8.0, samples=9000, seed=42, threads=threads
+    )
+    assert (est.probability, est.stderr) == (0.527, 0.0052627728221706265)
+    est = estimate_gap(
+        EnsembleSpec(2.5, 0.8, 6), 2.0, n=1, samples=9000, seed=7, threads=threads
+    )
+    assert (est.probability, est.stderr) == (0.08911111111111111, 0.003003152436055122)
 
 
 def test_stderr_formula() -> None:
