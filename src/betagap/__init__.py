@@ -10,21 +10,14 @@ routes so results can be cross-validated.
 from __future__ import annotations
 
 from .barnes import (
-    a_const,
-    b_const,
-    duality_constants,
-    f_beta_half,
-    gamma2,
     log_a_const,
     log_b_const,
+    log_duality_constants,
     log_f_beta_half,
     log_gamma2,
     log_morris_value,
     log_tau_hard,
     log_tau_hard_n,
-    morris_value,
-    tau_hard,
-    tau_hard_n,
 )
 from .contour import (
     ContourSpec,
@@ -58,16 +51,13 @@ from .gap import (
     exact_En_finiteN_detailed,
     exact_En_hard,
     exact_En_hard_detailed,
-    large_deviation_E0,
     linstat_mean,
     linstat_variance,
     log_large_deviation_E0,
     log_multi_F01_asympt,
     log_norm_ratio_exact,
     log_norm_ratio_stirling,
-    multi_F01_asympt,
     rescale_endpoint,
-    smallest_eigenvalue_pdf,
 )
 from .hypergeom import ArgBlocks, HypergeomSpec, SeriesResult, pFq_alpha
 from .jack import jack_C_eval, jack_in_monomial_basis, monomial_eval
@@ -77,7 +67,6 @@ from .mc import (
     estimate_gap,
     sample_bidiagonal,
     sample_smallest,
-    sample_spectrum,
     smallest_eigenvalues,
 )
 from .partitions import partitions_of_weight
@@ -105,20 +94,13 @@ __all__ = [
     "pFq_alpha",
     # barnes constants
     "log_gamma2",
-    "gamma2",
     "log_f_beta_half",
-    "f_beta_half",
     "log_tau_hard",
-    "tau_hard",
     "log_a_const",
-    "a_const",
     "log_tau_hard_n",
-    "tau_hard_n",
-    "duality_constants",
+    "log_duality_constants",
     "log_b_const",
-    "b_const",
     "log_morris_value",
-    "morris_value",
     # gap probabilities
     "AsymptoticForm",
     "LinearStatistic",
@@ -131,18 +113,15 @@ __all__ = [
     "exact_En_hard_detailed",
     "exact_En_finiteN",
     "exact_En_finiteN_detailed",
-    "smallest_eigenvalue_pdf",
     "asymptotic_E0",
     "asymptotic_En",
     "asymptotic_En_ratio",
     "linstat_mean",
     "linstat_variance",
     "char_poly_moment_asympt",
-    "large_deviation_E0",
     "log_large_deviation_E0",
     "log_norm_ratio_exact",
     "log_norm_ratio_stirling",
-    "multi_F01_asympt",
     "log_multi_F01_asympt",
     "duality_check",
     # quadrature routes
@@ -155,7 +134,6 @@ __all__ = [
     "EnsembleSpec",
     "McEstimate",
     "sample_bidiagonal",
-    "sample_spectrum",
     "sample_smallest",
     "smallest_eigenvalues",
     "estimate_gap",

@@ -4,7 +4,7 @@
 and ``tau`` by shifting the argument into a window near 1 with the two
 quasi-periodicity relations, then summing a truncated infinite product
 whose tail is resummed exactly in terms of Hurwitz zeta values.  All
-constants assembled from it are computed in log space.
+constants assembled from it are computed and returned as logs.
 """
 
 from __future__ import annotations
@@ -14,24 +14,17 @@ from functools import cache
 
 import numpy as np
 
-from .errors import NonConvergenceError, ResourceLimitError, quantized
+from .errors import NonConvergenceError, ResourceLimitError, quantized, require_finite
 
 __all__ = [
     "log_gamma2",
-    "gamma2",
     "log_f_beta_half",
-    "f_beta_half",
     "log_tau_hard",
-    "tau_hard",
     "log_a_const",
-    "a_const",
     "log_tau_hard_n",
-    "tau_hard_n",
-    "duality_constants",
+    "log_duality_constants",
     "log_b_const",
-    "b_const",
     "log_morris_value",
-    "morris_value",
     "MAX_SHIFT_STEPS",
 ]
 
@@ -69,11 +62,6 @@ def _bernoulli_poly(n: int, z: float) -> float:
         if b:
             total += math.comb(n, j) * b * z ** (n - j)
     return total
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not (value > 0 and math.isfinite(value)):
-        raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def _shintani_window(z: float, tau: float) -> float:
@@ -142,8 +130,8 @@ def log_gamma2(z: float, tau: float) -> float:
         If ``z`` lies more than ``MAX_SHIFT_STEPS`` unit steps above the
         window.
     """
-    _require_positive("z", z)
-    _require_positive("tau", tau)
+    require_finite("z", z, positive=True)
+    require_finite("tau", tau, positive=True)
     if z - (2.0 + tau) > MAX_SHIFT_STEPS:
         raise ResourceLimitError(
             f"log_gamma2 at z={z} needs more than {MAX_SHIFT_STEPS} shift steps"
@@ -163,11 +151,6 @@ def log_gamma2(z: float, tau: float) -> float:
     return _shintani_window(z, tau) + shift
 
 
-def gamma2(z: float, tau: float) -> float:
-    """Double gamma function ``Gamma_2(z; 1, tau)``."""
-    return math.exp(log_gamma2(z, tau))
-
-
 def log_f_beta_half(n: float, beta: float) -> float:
     """Log of the overlap constant ``f_{beta/2}(n)``.
 
@@ -176,7 +159,7 @@ def log_f_beta_half(n: float, beta: float) -> float:
     Gamma_2(n + tau; 1, tau)`` with ``tau = 2/beta``; at integer ``n``
     it reduces to ``prod_{j=0}^{n-1} Gamma(1 + beta j / 2)``.
     """
-    _require_positive("beta", beta)
+    require_finite("beta", beta, positive=True)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     tau = 2.0 / beta
@@ -187,11 +170,6 @@ def log_f_beta_half(n: float, beta: float) -> float:
     )
 
 
-def f_beta_half(n: float, beta: float) -> float:
-    """Overlap constant ``f_{beta/2}(n)`` (see :func:`log_f_beta_half`)."""
-    return math.exp(log_f_beta_half(n, beta))
-
-
 def log_tau_hard(a: float, beta: float) -> float:
     """Log of the leading hard-edge constant via its gamma product.
 
@@ -199,17 +177,12 @@ def log_tau_hard(a: float, beta: float) -> float:
     form is ``2**((1 - beta/2) a) (2 pi)**(-beta a / 4) prod_{j=1}^{beta
     a/2} Gamma(2 j / beta)``.
     """
-    _require_positive("beta", beta)
+    require_finite("beta", beta, positive=True)
     m = quantized("beta*a/2", beta * a / 2.0)
     log_value = (1.0 - beta / 2.0) * a * math.log(2.0) - beta * a / 4.0 * _LOG_2PI
     for j in range(1, m + 1):
         log_value += math.lgamma(2.0 * j / beta)
     return log_value
-
-
-def tau_hard(a: float, beta: float) -> float:
-    """Leading hard-edge constant (gamma-product route)."""
-    return math.exp(log_tau_hard(a, beta))
 
 
 def log_a_const(a: float, beta: float) -> float:
@@ -219,7 +192,7 @@ def log_a_const(a: float, beta: float) -> float:
     a/2) * f_{beta/2}(a)``; agrees with :func:`log_tau_hard` whenever
     the latter's integrality constraint holds.
     """
-    _require_positive("beta", beta)
+    require_finite("beta", beta, positive=True)
     if a < 0:
         raise ValueError(f"a must be nonnegative, got {a}")
     return (
@@ -228,11 +201,6 @@ def log_a_const(a: float, beta: float) -> float:
         + (a - beta * a / 2.0) * math.log(2.0)
         + log_f_beta_half(a, beta)
     )
-
-
-def a_const(a: float, beta: float) -> float:
-    """Leading hard-edge constant (double-gamma route, any ``a >= 0``)."""
-    return math.exp(log_a_const(a, beta))
 
 
 def log_tau_hard_n(n: float, a: float, beta: float, route: str = "continued") -> float:
@@ -255,9 +223,9 @@ def log_tau_hard_n(n: float, a: float, beta: float, route: str = "continued") ->
     Returns
     -------
     float
-        ``log tau_hard(n)``; zero at ``n = 0``.
+        Log of the constant; zero at ``n = 0``.
     """
-    _require_positive("beta", beta)
+    require_finite("beta", beta, positive=True)
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
     tau = 2.0 / beta
@@ -289,15 +257,10 @@ def log_tau_hard_n(n: float, a: float, beta: float, route: str = "continued") ->
     raise ValueError(f"unknown route {route!r}")
 
 
-def tau_hard_n(n: float, a: float, beta: float, route: str = "continued") -> float:
-    """Hard-edge constant for ``n`` conditioned eigenvalues."""
-    return math.exp(log_tau_hard_n(n, a, beta, route))
-
-
-def duality_constants(
+def log_duality_constants(
     beta: float, n: float, a: float, variant: str = "corrected"
 ) -> tuple[float, float]:
-    """Both sides of the constant identity under ``beta -> 4/beta``.
+    """Logs of both sides of the constant identity under ``beta -> 4/beta``.
 
     The left side carries the power of ``beta/2`` induced by rescaling
     the gap variable; the right side is the plain constant at the mapped
@@ -315,7 +278,7 @@ def duality_constants(
     Returns
     -------
     tuple of float
-        ``(lhs, rhs)``; equal when the identity holds.
+        ``(log_lhs, log_rhs)``; equal when the identity holds.
     """
     if variant == "corrected":
         power = beta * a * (a - 1.0) / 4.0 + a / 2.0 + beta * (n * n + n * a) / 2.0
@@ -340,7 +303,7 @@ def duality_constants(
             f"dual parameters out of range: n'={n_dual}, a'={a_dual}"
         )
     log_rhs = log_a_const(a_dual, beta_dual) + log_tau_hard_n(n_dual, a_dual, beta_dual)
-    return math.exp(log_lhs), math.exp(log_rhs)
+    return log_lhs, log_rhs
 
 
 def log_b_const(a: float, beta: float) -> float:
@@ -350,7 +313,7 @@ def log_b_const(a: float, beta: float) -> float:
     Gamma(1 + 2 j / beta)``; requires ``a beta / 2`` to be a nonnegative
     integer.
     """
-    _require_positive("beta", beta)
+    require_finite("beta", beta, positive=True)
     m = quantized("a*beta/2", a * beta / 2.0)
     log_value = 0.0
     for j in range(1, m + 1):
@@ -360,11 +323,6 @@ def log_b_const(a: float, beta: float) -> float:
             - math.lgamma(1.0 + 2.0 * j / beta)
         )
     return log_value
-
-
-def b_const(a: float, beta: float) -> float:
-    """Torus-route normalization constant."""
-    return math.exp(log_b_const(a, beta))
 
 
 def log_morris_value(n: int, a: float, b: float, c: float) -> float:
@@ -385,8 +343,3 @@ def log_morris_value(n: int, a: float, b: float, c: float) -> float:
             - math.lgamma(1.0 + c)
         )
     return log_value
-
-
-def morris_value(n: int, a: float, b: float, c: float) -> float:
-    """Morris integral evaluated through its gamma-product form."""
-    return math.exp(log_morris_value(n, a, b, c))

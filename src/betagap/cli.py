@@ -28,14 +28,14 @@ from typing import IO
 import numpy as np
 
 from .barnes import (
-    a_const,
-    duality_constants,
+    log_a_const,
+    log_duality_constants,
     log_f_beta_half,
     log_gamma2,
-    tau_hard,
+    log_tau_hard,
 )
 from .contour import hard_contour_E0, torus_E0_finiteN, torus_E0_hard
-from .errors import BetagapError, ParameterQuantizationError
+from .errors import BetagapError, ParameterQuantizationError, require_finite
 from .gap import (
     asymptotic_E0,
     asymptotic_En,
@@ -299,13 +299,13 @@ def _identity_suite() -> list[tuple[str, float, float]]:
     for beta in (1.0, 2.0, 4.0):
         for m in (1, 2, 3):
             av = 2.0 * m / beta
-            resid = max(resid, abs(a_const(av, beta) / tau_hard(av, beta) - 1.0))
+            resid = max(resid, abs(math.expm1(log_a_const(av, beta) - log_tau_hard(av, beta))))
     rows.append(("At-constant", resid, 1e-12))
 
     resid_const = resid_coeff = 0.0
     for beta, n, av in ((2.0, 1.0, 2.0), (4.0, 0.0, 2.0), (1.0, 1.0, 4.0)):
-        lhs, rhs = duality_constants(beta, n, av)
-        resid_const = max(resid_const, abs(lhs / rhs - 1.0))
+        log_lhs, log_rhs = log_duality_constants(beta, n, av)
+        resid_const = max(resid_const, abs(math.expm1(log_lhs - log_rhs)))
         resid_coeff = max(resid_coeff, duality_check(beta, n, av)["max_coeff_diff"])
     rows.append(("duality-constants", resid_const, 1e-10))
     rows.append(("duality-exponents", resid_coeff, 1e-10))
@@ -495,24 +495,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_endpoint(flag: str, value: float, *, positive: bool = False) -> None:
-    """Reject a gap endpoint that is NaN, infinite, negative, or (when
-    ``positive``) zero."""
-    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
-        kind = "positive" if positive else "nonnegative"
-        raise ValueError(f"{flag} must be finite and {kind}, got {value}")
-
-
 def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     """Check a parsed invocation and give ``exact`` and ``sweep`` their
     ``s_grid``; raises ``ValueError`` naming the offending flag."""
     if args.command in ("exact", "mc", "contour"):
-        _check_endpoint("--s", args.s)
+        require_finite("--s", args.s)
     elif args.command in ("asympt", "largedev"):
-        _check_endpoint("--s", args.s, positive=True)
+        require_finite("--s", args.s, positive=True)
     elif args.command == "sweep":
-        _check_endpoint("--s-min", args.s_min)
-        _check_endpoint("--s-max", args.s_max)
+        require_finite("--s-min", args.s_min)
+        require_finite("--s-max", args.s_max)
     if args.command in ("asympt", "largedev", "report"):
         # the double-gamma constants walk their argument down one unit at
         # a time, and name their own variables, not these flags

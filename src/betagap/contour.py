@@ -28,6 +28,7 @@ from .errors import (
     QuadratureError,
     ResourceLimitError,
     quantized,
+    require_finite,
 )
 
 __all__ = [
@@ -173,7 +174,7 @@ def torus_E0_finiteN(
     Parameters
     ----------
     s : float
-        Gap endpoint (unscaled eigenvalue axis).
+        Gap endpoint (unscaled eigenvalue axis); finite and nonnegative.
     a, beta : float
         Ensemble parameters with ``beta * a / 2`` in ``{0, 1, 2}``.
     N : int
@@ -187,6 +188,7 @@ def torus_E0_finiteN(
         ``E_N(0; (0, s))``.
     """
     m = _dimension(a, beta)
+    require_finite("s", s)
     if m == 0:
         return math.exp(-beta * N * s / 2.0)
     if N < 1:
@@ -227,7 +229,7 @@ def torus_E0_hard(
     Parameters
     ----------
     s : float
-        Gap size in hard-edge units.
+        Gap size in hard-edge units; finite and positive.
     a, beta : float
         Ensemble parameters.
     tol : float
@@ -239,6 +241,7 @@ def torus_E0_hard(
         ``E(0; (0, s))``.
     """
     m = _dimension(a, beta)
+    require_finite("s", s, positive=True)
     if m == 0:
         return math.exp(-beta * s / 8.0)
     q_raw = 2.0 / beta - 1.0
@@ -361,8 +364,7 @@ def hard_contour_E0_parts(
     if spec is None:
         spec = ContourSpec()
     m = _dimension(a, beta)
-    if s <= 0:
-        raise ValueError(f"s must be positive, got {s}")
+    require_finite("s", s, positive=True)
     if m == 0:
         value = math.exp(-beta * s / 8.0)
         return {"value": value, "circle": value, "rays": 0.0}
@@ -409,7 +411,7 @@ def hard_contour_E0(
     Parameters
     ----------
     s : float
-        Gap size in hard-edge units; positive.
+        Gap size in hard-edge units; finite and positive.
     a, beta : float
         Ensemble parameters.
     spec : ContourSpec, optional

@@ -1,4 +1,5 @@
-"""Exception hierarchy and integer-parameter rule shared by all betagap modules."""
+"""Exception hierarchy and the integer-parameter and finite-value rules shared
+by all betagap modules."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ __all__ = [
     "BetagapError",
     "ParameterQuantizationError",
     "quantized",
+    "require_finite",
     "LowerParameterPoleError",
     "CancellationError",
     "NonConvergenceError",
@@ -45,6 +47,21 @@ def quantized(name: str, value: float) -> int:
     raise ParameterQuantizationError(
         f"{name} must be a nonnegative integer for this route, got {value}"
     )
+
+
+def require_finite(name: str, value: float, *, positive: bool = False) -> None:
+    """Reject ``value`` unless it is finite and nonnegative (positive when
+    ``positive``).
+
+    Raises
+    ------
+    ValueError
+        Naming ``name`` when ``value`` is NaN, infinite, negative or, when
+        ``positive``, zero.
+    """
+    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+        kind = "positive" if positive else "nonnegative"
+        raise ValueError(f"{name} must be finite and {kind}, got {value}")
 
 
 class LowerParameterPoleError(BetagapError, ZeroDivisionError):

@@ -23,7 +23,7 @@ from .barnes import (
     log_f_beta_half,
     log_tau_hard_n,
 )
-from .errors import QuadratureError, quantized
+from .errors import QuadratureError, quantized, require_finite
 from .hypergeom import ArgBlocks, HypergeomSpec, SeriesResult, pFq_alpha
 
 __all__ = [
@@ -38,18 +38,15 @@ __all__ = [
     "exact_En_hard_detailed",
     "exact_En_finiteN",
     "exact_En_finiteN_detailed",
-    "smallest_eigenvalue_pdf",
     "asymptotic_E0",
     "asymptotic_En",
     "asymptotic_En_ratio",
     "linstat_mean",
     "linstat_variance",
     "char_poly_moment_asympt",
-    "large_deviation_E0",
     "log_large_deviation_E0",
     "log_norm_ratio_exact",
     "log_norm_ratio_stirling",
-    "multi_F01_asympt",
     "log_multi_F01_asympt",
     "duality_check",
 ]
@@ -74,10 +71,6 @@ class AsymptoticForm:
             + self.c_log * math.log(s)
             + self.c_const
         )
-
-    def evaluate(self, s: float) -> float:
-        """The form at gap size ``s``."""
-        return math.exp(self.log_evaluate(s))
 
 
 @dataclass(frozen=True)
@@ -125,6 +118,7 @@ def exact_E0_hard_detailed(
     parameter ``a`` hypergeometric series with ``beta a / 2`` repeated
     arguments ``s / 4`` at deformation ``beta / 2``.
     """
+    require_finite("s", s)
     m = quantized("beta*a/2", beta * a / 2.0)
     spec = HypergeomSpec(
         upper=(), lower=(a,) if m else (), alpha=beta / 2.0,
@@ -142,7 +136,7 @@ def exact_E0_hard(
     Parameters
     ----------
     s : float
-        Gap size in hard-edge units.
+        Gap size in hard-edge units; finite and nonnegative.
     a, beta : float
         Ensemble parameters; ``beta * a / 2`` must be a nonnegative
         integer for this route.
@@ -173,6 +167,7 @@ def exact_E0_finiteN_detailed(
     repeated arguments ``-s``.  ``N = 0`` is the empty ensemble, whose
     gap probability is 1.
     """
+    require_finite("s", s)
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
     m = quantized("beta*a/2", beta * a / 2.0)
@@ -199,7 +194,7 @@ def exact_E0_finiteN(
     Parameters
     ----------
     s : float
-        Gap endpoint on the unscaled eigenvalue axis.
+        Gap endpoint on the unscaled eigenvalue axis; finite and nonnegative.
     a, beta : float
         Ensemble parameters; ``beta * a / 2`` must be a nonnegative
         integer.
@@ -320,7 +315,9 @@ def exact_En_hard_detailed(
     mixed argument blocks.  The quadrature rule absorbs the
     ``(1 - y)**(a beta / 2)`` factor and escalates its order until two
     successive evaluations agree to ``_QUAD_TOL``.  The diagnostics are
-    ``order``, ``rel_change``, ``trunc_weight`` and ``tail_bound``.
+    ``order``, ``rel_change``, ``trunc_weight`` and ``tail_bound``.  At
+    ``s = 0`` with ``n >= 1`` the probability is 0: the log value is
+    ``-inf`` and no quadrature runs.
     """
     if n < 0 or n > 3:
         raise ValueError(f"n must be between 0 and 3, got {n}")
@@ -329,8 +326,11 @@ def exact_En_hard_detailed(
         return log_value, _diagnostics(
             0, 0.0, series.max_weight_used, series.tail_estimate
         )
+    require_finite("s", s)
     m0 = quantized("beta*a/2", beta * a / 2.0)
     mb = quantized("beta", beta)
+    if s == 0.0:
+        return -math.inf, _diagnostics(0, 0.0, 0, 0.0)
     alpha = beta / 2.0
     lower = a + 2.0 * n
     max_used, max_tail = 0, 0.0
@@ -371,7 +371,7 @@ def exact_En_hard(
     Parameters
     ----------
     s : float
-        Gap size in hard-edge units.
+        Gap size in hard-edge units; finite and nonnegative.
     a, beta : float
         Ensemble parameters; this route needs both ``beta * a / 2`` and
         ``beta`` to be nonnegative integers.
@@ -415,7 +415,7 @@ def exact_En_finiteN_detailed(
     max_weight: int | None = None,
 ) -> tuple[float, dict]:
     """Finite-size ``E(n; (0, s))`` for ``n <= 3``: log value and the
-    diagnostics of :func:`exact_En_hard_detailed`.
+    diagnostics of :func:`exact_En_hard_detailed`, with its ``s = 0`` rule.
 
     The ``"corrected"`` variant carries the binomial label count
     ``C(N+n, n)``, the normalization ratio of the shifted-weight
@@ -433,6 +433,7 @@ def exact_En_finiteN_detailed(
         return log_value, _diagnostics(
             0, 0.0, series.max_weight_used, series.tail_estimate
         )
+    require_finite("s", s)
     if N < 0:
         raise ValueError(f"N must be nonnegative, got {N}")
     m0 = quantized("beta*a/2", beta * a / 2.0)
@@ -461,6 +462,8 @@ def exact_En_finiteN_detailed(
         cond_mult = quantized("a", a)
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    if s == 0.0:
+        return -math.inf, _diagnostics(0, 0.0, 0, 0.0)
     max_used, max_tail = 0, 0.0
 
     def integrand(u: tuple[float, ...]) -> float:
@@ -504,7 +507,7 @@ def exact_En_finiteN(
     Parameters
     ----------
     s : float
-        Gap endpoint on the unscaled eigenvalue axis.
+        Gap endpoint on the unscaled eigenvalue axis; finite and nonnegative.
     a, beta : float
         Ensemble parameters (``beta * a / 2`` and ``beta`` integral).
     n : int
@@ -524,50 +527,6 @@ def exact_En_finiteN(
     """
     log_value, _ = exact_En_finiteN_detailed(s, a, beta, n, N, tol, variant)
     return math.exp(log_value)
-
-
-def smallest_eigenvalue_pdf(
-    k: int,
-    s: float,
-    a: float,
-    beta: float,
-    h: float | None = None,
-    tol: float = 1e-12,
-) -> float:
-    """Density of the ``(k+1)``-th smallest hard-edge eigenvalue at ``s``.
-
-    Central finite difference of ``-sum_{l<=k} E(l; (0, s))`` with step
-    ``h`` (default scaled to ``s``).
-
-    Parameters
-    ----------
-    k : int
-        Order statistic index, 0 for the smallest eigenvalue (at most 3).
-    s : float
-        Evaluation point.
-    a, beta : float
-        Ensemble parameters, quantized as in :func:`exact_En_hard`.
-    h : float, optional
-        Difference step.
-    tol : float
-        Series tolerance.
-
-    Returns
-    -------
-    float
-        Approximate density value.
-    """
-    if k < 0 or k > 3:
-        raise ValueError(f"k must be between 0 and 3, got {k}")
-    if h is None:
-        h = 1e-3 * max(1.0, s)
-    if s - h <= 0:
-        h = s / 2.0
-
-    def cumulative(point: float) -> float:
-        return sum(exact_En_hard(point, a, beta, l, tol) for l in range(k + 1))
-
-    return (cumulative(s - h) - cumulative(s + h)) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------
@@ -783,8 +742,7 @@ def log_large_deviation_E0(N: int, s_tilde: float, a: float, beta: float) -> flo
     """
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
-    if not s_tilde > 0:
-        raise ValueError(f"s_tilde must be positive, got {s_tilde}")
+    require_finite("s_tilde", s_tilde, positive=True)
     root = math.sqrt(s_tilde * (s_tilde + 1.0))
     plus = math.sqrt(s_tilde + 1.0) + math.sqrt(s_tilde)
     return (
@@ -797,11 +755,6 @@ def log_large_deviation_E0(N: int, s_tilde: float, a: float, beta: float) -> flo
         - beta * a * a / 4.0 * math.log(root)
         + beta * a * a / 2.0 * math.log(plus / 2.0)
     )
-
-
-def large_deviation_E0(N: int, s_tilde: float, a: float, beta: float) -> float:
-    """Bulk-scale gap probability (may underflow; see the log variant)."""
-    return math.exp(log_large_deviation_E0(N, s_tilde, a, beta))
 
 
 def log_multi_F01_asympt(
@@ -875,18 +828,6 @@ def log_multi_F01_asympt(
         for j in range(i + 1, n):
             log_value -= 2.0 * beta * math.log((roots[i] + roots[j]) / 2.0)
     return log_value
-
-
-def multi_F01_asympt(
-    s0: float,
-    s_list: tuple[float, ...],
-    a: float,
-    n: int,
-    beta: float,
-    variant: str = "corrected",
-) -> float:
-    """Asymptotic mixed-argument series value (see the log variant)."""
-    return math.exp(log_multi_F01_asympt(s0, s_list, a, n, beta, variant))
 
 
 def duality_check(beta: float, n: float, a: float) -> dict:

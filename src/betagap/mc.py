@@ -23,11 +23,12 @@ from functools import partial
 
 import numpy as np
 
+from .errors import require_finite
+
 __all__ = [
     "EnsembleSpec",
     "McEstimate",
     "sample_bidiagonal",
-    "sample_spectrum",
     "sample_smallest",
     "smallest_eigenvalues",
     "estimate_gap",
@@ -52,10 +53,8 @@ class EnsembleSpec:
     N: int
 
     def __post_init__(self) -> None:
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-        if not (self.a >= 0 and math.isfinite(self.a)):
-            raise ValueError(f"a must be nonnegative and finite, got {self.a}")
+        require_finite("beta", self.beta, positive=True)
+        require_finite("a", self.a)
         if self.N < 1:
             raise ValueError(f"N must be a positive integer, got {self.N}")
 
@@ -134,35 +133,6 @@ def _tridiagonal(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diag[:, 1:] += c * c
     off = b[:, :-1] * c
     return diag, off
-
-
-def sample_spectrum(spec: EnsembleSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw one spectrum of the ensemble, sorted ascending.
-
-    Eigenvalues are computed from the tridiagonal product matrix
-    directly (no dense matrix is formed).
-
-    Parameters
-    ----------
-    spec : EnsembleSpec
-        Ensemble parameters.
-    rng : numpy.random.Generator
-        Source of randomness.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``N`` positive eigenvalues distributed with joint density
-        proportional to ``prod w(lambda_i) * |Delta(lambda)|**beta``
-        for the weight ``w(x) = x**(a beta/2) exp(-beta x/2)``.
-    """
-    b, c = sample_bidiagonal(spec, rng, size=1)
-    diag, off = _tridiagonal(b, c)
-    if spec.N == 1:
-        return diag[0] / spec.beta
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    return eigvalsh_tridiagonal(diag[0], off[0]) / spec.beta
 
 
 def _count_below(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -328,8 +298,7 @@ def estimate_gap(
     """
     if samples < 1000:
         raise ValueError(f"samples must be at least 1000, got {samples}")
-    if not (s >= 0 and math.isfinite(s)):
-        raise ValueError(f"s must be finite and nonnegative, got {s}")
+    require_finite("s", s)
     if n < 0 or n != int(n):
         raise ValueError(f"n must be a nonnegative integer, got {n}")
     if threads < 1:

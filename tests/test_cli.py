@@ -371,11 +371,11 @@ def test_bad_endpoint_exits_2(
         (("sweep", "--beta", "2", "--a", "1", "--s-min", "0", "--s-max", "4",
           "--s-count", "3", "--tol", "0"), "ValueError", "tol must be positive"),
         (("mc", "--beta", "2", "--a", "nan", "--N", "5", "--s", "1",
-          "--samples", "2000"), "ValueError", "a must be nonnegative and finite"),
+          "--samples", "2000"), "ValueError", "a must be finite and nonnegative"),
         (("mc", "--beta", "2", "--a", "inf", "--N", "5", "--s", "1",
-          "--samples", "2000"), "ValueError", "a must be nonnegative and finite"),
+          "--samples", "2000"), "ValueError", "a must be finite and nonnegative"),
         (("mc", "--beta", "inf", "--a", "1", "--N", "5", "--s", "1",
-          "--samples", "2000"), "ValueError", "beta must be positive and finite"),
+          "--samples", "2000"), "ValueError", "beta must be finite and positive"),
         # asymptotic forms whose value would be 1.986, inf and 56.7: each
         # does not hold at this --s, so no row is printed
         (("asympt", "--beta", "2", "--a", "3", "--s", "1"), "ValueError",
@@ -384,6 +384,9 @@ def test_bad_endpoint_exits_2(
          "--s 10.0 is outside the range of the asymptotic[F1A] form"),
         (("largedev", "--beta", "2", "--a", "3", "--N", "1", "--s", "0.01"), "ValueError",
          "--s 0.01 is outside the range of the large_deviation_E0 form: its log value 4.03"),
+        # the circle prefactor carries log(4/s): s = 0 used to end in a traceback
+        (("contour", "--route", "torus", "--beta", "2", "--a", "1", "--s", "0"), "ValueError",
+         "s must be finite and positive, got 0.0"),
     ],
     ids=[
         "exact-a-inf", "contour-a-inf", "exact-a-nan", "exact-beta-inf",
@@ -391,7 +394,7 @@ def test_bad_endpoint_exits_2(
         "largedev-N-negative", "exact-tol-nan", "exact-max-weight-negative",
         "sweep-grid-zero", "sweep-grid-tied", "sweep-tol-before-grid",
         "mc-a-nan", "mc-a-inf", "mc-beta-inf",
-        "asympt-above-1", "asympt-inf", "largedev-above-1",
+        "asympt-above-1", "asympt-inf", "largedev-above-1", "contour-torus-s-zero",
     ],
 )
 def test_bad_parameter_exits_2(
@@ -416,6 +419,27 @@ def test_exact_at_zero_endpoint(capsys: pytest.CaptureFixture[str]) -> None:
     record = json.loads(out)
     assert (record["value"], record["log_value"]) == (1.0, 0.0)
     assert (record["trunc_weight"], record["tail_bound"]) == (3, 0.0)
+
+
+@pytest.mark.parametrize(
+    "size, method",
+    [((), "exact_En_hard"), (("--N", "4"), "exact_En_finiteN")],
+)
+def test_exact_excess_at_zero_endpoint(
+    capsys: pytest.CaptureFixture[str], size: tuple[str, ...], method: str
+) -> None:
+    # E(n >= 1) at s = 0 is 0 exactly: log value -inf, written as null in JSON.
+    argv = ("exact", "--beta", "2", "--a", "1", "--s", "0", "--n", "1", *size)
+    code, out = run_cli(capsys, *argv)
+    assert code == 0
+    N = size[1] if size else ""
+    assert out.strip().splitlines() == [
+        EXPECTED_HEADER, f"0.0,2.0,1.0,1,{N},{method},0.0,-inf,,0,0.0,"
+    ]
+    code, out = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    record = json.loads(out)
+    assert (record["value"], record["log_value"]) == (0.0, None)
 
 
 def test_report_arbitration_content(capsys: pytest.CaptureFixture[str]) -> None:

@@ -1,4 +1,5 @@
-"""The integer-parameter rule shared by the series, Barnes and contour routes."""
+"""The integer-parameter and finite-value rules shared by the series, Barnes,
+contour and Monte Carlo routes."""
 
 from __future__ import annotations
 
@@ -7,9 +8,16 @@ import math
 import pytest
 
 from betagap.barnes import log_b_const, log_tau_hard
-from betagap.contour import hard_contour_E0
-from betagap.errors import ParameterQuantizationError, quantized
-from betagap.gap import exact_E0_hard, exact_En_hard
+from betagap.contour import hard_contour_E0, torus_E0_finiteN, torus_E0_hard
+from betagap.errors import ParameterQuantizationError, quantized, require_finite
+from betagap.gap import (
+    exact_E0_finiteN_detailed,
+    exact_E0_hard,
+    exact_E0_hard_detailed,
+    exact_En_finiteN_detailed,
+    exact_En_hard,
+    exact_En_hard_detailed,
+)
 
 
 def test_quantized_rounds_near_integers() -> None:
@@ -49,3 +57,47 @@ def test_quantized_rejects_non_finite_values(value: float) -> None:
 def test_routes_reject_non_finite_parameters(call) -> None:
     with pytest.raises(ParameterQuantizationError):
         call()
+
+
+@pytest.mark.parametrize(
+    "value, positive, kind",
+    [(-1.0, False, "nonnegative"), (math.nan, False, "nonnegative"),
+     (math.inf, True, "positive"), (0.0, True, "positive")],
+)
+def test_require_finite_message(value: float, positive: bool, kind: str) -> None:
+    with pytest.raises(ValueError) as info:
+        require_finite("s", value, positive=positive)
+    assert str(info.value) == f"s must be finite and {kind}, got {value}"
+
+
+def test_require_finite_accepts_domain() -> None:
+    require_finite("s", 0.0)
+    require_finite("s", 2.5, positive=True)
+
+
+@pytest.mark.parametrize("s", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda s: exact_E0_hard_detailed(s, 1.0, 2.0),
+        lambda s: exact_E0_finiteN_detailed(s, 1.0, 2.0, 4),
+        # a NaN s used to run the n = 1 quadrature into the strip budget
+        lambda s: exact_En_hard_detailed(s, 1.0, 2.0, 1),
+        lambda s: exact_En_finiteN_detailed(s, 1.0, 2.0, 1, 3),
+        lambda s: torus_E0_finiteN(s, 1.0, 2.0, 4),
+        lambda s: torus_E0_hard(s, 1.0, 2.0),
+        lambda s: hard_contour_E0(s, 1.0, 2.0),
+    ],
+    ids=["E0-hard", "E0-finiteN", "En-hard", "En-finiteN", "torus-finiteN", "torus-hard",
+         "contour"],
+)
+def test_routes_reject_bad_endpoint(route, s: float) -> None:
+    with pytest.raises(ValueError, match=r"^s must be finite and (nonnegative|positive)"):
+        route(s)
+
+
+@pytest.mark.parametrize("route", [torus_E0_hard, hard_contour_E0])
+def test_circle_routes_reject_zero_endpoint(route) -> None:
+    # their prefactor carries log(4/s)
+    with pytest.raises(ValueError, match=r"^s must be finite and positive, got 0.0"):
+        route(0.0, 1.0, 2.0)

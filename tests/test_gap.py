@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
-from betagap.barnes import log_tau_hard_n, tau_hard
+from betagap.barnes import log_tau_hard, log_tau_hard_n
 from betagap.errors import ParameterQuantizationError, QuadratureError
 from betagap.gap import (
     _QUAD_ORDERS,
@@ -31,7 +31,6 @@ from betagap.gap import (
     exact_En_finiteN_detailed,
     exact_En_hard,
     exact_En_hard_detailed,
-    large_deviation_E0,
     linstat_mean,
     linstat_variance,
     log_large_deviation_E0,
@@ -39,7 +38,6 @@ from betagap.gap import (
     log_norm_ratio_exact,
     log_norm_ratio_stirling,
     rescale_endpoint,
-    smallest_eigenvalue_pdf,
 )
 
 mp.mp.dps = 40
@@ -262,20 +260,6 @@ def test_settled_quadrature_escalates_then_raises() -> None:
         _settled_quadrature(lambda y: abs(y[0] - 1.0 / 3.0) ** 0.5, 1, 0.0, 1e-12)
 
 
-def test_smallest_eigenvalue_density() -> None:
-    # At a = 0, beta = 2 the smallest-eigenvalue density is
-    # exp(-s/4) / 4 exactly.
-    for s in (0.5, 2.0, 5.0):
-        np.testing.assert_allclose(
-            smallest_eigenvalue_pdf(0, s, 0.0, 2.0),
-            math.exp(-s / 4.0) / 4.0,
-            rtol=1e-6,
-        )
-    assert smallest_eigenvalue_pdf(1, 2.0, 0.0, 2.0, h=1e-3) > 0.0
-    with pytest.raises(ValueError):
-        smallest_eigenvalue_pdf(4, 1.0, 0.0, 2.0)
-
-
 # ------------------------------------------------------------ asymptotic forms
 
 
@@ -305,7 +289,6 @@ def test_asymptotic_form_evaluation() -> None:
         + form.c_const
     )
     np.testing.assert_allclose(form.log_evaluate(s), log_direct, rtol=1e-15)
-    np.testing.assert_allclose(form.evaluate(s), math.exp(log_direct), rtol=1e-15)
 
 
 def test_excess_asymptotic_coefficients() -> None:
@@ -321,7 +304,7 @@ def test_excess_asymptotic_coefficients() -> None:
         )
         np.testing.assert_allclose(
             form.c_const,
-            math.log(tau_hard(a, beta)) + log_tau_hard_n(n, a, beta),
+            log_tau_hard(a, beta) + log_tau_hard_n(n, a, beta),
             rtol=1e-13,
         )
 
@@ -436,11 +419,7 @@ def test_char_poly_moment_regression() -> None:
 
 
 def test_large_deviation_consistency() -> None:
-    log_value = log_large_deviation_E0(20, 0.3, 1.0, 2.0)
-    assert log_value < 0.0
-    np.testing.assert_allclose(
-        large_deviation_E0(20, 0.3, 1.0, 2.0), math.exp(log_value), rtol=1e-14
-    )
+    assert log_large_deviation_E0(20, 0.3, 1.0, 2.0) < 0.0
 
 
 def test_large_deviation_tracks_exact() -> None:
@@ -492,8 +471,26 @@ def test_finite_routes_at_zero_size() -> None:
 
 
 @pytest.mark.parametrize(
+    "route",
+    [
+        lambda n: exact_En_hard_detailed(0.0, 1.0, 2.0, n),
+        lambda n: exact_En_finiteN_detailed(0.0, 1.0, 2.0, n, 4),
+    ],
+    ids=["hard", "finiteN"],
+)
+def test_excess_at_zero_endpoint(route) -> None:
+    # An empty interval holds no eigenvalue: E(n >= 1) is 0 exactly, with
+    # no quadrature run, while E(0) is 1.
+    assert route(0)[0] == 0.0
+    for n in (1, 3):
+        assert route(n) == (
+            -math.inf, {"order": 0, "rel_change": 0.0, "trunc_weight": 0, "tail_bound": 0.0}
+        )
+
+
+@pytest.mark.parametrize(
     "N, s_tilde, message",
-    [(0, 0.3, "N must be at least 1"), (10, math.nan, "s_tilde must be positive")],
+    [(0, 0.3, "N must be at least 1"), (10, math.nan, "s_tilde must be finite and positive")],
 )
 def test_large_deviation_rejects_bad_input(N: int, s_tilde: float, message: str) -> None:
     with pytest.raises(ValueError, match=message):

@@ -16,7 +16,6 @@ from betagap.mc import (
     estimate_gap,
     sample_bidiagonal,
     sample_smallest,
-    sample_spectrum,
     smallest_eigenvalues,
 )
 
@@ -59,7 +58,7 @@ def test_sampler_shapes() -> None:
     b, c = sample_bidiagonal(spec, rng, 17)
     assert b.shape == (17, 6) and c.shape == (17, 5)
     assert np.all(b > 0) and np.all(c > 0)
-    lam = sample_spectrum(spec, np.random.default_rng(0))
+    lam = smallest_eigenvalues(b[0], c[0], 6)
     assert lam.shape == (6,)
     assert np.all(lam > 0)
     assert np.all(np.diff(lam) >= 0)
