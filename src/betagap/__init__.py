@@ -20,9 +20,7 @@ from .barnes import (
     log_tau_hard_n,
 )
 from .contour import (
-    ContourSpec,
     hard_contour_E0,
-    hard_contour_E0_parts,
     torus_E0_finiteN,
     torus_E0_hard,
 )
@@ -125,11 +123,9 @@ __all__ = [
     "log_multi_F01_asympt",
     "duality_check",
     # quadrature routes
-    "ContourSpec",
     "torus_E0_finiteN",
     "torus_E0_hard",
     "hard_contour_E0",
-    "hard_contour_E0_parts",
     # monte carlo
     "EnsembleSpec",
     "McEstimate",

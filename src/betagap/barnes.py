@@ -160,8 +160,7 @@ def log_f_beta_half(n: float, beta: float) -> float:
     it reduces to ``prod_{j=0}^{n-1} Gamma(1 + beta j / 2)``.
     """
     require_finite("beta", beta, positive=True)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    require_finite("n", n)
     tau = 2.0 / beta
     return (
         (n + 1.0) / 2.0 * _LOG_2PI
@@ -193,8 +192,7 @@ def log_a_const(a: float, beta: float) -> float:
     the latter's integrality constraint holds.
     """
     require_finite("beta", beta, positive=True)
-    if a < 0:
-        raise ValueError(f"a must be nonnegative, got {a}")
+    require_finite("a", a)
     return (
         -beta * a * (a - 1.0) / 4.0 * math.log(beta / 2.0)
         - a / 2.0 * math.log(math.pi * beta)
@@ -226,8 +224,8 @@ def log_tau_hard_n(n: float, a: float, beta: float, route: str = "continued") ->
         Log of the constant; zero at ``n = 0``.
     """
     require_finite("beta", beta, positive=True)
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
+    require_finite("n", n)
+    require_finite("a", a)
     tau = 2.0 / beta
     if route == "continued":
         return (

@@ -198,7 +198,7 @@ def _run_contour(args: argparse.Namespace, sink: IO[str]) -> int:
         value = torus_E0_hard(args.s, args.a, args.beta, tol=args.tol)
         method = "torus_E0_hard"
     else:
-        value = hard_contour_E0(args.s, args.a, args.beta)
+        value = hard_contour_E0(args.s, args.a, args.beta, tol=args.tol)
         method = "hard_contour_E0"
     record = Record(
         s=args.s, beta=args.beta, a=args.a, n=0, N=args.N,

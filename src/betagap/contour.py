@@ -16,7 +16,6 @@ algebraically and is Richardson-extrapolated with a measured order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,7 +23,6 @@ import numpy as np
 from .barnes import log_b_const, log_morris_value
 from .errors import (
     NonConvergenceError,
-    ParameterQuantizationError,
     QuadratureError,
     ResourceLimitError,
     quantized,
@@ -32,39 +30,20 @@ from .errors import (
 )
 
 __all__ = [
-    "ContourSpec",
     "torus_E0_finiteN",
     "torus_E0_hard",
     "hard_contour_E0",
-    "hard_contour_E0_parts",
 ]
 
 _IMAG_REL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Quadrature layout for the branch-cut contour.
-
-    ``inner_radius`` is the circle radius; the represented value is
-    radius-independent by contour deformation, which makes varying it a
-    consistency check.  ``ray_samples`` and ``circle_samples`` are the
-    starting resolutions; they are doubled until the value settles.
-    """
-
-    inner_radius: float = 1.0
-    ray_samples: int = 96
-    circle_samples: int = 256
-    tol: float = 1e-8
-    max_doublings: int = 4
-
-    def __post_init__(self) -> None:
-        if self.inner_radius <= 0:
-            raise ValueError(f"inner_radius must be positive, got {self.inner_radius}")
-        if self.ray_samples < 8 or self.circle_samples < 8:
-            raise ValueError("quadrature resolutions must be at least 8")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+# Branch-cut contour layout: circle radius (the value does not depend on
+# it, by contour deformation), starting Gauss-Legendre node counts on the
+# circle and on each ray, and resolution levels (four doublings; the finest
+# dimension-2 level has 4096 + 2 * 1536 nodes).
+_CONTOUR_RADIUS = 1.0
+_CIRCLE_NODES = 256
+_RAY_NODES = 96
+_CONTOUR_LEVELS = 5
 
 
 def _dimension(a: float, beta: float) -> int:
@@ -75,53 +54,53 @@ def _dimension(a: float, beta: float) -> int:
     return m
 
 
-def _check_imag(value: complex, where: str) -> float:
-    """Return the real part, insisting the imaginary part is noise."""
-    if abs(value.imag) > _IMAG_REL_TOL * max(abs(value.real), 1e-300):
-        raise QuadratureError(
-            f"{where}: imaginary residue {value.imag:.3e} "
-            f"exceeds tolerance relative to {value.real:.3e}"
-        )
-    return value.real
-
-
 def _settled_limit(
-    evaluate: Callable[[int], np.ndarray],
+    evaluate: Callable[[int], complex],
     levels: int,
     tol: float,
     label: str,
-) -> np.ndarray:
-    """Limit of a doubling sequence of vector values.
+) -> float:
+    """Real part of the limit of a doubling sequence of complex values.
 
-    Accepts when one doubling moves the values (first component is the
-    acceptance handle) by less than ``tol / 10`` relatively, or — for
-    algebraically converging sequences — when two successive Richardson
-    extrapolations with the measured decay ratio agree to the same
-    threshold.
+    Accepts when one doubling moves the value by less than ``tol / 10``
+    relatively, or — for algebraically converging sequences — when two
+    successive Richardson extrapolations with the measured decay ratio
+    agree to the same threshold.  The imaginary part of the accepted value
+    must be noise relative to its real part.
     """
-    values: list[np.ndarray] = []
-    previous_extrap: np.ndarray | None = None
+    require_finite("tol", tol, positive=True)
+    values: list[np.complex128] = []
+    previous_extrap: np.complex128 | None = None
     for level in range(levels):
-        values.append(np.atleast_1d(np.asarray(evaluate(level), dtype=complex)))
+        values.append(np.complex128(evaluate(level)))
         if len(values) >= 2:
-            denom = max(abs(values[-1][0]), 1e-300)
-            if abs(values[-1][0] - values[-2][0]) / denom < tol / 10.0:
-                return values[-1]
+            denom = max(abs(values[-1]), 1e-300)
+            if abs(values[-1] - values[-2]) / denom < tol / 10.0:
+                settled = values[-1]
+                break
         if len(values) >= 3:
-            d1 = abs(values[-2][0] - values[-3][0])
-            d2 = abs(values[-1][0] - values[-2][0])
+            d1 = abs(values[-2] - values[-3])
+            d2 = abs(values[-1] - values[-2])
             if d2 > 0.0 and d1 / d2 > 1.5:
                 rho = d1 / d2
                 extrap = values[-1] + (values[-1] - values[-2]) / (rho - 1.0)
                 if previous_extrap is not None:
-                    denom = max(abs(extrap[0]), 1e-300)
-                    if abs(extrap[0] - previous_extrap[0]) / denom < tol / 10.0:
-                        return extrap
+                    denom = max(abs(extrap), 1e-300)
+                    if abs(extrap - previous_extrap) / denom < tol / 10.0:
+                        settled = extrap
+                        break
                 previous_extrap = extrap
-    raise NonConvergenceError(
-        f"{label} did not settle to relative tolerance {tol:.1e} "
-        f"within {levels} resolution levels"
-    )
+    else:
+        raise NonConvergenceError(
+            f"{label} did not settle to relative tolerance {tol:.1e} "
+            f"within {levels} resolution levels"
+        )
+    if abs(settled.imag) > _IMAG_REL_TOL * max(abs(settled.real), 1e-300):
+        raise QuadratureError(
+            f"{label}: imaginary residue {settled.imag:.3e} "
+            f"exceeds tolerance relative to {settled.real:.3e}"
+        )
+    return settled.real
 
 
 def _torus_trapezoid(
@@ -149,9 +128,7 @@ def _torus_trapezoid(
         pair = np.abs(z[:, None] - z[None, :]) ** (4.0 / beta)
         return complex(f @ pair @ f * w * w)
 
-    levels = 6 if m == 1 else 4
-    total = _settled_limit(evaluate, levels, tol, label)[0]
-    return _check_imag(total, label)
+    return _settled_limit(evaluate, 6 if m == 1 else 4, tol, label)
 
 
 def torus_E0_finiteN(
@@ -180,7 +157,7 @@ def torus_E0_finiteN(
     N : int
         Ensemble size.
     tol : float
-        Relative tolerance; see :func:`ContourSpec`.
+        Relative tolerance of the resolution doubling; finite and positive.
 
     Returns
     -------
@@ -233,7 +210,7 @@ def torus_E0_hard(
     a, beta : float
         Ensemble parameters.
     tol : float
-        Relative tolerance; see :func:`ContourSpec`.
+        Relative tolerance of the resolution doubling; finite and positive.
 
     Returns
     -------
@@ -244,12 +221,7 @@ def torus_E0_hard(
     require_finite("s", s, positive=True)
     if m == 0:
         return math.exp(-beta * s / 8.0)
-    q_raw = 2.0 / beta - 1.0
-    if abs(q_raw - round(q_raw)) > 1e-9 or round(q_raw) < 0:
-        raise ParameterQuantizationError(
-            f"2/beta must be a positive integer for the circle route, got {2.0 / beta}"
-        )
-    q = float(round(q_raw))
+    q = float(quantized("2/beta", 2.0 / beta) - 1)
 
     root_s = math.sqrt(s)
     log_pref = (
@@ -269,13 +241,13 @@ def torus_E0_hard(
 
 
 def _contour_nodes(
-    s: float, q: float, radius: float, circle_n: int, ray_n: int
+    s: float, q: float, circle_n: int, ray_n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Quadrature nodes along the deformed contour.
 
-    The contour is a circle of the given radius plus two negative-axis
-    rays joining it to the origin, parameterized as ``z = -radius v**2``
-    to cluster nodes at the origin.  Returns complex positions ``z``,
+    The contour is a circle of radius ``_CONTOUR_RADIUS`` plus two
+    negative-axis rays joining it to the origin, parameterized as
+    ``z = -radius v**2`` to cluster nodes at the origin.  Returns complex positions ``z``,
     complex amplitudes ``amp`` (measure ``dz / (2 pi i z)`` with
     traversal direction, times the branch-resolved integrand factor
     ``exp(sqrt(s)(z + 1/z)/2) z**q``), and a side tag (0 circle, +1
@@ -284,6 +256,7 @@ def _contour_nodes(
     from scipy.special import roots_legendre
 
     root_s = math.sqrt(s)
+    radius = _CONTOUR_RADIUS
 
     theta, tw = roots_legendre(circle_n)
     theta = theta * math.pi
@@ -312,9 +285,9 @@ def _contour_nodes(
 
 
 def _contour_components(
-    s: float, a: float, beta: float, radius: float, circle_n: int, ray_n: int
-) -> tuple[complex, complex]:
-    """One contour quadrature pass: (total, circle-only component).
+    s: float, a: float, beta: float, circle_n: int, ray_n: int
+) -> complex:
+    """One contour quadrature pass.
 
     For dimension 2 the double sum is assembled from the circle-circle
     and circle-ray blocks with the principal branch of the two-point
@@ -327,11 +300,9 @@ def _contour_components(
     """
     m = _dimension(a, beta)
     q = 2.0 / beta - 1.0
-    z, amp, side = _contour_nodes(s, q, radius, circle_n, ray_n)
+    z, amp, side = _contour_nodes(s, q, circle_n, ray_n)
     if m == 1:
-        total = complex(np.sum(amp))
-        circle_only = complex(np.sum(amp[side == 0]))
-        return total, circle_only
+        return complex(np.sum(amp))
 
     p2 = 2.0 / beta
     on_circle = side == 0
@@ -347,66 +318,19 @@ def _contour_components(
     k_cr = np.exp(p2 * np.log(w_cr))
     cross = complex(a_c @ k_cr @ a_r)
 
-    return circle_only + 2.0 * cross, circle_only
+    return circle_only + 2.0 * cross
 
 
-def hard_contour_E0_parts(
-    s: float, a: float, beta: float, spec: ContourSpec | None = None
-) -> dict:
-    """Hard-edge gap probability via the deformed contour, with parts.
-
-    Returns a dict with the full ``value``, the ``circle`` component
-    (all quadrature nodes on the circle), and the ``rays`` component
-    (every term touching a ray node), each already carrying the
-    prefactor.  For ``2 / beta`` a positive integer the ray component
-    cancels exactly.
-    """
-    if spec is None:
-        spec = ContourSpec()
-    m = _dimension(a, beta)
-    require_finite("s", s, positive=True)
-    if m == 0:
-        value = math.exp(-beta * s / 8.0)
-        return {"value": value, "circle": value, "rays": 0.0}
-    q = 2.0 / beta - 1.0
-    log_pref = (
-        log_b_const(a, beta) - beta * s / 8.0 + q * m / 2.0 * math.log(4.0 / s)
-    )
-
-    def evaluate(level: int) -> np.ndarray:
-        circle_n = spec.circle_samples * 2**level
-        ray_n = spec.ray_samples * 2**level
-        if m == 2 and circle_n + 2 * ray_n > 8192:
-            raise ResourceLimitError(
-                "contour resolution exceeds the dimension-2 node budget"
-            )
-        total, circle_only = _contour_components(
-            s, a, beta, spec.inner_radius, circle_n, ray_n
-        )
-        return np.array([total, circle_only])
-
-    total, circle_only = _settled_limit(
-        evaluate, spec.max_doublings + 1, spec.tol, "contour integral"
-    )
-    real_total = _check_imag(total, "contour integral")
-    pref = math.exp(log_pref)
-    return {
-        "value": pref * real_total,
-        "circle": pref * circle_only.real,
-        "rays": pref * (real_total - circle_only.real),
-    }
-
-
-def hard_contour_E0(
-    s: float, a: float, beta: float, spec: ContourSpec | None = None
-) -> float:
+def hard_contour_E0(s: float, a: float, beta: float, tol: float = 1e-8) -> float:
     """Hard-edge gap probability via the branch-cut contour.
 
     Works for every ``beta > 0`` with ``beta a / 2`` in ``{0, 1, 2}``:
     the circle integrand is continued through the negative-axis cut
     along two rays into the origin (parameterized as ``z = -u**2`` to
     cluster nodes where the integrand power is singular), with branch
-    choices fixed by the contour deformation.
+    choices fixed by the contour deformation.  The circle has radius 1;
+    the Gauss-Legendre grid starts at 256 circle and 96 ray nodes and
+    doubles up to 4 times.
 
     Parameters
     ----------
@@ -414,12 +338,27 @@ def hard_contour_E0(
         Gap size in hard-edge units; finite and positive.
     a, beta : float
         Ensemble parameters.
-    spec : ContourSpec, optional
-        Quadrature layout (defaults are adequate for moderate ``s``).
+    tol : float
+        Relative tolerance of the resolution doubling; finite and positive.
 
     Returns
     -------
     float
         ``E(0; (0, s))``.
     """
-    return hard_contour_E0_parts(s, a, beta, spec)["value"]
+    m = _dimension(a, beta)
+    require_finite("s", s, positive=True)
+    if m == 0:
+        return math.exp(-beta * s / 8.0)
+    q = 2.0 / beta - 1.0
+    log_pref = (
+        log_b_const(a, beta) - beta * s / 8.0 + q * m / 2.0 * math.log(4.0 / s)
+    )
+
+    def evaluate(level: int) -> complex:
+        return _contour_components(
+            s, a, beta, _CIRCLE_NODES * 2**level, _RAY_NODES * 2**level
+        )
+
+    value = _settled_limit(evaluate, _CONTOUR_LEVELS, tol, "contour integral")
+    return math.exp(log_pref) * value

@@ -152,6 +152,14 @@ def exact_E0_hard(
     return math.exp(log_value)
 
 
+def _ensemble_size(N: int) -> int:
+    """``N`` as an ``int``; raises ``ValueError`` unless it is a
+    nonnegative integer (integral floats pass)."""
+    if not (N >= 0 and float(N).is_integer()):
+        raise ValueError(f"N must be nonnegative and integral, got {N}")
+    return int(N)
+
+
 def exact_E0_finiteN_detailed(
     s: float,
     a: float,
@@ -168,11 +176,10 @@ def exact_E0_finiteN_detailed(
     gap probability is 1.
     """
     require_finite("s", s)
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
+    N = _ensemble_size(N)
     m = quantized("beta*a/2", beta * a / 2.0)
     if max_weight is None:
-        max_weight = max(int(N) * max(m, 1), 200)
+        max_weight = max(N * max(m, 1), 200)
     spec = HypergeomSpec(
         upper=(-float(N),), lower=(a,) if m else (), alpha=beta / 2.0,
         args=ArgBlocks(((-s, m),)),
@@ -434,8 +441,7 @@ def exact_En_finiteN_detailed(
             0, 0.0, series.max_weight_used, series.tail_estimate
         )
     require_finite("s", s)
-    if N < 0:
-        raise ValueError(f"N must be nonnegative, got {N}")
+    N = _ensemble_size(N)
     m0 = quantized("beta*a/2", beta * a / 2.0)
     mb = quantized("beta", beta)
     alpha = beta / 2.0
@@ -452,6 +458,8 @@ def exact_En_finiteN_detailed(
         )
         cond_mult = mb
     elif variant == "printed":
+        if N == 0:
+            raise ValueError("N must be positive for the printed variant, got 0")
         log_pref = (
             math.lgamma(N + n)
             - math.lgamma(float(N))

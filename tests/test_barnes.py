@@ -237,6 +237,22 @@ def test_domain_errors() -> None:
             log_gamma2(z, tau)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: log_a_const(math.nan, 2.0), "a must be finite and nonnegative, got nan"),
+        (lambda: log_tau_hard_n(math.nan, 1.0, 2.0), "n must be finite and nonnegative, got nan"),
+        (lambda: log_tau_hard_n(1.0, math.inf, 2.0), "a must be finite and nonnegative, got inf"),
+        (lambda: log_f_beta_half(math.inf, 2.0), "n must be finite and nonnegative, got inf"),
+    ],
+    ids=["a_const-a-nan", "tau_hard_n-n-nan", "tau_hard_n-a-inf", "f_beta_half-n-inf"],
+)
+def test_constants_name_their_arguments(call, message: str) -> None:
+    # These used to report log_gamma2's internal argument name z.
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_non_finite_and_huge_arguments() -> None:
     # In a child process with a timeout: an infinite or huge z used to be
     # walked down to the window one unit per step, without end or bound.

@@ -28,17 +28,20 @@ tracing.install(tracer)
 calls = [
     ["exact", "--beta", "2", "--a", "1", "--s", "4", "--n", "1"],
     ["asympt", "--beta", "2", "--a", "1", "--s", "100"],
+    ["contour", "--beta", "2", "--a", "1", "--s", "2"],
     ["contour", "--beta", "2", "--a", "1", "--s", "2", "--route", "torus"],
+    ["contour", "--beta", "2", "--a", "1", "--s", "0.5", "--N", "4"],
     ["mc", "--beta", "2", "--a", "1", "--N", "5", "--s", "1", "--samples", "5000"],
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in calls]
-assert codes == [0, 0, 0, 0], codes
+assert codes == [0] * 6, codes
 seen = tracer.calls
 for layer in ("cli.run", "gap.eval", "hypergeom.series", "partitions.enum",
               "barnes.gamma2", "contour.eval", "mc.estimate", "mc.sample"):
     assert seen[layer] > 0, layer
-assert seen["cli.run"] == 4, seen["cli.run"]
+assert seen["cli.run"] == 6, seen["cli.run"]
+assert seen["contour.eval"] == 3, seen["contour.eval"]
 assert tracer.counts["mc.samples"] == 5000, tracer.counts["mc.samples"]
 assert tracer.counts["gap.quad_order"] > 0
 """

@@ -489,6 +489,17 @@ def test_nonconvergence_exits_3(capsys: pytest.CaptureFixture[str]) -> None:
     assert record["error"]["type"] == "NonConvergenceError"
 
 
+def test_contour_tol_reaches_default_route(capsys: pytest.CaptureFixture[str]) -> None:
+    # The branch-cut contour cannot settle to 1e-15; it used to ignore --tol.
+    code, out = run_cli(
+        capsys, "contour", "--beta", "2", "--a", "1", "--s", "2", "--tol", "1e-15"
+    )
+    assert code == 3
+    record = json.loads(out)
+    assert record["error"]["type"] == "NonConvergenceError"
+    assert "contour integral did not settle" in record["error"]["message"]
+
+
 def test_unknown_subcommand_raises_usage_exit() -> None:
     with pytest.raises(SystemExit) as excinfo:
         main(["bogus"])

@@ -7,13 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from betagap.contour import (
-    ContourSpec,
-    hard_contour_E0,
-    hard_contour_E0_parts,
-    torus_E0_finiteN,
-    torus_E0_hard,
-)
+from betagap import contour
+from betagap.contour import hard_contour_E0, torus_E0_finiteN, torus_E0_hard
 from betagap.errors import (
     NonConvergenceError,
     ParameterQuantizationError,
@@ -47,15 +42,13 @@ def test_contour_matches_series_fractional_ray_phase() -> None:
 
 
 def test_ray_contribution_cancels_at_integer_phase() -> None:
-    # At beta = 2 the two ray edges carry opposite phases and cancel.
-    parts = hard_contour_E0_parts(2.0, 1.0, 2.0)
-    assert set(parts) == {"value", "circle", "rays"}
-    assert abs(parts["rays"]) < 1e-9
+    # At beta = 2 the two ray edges carry opposite phases and cancel, so
+    # the contour equals the torus route, which is its circle part alone.
     np.testing.assert_allclose(
-        parts["value"], parts["circle"] + parts["rays"], rtol=1e-12
+        hard_contour_E0(2.0, 1.0, 2.0), torus_E0_hard(2.0, 1.0, 2.0), rtol=1e-10
     )
     np.testing.assert_allclose(
-        parts["value"], exact_E0_hard(2.0, 1.0, 2.0), rtol=1e-10
+        hard_contour_E0(2.0, 1.0, 2.0), exact_E0_hard(2.0, 1.0, 2.0), rtol=1e-10
     )
 
 
@@ -90,52 +83,48 @@ def test_zero_dimension_is_exact_exponential() -> None:
 
 def test_torus_and_contour_pinned_bits() -> None:
     # Exact bits of both torus routes in dimensions 1 and 2, which share
-    # one trapezoid body, and of the contour's parts.
+    # one trapezoid body, and of the contour in dimensions 1 and 2.
     assert torus_E0_finiteN(0.5, 2.0 / 3.0, 3.0, 4) == 0.2750488006388016
     assert torus_E0_finiteN(0.4, 2.0, 2.0, 3) == 0.9412444954504848
     assert torus_E0_hard(2.0, 1.0, 2.0) == 0.9498773125498133
     assert torus_E0_hard(1.5, 4.0, 1.0) == 0.9999301184155079
-    assert hard_contour_E0_parts(1.0, 3.0, 4.0 / 3.0) == {
-        "value": 0.9999266070184027,
-        "circle": 1.7706559597555644,
-        "rays": -0.7707293527371617,
-    }
+    assert hard_contour_E0(2.0, 1.0, 2.0) == 0.9498773125498379
+    assert hard_contour_E0(1.0, 3.0, 4.0 / 3.0) == 0.9999266070184027
 
 
 # --------------------------------------------------------------- independence
 
 
-def test_radius_independence() -> None:
+def test_radius_independence(monkeypatch: pytest.MonkeyPatch) -> None:
     # The integrand is analytic between the two contours, so the value
     # cannot depend on the circle radius.
-    base = hard_contour_E0(2.0, 2.0 / 3.0, 3.0)
-    moved = hard_contour_E0(
-        2.0, 2.0 / 3.0, 3.0, spec=ContourSpec(inner_radius=0.8)
-    )
-    np.testing.assert_allclose(moved, base, rtol=1e-12)
-    base = hard_contour_E0(1.0, 3.0, 4.0 / 3.0)
-    moved = hard_contour_E0(1.0, 3.0, 4.0 / 3.0, spec=ContourSpec(inner_radius=0.8))
-    np.testing.assert_allclose(moved, base, rtol=1e-9)
+    base_1 = hard_contour_E0(2.0, 2.0 / 3.0, 3.0)
+    base_2 = hard_contour_E0(1.0, 3.0, 4.0 / 3.0)
+    monkeypatch.setattr(contour, "_CONTOUR_RADIUS", 0.8)
+    np.testing.assert_allclose(hard_contour_E0(2.0, 2.0 / 3.0, 3.0), base_1, rtol=1e-12)
+    np.testing.assert_allclose(hard_contour_E0(1.0, 3.0, 4.0 / 3.0), base_2, rtol=1e-9)
 
 
 def test_tolerance_stability() -> None:
-    loose = hard_contour_E0(2.0, 1.0, 2.0, spec=ContourSpec(tol=1e-6))
-    tight = hard_contour_E0(2.0, 1.0, 2.0, spec=ContourSpec(tol=1e-10))
+    loose = hard_contour_E0(2.0, 1.0, 2.0, tol=1e-6)
+    tight = hard_contour_E0(2.0, 1.0, 2.0, tol=1e-10)
     np.testing.assert_allclose(loose, tight, rtol=1e-6)
 
 
 # ------------------------------------------------------------------ validation
 
 
-def test_spec_validation() -> None:
-    with pytest.raises(ValueError):
-        ContourSpec(inner_radius=0.0)
-    with pytest.raises(ValueError):
-        ContourSpec(ray_samples=4)
-    with pytest.raises(ValueError):
-        ContourSpec(circle_samples=4)
-    with pytest.raises(ValueError):
-        ContourSpec(tol=0.0)
+def test_tol_validation() -> None:
+    # One tol check serves all three circle routes.
+    routes = (
+        lambda tol: hard_contour_E0(2.0, 1.0, 2.0, tol=tol),
+        lambda tol: torus_E0_hard(2.0, 1.0, 2.0, tol=tol),
+        lambda tol: torus_E0_finiteN(0.5, 1.0, 2.0, 4, tol=tol),
+    )
+    for route in routes:
+        for tol in (0.0, -1e-8, math.nan):
+            with pytest.raises(ValueError, match="tol must be finite and positive"):
+                route(tol)
 
 
 def test_dimension_quantization() -> None:
@@ -146,26 +135,15 @@ def test_dimension_quantization() -> None:
 
 
 def test_torus_hard_requires_integer_inverse_beta() -> None:
-    with pytest.raises(ParameterQuantizationError):
-        torus_E0_hard(0.5, 2.0 / 3.0, 3.0)  # 2/beta = 2/3
+    with pytest.raises(
+        ParameterQuantizationError,
+        match="2/beta must be a nonnegative integer for this route, got 0.666",
+    ):
+        torus_E0_hard(0.5, 2.0 / 3.0, 3.0)
     # the finite-size torus route has no such restriction
     assert torus_E0_finiteN(0.5, 2.0 / 3.0, 3.0, 4) > 0.0
 
 
-def test_node_budget_guard() -> None:
-    with pytest.raises(ResourceLimitError):
-        hard_contour_E0(
-            1.5, 1.0, 4.0, spec=ContourSpec(circle_samples=8192, ray_samples=512)
-        )
-
-
 def test_no_doubling_budget_raises() -> None:
     with pytest.raises(NonConvergenceError):
-        hard_contour_E0(
-            2.0,
-            2.0 / 3.0,
-            3.0,
-            spec=ContourSpec(
-                circle_samples=8, ray_samples=8, max_doublings=0, tol=1e-10
-            ),
-        )
+        hard_contour_E0(2.0, 2.0 / 3.0, 3.0, tol=1e-16)

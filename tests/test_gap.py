@@ -460,6 +460,24 @@ def test_finite_routes_reject_negative_size() -> None:
         exact_En_finiteN_detailed(1.0, 1.0, 2.0, 1, -2)
 
 
+def test_finite_routes_reject_fractional_size() -> None:
+    # A fractional N is no ensemble: the E(0) route used to return 0.7136
+    # and the E(n) route to raise TypeError from range().
+    with pytest.raises(ValueError, match="N must be nonnegative and integral, got 2.5"):
+        exact_E0_finiteN(0.5, 1.0, 2.0, 2.5)
+    with pytest.raises(ValueError, match="N must be nonnegative and integral, got 2.5"):
+        exact_En_finiteN(0.5, 1.0, 2.0, 1, 2.5)
+    # integral floats are sizes
+    assert exact_E0_finiteN(0.5, 1.0, 2.0, 5.0) == exact_E0_finiteN(0.5, 1.0, 2.0, 5)
+    assert exact_En_finiteN(0.5, 1.0, 2.0, 1, 5.0) == exact_En_finiteN(0.5, 1.0, 2.0, 1, 5)
+
+
+def test_printed_variant_rejects_zero_size() -> None:
+    # Its prefactor takes lgamma(N), which has a pole at N = 0.
+    with pytest.raises(ValueError, match="N must be positive for the printed variant"):
+        exact_En_finiteN(0.5, 1.0, 2.0, 1, 0, variant="printed")
+
+
 def test_finite_routes_at_zero_size() -> None:
     # No remaining eigenvalues: the gap is empty for sure, and with one
     # eigenvalue of density x exp(-x) at beta = 2, a = 1 the chance it
