@@ -57,7 +57,7 @@ from .gap import (
     log_norm_ratio_stirling,
     rescale_endpoint,
 )
-from .hypergeom import ArgBlocks, HypergeomSpec, SeriesResult, pFq_alpha
+from .hypergeom import ArgBlocks, HypergeomSpec, SeriesBatch, SeriesResult, pFq_alpha
 from .jack import jack_C_eval, jack_in_monomial_basis, monomial_eval
 from .mc import (
     EnsembleSpec,
@@ -89,6 +89,7 @@ __all__ = [
     "ArgBlocks",
     "HypergeomSpec",
     "SeriesResult",
+    "SeriesBatch",
     "pFq_alpha",
     # barnes constants
     "log_gamma2",

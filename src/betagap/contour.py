@@ -103,6 +103,14 @@ def _settled_limit(
     return settled.real
 
 
+def _probability(value: float, tol: float, label: str) -> float:
+    """``value``, unless it lies outside ``[0, 1 + tol]``: a probability
+    there means the quadrature failed, so raise ``QuadratureError``."""
+    if not 0.0 <= value <= 1.0 + tol:
+        raise QuadratureError(f"{label} gave {value!r}, outside [0, 1 + tol]")
+    return value
+
+
 def _torus_trapezoid(
     nodes: Callable[[int], tuple[np.ndarray, np.ndarray, float]],
     start: int,
@@ -163,6 +171,11 @@ def torus_E0_finiteN(
     -------
     float
         ``E_N(0; (0, s))``.
+
+    Raises
+    ------
+    QuadratureError
+        If the value lies outside ``[0, 1 + tol]``.
     """
     m = _dimension(a, beta)
     require_finite("s", s)
@@ -187,7 +200,8 @@ def torus_E0_finiteN(
     value = _torus_trapezoid(
         nodes, 512 if m == 1 else 256, m, beta, tol, "torus finite-size integral"
     )
-    return math.exp(-beta * N * s / 2.0 - log_morris) * value
+    value = math.exp(-beta * N * s / 2.0 - log_morris) * value
+    return _probability(value, tol, "torus finite-size integral")
 
 
 def torus_E0_hard(
@@ -216,6 +230,11 @@ def torus_E0_hard(
     -------
     float
         ``E(0; (0, s))``.
+
+    Raises
+    ------
+    QuadratureError
+        If the value lies outside ``[0, 1 + tol]``.
     """
     m = _dimension(a, beta)
     require_finite("s", s, positive=True)
@@ -237,7 +256,7 @@ def torus_E0_hard(
         return f, np.exp(1j * theta), 2.0 * math.pi / n
 
     value = _torus_trapezoid(nodes, 256, m, beta, tol, "circle integral")
-    return math.exp(log_pref) * value
+    return _probability(math.exp(log_pref) * value, tol, "circle integral")
 
 
 def _contour_nodes(
@@ -345,6 +364,11 @@ def hard_contour_E0(s: float, a: float, beta: float, tol: float = 1e-8) -> float
     -------
     float
         ``E(0; (0, s))``.
+
+    Raises
+    ------
+    QuadratureError
+        If the value lies outside ``[0, 1 + tol]``.
     """
     m = _dimension(a, beta)
     require_finite("s", s, positive=True)
@@ -361,4 +385,4 @@ def hard_contour_E0(s: float, a: float, beta: float, tol: float = 1e-8) -> float
         )
 
     value = _settled_limit(evaluate, _CONTOUR_LEVELS, tol, "contour integral")
-    return math.exp(log_pref) * value
+    return _probability(math.exp(log_pref) * value, tol, "contour integral")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -250,26 +250,45 @@ def _vandermonde(y: tuple[float, ...], beta: float) -> float:
 
 
 def _settled_quadrature(
-    integrand: Callable[[tuple[float, ...]], float],
+    integrand: Callable[[np.ndarray], Sequence[float]],
     n: int,
     power: float,
+    beta: float,
     quad_tol: float,
 ) -> tuple[float, int, float]:
-    """``int_{[0,1]^n} prod_i (1 - y_i)**power integrand(y) dy``.
+    """``int_{[0,1]^n} prod_i (1 - y_i)**power prod_{i<j} |y_i - y_j|**beta
+    f(y) dy`` for an ``f`` symmetric in ``y``.
 
     A tensor Gauss–Jacobi rule raises its order through ``_QUAD_ORDERS``
     until two successive values agree to ``quad_tol``; if none do, the
-    last value is kept when its change is below ``sqrt(quad_tol)``.
-    Returns the value, the last order and the last relative change.
+    last value is kept when its change is below ``sqrt(quad_tol)``.  Each
+    level sums the rule folded onto its strictly increasing node tuples
+    with weight ``n!``: the whole tensor rule, since the integrand is
+    symmetric and, for ``beta > 0``, zero where two coordinates meet.
+    That is ``C(order, n)`` nodes instead of ``order**n``.  ``integrand``
+    takes a level's node tuples as the rows of an array, in increasing
+    order, and returns ``f`` at each.  Returns the value, the last order
+    and the last relative change.
     """
     previous = None
     rel_change = math.inf
+    fold = math.factorial(n)
     for order in _QUAD_ORDERS:
         nodes, weights = _jacobi_rule(order, power)
+        nodes, weights = nodes.tolist(), weights.tolist()
+        count = math.comb(order, n)
+        tuples = itertools.combinations(range(order), n)
+        point_weights = np.fromiter(
+            (fold * math.prod(weights[i] for i in index) for index in tuples), float, count
+        )
+        tuples = itertools.combinations(nodes, n)
+        vanders = np.fromiter((_vandermonde(y, beta) for y in tuples), float, count)
+        flat = itertools.chain.from_iterable(itertools.combinations(nodes, n))
+        points = np.fromiter(flat, float, n * count).reshape(count, n)
+        values = integrand(points)
         total = 0.0
-        for point in itertools.product(zip(nodes, weights), repeat=n):
-            y, w = zip(*point)
-            total += math.prod(w) * integrand(y)
+        for weight, vander, value in zip(point_weights.tolist(), vanders.tolist(), values):
+            total += weight * (vander * value)
         if previous is not None and total != 0.0:
             rel_change = abs(total - previous) / abs(total)
             if rel_change < quad_tol:
@@ -279,6 +298,15 @@ def _settled_quadrature(
         return previous, order, rel_change
     raise QuadratureError(
         f"integral not settled at order {order} (relative change {rel_change:.3e})"
+    )
+
+
+def _batch_args(fixed: float, m0: int, nodes: np.ndarray, mult: int) -> np.ndarray:
+    """Series arguments of a quadrature level, one row per node tuple:
+    ``fixed`` ``m0`` times, then each of the row's ``nodes`` ``mult``
+    times."""
+    return np.concatenate(
+        [np.full((len(nodes), m0), fixed), np.repeat(nodes, mult, axis=1)], axis=1
     )
 
 
@@ -342,19 +370,17 @@ def exact_En_hard_detailed(
     lower = a + 2.0 * n
     max_used, max_tail = 0, 0.0
 
-    def integrand(y: tuple[float, ...]) -> float:
+    def integrand(points: np.ndarray) -> list[float]:
         nonlocal max_used, max_tail
-        blocks = [(s / 4.0, m0)] + [(s * yj / 4.0, mb) for yj in y]
-        spec = HypergeomSpec(
-            upper=(), lower=(lower,), alpha=alpha, args=ArgBlocks(tuple(blocks))
-        )
-        series = pFq_alpha(spec, tol=tol, max_weight=max_weight)
-        max_used = max(max_used, series.max_weight_used)
-        max_tail = max(max_tail, series.tail_estimate)
-        return _vandermonde(y, beta) * series.value
+        args = _batch_args(s / 4.0, m0, s * points / 4.0, mb)
+        spec = HypergeomSpec(upper=(), lower=(lower,), alpha=alpha, args=args)
+        batch = pFq_alpha(spec, tol=tol, max_weight=max_weight)
+        max_used = max(max_used, batch.max_weight_used)
+        max_tail = max(max_tail, float(batch.results["tail_estimate"].max()))
+        return batch.results["value"].tolist()
 
     total, order, rel_change = _settled_quadrature(
-        integrand, n, beta * a / 2.0, _QUAD_TOL
+        integrand, n, beta * a / 2.0, beta, _QUAD_TOL
     )
     log_pref = (
         _log_A_quad(n, a, beta)
@@ -474,21 +500,20 @@ def exact_En_finiteN_detailed(
         return -math.inf, _diagnostics(0, 0.0, 0, 0.0)
     max_used, max_tail = 0, 0.0
 
-    def integrand(u: tuple[float, ...]) -> float:
+    def integrand(points: np.ndarray) -> list[float]:
         nonlocal max_used, max_tail
-        blocks = [(-s, m0)] + [(-s * uj, cond_mult) for uj in u]
+        args = _batch_args(-s, m0, -s * points, cond_mult)
         spec = HypergeomSpec(
-            upper=(-float(N),), lower=(a + 2.0 * n,), alpha=alpha,
-            args=ArgBlocks(tuple(blocks)),
+            upper=(-float(N),), lower=(a + 2.0 * n,), alpha=alpha, args=args
         )
-        series = pFq_alpha(spec, tol=tol, max_weight=max_weight)
-        max_used = max(max_used, series.max_weight_used)
-        max_tail = max(max_tail, series.tail_estimate)
-        expo = math.exp(beta * s * sum(u) / 2.0)
-        return _vandermonde(u, beta) * expo * series.value
+        batch = pFq_alpha(spec, tol=tol, max_weight=max_weight)
+        max_used = max(max_used, batch.max_weight_used)
+        max_tail = max(max_tail, float(batch.results["tail_estimate"].max()))
+        expo = (beta * s * points.sum(axis=1) / 2.0).tolist()
+        return [math.exp(x) * value for x, value in zip(expo, batch.results["value"].tolist())]
 
     total, order, rel_change = _settled_quadrature(
-        integrand, n, a * beta / 2.0, _QUAD_TOL
+        integrand, n, a * beta / 2.0, beta, _QUAD_TOL
     )
     # y = s u substitution: s^n from dy, (s (1 - u))^(a beta / 2) from the
     # shifted weight, s^beta per coordinate pair from the repulsion.

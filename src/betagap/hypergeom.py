@@ -15,9 +15,12 @@ when the argument has one distinct nonzero value, ``C_kappa(1, ..., 1)``)
 is built once per parameter set, ``alpha`` and number of variables, and
 cached a layer at a time, so every node of one quadrature and every
 ``s`` of a sweep share it (the Koev–Edelman economy).  Only the argument
-is applied per call: ``t**|kappa|`` for one distinct value ``t``, and
-otherwise one :class:`~betagap.jack.JackTable` per series, extended a
-weight layer at a time as the sum goes deeper.  The series calls neither
+is applied per series: ``t**|kappa|`` for one distinct value ``t``, and
+otherwise the series' node of a batched :class:`~betagap.jack.JackTable`,
+extended a weight layer at a time as the sum goes deeper.  A batch (the
+nodes of one quadrature level) sums its series together, one layer for
+all of them at a time, each with its own accumulators and stopping
+rule.  The series calls neither
 the one-partition forms of :mod:`betagap.partitions` nor the Schur and
 monomial evaluators; those remain as the public single-term API and the
 test oracles.
@@ -37,7 +40,7 @@ from .errors import (
     LowerParameterPoleError,
     NonConvergenceError,
 )
-from .jack import JackTable, _hook_log_sums, _subtract_hook_runs
+from .jack import JackTable, _hook_log_sums, _subtract_hook_runs, batch_nodes
 from .partitions import partitions_of_weight
 
 # bench/tracing.py replaces partitions_of_weight and these two names on
@@ -51,6 +54,7 @@ __all__ = [
     "ArgBlocks",
     "HypergeomSpec",
     "SeriesResult",
+    "SeriesBatch",
     "pFq_alpha",
     "F01_repeated",
     "confluence_check",
@@ -67,7 +71,7 @@ DEFAULT_MAX_WEIGHT = 200
 CONDITION_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ArgBlocks:
     """Series argument as value/multiplicity blocks.
 
@@ -107,23 +111,35 @@ class ArgBlocks:
         return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HypergeomSpec:
-    """Parameters and argument of one ``pFq`` evaluation."""
+    """Parameters and argument of one ``pFq`` evaluation, or of a batch.
+
+    ``args`` is one :class:`ArgBlocks`, or a batch: an array of argument
+    values with one row per series, stored read-only.  The series of a
+    batch share everything but their argument, and a row reads as
+    :meth:`ArgBlocks.from_values` of its values would.
+    """
 
     upper: tuple[float, ...]
     lower: tuple[float, ...]
     alpha: float
-    args: ArgBlocks
+    args: ArgBlocks | np.ndarray
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not isinstance(self.args, ArgBlocks):
+            points = np.array(self.args, dtype=float)
+            if points.ndim != 2 or not points.size:
+                raise ValueError(f"a batch needs rows of argument values, got shape {points.shape}")
+            points.flags.writeable = False
+            object.__setattr__(self, "args", points)
         object.__setattr__(self, "upper", tuple(float(a) for a in self.upper))
         object.__setattr__(self, "lower", tuple(float(b) for b in self.lower))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeriesResult:
     """Outcome of a truncated series evaluation.
 
@@ -143,6 +159,43 @@ class SeriesResult:
     term_count: int
 
 
+@dataclass(frozen=True)
+class SeriesBatch:
+    """Outcomes of the series of a batch, one record per argument row.
+
+    ``results`` is a read-only structured array whose fields are those of
+    :class:`SeriesResult`; indexing gives one member's
+    :class:`SeriesResult`.  ``term_count`` totals and ``max_weight_used``
+    bounds the members, so that a batch answers those two as one series
+    would.
+    """
+
+    results: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.results)
+
+    def __getitem__(self, row: int) -> SeriesResult:
+        return SeriesResult(*self.results[row].tolist())
+
+    @property
+    def term_count(self) -> int:
+        """Terms summed over every member."""
+        return int(self.results["term_count"].sum())
+
+    @property
+    def max_weight_used(self) -> int:
+        """The deepest weight any member summed."""
+        return int(self.results["max_weight_used"].max())
+
+
+#: The fields of :class:`SeriesResult`, as a record of :class:`SeriesBatch`.
+_OUTCOME = np.dtype([
+    ("value", float), ("log_value", float), ("sign", np.int8), ("max_weight_used", np.int64),
+    ("tail_estimate", float), ("terminated_exactly", bool), ("term_count", np.int64),
+])
+
+
 def _termination_cap(upper: tuple[float, ...]) -> int | None:
     """Largest first-row part before a nonpositive-integer upper
     parameter annihilates every term, or None when the series is
@@ -155,11 +208,10 @@ def _termination_cap(upper: tuple[float, ...]) -> int | None:
     return cap
 
 
-#: Most coefficient entries kept at once.  An entry holds 17 bytes per
-#: partition it has reached (a log, a row number and a sign flag), about a
-#: fifth of what ``partitions_of_weight`` already caches for the same
-#: layers: 4 MB for 3 variables to weight 200.  The 31 entries of the
-#: benchmark's ``E(0)`` series take 0.44 MB together, tables included.
+#: Most coefficient entries kept at once.  An entry holds 25 bytes per
+#: partition it has reached (a log, a row number, a sign flag and a sign
+#: factor), about a third of what ``partitions_of_weight`` already caches
+#: for the same layers: 6 MB for 3 variables to weight 200.
 MAX_COEFFICIENT_ENTRIES = 64
 
 
@@ -173,7 +225,8 @@ class _CoefficientLayer:
     whose upper Pochhammer symbols do not vanish (and, on the identity
     path, whose ``C_kappa`` does not), in the order of
     ``partitions_of_weight(k, parts)``, and ``log_coef`` and ``negative``
-    give each one's log-magnitude and sign.
+    give each one's log-magnitude and sign, ``signs`` the sign as a factor
+    of 1 or -1, and ``top`` the largest ``log_coef`` (``-inf`` if none).
     """
 
     nonempty: bool
@@ -181,6 +234,8 @@ class _CoefficientLayer:
     rows: np.ndarray
     log_coef: np.ndarray
     negative: np.ndarray
+    signs: np.ndarray
+    top: float
 
 
 def _pochhammer_tables(
@@ -304,8 +359,8 @@ class _Coefficients:
         if len(poles):
             b = next(b for b, zero in zip(self.lower, lower_zero) if zero[poles[0]])
             message = f"lower parameter {b} has a pole at partition {kappas[rows[poles[0]]]}"
-            no_terms = rows[:0], np.zeros(0), np.zeros(0, dtype=bool)
-            self.layers.append(_CoefficientLayer(True, message, *no_terms))
+            no_terms = rows[:0], np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0)
+            self.layers.append(_CoefficientLayer(True, message, *no_terms, -math.inf))
             return
         if self.identity is not None:
             if self.identity < self.parts:
@@ -314,10 +369,12 @@ class _Coefficients:
             _subtract_hook_runs(log_coef, self._lower_hooks, padded)
             rows_n = self._contents.shape[0]
             log_coef += self._contents[np.arange(rows_n), padded[:, :rows_n]].sum(axis=1)
-        arrays = rows[live], log_coef[live], negatives[live] % 2 == 1
+        negative = negatives[live] % 2 == 1
+        arrays = rows[live], log_coef[live], negative, np.where(negative, -1.0, 1.0)
         for array in arrays:  # shared by every caller of the cached entry
             array.flags.writeable = False
-        self.layers.append(_CoefficientLayer(len(rows) > 0, None, *arrays))
+        top = float(arrays[1].max()) if arrays[1].size else -math.inf
+        self.layers.append(_CoefficientLayer(len(rows) > 0, None, *arrays, top))
 
 
 @lru_cache(maxsize=MAX_COEFFICIENT_ENTRIES)
@@ -339,11 +396,239 @@ def _log_add(a: float, b: float) -> float:
     return a if b == -math.inf else a + math.log1p(math.exp(b - a))
 
 
+class _Running:
+    """The accumulators of one member's series while it runs."""
+
+    __slots__ = (
+        "log_pos", "log_neg", "log_abs_total", "float_sum", "float_comp",
+        "float_dead", "term_count", "small_layers", "last_layer", "weight_used",
+        "terminated_exactly",
+    )
+
+    def __init__(self) -> None:
+        self.log_pos = -math.inf
+        self.log_neg = -math.inf
+        self.log_abs_total = -math.inf
+        self.float_sum = 0.0
+        self.float_comp = 0.0
+        self.float_dead = False
+        self.term_count = 0
+        self.small_layers = 0
+        self.last_layer = -math.inf
+        self.weight_used = 0
+        self.terminated_exactly = False
+
+    def outcome(self) -> tuple:
+        """The member's :class:`SeriesResult` fields, in order; raises
+        ``CancellationError`` if the series is lost."""
+        log_s, sign_s = _signed_log_diff(self.log_pos, self.log_neg)
+        if self.log_neg > -math.inf:
+            # log_s == -inf means the positive and negative totals agree to
+            # the last bit — cancellation beyond float resolution, not a zero.
+            excess = math.inf if log_s == -math.inf else self.log_abs_total - log_s
+            if excess > math.log(CONDITION_LIMIT):
+                raise CancellationError(
+                    f"series lost to cancellation: summed magnitude exceeds "
+                    f"result by exp({excess:.1f})"
+                )
+        float_sum = self.float_sum
+        if not self.float_dead and abs(log_s) < 700.0 and math.isfinite(float_sum):
+            value = float_sum + self.float_comp
+        elif log_s == -math.inf:
+            value = 0.0
+        else:
+            value = sign_s * math.exp(log_s) if log_s < 709.0 else sign_s * math.inf
+        # relative: the last layer against the value, not its bare magnitude
+        if self.terminated_exactly:
+            tail = 0.0
+        else:
+            tail = math.exp(min(self.last_layer - log_s, 709.0))
+        return (
+            value, log_s, sign_s, self.weight_used, tail, self.terminated_exactly,
+            self.term_count,
+        )
+
+
+def _layer_terms(
+    layer: _CoefficientLayer,
+    k: int,
+    table: JackTable | None,
+    log_t: list[float],
+    t_negative: list[bool],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list[float], list[int] | None]:
+    """Layer ``k``'s terms, one row per running member.
+
+    Returns their log-magnitudes and sign flags, their sign factors (None
+    on the table path), each row's largest log-magnitude, and each row's
+    number of nonzero terms (None: all of them).  On the identity path a
+    member's terms are the coefficients plus ``k log|t|``, so the largest
+    is the coefficients' largest plus the same (addition is monotone); on
+    the table path they take the table's Jack values, and a vanishing
+    value leaves a term of log-magnitude ``-inf``.
+    """
+    if table is None:
+        if len(log_t) == 1:  # scalar arithmetic, as cheap as a lone series
+            shift = k * log_t[0]
+            log_mag = (layer.log_coef + shift)[None]
+            if t_negative[0] and k % 2:
+                return log_mag, ~layer.negative[None], -layer.signs[None], [layer.top + shift], None
+            return log_mag, layer.negative[None], layer.signs[None], [layer.top + shift], None
+        shift = k * np.array(log_t)
+        flip = np.array(t_negative) & bool(k % 2)
+        return (
+            layer.log_coef + shift[:, None],
+            layer.negative ^ flip[:, None],
+            layer.signs * np.where(flip, -1.0, 1.0)[:, None],
+            (layer.top + shift).tolist(),
+            None,
+        )
+    jack_values, jack_logs, jack_signs = table.layer(k)
+    rows = layer.rows
+    c_values = jack_values[:, rows]
+    negative = layer.negative ^ (c_values < 0.0) ^ (jack_signs < 0)[:, None]
+    counts = None
+    if c_values.all():
+        log_mag = layer.log_coef + np.log(np.abs(c_values)) + jack_logs[:, rows]
+    else:
+        with np.errstate(divide="ignore"):
+            log_mag = layer.log_coef + np.log(np.abs(c_values)) + jack_logs[:, rows]
+        counts = np.count_nonzero(c_values, axis=1).tolist()
+    tops = log_mag.max(axis=1).tolist() if rows.size else []
+    return log_mag, negative, None, tops, counts
+
+
+def _sum_layers(
+    coefficients: _Coefficients,
+    parts: int,
+    members: int,
+    table: JackTable | None,
+    log_t: list[float],
+    t_negative: list[bool],
+    tol: float,
+    max_weight: int,
+) -> list[tuple]:
+    """Sum the series of one group of ``members`` layer by layer, and
+    return each one's outcome (:meth:`_Running.outcome`).
+
+    The members share ``coefficients``; row ``i`` of ``table`` (table
+    path) or ``log_t[i]`` and ``t_negative[i]`` (identity path: ``log|t|``
+    and the sign of ``t``) is member ``i``'s argument.  Each layer's terms
+    are computed for every running member at once; each member keeps its
+    own accumulators and stopping rule and leaves the group when it stops.
+    """
+    cap = coefficients.cap
+    log_tol = math.log(tol)
+    running = [_Running() for _ in range(members)]
+    order = list(range(len(running)))  # member number of each running row
+    done: dict[int, tuple] = {}
+
+    k = 0
+    while running:
+        if cap is not None and k > cap * parts:
+            for state in running:
+                state.terminated_exactly = True
+            break
+        if k > max_weight:
+            last_layer = running[0].last_layer
+            raise NonConvergenceError(
+                f"series not converged by weight {max_weight} "
+                f"(last layer magnitude {math.exp(min(last_layer, 700.0)):.3e})"
+            )
+
+        layer = coefficients.layer(k)
+        if layer.pole is not None:
+            raise LowerParameterPoleError(layer.pole)
+        if not layer.nonempty:
+            for state in running:
+                state.terminated_exactly = k > 0
+            break
+        log_mag, negative, signs, tops, counts = _layer_terms(layer, k, table, log_t, t_negative)
+        size = log_mag.shape[1]
+        if size:
+            # log-sum-exp of each row, of its positive and of its negative
+            # terms, shifted by the row's largest term only outside +-600
+            shifts = [0.0 if -600.0 < top < 600.0 or top == -math.inf else top for top in tops]
+            if any(shifts):
+                weights = np.exp(log_mag - np.array(shifts)[:, None])
+            else:
+                weights = np.exp(log_mag)
+            width = len(running)
+            bins = negative if width == 1 else negative + 2 * np.arange(width)[:, None]
+            sums = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=2 * width)
+            sums = sums.tolist()
+            signed = None
+        stopped = []
+        for row, state in enumerate(running):
+            count = size if counts is None else counts[row]
+            layer_log = -math.inf
+            if count:
+                state.term_count += count
+                top, shift = tops[row], shifts[row]
+                pos, neg = sums[2 * row], sums[2 * row + 1]
+                layer_log = shift + math.log(pos + neg)
+                state.log_abs_total = _log_add(state.log_abs_total, layer_log)
+                if pos:
+                    state.log_pos = _log_add(state.log_pos, shift + math.log(pos))
+                if neg:
+                    state.log_neg = _log_add(state.log_neg, shift + math.log(neg))
+                if top >= 709.0:
+                    state.float_dead = True
+                if not state.float_dead:
+                    if shift:
+                        terms = np.exp(log_mag[row])
+                        terms = np.where(negative[row], -terms, terms).tolist()
+                    else:
+                        if signed is None:
+                            if signs is None:
+                                signed = np.where(negative, -weights, weights).tolist()
+                            else:
+                                signed = (weights * signs).tolist()
+                        terms = signed[row]
+                    try:
+                        term = math.fsum(terms)
+                    except OverflowError:
+                        state.float_dead = True
+                    else:
+                        total = state.float_sum
+                        fresh = total + term
+                        if abs(total) >= abs(term):
+                            state.float_comp += (total - fresh) + term
+                        else:
+                            state.float_comp += (term - fresh) + total
+                        state.float_sum = fresh
+
+            state.weight_used = k
+            state.last_layer = layer_log
+            log_s, _ = _signed_log_diff(state.log_pos, state.log_neg)
+            if k > 0 and log_s > -math.inf and layer_log < log_tol + log_s:
+                state.small_layers += 1
+                if state.small_layers >= 3:
+                    stopped.append(row)
+            else:
+                state.small_layers = 0
+        if stopped:
+            for row in stopped:
+                done[order[row]] = running[row].outcome()
+            keep = sorted(set(range(len(running))) - set(stopped))
+            running = [running[row] for row in keep]
+            order = [order[row] for row in keep]
+            if table is None:
+                log_t = [log_t[row] for row in keep]
+                t_negative = [t_negative[row] for row in keep]
+            elif running:
+                table.keep(np.array(keep))
+        k += 1
+
+    for row, state in zip(order, running):
+        done[row] = state.outcome()
+    return [done[row] for row in range(len(done))]
+
+
 def pFq_alpha(
     spec: HypergeomSpec,
     tol: float = 1e-12,
     max_weight: int | None = None,
-) -> SeriesResult:
+) -> SeriesResult | SeriesBatch:
     """Sum a Jack-argument hypergeometric series by weight layers.
 
     Terms are grouped by partition weight.  The sum stops when three
@@ -356,10 +641,19 @@ def pFq_alpha(
     argument value ``t``) or the layer of a :class:`JackTable`, then one
     log-sum-exp per accumulator and a correctly rounded float sum.
 
+    A batch (``spec.args`` an array, one argument per row) sums every
+    member's series as it would alone, with the same stopping rule,
+    checks and diagnostics, but computes each layer for all of them at
+    once: the members with more than one distinct nonzero value share
+    batched Jack tables of at most :func:`~betagap.jack.batch_nodes`
+    arguments each, and the others share arrays by their number of
+    nonzero values.
+
     Parameters
     ----------
     spec : HypergeomSpec
-        Parameters, deformation ``alpha``, and argument blocks.
+        Parameters, deformation ``alpha``, and argument blocks (or a
+        batch of arguments).
     tol : float
         Relative layer tolerance for the stopping rule.
     max_weight : int, optional
@@ -367,7 +661,8 @@ def pFq_alpha(
 
     Returns
     -------
-    SeriesResult
+    SeriesResult or SeriesBatch
+        A :class:`SeriesBatch`, in argument order, for a batch.
 
     Raises
     ------
@@ -377,140 +672,70 @@ def pFq_alpha(
         If sign-mixing terms exceed ``CONDITION_LIMIT`` times the result.
     NonConvergenceError
         If the stopping rule is not met by ``max_weight``.
+
+    In a batch, the first member to fail raises its error.
     """
     if max_weight is None:
         max_weight = DEFAULT_MAX_WEIGHT
-    m = spec.args.num_variables
-    nonzero = [(value, mult) for value, mult in spec.args.blocks if value != 0.0]
-    if len(nonzero) > 1:
-        table = JackTable(spec.args.expanded(), spec.alpha)
-        identity = None
-    else:
-        table = None
-        identity = sum(mult for _, mult in nonzero)
-        log_t = math.log(abs(nonzero[0][0])) if nonzero else 0.0
-        t_negative = bool(nonzero) and nonzero[0][0] < 0.0
-    coefficients = _coefficients(spec.upper, spec.lower, spec.alpha, m, identity)
-    cap = coefficients.cap
-
-    log_pos = -math.inf
-    log_neg = -math.inf
-    log_abs_total = -math.inf
-    float_sum = 0.0
-    float_comp = 0.0
-    float_dead = False
-    term_count = 0
-    small_layers = 0
-    last_layer = -math.inf
-    terminated_exactly = False
-    weight_used = 0
-
-    k = 0
-    while True:
-        if cap is not None and k > cap * m:
-            terminated_exactly = True
-            break
-        if k > max_weight:
-            raise NonConvergenceError(
-                f"series not converged by weight {max_weight} "
-                f"(last layer magnitude {math.exp(min(last_layer, 700.0)):.3e})"
-            )
-
-        layer = coefficients.layer(k)
-        if layer.pole is not None:
-            raise LowerParameterPoleError(layer.pole)
-        if not layer.nonempty:
-            terminated_exactly = k > 0
-            break
-        log_mag, negative = layer.log_coef, layer.negative
-        if table is None:
-            if k:
-                log_mag = log_mag + k * log_t
-                if t_negative and k % 2:
-                    negative = ~negative
+    if isinstance(spec.args, ArgBlocks):
+        points = None
+        m = spec.args.num_variables
+        nonzero = [(value, mult) for value, mult in spec.args.blocks if value != 0.0]
+        if len(nonzero) > 1:
+            groups = [(None, [0], [], [])]
         else:
-            jack_values, jack_logs, jack_sign = table.layer(k)
-            rows = layer.rows
-            c_values = jack_values[rows]
-            if not c_values.all():
-                live = c_values != 0.0
-                rows, c_values = rows[live], c_values[live]
-                log_mag, negative = log_mag[live], negative[live]
-            log_mag = log_mag + np.log(np.abs(c_values)) + jack_logs[rows]
-            negative = negative ^ ((c_values < 0.0) if jack_sign > 0 else (c_values > 0.0))
-
-        layer_log = -math.inf
-        if log_mag.size:
-            term_count += log_mag.size
-            # log-sum-exp of the layer, of its positive and of its negative
-            # terms, shifted by the largest term only outside +-600
-            top = float(log_mag.max())
-            shift = 0.0 if -600.0 < top < 600.0 else top
-            weights = np.exp(log_mag - shift) if shift else np.exp(log_mag)
-            pos, neg = np.bincount(negative, weights=weights, minlength=2).tolist()
-            layer_log = shift + math.log(pos + neg)
-            log_abs_total = _log_add(log_abs_total, layer_log)
-            if pos:
-                log_pos = _log_add(log_pos, shift + math.log(pos))
-            if neg:
-                log_neg = _log_add(log_neg, shift + math.log(neg))
-            if top >= 709.0:
-                float_dead = True
-            if not float_dead:
-                terms = np.exp(log_mag) if shift else weights
-                try:
-                    term = math.fsum(np.where(negative, -terms, terms).tolist())
-                except OverflowError:
-                    float_dead = True
-                else:
-                    fresh = float_sum + term
-                    if abs(float_sum) >= abs(term):
-                        float_comp += (float_sum - fresh) + term
-                    else:
-                        float_comp += (term - fresh) + float_sum
-                    float_sum = fresh
-
-        weight_used = k
-        last_layer = layer_log
-        log_s, _ = _signed_log_diff(log_pos, log_neg)
-        if k > 0 and log_s > -math.inf and layer_log < math.log(tol) + log_s:
-            small_layers += 1
-            if small_layers >= 3:
-                break
-        else:
-            small_layers = 0
-        k += 1
-
-    log_s, sign_s = _signed_log_diff(log_pos, log_neg)
-
-    if log_neg > -math.inf:
-        # log_s == -inf means the positive and negative totals agree to the
-        # last bit — cancellation beyond float resolution, not a true zero.
-        excess = math.inf if log_s == -math.inf else log_abs_total - log_s
-        if excess > math.log(CONDITION_LIMIT):
-            raise CancellationError(
-                f"series lost to cancellation: summed magnitude exceeds "
-                f"result by exp({excess:.1f})"
-            )
-
-    if not float_dead and abs(log_s) < 700.0 and math.isfinite(float_sum):
-        value = float_sum + float_comp
-    elif log_s == -math.inf:
-        value = 0.0
+            t = nonzero[0][0] if nonzero else 1.0
+            identity = sum(mult for _, mult in nonzero)
+            groups = [(identity, [0], [math.log(abs(t))], [t < 0.0])]
     else:
-        value = sign_s * math.exp(log_s) if log_s < 709.0 else sign_s * math.inf
+        points = spec.args
+        m = points.shape[1]
+        groups = _batch_groups(points)
 
-    # relative: the last layer against the value, not its bare magnitude
-    tail = 0.0 if terminated_exactly else math.exp(min(last_layer - log_s, 709.0))
-    return SeriesResult(
-        value=value,
-        log_value=log_s,
-        sign=sign_s,
-        max_weight_used=weight_used,
-        tail_estimate=tail,
-        terminated_exactly=terminated_exactly,
-        term_count=term_count,
-    )
+    outcomes = np.zeros(1 if points is None else len(points), dtype=_OUTCOME)
+    for identity, numbers, log_t, t_negative in groups:
+        coefficients = _coefficients(spec.upper, spec.lower, spec.alpha, m, identity)
+        depth = None  # deepest weight a chunk of this call has reached
+        while len(numbers):
+            if identity is None:
+                size = batch_nodes(spec.alpha, m, depth)
+                chunk, numbers = numbers[:size], numbers[size:]
+                values = [spec.args.expanded()] if points is None else points[chunk]
+                table = JackTable(values, spec.alpha)
+            else:
+                chunk, numbers, table = numbers, [], None
+            sums = _sum_layers(
+                coefficients, m, len(chunk), table, log_t, t_negative, tol, max_weight
+            )
+            if points is None:
+                return SeriesResult(*sums[0])
+            outcomes[chunk] = sums
+            depth = max(depth or 0, int(outcomes["max_weight_used"][chunk].max()))
+    outcomes.flags.writeable = False
+    return SeriesBatch(outcomes)
+
+
+def _batch_groups(points: np.ndarray) -> list[tuple]:
+    """The rows of a batch by path: ``(identity, rows, log_t, t_negative)``.
+
+    ``identity`` is None for the rows with more than one distinct nonzero
+    value (the table path); the other rows are grouped by their number of
+    nonzero values, each with ``log|t|`` and the sign of its value ``t``.
+    """
+    nonzero = points != 0.0
+    counts = nonzero.sum(axis=1)
+    first = points[np.arange(len(points)), nonzero.argmax(axis=1)]
+    mixed = (nonzero & (points != first[:, None])).any(axis=1)
+    groups: list[tuple] = []
+    if mixed.any():
+        groups.append((None, np.flatnonzero(mixed), [], []))
+    for identity in sorted(set(counts[~mixed].tolist())):
+        rows = np.flatnonzero(~mixed & (counts == identity))
+        ts = first[rows].tolist() if identity else [1.0] * len(rows)
+        groups.append(
+            (identity, rows, [math.log(abs(t)) for t in ts], [t < 0.0 for t in ts])
+        )
+    return groups
 
 
 def _signed_log_diff(log_pos: float, log_neg: float) -> tuple[float, int]:

@@ -44,6 +44,9 @@ assert seen["cli.run"] == 6, seen["cli.run"]
 assert seen["contour.eval"] == 3, seen["contour.eval"]
 assert tracer.counts["mc.samples"] == 5000, tracer.counts["mc.samples"]
 assert tracer.counts["gap.quad_order"] > 0
+# the batched quadrature still reaches the series through gap.pFq_alpha
+assert tracer.counts["gap.quad_nodes"] > 0
+assert tracer.counts["hypergeom.terms"] > 0
 """
 
 

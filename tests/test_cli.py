@@ -479,6 +479,15 @@ def test_resource_limit_exits_3(capsys: pytest.CaptureFixture[str]) -> None:
     assert record["error"]["type"] == "ResourceLimitError"
 
 
+def test_contour_above_one_exits_3(capsys: pytest.CaptureFixture[str]) -> None:
+    # The contour value at beta = 3, a = 4/3 is 1.00336: no probability.
+    code, out = run_cli(
+        capsys, "contour", "--beta", "3", "--a", "1.3333333333333333", "--s", "1"
+    )
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "QuadratureError"
+
+
 def test_nonconvergence_exits_3(capsys: pytest.CaptureFixture[str]) -> None:
     code, out = run_cli(
         capsys, "exact", "--beta", "2", "--a", "1", "--s", "4",

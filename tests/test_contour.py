@@ -12,6 +12,7 @@ from betagap.contour import hard_contour_E0, torus_E0_finiteN, torus_E0_hard
 from betagap.errors import (
     NonConvergenceError,
     ParameterQuantizationError,
+    QuadratureError,
     ResourceLimitError,
 )
 from betagap.gap import exact_E0_finiteN, exact_E0_hard
@@ -147,3 +148,27 @@ def test_torus_hard_requires_integer_inverse_beta() -> None:
 def test_no_doubling_budget_raises() -> None:
     with pytest.raises(NonConvergenceError):
         hard_contour_E0(2.0, 2.0 / 3.0, 3.0, tol=1e-16)
+
+
+def test_value_above_one_raises() -> None:
+    # At beta = 3, a = 4/3 the contour settles on 1.00336, which is no
+    # probability: the route raises instead of returning it.
+    with pytest.raises(QuadratureError, match="outside"):
+        hard_contour_E0(1.0, 4.0 / 3.0, 3.0)
+
+
+def test_probability_bounds(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Every circle route passes its value through the same [0, 1 + tol]
+    # check: a negative integral (the prefactors are positive) raises.
+    monkeypatch.setattr(contour, "_settled_limit", lambda *args: -1e-3)
+    for route in (
+        lambda: torus_E0_finiteN(0.5, 1.0, 2.0, 4),
+        lambda: torus_E0_hard(1.0, 1.0, 2.0),
+        lambda: hard_contour_E0(1.0, 1.0, 2.0),
+    ):
+        with pytest.raises(QuadratureError, match="outside"):
+            route()
+    assert contour._probability(1.0 + 1e-9, 1e-8, "route") == 1.0 + 1e-9
+    assert contour._probability(0.0, 1e-8, "route") == 0.0
+    with pytest.raises(QuadratureError):
+        contour._probability(1.0 + 2e-8, 1e-8, "route")

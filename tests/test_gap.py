@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import mpmath as mp
@@ -16,6 +17,7 @@ from betagap.errors import ParameterQuantizationError, QuadratureError
 from betagap.gap import (
     _QUAD_ORDERS,
     LinearStatistic,
+    _jacobi_rule,
     _settled_quadrature,
     _vandermonde,
     asymptotic_E0,
@@ -139,6 +141,18 @@ def test_published_variant_bookkeeping_disagrees() -> None:
         exact_En_finiteN(0.8, 0.5, 2.0, 1, 1, variant="printed")
 
 
+@pytest.mark.parametrize("a", [1.0, 2.0, 3.0])
+def test_beta4_beta1_interlacing_identity(a: float) -> None:
+    # E_4(0; (0, s/4); a) = E_1(0; (0, s); a') + E_1(1; (0, s); a') with
+    # a' = 2a - 2: an exact identity, so the batched beta = 1 quadrature on
+    # the right meets the beta = 4 series on the left to rounding.
+    a_prime = 2.0 * a - 2.0
+    for s in (0.5, 2.0, 8.0, 30.0, 100.0):
+        left = exact_E0_hard(s / 4.0, a, 4.0)
+        right = exact_E0_hard(s, a_prime, 1.0) + exact_En_hard(s, a_prime, 1.0, 1)
+        assert abs(left - right) <= 1e-13 * left, (s, left, right)
+
+
 def test_hard_excess_frozen_values() -> None:
     # Both values cross-validated against tridiagonal Monte Carlo.
     np.testing.assert_allclose(
@@ -247,17 +261,44 @@ def test_finite_excess_zero_delegates_to_gap() -> None:
 
 
 def test_settled_quadrature_escalates_then_raises() -> None:
-    # int_0^1 int_0^1 (1 - x)(1 - y)(x + y) dx dy = 1/6; the rule is exact
-    # for polynomials, so the second order already agrees with the first.
+    # int_0^1 int_0^1 (1 - x)(1 - y)(x - y)**2 (x + y) dx dy = 1/45; the rule
+    # is exact for polynomials, so the second order already agrees with the
+    # first.
     total, order, rel_change = _settled_quadrature(
-        lambda y: y[0] + y[1], 2, 1.0, 1e-12
+        lambda points: points.sum(axis=1), 2, 1.0, 2.0, 1e-12
     )
-    assert math.isclose(total, 1.0 / 6.0, rel_tol=1e-14)
+    assert math.isclose(total, 1.0 / 45.0, rel_tol=1e-14)
     assert order == _QUAD_ORDERS[1] and rel_change < 1e-12
     assert _vandermonde((0.5, 0.25, 1.0), 2.0) == 0.0625 * 0.25 * 0.5625
     # A kink inside (0, 1) keeps changing in the fifth digits at every order.
     with pytest.raises(QuadratureError, match="not settled at order 60"):
-        _settled_quadrature(lambda y: abs(y[0] - 1.0 / 3.0) ** 0.5, 1, 0.0, 1e-12)
+        _settled_quadrature(
+            lambda points: np.abs(points[:, 0] - 1.0 / 3.0) ** 0.5, 1, 0.0, 2.0, 1e-12
+        )
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_folded_rule_is_the_tensor_rule(n: int) -> None:
+    # The Vandermonde factor vanishes on the diagonal, so for a symmetric
+    # integrand n! times the strictly increasing tuples is the whole tensor
+    # rule, summed here exactly over all order**n tuples.
+    seen = []
+
+    def integrand(points: np.ndarray) -> np.ndarray:
+        seen.append(points)
+        return np.exp(points.sum(axis=1) / 2.0)
+
+    total, order, _ = _settled_quadrature(integrand, n, 1.0, 2.0, 1e-12)
+    assert len(seen[-1]) == math.comb(order, n)
+    assert (np.diff(seen[-1], axis=1) > 0.0).all()
+    nodes, weights = _jacobi_rule(order, 1.0)
+    tensor = math.fsum(
+        math.prod(w for _, w in point)
+        * _vandermonde(tuple(y for y, _ in point), 2.0)
+        * math.exp(sum(y for y, _ in point) / 2.0)
+        for point in itertools.product(zip(nodes.tolist(), weights.tolist()), repeat=n)
+    )
+    assert abs(total - tensor) <= 1e-15 * tensor
 
 
 # ------------------------------------------------------------ asymptotic forms

@@ -382,14 +382,15 @@ def _reference_series(spec: HypergeomSpec, tol: float = 1e-12) -> tuple:
     xs = spec.args.expanded()
     cap = hypergeom._termination_cap(spec.upper)
     distinct = {value for value, _ in spec.args.blocks if value != 0.0}
-    table = jack.JackTable(xs, spec.alpha) if len(distinct) > 1 else None
+    table = jack.JackTable([xs], spec.alpha) if len(distinct) > 1 else None
     log_pos = log_neg = -math.inf
     float_sum = float_comp = 0.0
     terms = small_layers = k = weight = 0
     while cap is None or k <= cap * m:
         layer_log = -math.inf
         if table is not None:
-            values, log_factors, table_sign = table.layer(k)
+            values, log_factors, signs = table.layer(k)
+            values, log_factors, table_sign = values[0], log_factors[0], signs[0]
         kappas = partitions_of_weight(k, m)
         if k > 0 and not any(cap is None or kappa[0] <= cap for kappa in kappas):
             break
@@ -522,3 +523,55 @@ def test_shared_coefficients_under_threads() -> None:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(result == want for result in results)
+
+
+# --- a batch of arguments against its members, one series each ---
+
+
+def _level_rows(s: float, diagonal: bool) -> np.ndarray:
+    """The n = 2, a = 0, beta = 2 quadrature arguments ``y1, y1, y2, y2``
+    at the order-8 Gauss-Jacobi nodes, scaled by ``s``; with ``diagonal``
+    the pairs ``y1 == y2`` too, whose one distinct value takes the
+    identity path."""
+    from betagap.gap import _jacobi_rule
+
+    nodes, _ = _jacobi_rule(8, 0.0)
+    pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + (0 if diagonal else 1) :]]
+    return np.array([(s * u, s * u, s * v, s * v) for u, v in pairs])
+
+
+@pytest.mark.parametrize("budget", [jack.MAX_BATCH_ELEMENTS, 1])
+@pytest.mark.parametrize("diagonal", [False, True])
+@pytest.mark.parametrize(
+    "upper, lower, s",
+    [((), (4.0,), 1.0), ((), (4.0,), 2.5), ((-4.0,), (4.0,), -0.5)],
+    ids=["hard-edge", "hard-edge-deep", "finite-N"],
+)
+def test_batch_matches_members(
+    monkeypatch: pytest.MonkeyPatch, budget, diagonal, upper, lower, s
+) -> None:
+    # Every member of a batch, table path or identity path, in one chunk or
+    # one node per chunk, is the series it would be alone, to the bit.
+    monkeypatch.setattr(jack, "MAX_BATCH_ELEMENTS", budget)
+    rows = _level_rows(s, diagonal)
+    batch = pFq_alpha(HypergeomSpec(upper, lower, 1.0, rows))
+    assert len(batch) == len(rows)
+    singles = [
+        pFq_alpha(HypergeomSpec(upper, lower, 1.0, ArgBlocks.from_values(row))) for row in rows
+    ]
+    for number, single in enumerate(singles):
+        assert batch[number] == single
+    assert batch.term_count == sum(single.term_count for single in singles)
+    assert batch.max_weight_used == max(single.max_weight_used for single in singles)
+
+
+def test_batch_raises_its_failing_members_error() -> None:
+    rows = np.array([(0.1, 0.1, 0.05, 0.05), (40.0, 40.0, 30.0, 30.0), (0.2, 0.2, 0.2, 0.2)])
+    with pytest.raises(NonConvergenceError):
+        pFq_alpha(HypergeomSpec((), (4.0,), 1.0, rows), max_weight=12)
+    with pytest.raises(NonConvergenceError):
+        pFq_alpha(HypergeomSpec((), (4.0,), 1.0, ArgBlocks.from_values(rows[1])), max_weight=12)
+    for row in rows[[0, 2]]:
+        pFq_alpha(HypergeomSpec((), (4.0,), 1.0, ArgBlocks.from_values(row)), max_weight=12)
+    with pytest.raises(ValueError, match="rows of argument values"):
+        HypergeomSpec((), (4.0,), 1.0, np.zeros(3))

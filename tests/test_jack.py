@@ -153,6 +153,12 @@ def test_expansion_weight_ceiling() -> None:
         jack_in_monomial_basis((201,), 1.0)
 
 
+def _node_layer(table: JackTable, k: int, node: int = 0) -> tuple[np.ndarray, np.ndarray, int]:
+    """One node's layer ``k``: values, log factors and sign."""
+    values, log_factors, signs = table.layer(k)
+    return values[node], log_factors[node], int(signs[node])
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
 @pytest.mark.parametrize(
     "x",
@@ -168,9 +174,9 @@ def test_expansion_weight_ceiling() -> None:
 )
 def test_table_matches_oracle(x: tuple[float, ...], alpha: float) -> None:
     # Schur bialternant at alpha = 1, monomial expansion otherwise.
-    table = JackTable(x, alpha)
+    table = JackTable([x], alpha)
     for k in range(13):
-        values, log_factors, sign = table.layer(k)
+        values, log_factors, sign = _node_layer(table, k)
         kappas = partitions_of_weight(k, len(x))
         assert len(values) == len(kappas)
         for kappa, value, log_factor in zip(kappas, values, log_factors):
@@ -183,9 +189,9 @@ def test_table_matches_oracle(x: tuple[float, ...], alpha: float) -> None:
 def test_table_with_zero_variable() -> None:
     # A zero argument is a variable of the table whose every strip vanishes.
     x = (0.8, 0.0, 0.3)
-    table = JackTable(x, 1.5)
+    table = JackTable([x], 1.5)
     for k in range(7):
-        values, log_factors, sign = table.layer(k)
+        values, log_factors, sign = _node_layer(table, k)
         for kappa, value, log_factor in zip(partitions_of_weight(k, 3), values, log_factors):
             if len(kappa) == 3:
                 assert value == 0.0
@@ -198,14 +204,14 @@ def test_table_with_zero_variable() -> None:
 
 def test_strip_budget_raises(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setattr(jack, "MAX_STRIP_PAIRS", 500)
-    table = JackTable((1.0, 0.5, 0.25), 0.8125)
+    table = JackTable([(1.0, 0.5, 0.25)], 0.8125)
     with pytest.raises(ResourceLimitError):
         table.layer(40)
     jack._strip_table.cache_clear()
 
 
-def _layer_lists(table: JackTable, k: int) -> tuple[list, list, int]:
-    values, log_factors, sign = table.layer(k)
+def _layer_lists(table: JackTable, k: int, node: int = 0) -> tuple[list, list, int]:
+    values, log_factors, sign = _node_layer(table, k, node)
     return values.tolist(), log_factors.tolist(), sign
 
 
@@ -214,12 +220,12 @@ def test_shared_strip_table_under_threads() -> None:
     x = (1.0, 0.55, 0.55, 0.2)
     alpha = 1.375
     jack._strip_table.cache_clear()
-    want = [_layer_lists(JackTable(x, alpha), k) for k in range(19)]
+    want = [_layer_lists(JackTable([x], alpha), k) for k in range(19)]
     jack._strip_table.cache_clear()
     results: list = [None] * 8
 
     def work(slot: int) -> None:
-        table = JackTable(x, alpha)
+        table = JackTable([x], alpha)
         results[slot] = [_layer_lists(table, k) for k in range(19)]
 
     interval = sys.getswitchinterval()
@@ -234,3 +240,22 @@ def test_shared_strip_table_under_threads() -> None:
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert all(result == want for result in results)
+
+
+def test_batched_table_matches_single_tables() -> None:
+    # Every node of a batch reads the same bits as its own table, whatever
+    # its neighbours, and keeps them after the batch drops other nodes.
+    points = [
+        (1.0, 0.7, 0.7, 0.2), (0.3, 0.3, 0.9, 0.9), (-1.0, -0.6, -0.6, -0.3),
+        (0.8, 0.0, 0.3, 0.3), (-0.5, 0.4, 0.4, 0.1),
+    ]
+    alpha = 1.25
+    want = [[_layer_lists(JackTable([x], alpha), k) for k in range(15)] for x in points]
+    table = JackTable(points, alpha)
+    for k in range(8):
+        for node in range(len(points)):
+            assert _layer_lists(table, k, node) == want[node][k]
+    table.keep(np.array([4, 1, 2]))
+    for k in range(15):
+        for node, point in enumerate((4, 1, 2)):
+            assert _layer_lists(table, k, node) == want[point][k]
