@@ -232,7 +232,8 @@ def _identity_suite() -> list[tuple[str, float, float]]:
     its product-function rewrite, the two gamma-product identities used
     to continue the asymptotic constants, the equality of the two
     constant constructions, the duality of asymptotic forms and
-    constants, and series-vs-quadrature route equivalence.
+    constants, series-vs-quadrature route equivalence, and the exact
+    beta = 4 / beta = 1 identity between series and ``n = 1`` quadrature.
     """
     from scipy.special import gammaln
 
@@ -319,6 +320,15 @@ def _identity_suite() -> list[tuple[str, float, float]]:
     contour = hard_contour_E0(2.0, 2.0 / 3.0, 3.0)
     series = exact_E0_hard(2.0, 2.0 / 3.0, 3.0)
     rows.append(("route-series-contour", abs(contour / series - 1.0), 1e-6))
+
+    # E_4(0; (0, s/4); a) = E_1(0; (0, s); a') + E_1(1; (0, s); a'), a' = 2a - 2
+    resid = 0.0
+    for av in (1.0, 2.0, 3.0):
+        a_prime = 2.0 * av - 2.0
+        log_excess, _ = exact_En_hard_detailed(8.0, a_prime, 1.0, 1)
+        interlaced = exact_E0_hard(8.0, a_prime, 1.0) + math.exp(log_excess)
+        resid = max(resid, abs(interlaced / exact_E0_hard(2.0, av, 4.0) - 1.0))
+    rows.append(("beta4-beta1-identity", resid, 1e-13))
     return rows
 
 

@@ -161,9 +161,10 @@ def torus_E0_finiteN(
     s : float
         Gap endpoint (unscaled eigenvalue axis); finite and nonnegative.
     a, beta : float
-        Ensemble parameters with ``beta * a / 2`` in ``{0, 1, 2}``.
+        Ensemble parameters: ``beta`` finite and positive, ``beta * a / 2``
+        in ``{0, 1, 2}``.
     N : int
-        Ensemble size.
+        Ensemble size; a positive integer.
     tol : float
         Relative tolerance of the resolution doubling; finite and positive.
 
@@ -177,12 +178,13 @@ def torus_E0_finiteN(
     QuadratureError
         If the value lies outside ``[0, 1 + tol]``.
     """
+    require_finite("beta", beta, positive=True)
     m = _dimension(a, beta)
     require_finite("s", s)
-    if m == 0:
-        return math.exp(-beta * N * s / 2.0)
-    if N < 1:
+    if not (N >= 1 and float(N).is_integer()):
         raise ValueError(f"N must be a positive integer, got {N}")
+    if m == 0:
+        return _probability(math.exp(-beta * N * s / 2.0), tol, "torus finite-size integral")
 
     cos_power = N - 1.0 + 2.0 / beta
     log_morris = log_morris_value(m, 2.0 / beta - 1.0, float(N), 2.0 / beta)
@@ -236,10 +238,11 @@ def torus_E0_hard(
     QuadratureError
         If the value lies outside ``[0, 1 + tol]``.
     """
+    require_finite("beta", beta, positive=True)
     m = _dimension(a, beta)
     require_finite("s", s, positive=True)
     if m == 0:
-        return math.exp(-beta * s / 8.0)
+        return _probability(math.exp(-beta * s / 8.0), tol, "circle integral")
     q = float(quantized("2/beta", 2.0 / beta) - 1)
 
     root_s = math.sqrt(s)
@@ -370,10 +373,11 @@ def hard_contour_E0(s: float, a: float, beta: float, tol: float = 1e-8) -> float
     QuadratureError
         If the value lies outside ``[0, 1 + tol]``.
     """
+    require_finite("beta", beta, positive=True)
     m = _dimension(a, beta)
     require_finite("s", s, positive=True)
     if m == 0:
-        return math.exp(-beta * s / 8.0)
+        return _probability(math.exp(-beta * s / 8.0), tol, "contour integral")
     q = 2.0 / beta - 1.0
     log_pref = (
         log_b_const(a, beta) - beta * s / 8.0 + q * m / 2.0 * math.log(4.0 / s)

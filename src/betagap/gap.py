@@ -118,6 +118,7 @@ def exact_E0_hard_detailed(
     parameter ``a`` hypergeometric series with ``beta a / 2`` repeated
     arguments ``s / 4`` at deformation ``beta / 2``.
     """
+    require_finite("beta", beta, positive=True)
     require_finite("s", s)
     m = quantized("beta*a/2", beta * a / 2.0)
     spec = HypergeomSpec(
@@ -175,6 +176,7 @@ def exact_E0_finiteN_detailed(
     repeated arguments ``-s``.  ``N = 0`` is the empty ensemble, whose
     gap probability is 1.
     """
+    require_finite("beta", beta, positive=True)
     require_finite("s", s)
     N = _ensemble_size(N)
     m = quantized("beta*a/2", beta * a / 2.0)
@@ -376,8 +378,8 @@ def exact_En_hard_detailed(
         spec = HypergeomSpec(upper=(), lower=(lower,), alpha=alpha, args=args)
         batch = pFq_alpha(spec, tol=tol, max_weight=max_weight)
         max_used = max(max_used, batch.max_weight_used)
-        max_tail = max(max_tail, float(batch.results["tail_estimate"].max()))
-        return batch.results["value"].tolist()
+        max_tail = max(max_tail, *(result.tail_estimate for result in batch))
+        return [result.value for result in batch]
 
     total, order, rel_change = _settled_quadrature(
         integrand, n, beta * a / 2.0, beta, _QUAD_TOL
@@ -508,9 +510,9 @@ def exact_En_finiteN_detailed(
         )
         batch = pFq_alpha(spec, tol=tol, max_weight=max_weight)
         max_used = max(max_used, batch.max_weight_used)
-        max_tail = max(max_tail, float(batch.results["tail_estimate"].max()))
+        max_tail = max(max_tail, *(result.tail_estimate for result in batch))
         expo = (beta * s * points.sum(axis=1) / 2.0).tolist()
-        return [math.exp(x) * value for x, value in zip(expo, batch.results["value"].tolist())]
+        return [math.exp(x) * result.value for x, result in zip(expo, batch)]
 
     total, order, rel_change = _settled_quadrature(
         integrand, n, a * beta / 2.0, beta, _QUAD_TOL
@@ -776,6 +778,7 @@ def log_large_deviation_E0(N: int, s_tilde: float, a: float, beta: float) -> flo
     if N < 1:
         raise ValueError(f"N must be at least 1, got {N}")
     require_finite("s_tilde", s_tilde, positive=True)
+    require_finite("beta", beta, positive=True)
     root = math.sqrt(s_tilde * (s_tilde + 1.0))
     plus = math.sqrt(s_tilde + 1.0) + math.sqrt(s_tilde)
     return (

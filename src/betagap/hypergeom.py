@@ -20,10 +20,10 @@ otherwise the series' node of a batched :class:`~betagap.jack.JackTable`,
 extended a weight layer at a time as the sum goes deeper.  A batch (the
 nodes of one quadrature level) sums its series together, one layer for
 all of them at a time, each with its own accumulators and stopping
-rule.  The series calls neither
-the one-partition forms of :mod:`betagap.partitions` nor the Schur and
-monomial evaluators; those remain as the public single-term API and the
-test oracles.
+rule; a single series is a batch of one row, on the same path.  The
+series calls neither the one-partition forms of
+:mod:`betagap.partitions` nor the Schur and monomial evaluators; those
+remain as the public single-term API and the test oracles.
 """
 
 from __future__ import annotations
@@ -117,8 +117,9 @@ class HypergeomSpec:
 
     ``args`` is one :class:`ArgBlocks`, or a batch: an array of argument
     values with one row per series, stored read-only.  The series of a
-    batch share everything but their argument, and a row reads as
-    :meth:`ArgBlocks.from_values` of its values would.
+    batch share everything but their argument.  A row reads as
+    :meth:`ArgBlocks.from_values` of its values would, and one
+    :class:`ArgBlocks` is summed as the one row of its expanded values.
     """
 
     upper: tuple[float, ...]
@@ -159,41 +160,25 @@ class SeriesResult:
     term_count: int
 
 
-@dataclass(frozen=True)
-class SeriesBatch:
-    """Outcomes of the series of a batch, one record per argument row.
+class SeriesBatch(tuple):
+    """Outcomes of the series of a batch: one :class:`SeriesResult` per
+    argument row, in row order.
 
-    ``results`` is a read-only structured array whose fields are those of
-    :class:`SeriesResult`; indexing gives one member's
-    :class:`SeriesResult`.  ``term_count`` totals and ``max_weight_used``
-    bounds the members, so that a batch answers those two as one series
-    would.
+    ``term_count`` totals and ``max_weight_used`` bounds the members, so
+    that a batch answers those two as one series would.
     """
 
-    results: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.results)
-
-    def __getitem__(self, row: int) -> SeriesResult:
-        return SeriesResult(*self.results[row].tolist())
+    __slots__ = ()
 
     @property
     def term_count(self) -> int:
         """Terms summed over every member."""
-        return int(self.results["term_count"].sum())
+        return sum(result.term_count for result in self)
 
     @property
     def max_weight_used(self) -> int:
         """The deepest weight any member summed."""
-        return int(self.results["max_weight_used"].max())
-
-
-#: The fields of :class:`SeriesResult`, as a record of :class:`SeriesBatch`.
-_OUTCOME = np.dtype([
-    ("value", float), ("log_value", float), ("sign", np.int8), ("max_weight_used", np.int64),
-    ("tail_estimate", float), ("terminated_exactly", bool), ("term_count", np.int64),
-])
+        return max(result.max_weight_used for result in self)
 
 
 def _termination_cap(upper: tuple[float, ...]) -> int | None:
@@ -418,9 +403,9 @@ class _Running:
         self.weight_used = 0
         self.terminated_exactly = False
 
-    def outcome(self) -> tuple:
-        """The member's :class:`SeriesResult` fields, in order; raises
-        ``CancellationError`` if the series is lost."""
+    def outcome(self) -> SeriesResult:
+        """The member's :class:`SeriesResult`; raises ``CancellationError``
+        if the series is lost."""
         log_s, sign_s = _signed_log_diff(self.log_pos, self.log_neg)
         if self.log_neg > -math.inf:
             # log_s == -inf means the positive and negative totals agree to
@@ -443,7 +428,7 @@ class _Running:
             tail = 0.0
         else:
             tail = math.exp(min(self.last_layer - log_s, 709.0))
-        return (
+        return SeriesResult(
             value, log_s, sign_s, self.weight_used, tail, self.terminated_exactly,
             self.term_count,
         )
@@ -506,7 +491,7 @@ def _sum_layers(
     t_negative: list[bool],
     tol: float,
     max_weight: int,
-) -> list[tuple]:
+) -> list[SeriesResult]:
     """Sum the series of one group of ``members`` layer by layer, and
     return each one's outcome (:meth:`_Running.outcome`).
 
@@ -520,7 +505,7 @@ def _sum_layers(
     log_tol = math.log(tol)
     running = [_Running() for _ in range(members)]
     order = list(range(len(running)))  # member number of each running row
-    done: dict[int, tuple] = {}
+    done: dict[int, SeriesResult] = {}
 
     k = 0
     while running:
@@ -641,8 +626,8 @@ def pFq_alpha(
     argument value ``t``) or the layer of a :class:`JackTable`, then one
     log-sum-exp per accumulator and a correctly rounded float sum.
 
-    A batch (``spec.args`` an array, one argument per row) sums every
-    member's series as it would alone, with the same stopping rule,
+    One :class:`ArgBlocks` argument is a batch of one row.  A batch sums
+    every member's series as it would alone, with the same stopping rule,
     checks and diagnostics, but computes each layer for all of them at
     once: the members with more than one distinct nonzero value share
     batched Jack tables of at most :func:`~betagap.jack.batch_nodes`
@@ -662,7 +647,8 @@ def pFq_alpha(
     Returns
     -------
     SeriesResult or SeriesBatch
-        A :class:`SeriesBatch`, in argument order, for a batch.
+        A :class:`SeriesResult` for argument blocks; a
+        :class:`SeriesBatch`, in argument order, for a batch.
 
     Raises
     ------
@@ -677,65 +663,51 @@ def pFq_alpha(
     """
     if max_weight is None:
         max_weight = DEFAULT_MAX_WEIGHT
-    if isinstance(spec.args, ArgBlocks):
-        points = None
-        m = spec.args.num_variables
-        nonzero = [(value, mult) for value, mult in spec.args.blocks if value != 0.0]
-        if len(nonzero) > 1:
-            groups = [(None, [0], [], [])]
-        else:
-            t = nonzero[0][0] if nonzero else 1.0
-            identity = sum(mult for _, mult in nonzero)
-            groups = [(identity, [0], [math.log(abs(t))], [t < 0.0])]
-    else:
-        points = spec.args
-        m = points.shape[1]
-        groups = _batch_groups(points)
-
-    outcomes = np.zeros(1 if points is None else len(points), dtype=_OUTCOME)
-    for identity, numbers, log_t, t_negative in groups:
+    single = isinstance(spec.args, ArgBlocks)
+    points = [spec.args.expanded()] if single else spec.args.tolist()
+    m = len(points[0])
+    results: list[SeriesResult | None] = [None] * len(points)
+    for identity, numbers, log_t, t_negative in _batch_groups(points):
         coefficients = _coefficients(spec.upper, spec.lower, spec.alpha, m, identity)
         depth = None  # deepest weight a chunk of this call has reached
-        while len(numbers):
+        while numbers:
             if identity is None:
                 size = batch_nodes(spec.alpha, m, depth)
                 chunk, numbers = numbers[:size], numbers[size:]
-                values = [spec.args.expanded()] if points is None else points[chunk]
-                table = JackTable(values, spec.alpha)
+                table = JackTable([points[row] for row in chunk], spec.alpha)
             else:
                 chunk, numbers, table = numbers, [], None
             sums = _sum_layers(
                 coefficients, m, len(chunk), table, log_t, t_negative, tol, max_weight
             )
-            if points is None:
-                return SeriesResult(*sums[0])
-            outcomes[chunk] = sums
-            depth = max(depth or 0, int(outcomes["max_weight_used"][chunk].max()))
-    outcomes.flags.writeable = False
-    return SeriesBatch(outcomes)
+            for row, result in zip(chunk, sums):
+                results[row] = result
+            depth = max(depth or 0, *(result.max_weight_used for result in sums))
+    return results[0] if single else SeriesBatch(results)
 
 
-def _batch_groups(points: np.ndarray) -> list[tuple]:
+def _batch_groups(points: list) -> list[tuple]:
     """The rows of a batch by path: ``(identity, rows, log_t, t_negative)``.
 
     ``identity`` is None for the rows with more than one distinct nonzero
     value (the table path); the other rows are grouped by their number of
-    nonzero values, each with ``log|t|`` and the sign of its value ``t``.
+    nonzero values, each with ``log|t|`` and the sign of its value ``t``
+    (1 for a row of zeros).
     """
-    nonzero = points != 0.0
-    counts = nonzero.sum(axis=1)
-    first = points[np.arange(len(points)), nonzero.argmax(axis=1)]
-    mixed = (nonzero & (points != first[:, None])).any(axis=1)
-    groups: list[tuple] = []
-    if mixed.any():
-        groups.append((None, np.flatnonzero(mixed), [], []))
-    for identity in sorted(set(counts[~mixed].tolist())):
-        rows = np.flatnonzero(~mixed & (counts == identity))
-        ts = first[rows].tolist() if identity else [1.0] * len(rows)
-        groups.append(
-            (identity, rows, [math.log(abs(t)) for t in ts], [t < 0.0 for t in ts])
-        )
-    return groups
+    mixed: list[int] = []
+    by_count: dict[int, tuple[list, list, list]] = {}
+    for row, values in enumerate(points):
+        nonzero = [value for value in values if value != 0.0]
+        t = nonzero[0] if nonzero else 1.0
+        if any(value != t for value in nonzero):
+            mixed.append(row)
+            continue
+        rows, log_t, t_negative = by_count.setdefault(len(nonzero), ([], [], []))
+        rows.append(row)
+        log_t.append(math.log(abs(t)))
+        t_negative.append(t < 0.0)
+    groups = [(None, mixed, [], [])] if mixed else []
+    return groups + [(identity, *by_count[identity]) for identity in sorted(by_count)]
 
 
 def _signed_log_diff(log_pos: float, log_neg: float) -> tuple[float, int]:

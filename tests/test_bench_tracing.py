@@ -25,6 +25,13 @@ from betagap import cli
 
 tracer = tracing.Tracer()
 tracing.install(tracer)
+# a single series, not only a quadrature batch, is one span with its terms
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["exact", "--beta", "2", "--a", "1", "--s", "4", "--n", "0"])
+assert code == 0, code
+assert [span[1] for span in tracer.spans].count("hypergeom.series") == 1, tracer.spans
+assert tracer.calls["hypergeom.series"] == 1, tracer.calls
+assert tracer.counts["hypergeom.terms"] > 0, tracer.counts
 calls = [
     ["exact", "--beta", "2", "--a", "1", "--s", "4", "--n", "1"],
     ["asympt", "--beta", "2", "--a", "1", "--s", "100"],
@@ -40,7 +47,7 @@ seen = tracer.calls
 for layer in ("cli.run", "gap.eval", "hypergeom.series", "partitions.enum",
               "barnes.gamma2", "contour.eval", "mc.estimate", "mc.sample"):
     assert seen[layer] > 0, layer
-assert seen["cli.run"] == 6, seen["cli.run"]
+assert seen["cli.run"] == 7, seen["cli.run"]
 assert seen["contour.eval"] == 3, seen["contour.eval"]
 assert tracer.counts["mc.samples"] == 5000, tracer.counts["mc.samples"]
 assert tracer.counts["gap.quad_order"] > 0

@@ -55,6 +55,7 @@ IDENTITY_NAMES = {
     "route-series-torus",
     "route-series-circle",
     "route-series-contour",
+    "beta4-beta1-identity",
 }
 
 
@@ -310,6 +311,9 @@ def test_check_json_lines(capsys: pytest.CaptureFixture[str]) -> None:
     records = [json.loads(line) for line in out.strip().splitlines()]
     assert {record["name"] for record in records} == IDENTITY_NAMES
     assert all(record["passed"] is True for record in records)
+    # the beta = 4 series against the beta = 1 series plus n = 1 quadrature
+    (identity,) = [record for record in records if record["name"] == "beta4-beta1-identity"]
+    assert identity["tol"] == 1e-13
 
 
 @pytest.mark.parametrize(
@@ -387,6 +391,21 @@ def test_bad_endpoint_exits_2(
         # the circle prefactor carries log(4/s): s = 0 used to end in a traceback
         (("contour", "--route", "torus", "--beta", "2", "--a", "1", "--s", "0"), "ValueError",
          "s must be finite and positive, got 0.0"),
+        # a = 0 used to skip the beta and N checks and print exp(-beta s / 8)
+        (("contour", "--beta", "-4", "--a", "0", "--s", "2"), "ValueError",
+         "beta must be finite and positive, got -4.0"),
+        (("contour", "--route", "torus", "--beta", "-4", "--a", "0", "--s", "2"),
+         "ValueError", "beta must be finite and positive, got -4.0"),
+        (("contour", "--beta", "-4", "--a", "0", "--s", "2", "--N", "3"), "ValueError",
+         "beta must be finite and positive, got -4.0"),
+        (("contour", "--beta", "0", "--a", "0", "--s", "2"), "ValueError",
+         "beta must be finite and positive, got 0.0"),
+        (("contour", "--beta", "2", "--a", "0", "--s", "2", "--N", "-3"), "ValueError",
+         "N must be a positive integer, got -3"),
+        (("exact", "--beta", "0", "--a", "1", "--s", "1"), "ValueError",
+         "beta must be finite and positive, got 0.0"),
+        (("largedev", "--beta", "-2", "--a", "1", "--N", "10", "--s", "0.3"), "ValueError",
+         "beta must be finite and positive, got -2.0"),
     ],
     ids=[
         "exact-a-inf", "contour-a-inf", "exact-a-nan", "exact-beta-inf",
@@ -395,6 +414,9 @@ def test_bad_endpoint_exits_2(
         "sweep-grid-zero", "sweep-grid-tied", "sweep-tol-before-grid",
         "mc-a-nan", "mc-a-inf", "mc-beta-inf",
         "asympt-above-1", "asympt-inf", "largedev-above-1", "contour-torus-s-zero",
+        "contour-beta-negative", "torus-beta-negative", "torus-finiteN-beta-negative",
+        "contour-beta-zero", "torus-finiteN-N-negative", "exact-beta-zero",
+        "largedev-beta-negative",
     ],
 )
 def test_bad_parameter_exits_2(

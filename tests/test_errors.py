@@ -17,6 +17,7 @@ from betagap.gap import (
     exact_En_finiteN_detailed,
     exact_En_hard,
     exact_En_hard_detailed,
+    log_large_deviation_E0,
 )
 
 
@@ -101,3 +102,30 @@ def test_circle_routes_reject_zero_endpoint(route) -> None:
     # their prefactor carries log(4/s)
     with pytest.raises(ValueError, match=r"^s must be finite and positive, got 0.0"):
         route(0.0, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("beta", [0.0, -4.0, math.nan, math.inf])
+@pytest.mark.parametrize(
+    "route",
+    [
+        # a = 0 takes each route's shortcut past the integral or series,
+        # which used to return exp(-beta s / 8) > 1 for a negative beta
+        lambda beta: torus_E0_finiteN(2.0, 0.0, beta, 3),
+        lambda beta: torus_E0_hard(2.0, 0.0, beta),
+        lambda beta: hard_contour_E0(2.0, 0.0, beta),
+        lambda beta: exact_E0_hard_detailed(1.0, 0.0, beta),
+        lambda beta: exact_E0_finiteN_detailed(1.0, 0.0, beta, 3),
+        lambda beta: log_large_deviation_E0(10, 0.3, 1.0, beta),
+    ],
+    ids=["torus-finiteN", "torus-hard", "contour", "E0-hard", "E0-finiteN", "largedev"],
+)
+def test_routes_reject_bad_beta(route, beta: float) -> None:
+    with pytest.raises(ValueError, match=r"^beta must be finite and positive"):
+        route(beta)
+
+
+@pytest.mark.parametrize("N", [-3, 0, 2.5])
+@pytest.mark.parametrize("a", [0.0, 1.0])
+def test_torus_finite_size_rejects_bad_N(a: float, N) -> None:
+    with pytest.raises(ValueError, match=r"^N must be a positive integer"):
+        torus_E0_finiteN(0.5, a, 2.0, N)

@@ -19,11 +19,13 @@ from betagap.errors import (
     LowerParameterPoleError,
     NonConvergenceError,
 )
+from betagap.gap import exact_E0_finiteN_detailed, exact_E0_hard_detailed
 from betagap.hypergeom import (
     CONDITION_LIMIT,
     DEFAULT_MAX_WEIGHT,
     ArgBlocks,
     HypergeomSpec,
+    SeriesResult,
     F01_repeated,
     confluence_check,
     pFq_alpha,
@@ -575,3 +577,54 @@ def test_batch_raises_its_failing_members_error() -> None:
         pFq_alpha(HypergeomSpec((), (4.0,), 1.0, ArgBlocks.from_values(row)), max_weight=12)
     with pytest.raises(ValueError, match="rows of argument values"):
         HypergeomSpec((), (4.0,), 1.0, np.zeros(3))
+
+
+# Whole single-series results, every field to the bit, as the series gave
+# them when a single series had an entry path of its own beside the batch:
+# the hard-edge series at s = 6 with m = beta a / 2 in {0, 1, 3} repeated
+# arguments (m = 0 is the empty argument), keyed by (beta, m); the finite-N
+# series at s = 0.5, beta = 4, a = 1, N = 5, whose argument -s is negative and
+# which terminates exactly; and one table-path series on mixed arguments.
+E0_HARD_SERIES_PINS = {
+    (1.0, 0): SeriesResult(1.0, 0.0, 1, 0, 0.0, True, 1),
+    (1.0, 1): SeriesResult(
+        1.9627864279361782, 0.67436511056541, 1, 12, 2.2161787275206348e-17, False, 13
+    ),
+    (1.0, 3): SeriesResult(
+        2.116771427539108, 0.7498920163372993, 1, 15, 5.29840384981085e-16, False, 174
+    ),
+    (2.0, 0): SeriesResult(1.0, 0.0, 1, 0, 0.0, True, 1),
+    (2.0, 1): SeriesResult(
+        3.1655890675997798, 1.1523391575829185, 1, 13, 1.58551807555288e-18, False, 14
+    ),
+    (2.0, 3): SeriesResult(
+        4.457372853421946, 1.4945595461580823, 1, 17, 7.15794665247843e-16, False, 237
+    ),
+    (4.0, 0): SeriesResult(1.0, 0.0, 1, 0, 0.0, True, 1),
+    (4.0, 1): SeriesResult(
+        5.834386409833859, 1.7637691033683387, 1, 13, 5.550754749910036e-18, False, 14
+    ),
+    (4.0, 3): SeriesResult(
+        17.74691188013176, 2.8762115222012694, 1, 19, 1.3406663703383632e-16, False, 314
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(E0_HARD_SERIES_PINS))
+def test_hard_edge_series_pinned_bits(key: tuple[float, int]) -> None:
+    beta, m = key
+    _, series = exact_E0_hard_detailed(6.0, 2.0 * m / beta, beta)
+    assert series == E0_HARD_SERIES_PINS[key]
+
+
+def test_finite_size_series_pinned_bits() -> None:
+    log_value, series = exact_E0_finiteN_detailed(0.5, 1.0, 4.0, 5)
+    assert log_value == -1.3839272742721835
+    assert series == SeriesResult(37.19122051366841, 3.6160727257278165, 1, 10, 0.0, True, 21)
+
+
+def test_table_path_series_pinned_bits() -> None:
+    spec = HypergeomSpec((0.5,), (3.7,), 0.5, ArgBlocks.from_values((0.3, -1.1, 0.0, 0.3)))
+    assert pFq_alpha(spec) == SeriesResult(
+        0.9726567300631657, -0.027724054456059424, 1, 17, 6.185516905065429e-16, False, 237
+    )
