@@ -3,7 +3,8 @@
 ``log_gamma2`` evaluates ``log Gamma_2(z; 1, tau)`` for positive ``z``
 and ``tau`` by shifting the argument into a window near 1 with the two
 quasi-periodicity relations, then summing a truncated infinite product
-whose tail is resummed exactly in terms of Hurwitz zeta values.  All
+whose tail is resummed exactly in terms of Hurwitz zeta values, which
+``_hurwitz_zeta`` gives by Euler–Maclaurin from the Bernoulli table.  All
 constants assembled from it are computed and returned as logs.
 """
 
@@ -64,11 +65,22 @@ def _bernoulli_poly(n: int, z: float) -> float:
     return total
 
 
+def _hurwitz_zeta(k: int, q: float) -> float:
+    """Hurwitz zeta ``sum_{j>=0} (j + q)**-k`` for an integer ``k >= 2``, by
+    Euler–Maclaurin through ``B_14``: ``q**(1-k)/(k-1) + q**-k/2 + sum_j
+    B_2j/(2j)! (k)_(2j-1) q**(-k-2j+1)``.  The first omitted term is below
+    rounding for the ``k <= _TAIL_ORDER`` and ``q >= 33`` of the window."""
+    total = q / (k - 1.0) + 0.5
+    rising = float(k)
+    for j in range(2, 15, 2):
+        total += _BERNOULLI[j] / math.factorial(j) * rising * q ** (1 - j)
+        rising *= (k + j - 1.0) * (k + j)
+    return total * q**-k
+
+
 def _shintani_window(z: float, tau: float) -> float:
     """Log double gamma for ``z`` in the window ``[1, 2 + tau]``, with the
     tail resummation settled to relative tolerance ``_WINDOW_TOL``."""
-    from scipy.special import zeta as hurwitz_zeta
-
     n0 = max(32, math.ceil(32.0 / tau))
     for _ in range(8):
         core = (
@@ -91,7 +103,7 @@ def _shintani_window(z: float, tau: float) -> float:
             coeff = (_bernoulli_poly(k + 1, z) - _bernoulli_poly(k + 1, 1.0)) / (
                 k * (k + 1) * tau**k
             )
-            last = (-1.0) ** (k + 1) * coeff * float(hurwitz_zeta(k, n0 + 1))
+            last = (-1.0) ** (k + 1) * coeff * _hurwitz_zeta(k, n0 + 1.0)
             tail += last
         if abs(last) < _WINDOW_TOL * max(1.0, abs(core + tail)):
             return core + tail

@@ -28,6 +28,7 @@ from .errors import (
     quantized,
     require_finite,
 )
+from .quadrature import gauss_jacobi
 
 __all__ = [
     "torus_E0_finiteN",
@@ -269,18 +270,17 @@ def _contour_nodes(
 
     The contour is a circle of radius ``_CONTOUR_RADIUS`` plus two
     negative-axis rays joining it to the origin, parameterized as
-    ``z = -radius v**2`` to cluster nodes at the origin.  Returns complex positions ``z``,
-    complex amplitudes ``amp`` (measure ``dz / (2 pi i z)`` with
-    traversal direction, times the branch-resolved integrand factor
-    ``exp(sqrt(s)(z + 1/z)/2) z**q``), and a side tag (0 circle, +1
-    upper ray edge, -1 lower ray edge).
+    ``z = -radius v**2`` to cluster nodes at the origin; both carry
+    Gauss–Legendre rules from :func:`gauss_jacobi`.  Returns complex
+    positions ``z``, complex amplitudes ``amp`` (measure ``dz / (2 pi i
+    z)`` with traversal direction, times the branch-resolved integrand
+    factor ``exp(sqrt(s)(z + 1/z)/2) z**q``), and a side tag (0 circle,
+    +1 upper ray edge, -1 lower ray edge).
     """
-    from scipy.special import roots_legendre
-
     root_s = math.sqrt(s)
     radius = _CONTOUR_RADIUS
 
-    theta, tw = roots_legendre(circle_n)
+    theta, tw = gauss_jacobi(circle_n, 0.0, 0.0)
     theta = theta * math.pi
     tw = tw * math.pi
     z_circle = radius * np.exp(1j * theta)
@@ -290,7 +290,7 @@ def _contour_nodes(
         * radius**q
     )
 
-    v, vw = roots_legendre(ray_n)
+    v, vw = gauss_jacobi(ray_n, 0.0, 0.0)
     v = (v + 1.0) / 2.0
     vw = vw / 2.0
     u = radius * v * v
@@ -351,8 +351,9 @@ def hard_contour_E0(s: float, a: float, beta: float, tol: float = 1e-8) -> float
     along two rays into the origin (parameterized as ``z = -u**2`` to
     cluster nodes where the integrand power is singular), with branch
     choices fixed by the contour deformation.  The circle has radius 1;
-    the Gauss-Legendre grid starts at 256 circle and 96 ray nodes and
-    doubles up to 4 times.
+    the Gauss–Legendre grid (the cached rules of
+    :func:`betagap.quadrature.gauss_jacobi`) starts at 256 circle and 96
+    ray nodes and doubles up to 4 times.
 
     Parameters
     ----------

@@ -25,6 +25,7 @@ from .barnes import (
 )
 from .errors import QuadratureError, quantized, require_finite
 from .hypergeom import ArgBlocks, HypergeomSpec, SeriesResult, pFq_alpha
+from .quadrature import gauss_jacobi
 
 __all__ = [
     "AsymptoticForm",
@@ -226,19 +227,18 @@ _QUAD_TOL = 1e-9
 
 
 def roots_jacobi(order: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss–Jacobi nodes and weights of ``scipy.special``.
+    """Gauss–Jacobi nodes and weights for the weight ``(1-x)**alpha
+    (1+x)**beta`` on ``[-1, 1]``, from the cached :func:`gauss_jacobi`.
 
-    scipy is imported here, on first use, so that the series routes never
-    load it.  The benchmark's tracer wraps this module attribute to record
+    The benchmark's tracer wraps this module attribute to record
     quadrature orders, so it stays a function of this module.
     """
-    from scipy.special import roots_jacobi as scipy_roots_jacobi
-
-    return scipy_roots_jacobi(order, alpha, beta)
+    return gauss_jacobi(order, alpha, beta)
 
 
 def _jacobi_rule(order: int, power: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for ``int_0^1 (1-y)**power f(y) dy``."""
+    """Nodes and weights for ``int_0^1 (1-y)**power f(y) dy``: the
+    Gauss–Jacobi rule of :func:`roots_jacobi` mapped from ``[-1, 1]``."""
     nodes, weights = roots_jacobi(order, power, 0.0)
     return (nodes + 1.0) / 2.0, weights * 0.5 ** (power + 1.0)
 
@@ -356,6 +356,7 @@ def exact_En_hard_detailed(
     ``s = 0`` with ``n >= 1`` the probability is 0: the log value is
     ``-inf`` and no quadrature runs.
     """
+    require_finite("beta", beta, positive=True)
     if n < 0 or n > 3:
         raise ValueError(f"n must be between 0 and 3, got {n}")
     if n == 0:
@@ -461,6 +462,7 @@ def exact_En_finiteN_detailed(
     requires integer ``a``.  ``max_weight`` defaults to
     ``max(N (beta a / 2 + n beta), 200)``.
     """
+    require_finite("beta", beta, positive=True)
     if n < 0 or n > 3:
         raise ValueError(f"n must be between 0 and 3, got {n}")
     if n == 0:
@@ -764,21 +766,23 @@ def log_large_deviation_E0(N: int, s_tilde: float, a: float, beta: float) -> flo
     Parameters
     ----------
     N : int
-        Ensemble size.
+        Ensemble size; a positive integer.
     s_tilde : float
         Gap endpoint as a fraction of the spectrum width ``4 N``.
     a, beta : float
-        Ensemble parameters.
+        Ensemble parameters; ``a`` finite and nonnegative, ``beta`` finite
+        and positive.
 
     Returns
     -------
     float
         ``log E``.
     """
-    if N < 1:
-        raise ValueError(f"N must be at least 1, got {N}")
+    if not (N >= 1 and float(N).is_integer()):
+        raise ValueError(f"N must be at least 1 and integral, got {N}")
     require_finite("s_tilde", s_tilde, positive=True)
     require_finite("beta", beta, positive=True)
+    require_finite("a", a)
     root = math.sqrt(s_tilde * (s_tilde + 1.0))
     plus = math.sqrt(s_tilde + 1.0) + math.sqrt(s_tilde)
     return (

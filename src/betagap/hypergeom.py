@@ -98,11 +98,6 @@ class ArgBlocks:
         """Build blocks from a flat iterable of argument values."""
         return cls(tuple((float(v), 1) for v in values))
 
-    @property
-    def num_variables(self) -> int:
-        """Total number of series variables."""
-        return sum(mult for _, mult in self.blocks)
-
     def expanded(self) -> tuple[float, ...]:
         """Flat tuple of values, each repeated by its multiplicity."""
         out: list[float] = []

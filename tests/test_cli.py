@@ -26,8 +26,8 @@ EXACT_HARD_ROW = (
 )
 
 EXACT_EXCESS_ROW = (
-    "4.0,2.0,1.0,1,,exact_En_hard,0.1613575220817058,"
-    "-1.8241327419135258,,16,8.7161123370131195e-16,"
+    "4.0,2.0,1.0,1,,exact_En_hard,0.16135752208170584,"
+    "-1.8241327419135256,,16,8.7161123370131195e-16,"
 )
 
 EXACT_FINITEN_ROW = (
@@ -110,8 +110,8 @@ def test_exact_finite_excess_row(capsys: pytest.CaptureFixture[str]) -> None:
     assert code == 0
     record = json.loads(out)
     assert record["method"] == "exact_En_finiteN"
-    assert record["value"] == 0.6732268230326235
-    assert record["log_value"] == -0.3956729733822595
+    assert record["value"] == 0.6732268230326233
+    assert record["log_value"] == -0.3956729733822598
     assert record["trunc_weight"] == 15
     assert 0.0 < record["tail_bound"] < 1e-12
 
@@ -189,8 +189,8 @@ def test_contour_row(capsys: pytest.CaptureFixture[str]) -> None:
     code, out = run_cli(capsys, "contour", "--beta", "2", "--a", "1", "--s", "2")
     assert code == 0
     assert out.strip().splitlines()[1] == (
-        "2.0,2.0,1.0,0,,hard_contour_E0,0.9498773125498379,"
-        "-0.051422447411824515,,,,"
+        "2.0,2.0,1.0,0,,hard_contour_E0,0.9498773125498129,"
+        "-0.051422447411850813,,,,"
     )
 
 
@@ -354,7 +354,7 @@ def test_bad_endpoint_exits_2(
         (("exact", "--beta", "2", "--a", "nan", "--s", "1"),
          "ParameterQuantizationError", "beta*a/2 must be a nonnegative integer"),
         (("exact", "--beta", "inf", "--a", "0", "--s", "1", "--n", "1"),
-         "ParameterQuantizationError", "beta*a/2 must be a nonnegative integer"),
+         "ValueError", "beta must be finite and positive, got inf"),
         (("sweep", "--beta", "2", "--a", "1", "--s-min", "1", "--s-max", "2",
           "--s-count", "2", "--N", "-1"), "ValueError", "N must be nonnegative"),
         (("exact", "--beta", "2", "--a", "1", "--s", "1", "--N", "-2"),
@@ -406,6 +406,17 @@ def test_bad_endpoint_exits_2(
          "beta must be finite and positive, got 0.0"),
         (("largedev", "--beta", "-2", "--a", "1", "--N", "10", "--s", "0.3"), "ValueError",
          "beta must be finite and positive, got -2.0"),
+        # the E(n >= 1) routes named alpha or beta's integrality, or divided
+        # by zero in the finite-size normalization
+        (("exact", "--beta", "0", "--a", "0", "--s", "1", "--n", "1", "--N", "4"),
+         "ValueError", "beta must be finite and positive, got 0.0"),
+        (("exact", "--beta", "0", "--a", "0", "--s", "1", "--n", "1"), "ValueError",
+         "beta must be finite and positive, got 0.0"),
+        (("exact", "--beta", "-2", "--a", "0", "--s", "1", "--n", "1"), "ValueError",
+         "beta must be finite and positive, got -2.0"),
+        # a negative a was reported as the double gamma's "n"
+        (("largedev", "--beta", "2", "--a", "-1", "--N", "10", "--s", "0.3"), "ValueError",
+         "a must be finite and nonnegative, got -1.0"),
     ],
     ids=[
         "exact-a-inf", "contour-a-inf", "exact-a-nan", "exact-beta-inf",
@@ -416,7 +427,8 @@ def test_bad_endpoint_exits_2(
         "asympt-above-1", "asympt-inf", "largedev-above-1", "contour-torus-s-zero",
         "contour-beta-negative", "torus-beta-negative", "torus-finiteN-beta-negative",
         "contour-beta-zero", "torus-finiteN-N-negative", "exact-beta-zero",
-        "largedev-beta-negative",
+        "largedev-beta-negative", "exact-n1-finiteN-beta-zero", "exact-n1-beta-zero",
+        "exact-n1-beta-negative", "largedev-a-negative",
     ],
 )
 def test_bad_parameter_exits_2(
@@ -521,9 +533,10 @@ def test_nonconvergence_exits_3(capsys: pytest.CaptureFixture[str]) -> None:
 
 
 def test_contour_tol_reaches_default_route(capsys: pytest.CaptureFixture[str]) -> None:
-    # The branch-cut contour cannot settle to 1e-15; it used to ignore --tol.
+    # The branch-cut contour cannot settle to 1e-18, below double rounding;
+    # it used to ignore --tol.
     code, out = run_cli(
-        capsys, "contour", "--beta", "2", "--a", "1", "--s", "2", "--tol", "1e-15"
+        capsys, "contour", "--beta", "2", "--a", "1", "--s", "2", "--tol", "1e-18"
     )
     assert code == 3
     record = json.loads(out)

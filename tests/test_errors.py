@@ -48,12 +48,12 @@ def test_quantized_rejects_non_finite_values(value: float) -> None:
     [
         lambda: exact_E0_hard(1.0, math.inf, 2.0),
         lambda: exact_E0_hard(1.0, math.nan, 2.0),
-        lambda: exact_En_hard(1.0, 0.0, math.inf, 1),
+        lambda: exact_En_hard(1.0, math.inf, 2.0, 1),
         lambda: log_tau_hard(math.inf, 2.0),
         lambda: log_b_const(math.nan, 2.0),
         lambda: hard_contour_E0(1.0, math.inf, 2.0),
     ],
-    ids=["E0-a-inf", "E0-a-nan", "En-beta-inf", "tau-a-inf", "b-a-nan", "contour-a-inf"],
+    ids=["E0-a-inf", "E0-a-nan", "En-a-inf", "tau-a-inf", "b-a-nan", "contour-a-inf"],
 )
 def test_routes_reject_non_finite_parameters(call) -> None:
     with pytest.raises(ParameterQuantizationError):
@@ -116,8 +116,11 @@ def test_circle_routes_reject_zero_endpoint(route) -> None:
         lambda beta: exact_E0_hard_detailed(1.0, 0.0, beta),
         lambda beta: exact_E0_finiteN_detailed(1.0, 0.0, beta, 3),
         lambda beta: log_large_deviation_E0(10, 0.3, 1.0, beta),
+        lambda beta: exact_En_hard_detailed(1.0, 0.0, beta, 1),
+        lambda beta: exact_En_finiteN_detailed(1.0, 0.0, beta, 1, 4),
     ],
-    ids=["torus-finiteN", "torus-hard", "contour", "E0-hard", "E0-finiteN", "largedev"],
+    ids=["torus-finiteN", "torus-hard", "contour", "E0-hard", "E0-finiteN", "largedev",
+         "En-hard", "En-finiteN"],
 )
 def test_routes_reject_bad_beta(route, beta: float) -> None:
     with pytest.raises(ValueError, match=r"^beta must be finite and positive"):

@@ -1,9 +1,11 @@
 """Every name a module lists in ``__all__`` exists, no ``__all__`` lists a
-function beside its log twin, and importing the package loads no scipy."""
+function beside its log twin, and neither importing the package nor any
+subcommand needs scipy."""
 
 from __future__ import annotations
 
 import importlib
+import json
 import pkgutil
 import subprocess
 import sys
@@ -39,10 +41,52 @@ def test_no_exp_twin_exported(module_name: str) -> None:
 
 
 def test_import_loads_no_scipy() -> None:
-    # scipy is imported where a quadrature rule or a Hurwitz zeta is used,
-    # never by the series routes.
+    # scipy is not a runtime dependency: the quadrature rules and the
+    # Hurwitz zeta are the package's own (see test_no_subcommand_needs_scipy).
     script = "import sys, betagap; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     result = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=60
     )
     assert result.stdout.strip() == "[]"
+
+
+# One call of every subcommand, reaching each route that once used
+# scipy.special: the E(n) quadrature rule, the contour's Legendre rules, the
+# double gamma's Hurwitz zeta and the check suite's log gamma.
+_NO_SCIPY_CALLS = {
+    "exact n=1": ["exact", "--beta", "2", "--a", "1", "--s", "4", "--n", "1"],
+    "sweep": ["sweep", "--beta", "4", "--a", "1.5", "--s-min", "1", "--s-max", "4",
+              "--s-count", "3"],
+    "asympt": ["asympt", "--beta", "2", "--a", "1", "--s", "100"],
+    "largedev": ["largedev", "--beta", "2", "--a", "1", "--N", "20", "--s", "0.3"],
+    "contour dimension 1": ["contour", "--beta", "2", "--a", "1", "--s", "2"],
+    "contour dimension 2": ["contour", "--beta", "1.3333333333333333", "--a", "3",
+                            "--s", "1"],
+    "contour torus": ["contour", "--beta", "2", "--a", "1", "--s", "2", "--route", "torus"],
+    "mc": ["mc", "--beta", "2", "--a", "1", "--N", "20", "--s", "2", "--samples", "2000",
+           "--seed", "11"],
+    "check": ["check"],
+    "report": ["report", "--beta", "2", "--a", "1"],
+}
+
+
+def test_no_subcommand_needs_scipy() -> None:
+    # scipy is blocked before betagap is imported, so any import of it
+    # raises ImportError; each call reports its exit code or its error.
+    script = f"""
+import contextlib, io, json, sys
+sys.modules["scipy"] = None
+from betagap.cli import main
+outcomes = {{}}
+for name, argv in {_NO_SCIPY_CALLS!r}.items():
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            outcomes[name] = main(argv)
+    except Exception as exc:
+        outcomes[name] = repr(exc)
+print(json.dumps(outcomes))
+"""
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=300
+    )
+    assert json.loads(result.stdout) == dict.fromkeys(_NO_SCIPY_CALLS, 0)

@@ -172,52 +172,47 @@ def test_excess_count_validation() -> None:
 
 # (s, a, beta, n) -> (log value, order, rel_change, trunc_weight, tail_bound),
 # as computed before both routes shared one quadrature loop, then re-pinned
-# when series layers became whole-array sums (last digits of rel_change)
-# and tail_bound became relative to each node's series value.
+# when series layers became whole-array sums (last digits of rel_change),
+# when tail_bound became relative to each node's series value, and when
+# the Gauss–Jacobi rules became the package's own (values within 1.8e-15).
 HARD_EXCESS_PINS = {
-    (1.0, 0.0, 1.0, 1): (-2.1421585207014013, 12, 0.0, 9, 2.3605357453683632e-18),
-    (1.0, 0.0, 2.0, 1): (
-        -1.508799814031318, 12, 1.9546546959000269e-16, 11, 1.9546546959000269e-16
+    (1.0, 0.0, 1.0, 1): (
+        -2.1421585207014013, 12, 2.0863686730621668e-16, 9, 2.0863686730621668e-16
     ),
+    (1.0, 0.0, 2.0, 1): (-1.508799814031318, 12, 0.0, 11, 2.2956585084563226e-17),
     (1.0, 1.0, 2.0, 1): (
-        -4.269634634858525, 12, 1.9318143717247055e-16, 12, 1.9318143717247055e-16
+        -4.269634634858524, 12, 3.863628743449407e-16, 12, 3.863628743449407e-16
     ),
     (1.0, 2.0, 1.0, 1): (
-        -5.992396265376199, 12, 4.086173641285412e-16, 10, 4.086173641285412e-16
+        -5.992396265376198, 12, 2.0430868206427054e-16, 10, 2.0430868206427054e-16
     ),
     (10.0, 0.0, 2.0, 1): (
-        -0.17714816856738902, 12, 6.527693395887934e-16, 17, 7.146087165783929e-16
+        -0.17714816856738969, 12, 2.1758977986293127e-16, 17, 7.146087165783929e-16
     ),
-    (10.0, 1.0, 2.0, 1): (
-        -0.6179399721991096, 12, 4.2265105151566457e-16, 20, 2.0242984796889135e-15
-    ),
-    (4.0, 0.0, 1.0, 1): (
-        -0.9466111376720513, 12, 3.470571356511471e-16, 11, 3.470571356511471e-16
-    ),
-    (4.0, 0.0, 2.0, 1): (
-        -0.4653945511863852, 12, 3.9028807669026074e-16, 14, 3.9028807669026074e-16
-    ),
-    (4.0, 0.0, 2.0, 2): (
-        -5.464790441170957, 12, 3.216050254958443e-15, 16, 3.216050254958443e-15
-    ),
+    (10.0, 1.0, 2.0, 1): (-0.6179399721991098, 12, 0.0, 20, 2.0242984796889135e-15),
+    (4.0, 0.0, 1.0, 1): (-0.9466111376720515, 12, 0.0, 11, 2.981416239131148e-17),
+    (4.0, 0.0, 2.0, 1): (-0.4653945511863855, 12, 0.0, 14, 2.668295220485154e-16),
+    (4.0, 0.0, 2.0, 2): (-5.464790441170959, 12, 0.0, 16, 1.1420335506043466e-15),
     (4.0, 1.0, 2.0, 1): (
-        -1.8241327419135258, 12, 1.2656002044576434e-16, 16, 8.7161123370131195e-16
+        -1.8241327419135256, 12, 1.2656002044576432e-16, 16, 8.7161123370131195e-16
     ),
-    (4.0, 2.0, 1.0, 1): (-3.3461246569469507, 12, 0.0, 13, 1.7307118655274093e-16),
+    (4.0, 2.0, 1.0, 1): (
+        -3.3461246569469503, 12, 1.5932547322372507e-16, 13, 1.7307118655274093e-16
+    ),
 }
 
 # (s, a, beta, n, N) -> E_{N+n}(n; (0, s)), pinned the same way.
 FINITE_EXCESS_PINS = {
-    (0.5, 0.0, 1.0, 1, 10): 0.6312057207905937,
-    (0.5, 0.0, 1.0, 1, 5): 0.6894767780690157,
-    (0.5, 0.0, 2.0, 1, 10): 0.5172571788964269,
-    (0.5, 0.0, 2.0, 1, 5): 0.8219353346969265,
-    (0.5, 1.0, 2.0, 1, 10): 0.8092526487361318,
-    (0.5, 1.0, 2.0, 1, 5): 0.6732268230326235,
-    (0.5, 2.0, 1.0, 1, 10): 0.5214370513219542,
-    (0.5, 2.0, 1.0, 1, 5): 0.27502815900556465,
-    (0.5, 1.0, 2.0, 2, 4): 0.011505657728140873,
-    (0.3, 0.0, 2.0, 3, 1): 2.5108334296493103e-08,
+    (0.5, 0.0, 1.0, 1, 10): 0.6312057207905936,
+    (0.5, 0.0, 1.0, 1, 5): 0.6894767780690154,
+    (0.5, 0.0, 2.0, 1, 10): 0.5172571788964264,
+    (0.5, 0.0, 2.0, 1, 5): 0.8219353346969259,
+    (0.5, 1.0, 2.0, 1, 10): 0.809252648736131,
+    (0.5, 1.0, 2.0, 1, 5): 0.6732268230326233,
+    (0.5, 2.0, 1.0, 1, 10): 0.521437051321954,
+    (0.5, 2.0, 1.0, 1, 5): 0.2750281590055647,
+    (0.5, 1.0, 2.0, 2, 4): 0.011505657728140883,
+    (0.3, 0.0, 2.0, 3, 1): 2.5108334296493014e-08,
 }
 
 
@@ -549,11 +544,23 @@ def test_excess_at_zero_endpoint(route) -> None:
 
 @pytest.mark.parametrize(
     "N, s_tilde, message",
-    [(0, 0.3, "N must be at least 1"), (10, math.nan, "s_tilde must be finite and positive")],
+    [
+        (0, 0.3, "N must be at least 1"),
+        (10, math.nan, "s_tilde must be finite and positive"),
+        # a fractional N used to return a number for no ensemble
+        (2.5, 0.3, "N must be at least 1 and integral, got 2.5"),
+    ],
 )
 def test_large_deviation_rejects_bad_input(N: int, s_tilde: float, message: str) -> None:
     with pytest.raises(ValueError, match=message):
         log_large_deviation_E0(N, s_tilde, 1.0, 2.0)
+
+
+@pytest.mark.parametrize("a", [-1.0, math.nan, math.inf])
+def test_large_deviation_rejects_bad_a(a: float) -> None:
+    # a negative a was reported under the double gamma's name "n"
+    with pytest.raises(ValueError, match=f"^a must be finite and nonnegative, got {a}$"):
+        log_large_deviation_E0(10, 0.3, a, 2.0)
 
 
 @settings(deadline=None, max_examples=30)

@@ -190,7 +190,6 @@ def test_block_canonicalization() -> None:
     b = ArgBlocks(((1.0, 1), (2.0, 1), (1.0, 1)))
     assert a == b
     assert a.blocks == ((1.0, 2), (2.0, 1))
-    assert a.num_variables == 3
     assert a.expanded() == (1.0, 1.0, 2.0)
     assert ArgBlocks(((1.0, 0),)).blocks == ()
     with pytest.raises(ValueError):
@@ -380,8 +379,8 @@ def test_coefficient_layers_match_scalar_forms(alpha: float, parts: int) -> None
 def _reference_series(spec: HypergeomSpec, tol: float = 1e-12) -> tuple:
     """The series summed one partition at a time from the scalar forms,
     as before whole-layer sums: (value, log value, terms, last weight)."""
-    m = spec.args.num_variables
     xs = spec.args.expanded()
+    m = len(xs)
     cap = hypergeom._termination_cap(spec.upper)
     distinct = {value for value, _ in spec.args.blocks if value != 0.0}
     table = jack.JackTable([xs], spec.alpha) if len(distinct) > 1 else None
