@@ -23,6 +23,7 @@ import numpy as np
 from .barnes import log_b_const, log_morris_value
 from .errors import (
     NonConvergenceError,
+    ParameterQuantizationError,
     QuadratureError,
     ResourceLimitError,
     quantized,
@@ -108,7 +109,7 @@ def _probability(value: float, tol: float, label: str) -> float:
     """``value``, unless it lies outside ``[0, 1 + tol]``: a probability
     there means the quadrature failed, so raise ``QuadratureError``."""
     if not 0.0 <= value <= 1.0 + tol:
-        raise QuadratureError(f"{label} gave {value!r}, outside [0, 1 + tol]")
+        raise QuadratureError(f"{label} gave {float(value)!r}, outside [0, 1 + tol]")
     return value
 
 
@@ -346,11 +347,14 @@ def _contour_components(
 def hard_contour_E0(s: float, a: float, beta: float, tol: float = 1e-8) -> float:
     """Hard-edge gap probability via the branch-cut contour.
 
-    Works for every ``beta > 0`` with ``beta a / 2`` in ``{0, 1, 2}``:
-    the circle integrand is continued through the negative-axis cut
-    along two rays into the origin (parameterized as ``z = -u**2`` to
-    cluster nodes where the integrand power is singular), with branch
-    choices fixed by the contour deformation.  The circle has radius 1;
+    Works for every ``beta > 0`` with ``beta a / 2`` in ``{0, 1}``, and
+    with ``beta a / 2 = 2`` where ``4 / beta`` is a positive integer (off
+    that set the dimension-2 value has been seen wrong by up to 5.7e-2,
+    so it raises there).  The circle integrand is continued through the
+    negative-axis cut along two rays into the origin (parameterized as
+    ``z = -u**2`` to cluster nodes where the integrand power is
+    singular), with branch choices fixed by the contour deformation.
+    The circle has radius 1;
     the Gauss–Legendre grid (the cached rules of
     :func:`betagap.quadrature.gauss_jacobi`) starts at 256 circle and 96
     ray nodes and doubles up to 4 times.
@@ -371,11 +375,19 @@ def hard_contour_E0(s: float, a: float, beta: float, tol: float = 1e-8) -> float
 
     Raises
     ------
+    ParameterQuantizationError
+        If ``beta a / 2 = 2`` and ``4 / beta`` is not a positive integer:
+        the only dimension-2 points where the route has been seen exact.
     QuadratureError
         If the value lies outside ``[0, 1 + tol]``.
     """
     require_finite("beta", beta, positive=True)
     m = _dimension(a, beta)
+    ratio = 4.0 / beta
+    if m == 2 and (round(ratio) < 1 or abs(ratio - round(ratio)) > 1e-9):
+        raise ParameterQuantizationError(
+            f"4/beta must be a positive integer for the dimension-2 contour, got {ratio}"
+        )
     require_finite("s", s, positive=True)
     if m == 0:
         return _probability(math.exp(-beta * s / 8.0), tol, "contour integral")

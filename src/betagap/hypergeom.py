@@ -15,11 +15,14 @@ when the argument has one distinct nonzero value, ``C_kappa(1, ..., 1)``)
 is built once per parameter set, ``alpha`` and number of variables, and
 cached a layer at a time, so every node of one quadrature and every
 ``s`` of a sweep share it (the Koev–Edelman economy).  Only the argument
-is applied per series: ``t**|kappa|`` for one distinct value ``t``, and
-otherwise the series' node of a batched :class:`~betagap.jack.JackTable`,
-extended a weight layer at a time as the sum goes deeper.  A batch (the
-nodes of one quadrature level) sums its series together, one layer for
-all of them at a time, each with its own accumulators and stopping
+is applied per series: ``t**|kappa|`` for one distinct value ``t``; the
+series' node of a :class:`~betagap.jack.JackPairTable` for two distinct
+values of one sign, whose polynomials in the ratio of the two values
+are cached per ``alpha`` and multiplicities in the same way; otherwise
+its node of a batched :class:`~betagap.jack.JackTable`.  Both tables
+are extended a weight layer at a time as the sum goes deeper.  A batch
+(the nodes of one quadrature level) sums its series together, one layer
+for all of them at a time, each with its own accumulators and stopping
 rule; a single series is a batch of one row, on the same path.  The
 series calls neither the one-partition forms of
 :mod:`betagap.partitions` nor the Schur and monomial evaluators; those
@@ -40,7 +43,7 @@ from .errors import (
     LowerParameterPoleError,
     NonConvergenceError,
 )
-from .jack import JackTable, _hook_log_sums, _subtract_hook_runs, batch_nodes
+from .jack import JackPairTable, JackTable, _hook_log_sums, _subtract_hook_runs, batch_nodes
 from .partitions import partitions_of_weight
 
 # bench/tracing.py replaces partitions_of_weight and these two names on
@@ -432,7 +435,7 @@ class _Running:
 def _layer_terms(
     layer: _CoefficientLayer,
     k: int,
-    table: JackTable | None,
+    table: JackTable | JackPairTable | None,
     log_t: list[float],
     t_negative: list[bool],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list[float], list[int] | None]:
@@ -481,7 +484,7 @@ def _sum_layers(
     coefficients: _Coefficients,
     parts: int,
     members: int,
-    table: JackTable | None,
+    table: JackTable | JackPairTable | None,
     log_t: list[float],
     t_negative: list[bool],
     tol: float,
@@ -618,16 +621,19 @@ def pFq_alpha(
 
     Each layer is whole-array arithmetic: the cached argument-free
     coefficients of its terms plus ``k log|t|`` (one distinct nonzero
-    argument value ``t``) or the layer of a :class:`JackTable`, then one
-    log-sum-exp per accumulator and a correctly rounded float sum.
+    argument value ``t``) or the layer of a :class:`JackPairTable` or a
+    :class:`JackTable`, then one log-sum-exp per accumulator and a
+    correctly rounded float sum.
 
     One :class:`ArgBlocks` argument is a batch of one row.  A batch sums
     every member's series as it would alone, with the same stopping rule,
     checks and diagnostics, but computes each layer for all of them at
-    once: the members with more than one distinct nonzero value share
-    batched Jack tables of at most :func:`~betagap.jack.batch_nodes`
-    arguments each, and the others share arrays by their number of
-    nonzero values.
+    once (:func:`_batch_groups`): the members with two distinct nonzero
+    values of one sign share one two-value table per pair of
+    multiplicities, the other members with more than one distinct value
+    share batched Jack tables of at most
+    :func:`~betagap.jack.batch_nodes` arguments each, and the rest share
+    arrays by their number of nonzero values.
 
     Parameters
     ----------
@@ -662,16 +668,23 @@ def pFq_alpha(
     points = [spec.args.expanded()] if single else spec.args.tolist()
     m = len(points[0])
     results: list[SeriesResult | None] = [None] * len(points)
-    for identity, numbers, log_t, t_negative in _batch_groups(points):
+    for path, numbers, u, t in _batch_groups(points):
+        identity = path if isinstance(path, int) else None
         coefficients = _coefficients(spec.upper, spec.lower, spec.alpha, m, identity)
+        log_t, t_negative = [], []
+        if identity is not None:
+            log_t = [math.log(abs(value)) for value in t]
+            t_negative = [value < 0.0 for value in t]
         depth = None  # deepest weight a chunk of this call has reached
         while numbers:
-            if identity is None:
+            if path is None:
                 size = batch_nodes(spec.alpha, m, depth)
                 chunk, numbers = numbers[:size], numbers[size:]
                 table = JackTable([points[row] for row in chunk], spec.alpha)
             else:
                 chunk, numbers, table = numbers, [], None
+                if identity is None:
+                    table = JackPairTable(u, t, *path, spec.alpha)
             sums = _sum_layers(
                 coefficients, m, len(chunk), table, log_t, t_negative, tol, max_weight
             )
@@ -682,27 +695,39 @@ def pFq_alpha(
 
 
 def _batch_groups(points: list) -> list[tuple]:
-    """The rows of a batch by path: ``(identity, rows, log_t, t_negative)``.
+    """The rows of a batch by path: ``(path, rows, u, t)``.
 
-    ``identity`` is None for the rows with more than one distinct nonzero
-    value (the table path); the other rows are grouped by their number of
-    nonzero values, each with ``log|t|`` and the sign of its value ``t``
-    (1 for a row of zeros).
+    ``path`` is the number of nonzero values for rows whose nonzero
+    values all equal ``t`` (the identity path; ``t`` is 1 for a row of
+    zeros).  It is ``(p, q)`` for rows of two distinct nonzero values of
+    one sign, ``u`` repeated ``p`` times and ``t`` ``q`` times with
+    ``|u| > |t|`` (:class:`~betagap.jack.JackPairTable`).  It is None for
+    the other rows, with a zero beside other values, values of mixed sign
+    or three or more distinct values (:class:`~betagap.jack.JackTable`).
+    ``u`` and ``t`` hold one value per row where the path has them.
     """
     mixed: list[int] = []
+    by_pair: dict[tuple[int, int], tuple[list, list, list]] = {}
     by_count: dict[int, tuple[list, list, list]] = {}
     for row, values in enumerate(points):
         nonzero = [value for value in values if value != 0.0]
         t = nonzero[0] if nonzero else 1.0
         if any(value != t for value in nonzero):
-            mixed.append(row)
-            continue
-        rows, log_t, t_negative = by_count.setdefault(len(nonzero), ([], [], []))
+            distinct = set(nonzero)
+            mixed_signs = min(distinct) < 0.0 < max(distinct)
+            if len(distinct) > 2 or len(nonzero) < len(values) or mixed_signs:
+                mixed.append(row)
+                continue
+            u, t = sorted(distinct, key=abs, reverse=True)
+            rows, us, ts = by_pair.setdefault((values.count(u), values.count(t)), ([], [], []))
+            us.append(u)
+        else:
+            rows, _, ts = by_count.setdefault(len(nonzero), ([], [], []))
         rows.append(row)
-        log_t.append(math.log(abs(t)))
-        t_negative.append(t < 0.0)
+        ts.append(t)
     groups = [(None, mixed, [], [])] if mixed else []
-    return groups + [(identity, *by_count[identity]) for identity in sorted(by_count)]
+    groups += [(pair, *by_pair[pair]) for pair in sorted(by_pair)]
+    return groups + [(count, *by_count[count]) for count in sorted(by_count)]
 
 
 def _signed_log_diff(log_pos: float, log_neg: float) -> tuple[float, int]:

@@ -9,18 +9,28 @@
   coefficient layers, with the hook products summed over the same
   constant-leg runs as the strip table's normalization
   (:func:`_hook_log_sums`, :func:`_subtract_hook_runs`);
-- more than one distinct value (the off-diagonal quadrature nodes of
-  ``E(n)``, ``n >= 1``): :class:`JackTable`, the Koev–Edelman recursion
+- two distinct nonzero values of one sign, ``u`` repeated ``p`` times
+  and ``v`` ``q`` times with ``|u| > |v|`` (the quadrature nodes of
+  ``E(1)``, and of ``E(2)`` at ``a = 0``): :class:`JackPairTable`,
+  ``u**|kappa|`` times a polynomial in ``r = v / u`` whose coefficients
+  depend only on ``(alpha, p, q)``.  They are built once, a weight layer
+  at a time, by :class:`JackTable`'s strip recursion with the degree of
+  ``r`` as an axis, and cached; a node costs one Horner pass per layer.
+  A quadrature level is one batch;
+- any other argument with more than one distinct value (three or more
+  values, a zero beside other values, mixed signs: ``E(2)`` at
+  ``a > 0``, ``E(3)``): :class:`JackTable`, the Koev–Edelman recursion
   over horizontal strips, which builds every ``C_kappa`` of a batch of
   series, one node per argument, one variable and one weight layer at a
   time from branching coefficients shared by all series at the same
   ``alpha`` and number of variables.  A quadrature level is one batch,
   cut into tables of at most :func:`batch_nodes` nodes.
 
-The Schur bialternant at ``alpha == 1`` and the monomial expansion
-driven by the eigenoperator recurrence evaluate one ``kappa`` at a time.
-No route uses them; tests compare :class:`JackTable` against them
-through :func:`jack_C_oracle_signlog`.
+Both share the strip table of ``(alpha, m)`` and so its budget
+``MAX_STRIP_PAIRS``.  The Schur bialternant at ``alpha == 1`` and the
+monomial expansion driven by the eigenoperator recurrence evaluate one
+``kappa`` at a time.  No route uses them; tests compare both tables
+against them (:func:`jack_C_oracle_signlog`).
 """
 
 from __future__ import annotations
@@ -50,6 +60,7 @@ __all__ = [
     "jack_C_eval_signlog",
     "jack_C_oracle_signlog",
     "JackTable",
+    "JackPairTable",
     "batch_nodes",
     "MAX_EXPANSION_WEIGHT",
     "MAX_BATCH_ELEMENTS",
@@ -558,6 +569,142 @@ class JackTable:
             ).reshape(nodes, count)
             del terms
         self._done = k
+
+
+class _PairCoefficients:
+    """``c[d, kappa]`` of ``P_kappa(1^p, r^q) = sum_d c[d, kappa] r**d``,
+    a weight layer at a time.
+
+    The strip recursion of :class:`JackTable` with the ``p`` variables
+    equal to 1 first and the ``q`` equal to ``r`` after them, run once for
+    every ``r``: a 1-valued variable row holds ``P_mu(1^j)``, one number
+    per partition, and an ``r``-valued row holds, per partition ``mu`` of
+    weight ``w``, the ``w + 1`` coefficients of its polynomial in ``r``,
+    each strip shifting the degree by its size.  Layer ``k`` is the last
+    row's ``(k + 1, partitions)`` array, read-only.  Layers are built on
+    first use, with every layer below them, under a lock, so threads may
+    share one entry.
+    """
+
+    def __init__(self, alpha: float, p: int, q: int) -> None:
+        self.p = p
+        self.strips = _strip_table(alpha, p + q)
+        self.layers: list[np.ndarray] = []
+        self._ones = np.zeros((p + 1, 8))
+        self._ones[0, 0] = 1.0
+        # per r-valued row, one (w + 1, partitions) array per weight w
+        self._rows: list[list[np.ndarray]] = [[] for _ in range(q)]
+        self._lock = threading.Lock()
+
+    def layer(self, k: int) -> np.ndarray:
+        """Layer ``k``, built (with every layer below it) on first use."""
+        if k >= len(self.layers):
+            with self._lock:
+                while len(self.layers) <= k:
+                    self._build(len(self.layers))
+        return self.layers[k]
+
+    def _build(self, k: int) -> None:
+        strips = self.strips.layer(k)
+        start, count = strips.start, strips.count
+        stop = start + count
+        p, ones = self.p, self._ones
+        if stop > ones.shape[1]:
+            ones = np.zeros((p + 1, max(2 * ones.shape[1], stop)))
+            ones[:, :start] = self._ones[:, :start]
+            self._ones = ones
+        for j in range(1, p + 1):
+            end = strips.ends[j - 1]
+            ones[j, start:stop] = np.bincount(
+                strips.owner[:end], weights=ones[j - 1, strips.mu[:end]] * strips.psi[:end],
+                minlength=count,
+            )
+        # the first r-valued row: a strip's degree is its size
+        end = strips.ends[p]
+        row = np.bincount(
+            strips.size[:end] * count + strips.owner[:end],
+            weights=ones[p, strips.mu[:end]] * strips.psi[:end],
+            minlength=(k + 1) * count,
+        ).reshape(k + 1, count)
+        self._rows[0].append(row)
+        for i in range(1, len(self._rows)):
+            # strips of one size s read the one weight k - s of the row before
+            end = strips.ends[p + i]
+            size = strips.size[:end]
+            order = np.argsort(size, kind="stable")
+            bounds = np.searchsorted(size[order], np.arange(k + 2)).tolist()
+            before = self._rows[i - 1]
+            row = np.zeros((k + 1, count))
+            for s in range(k + 1):
+                picked = order[bounds[s] : bounds[s + 1]]
+                if not picked.size:
+                    continue
+                w = k - s
+                terms = np.take(before[w], strips.mu[picked] - self.strips.offsets[w], axis=1)
+                terms *= strips.psi[picked]
+                bins = (count * np.arange(w + 1))[:, None] + strips.owner[picked]
+                row[s:] += np.bincount(
+                    bins.ravel(), weights=terms.ravel(), minlength=(w + 1) * count
+                ).reshape(w + 1, count)
+                del terms, bins
+            self._rows[i].append(row)
+        row.flags.writeable = False
+        self.layers.append(row)
+
+
+@lru_cache(maxsize=8)
+def _pair_coefficients(alpha: float, p: int, q: int) -> _PairCoefficients:
+    """The coefficient layers of ``(alpha, p, q)``, shared by every ``r``."""
+    return _PairCoefficients(alpha, p, q)
+
+
+class JackPairTable:
+    """``C_kappa(x)`` for every partition and every argument of a batch
+    whose arguments take two distinct values, one weight layer at a time.
+
+    Argument ``n`` is ``u[n]`` repeated ``p`` times and ``v[n]`` repeated
+    ``q`` times, nonzero, of one sign, with ``|u[n]| > |v[n]|``.  Then
+    ``C_kappa(x) = u**|kappa| P_kappa(1^p, r^q) C_kappa/P_kappa`` with
+    ``r = v / u`` in ``(0, 1)``, and the polynomial in ``r`` has
+    coefficients that depend on ``(alpha, p, q)`` alone
+    (:class:`_PairCoefficients`, cached).  A node costs one Horner pass in
+    ``r`` over its layer, elementwise, so every node's values are the same
+    bits in any batch.  The interface is :class:`JackTable`'s.
+
+    Parameters
+    ----------
+    u, v : sequence of float
+        The two values of each argument.
+    p, q : int
+        Their multiplicities, the same for every argument.
+    alpha : float
+        Positive deformation parameter.
+    """
+
+    def __init__(self, u, v, p: int, q: int, alpha: float) -> None:
+        self._coefficients = _pair_coefficients(float(alpha), p, q)
+        self._r = (np.abs(np.asarray(v, dtype=float)) / np.abs(np.asarray(u, dtype=float)))[:, None]
+        self._negative = np.asarray(u) < 0.0
+        self._log_scale = np.array([math.log(abs(value)) for value in u])
+
+    def layer(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Layer ``k``, as :meth:`JackTable.layer` gives it."""
+        coefficients = self._coefficients.layer(k)
+        values = np.empty((len(self._r), coefficients.shape[1]))
+        values[:] = coefficients[k]
+        for d in range(k - 1, -1, -1):
+            values *= self._r
+            values += coefficients[d]
+        values.flags.writeable = False
+        log_factors = self._coefficients.strips.layer(k).log_norm + (k * self._log_scale)[:, None]
+        signs = np.where(self._negative & bool(k % 2), -1, 1)
+        return values, log_factors, signs
+
+    def keep(self, nodes: np.ndarray) -> None:
+        """Drop every node but ``nodes`` (indices, in their new order)."""
+        self._r = self._r[nodes]
+        self._negative = self._negative[nodes]
+        self._log_scale = self._log_scale[nodes]
 
 
 def jack_C_eval_signlog(

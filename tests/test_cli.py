@@ -514,12 +514,24 @@ def test_resource_limit_exits_3(capsys: pytest.CaptureFixture[str]) -> None:
 
 
 def test_contour_above_one_exits_3(capsys: pytest.CaptureFixture[str]) -> None:
-    # The contour value at beta = 3, a = 4/3 is 1.00336: no probability.
+    # The contour value at beta = 3, a = 4/3 was 1.00336: no probability.
+    # 4/beta is not an integer there, so the dimension-2 cap rejects it.
     code, out = run_cli(
         capsys, "contour", "--beta", "3", "--a", "1.3333333333333333", "--s", "1"
     )
-    assert code == 3
-    assert json.loads(out)["error"]["type"] == "QuadratureError"
+    assert code == 2
+    assert json.loads(out)["error"]["type"] == "ParameterQuantizationError"
+
+
+def test_contour_dimension_two_off_integer_exits_2(capsys: pytest.CaptureFixture[str]) -> None:
+    # It printed a value 5.7e-2 off with exit 0.
+    code, out = run_cli(
+        capsys, "contour", "--beta", "4.659", "--a", str(4.0 / 4.659), "--s", "0.147"
+    )
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ParameterQuantizationError"
+    assert error["message"].startswith("4/beta must be a positive integer")
 
 
 def test_nonconvergence_exits_3(capsys: pytest.CaptureFixture[str]) -> None:

@@ -151,10 +151,39 @@ def test_no_doubling_budget_raises() -> None:
 
 
 def test_value_above_one_raises() -> None:
-    # At beta = 3, a = 4/3 the contour settles on 1.00336, which is no
-    # probability: the route raises instead of returning it.
-    with pytest.raises(QuadratureError, match="outside"):
+    # At beta = 3, a = 4/3 the contour settled on 1.00336, which is no
+    # probability; 4/beta is not an integer there, so the dimension-2 cap
+    # now raises before any quadrature.
+    with pytest.raises(ParameterQuantizationError, match="4/beta must be a positive integer"):
         hard_contour_E0(1.0, 4.0 / 3.0, 3.0)
+
+
+@pytest.mark.parametrize(
+    "s, beta",
+    [(0.147, 4.659), (1.0, 3.0), (0.155, 4.528), (19.6, 1.386)],
+)
+def test_dimension_two_needs_integer_four_over_beta(s: float, beta: float) -> None:
+    # Off integer 4/beta the dimension-2 contour printed values off by up
+    # to 5.7e-2 (beta = 4.659, s = 0.147) with no error.
+    with pytest.raises(ParameterQuantizationError, match="4/beta must be a positive integer"):
+        hard_contour_E0(s, 4.0 / beta, beta)
+    # dimension 1 at the same beta is not capped
+    np.testing.assert_allclose(
+        hard_contour_E0(s, 2.0 / beta, beta), exact_E0_hard(s, 2.0 / beta, beta), rtol=1e-7
+    )
+
+
+def test_quadrature_error_prints_a_plain_float(monkeypatch: pytest.MonkeyPatch) -> None:
+    # The settled value is a numpy scalar; the message shows it as a float.
+    monkeypatch.setattr(contour, "_settled_limit", lambda *args: np.float64(-1e-3))
+    for route in (
+        lambda: torus_E0_finiteN(0.5, 1.0, 2.0, 4),
+        lambda: torus_E0_hard(1.0, 1.0, 2.0),
+        lambda: hard_contour_E0(1.0, 1.0, 2.0),
+    ):
+        with pytest.raises(QuadratureError, match=r"gave -\d[\d.e-]*, outside") as raised:
+            route()
+        assert "np." not in str(raised.value)
 
 
 def test_probability_bounds(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -18,8 +18,9 @@ from betagap.errors import (
     CancellationError,
     LowerParameterPoleError,
     NonConvergenceError,
+    ResourceLimitError,
 )
-from betagap.gap import exact_E0_finiteN_detailed, exact_E0_hard_detailed
+from betagap.gap import exact_E0_finiteN_detailed, exact_E0_hard_detailed, exact_En_hard
 from betagap.hypergeom import (
     CONDITION_LIMIT,
     DEFAULT_MAX_WEIGHT,
@@ -529,14 +530,18 @@ def test_shared_coefficients_under_threads() -> None:
 # --- a batch of arguments against its members, one series each ---
 
 
-def _level_rows(s: float, diagonal: bool) -> np.ndarray:
-    """The n = 2, a = 0, beta = 2 quadrature arguments ``y1, y1, y2, y2``
-    at the order-8 Gauss-Jacobi nodes, scaled by ``s``; with ``diagonal``
-    the pairs ``y1 == y2`` too, whose one distinct value takes the
-    identity path."""
+def _level_rows(s: float, diagonal: bool, shape: str) -> np.ndarray:
+    """Quadrature arguments at the order-8 Gauss-Jacobi nodes ``y``, scaled
+    by ``s``: the n = 2, a = 0, beta = 2 rows ``y1, y1, y2, y2`` (shape
+    ``"pairs"``), or the n = 1, a = 1, beta = 2 rows ``1, y, y`` (shape
+    ``"u-v-v"``).  With ``diagonal`` the rows of one distinct value, which
+    take the identity path, come too: ``y1 == y2``, or ``y == 1``."""
     from betagap.gap import _jacobi_rule
 
     nodes, _ = _jacobi_rule(8, 0.0)
+    if shape == "u-v-v":
+        ys = list(nodes) + ([1.0] if diagonal else [])
+        return np.array([(s, s * y, s * y) for y in ys])
     pairs = [(u, v) for i, u in enumerate(nodes) for v in nodes[i + (0 if diagonal else 1) :]]
     return np.array([(s * u, s * u, s * v, s * v) for u, v in pairs])
 
@@ -544,17 +549,28 @@ def _level_rows(s: float, diagonal: bool) -> np.ndarray:
 @pytest.mark.parametrize("budget", [jack.MAX_BATCH_ELEMENTS, 1])
 @pytest.mark.parametrize("diagonal", [False, True])
 @pytest.mark.parametrize(
-    "upper, lower, s",
-    [((), (4.0,), 1.0), ((), (4.0,), 2.5), ((-4.0,), (4.0,), -0.5)],
-    ids=["hard-edge", "hard-edge-deep", "finite-N"],
+    "upper, lower, s, shape",
+    [
+        ((), (4.0,), 1.0, "pairs"),
+        ((), (4.0,), 2.5, "pairs"),
+        ((-4.0,), (4.0,), -0.5, "pairs"),
+        ((), (4.0,), 1.0, "u-v-v"),
+        ((), (4.0,), 2.5, "u-v-v"),
+        ((-4.0,), (4.0,), -0.5, "u-v-v"),
+    ],
+    ids=[
+        "hard-edge", "hard-edge-deep", "finite-N",
+        "hard-edge-u-v-v", "hard-edge-deep-u-v-v", "finite-N-u-v-v",
+    ],
 )
 def test_batch_matches_members(
-    monkeypatch: pytest.MonkeyPatch, budget, diagonal, upper, lower, s
+    monkeypatch: pytest.MonkeyPatch, budget, diagonal, upper, lower, s, shape
 ) -> None:
-    # Every member of a batch, table path or identity path, in one chunk or
-    # one node per chunk, is the series it would be alone, to the bit.
+    # Every member of a batch, two-value path or identity path, in one
+    # chunk or one node per chunk, is the series it would be alone, to the
+    # bit.
     monkeypatch.setattr(jack, "MAX_BATCH_ELEMENTS", budget)
-    rows = _level_rows(s, diagonal)
+    rows = _level_rows(s, diagonal, shape)
     batch = pFq_alpha(HypergeomSpec(upper, lower, 1.0, rows))
     assert len(batch) == len(rows)
     singles = [
@@ -564,6 +580,55 @@ def test_batch_matches_members(
         assert batch[number] == single
     assert batch.term_count == sum(single.term_count for single in singles)
     assert batch.max_weight_used == max(single.max_weight_used for single in singles)
+
+
+def _count_jack_tables(monkeypatch: pytest.MonkeyPatch) -> list:
+    """Make ``pFq_alpha`` count the :class:`JackTable` objects it builds."""
+    built: list = []
+
+    class Counted(jack.JackTable):
+        def __init__(self, points, alpha) -> None:
+            built.append(len(points))
+            super().__init__(points, alpha)
+
+    monkeypatch.setattr(hypergeom, "JackTable", Counted)
+    return built
+
+
+def test_two_value_rows_build_no_jack_table(monkeypatch: pytest.MonkeyPatch) -> None:
+    # E(1) at beta = 2, a = 1 has arguments (s/4, s y/4, s y/4): every
+    # quadrature node takes the cached two-value coefficients.
+    built = _count_jack_tables(monkeypatch)
+    assert 0.0 < exact_En_hard(4.0, 1.0, 2.0, 1) < 1.0
+    assert built == []
+    # three distinct values, a zero beside other values and mixed signs
+    # keep JackTable, one table for the batch
+    rows = np.array([(1.0, 0.6, 0.3), (0.5, 0.0, 0.2), (1.0, 0.4, 0.3), (0.8, -0.5, -0.5)])
+    batch = pFq_alpha(HypergeomSpec((), (4.0,), 1.0, rows))
+    assert built == [4]
+    for row, result in zip(rows, batch):
+        assert result == pFq_alpha(HypergeomSpec((), (4.0,), 1.0, ArgBlocks.from_values(row)))
+
+
+def test_two_value_series_meets_the_strip_budget(monkeypatch: pytest.MonkeyPatch) -> None:
+    # A series on the two-value path raises at the weight where JackTable
+    # meets the strip budget, with the same message.
+    monkeypatch.setattr(jack, "MAX_STRIP_PAIRS", 500)
+    row, alpha = (8.0, 4.0, 4.0), 0.8125
+    jack._strip_table.cache_clear()
+    table = jack.JackTable([row], alpha)
+    with pytest.raises(ResourceLimitError) as want:
+        for k in range(DEFAULT_MAX_WEIGHT):
+            table.layer(k)
+    jack._strip_table.cache_clear()
+    jack._pair_coefficients.cache_clear()
+    built = _count_jack_tables(monkeypatch)
+    with pytest.raises(ResourceLimitError) as raised:
+        pFq_alpha(HypergeomSpec((), (4.0,), alpha, ArgBlocks.from_values(row)))
+    jack._strip_table.cache_clear()
+    jack._pair_coefficients.cache_clear()
+    assert str(raised.value) == str(want.value)
+    assert built == []
 
 
 def test_batch_raises_its_failing_members_error() -> None:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from betagap import jack
 from betagap.errors import ResourceLimitError
 from betagap.jack import (
+    JackPairTable,
     JackTable,
     jack_C_eval,
     jack_C_eval_signlog,
@@ -259,3 +260,129 @@ def test_batched_table_matches_single_tables() -> None:
     for k in range(15):
         for node, point in enumerate((4, 1, 2)):
             assert _layer_lists(table, k, node) == want[point][k]
+
+
+# --- two-value arguments: cached polynomials in the node ratio ---
+
+
+def _monomial_C_signlog(kappa: tuple[int, ...], x: tuple[float, ...], alpha: float) -> tuple:
+    """``C_kappa(x)`` from the monomial expansion, at every ``alpha``.
+
+    :func:`jack_C_oracle_signlog` reads the Schur bialternant at ``alpha
+    == 1``, whose determinants lose digits as two values coalesce: at
+    ``(1, 1, 0.97, 0.97)`` it is 2.8e-11 off, for :class:`JackTable` and
+    :class:`JackPairTable` alike.  The expansion has no cancellation.
+    """
+    if alpha != 1.0:
+        return jack_C_oracle_signlog(kappa, x, alpha)
+    k = sum(kappa)
+    expansion = jack_in_monomial_basis(kappa, alpha, max_parts=len(x))
+    p_value = sum(coeff * monomial_eval(mu, x) for mu, coeff in expansion.items())
+    if p_value == 0.0:
+        return 0, -math.inf
+    log_lower = hook_products_log(kappa, alpha)[1] if k else 0.0
+    log_value = k * math.log(alpha) + math.lgamma(k + 1) - log_lower + math.log(abs(p_value))
+    return (1 if p_value > 0 else -1), log_value
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_pair_table_matches_oracle(alpha: float) -> None:
+    for p, q in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)]:
+        for r in (0.03, 0.5, 0.97):
+            for u in (1.3, -1.3):
+                x = (u,) * p + (u * r,) * q
+                table = JackPairTable([u], [u * r], p, q, alpha)
+                for k in range(13):
+                    values, log_factors, sign = _node_layer(table, k)
+                    kappas = partitions_of_weight(k, p + q)
+                    assert len(values) == len(kappas)
+                    for kappa, value, log_factor in zip(kappas, values, log_factors):
+                        want_sign, want_log = _monomial_C_signlog(kappa, x, alpha)
+                        got = sign * value * math.exp(log_factor)
+                        if want_sign == 0:
+                            assert got == 0.0, (kappa, x)
+                            continue
+                        want = want_sign * math.exp(want_log)
+                        assert abs(got - want) <= 1e-13 * abs(want), (kappa, x, got, want)
+
+
+def test_pair_table_matches_jack_table() -> None:
+    # The same argument through both evaluators, to rounding.
+    alpha = 1.25
+    for u, v, p, q in [(0.9, 0.2, 1, 2), (-2.0, -1.5, 2, 2), (1.0, 0.6, 3, 1)]:
+        pair = JackPairTable([u], [v], p, q, alpha)
+        table = JackTable([(u,) * p + (v,) * q], alpha)
+        for k in range(25):
+            got, got_logs, got_sign = _node_layer(pair, k)
+            want, want_logs, want_sign = _node_layer(table, k)
+            assert got_sign == want_sign
+            assert got_logs.tolist() == want_logs.tolist()
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
+def test_pair_table_nodes_keep_their_bits() -> None:
+    # A node's values are the same bits alone, in any batch, and after the
+    # batch drops other nodes.
+    u, v = [1.0, -0.7, 0.4, 2.5], [0.35, -0.2, 0.39, 0.01]
+    alpha = 0.75
+    want = [[_layer_lists(JackPairTable([a], [b], 2, 3, alpha), k) for k in range(15)]
+            for a, b in zip(u, v)]
+    table = JackPairTable(u, v, 2, 3, alpha)
+    for k in range(8):
+        for node in range(len(u)):
+            assert _layer_lists(table, k, node) == want[node][k]
+    table.keep(np.array([3, 0]))
+    for k in range(15):
+        for node, point in enumerate((3, 0)):
+            assert _layer_lists(table, k, node) == want[point][k]
+
+
+def _first_budget_failure(table) -> tuple[int, str]:
+    for k in range(80):
+        try:
+            table.layer(k)
+        except ResourceLimitError as exc:
+            return k, str(exc)
+    raise AssertionError("the strip budget never bound")
+
+
+def test_pair_table_meets_the_strip_budget(monkeypatch: pytest.MonkeyPatch) -> None:
+    # The coefficients run the strip recursion, so the strip budget binds
+    # them at the weight where it binds JackTable.
+    monkeypatch.setattr(jack, "MAX_STRIP_PAIRS", 500)
+    alpha = 0.8125
+    jack._strip_table.cache_clear()
+    want = _first_budget_failure(JackTable([(1.0, 0.5, 0.5)], alpha))
+    jack._strip_table.cache_clear()
+    jack._pair_coefficients.cache_clear()
+    assert _first_budget_failure(JackPairTable([1.0], [0.5], 1, 2, alpha)) == want
+    jack._strip_table.cache_clear()
+    jack._pair_coefficients.cache_clear()
+
+
+def test_shared_pair_coefficients_under_threads() -> None:
+    # Threads extending one shared coefficient entry must not interleave layers.
+    alpha = 1.375
+    jack._pair_coefficients.cache_clear()
+    want = [_layer_lists(JackPairTable([1.0], [0.55], 2, 2, alpha), k) for k in range(19)]
+    jack._pair_coefficients.cache_clear()
+    results: list = [None] * 8
+    start = threading.Barrier(8)
+
+    def work(slot: int) -> None:
+        start.wait()
+        table = JackPairTable([1.0], [0.55], 2, 2, alpha)
+        results[slot] = [_layer_lists(table, k) for k in range(19)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == want for result in results)
