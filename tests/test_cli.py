@@ -534,6 +534,39 @@ def test_contour_dimension_two_off_integer_exits_2(capsys: pytest.CaptureFixture
     assert error["message"].startswith("4/beta must be a positive integer")
 
 
+@pytest.mark.parametrize(
+    "route", [("--s", "3100"), ("--route", "torus", "--s", "10000")], ids=["contour", "torus"]
+)
+def test_contour_underflow_exits_3(
+    capsys: pytest.CaptureFixture[str], route: tuple[str, ...]
+) -> None:
+    # Both printed "value": 0.0 and "log_value": null with exit 0.
+    code, out = run_cli(
+        capsys, "contour", "--beta", "2", "--a", "1", *route, "--format", "json"
+    )
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "QuadratureError"
+    assert "underflows: its log value" in error["message"]
+
+
+def test_finite_size_torus_overflow_exits_3_without_warnings() -> None:
+    # numpy printed three RuntimeWarnings to stderr, then the doubling
+    # failed with NonConvergenceError.
+    result = subprocess.run(
+        [sys.executable, "-m", "betagap", "contour", "--beta", "2", "--a", "1",
+         "--s", "2000", "--N", "3", "--format", "json"],
+        capture_output=True,
+        text=True,
+        check=False,
+    )
+    assert result.returncode == 3
+    assert result.stderr == ""
+    error = json.loads(result.stdout)["error"]
+    assert error["type"] == "QuadratureError"
+    assert "s = 2000.0, N = 3" in error["message"]
+
+
 def test_nonconvergence_exits_3(capsys: pytest.CaptureFixture[str]) -> None:
     code, out = run_cli(
         capsys, "exact", "--beta", "2", "--a", "1", "--s", "4",

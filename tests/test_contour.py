@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from betagap.errors import (
     QuadratureError,
     ResourceLimitError,
 )
-from betagap.gap import exact_E0_finiteN, exact_E0_hard
+from betagap.gap import exact_E0_finiteN, exact_E0_hard, exact_E0_hard_detailed
 
 
 # ------------------------------------------------------------ route agreement
@@ -91,6 +92,71 @@ def test_torus_and_contour_pinned_bits() -> None:
     assert torus_E0_hard(1.5, 4.0, 1.0) == 0.9999301184155079
     assert hard_contour_E0(2.0, 1.0, 2.0) == 0.9498773125498129
     assert hard_contour_E0(1.0, 3.0, 4.0 / 3.0) == 0.9999266070183511
+
+
+# ------------------------------------------------------------------ kernel
+
+
+def _complex_kernel_reference(
+    s: float, a: float, beta: float, circle_n: int, ray_n: int
+) -> complex:
+    """The dimension-2 pass as full complex matrices over every node pair:
+    ``w = 2 - z_j/z_k - z_k/z_j`` raised to ``2/beta`` on the principal
+    branch, the circle-circle block plus twice the circle-ray block, over
+    both ray edges separately.
+
+    The diagonal of the circle-circle block is zeroed by index: the
+    complex ``w`` there is roundoff of order 1e-16 (not always exactly
+    zero), which the power 1/2 at ``beta = 4`` lifts to 1e-8."""
+    q = 2.0 / beta - 1.0
+    _, z, amp = contour._contour_nodes(s, q, circle_n, ray_n)
+    p2 = 2.0 / beta
+    z_c, a_c = z[:circle_n], amp[:circle_n]
+    z_r, a_r = z[circle_n:], amp[circle_n:]
+    w_cc = 2.0 - z_c[:, None] / z_c[None, :] - z_c[None, :] / z_c[:, None]
+    np.fill_diagonal(w_cc, 1.0)
+    k_cc = np.exp(p2 * np.log(w_cc))
+    np.fill_diagonal(k_cc, 0.0)
+    w_cr = 2.0 - z_c[:, None] / z_r[None, :] - z_r[None, :] / z_c[:, None]
+    k_cr = np.exp(p2 * np.log(w_cr))
+    return complex(a_c @ k_cc @ a_c) + 2.0 * complex(a_c @ k_cr @ a_r)
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.8])
+@pytest.mark.parametrize("beta", [4.0, 2.0, 4.0 / 3.0, 1.0, 0.8])
+def test_contour_kernel_matches_complex_reference(
+    monkeypatch: pytest.MonkeyPatch, beta: float, radius: float
+) -> None:
+    # The real circle-circle kernel and the one circle-ray block over the
+    # summed ray edges agree with the full complex matrices.
+    monkeypatch.setattr(contour, "_CONTOUR_RADIUS", radius)
+    a = 4.0 / beta
+    for s in (0.5, 2.0):
+        value = contour._contour_components(s, a, beta, 64, 24)
+        reference = _complex_kernel_reference(s, a, beta, 64, 24)
+        assert abs(value - reference) <= 1e-13 * abs(reference)
+
+
+def test_contour_kernel_row_blocks_cover_every_row(monkeypatch: pytest.MonkeyPatch) -> None:
+    # A circle count that is no multiple of the row block gives the same
+    # pass as one block over all rows.
+    value = contour._contour_components(1.0, 3.0, 4.0 / 3.0, 300, 40)
+    monkeypatch.setattr(contour, "_ROW_BLOCK", 300)
+    whole = contour._contour_components(1.0, 3.0, 4.0 / 3.0, 300, 40)
+    assert abs(value - whole) <= 1e-14 * abs(whole)
+
+
+def test_contour_level_memory_grows_with_row_block() -> None:
+    # One 1024 + 2 * 384 node level built n x n complex matrices (68 MB
+    # traced); row blocks keep it a few MB.
+    contour._contour_components(1.0, 3.0, 4.0 / 3.0, 1024, 384)  # caches the rules
+    tracemalloc.start()
+    try:
+        contour._contour_components(1.0, 3.0, 4.0 / 3.0, 1024, 384)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 # --------------------------------------------------------------- independence
@@ -184,6 +250,33 @@ def test_quadrature_error_prints_a_plain_float(monkeypatch: pytest.MonkeyPatch) 
         with pytest.raises(QuadratureError, match=r"gave -\d[\d.e-]*, outside") as raised:
             route()
         assert "np." not in str(raised.value)
+
+
+@pytest.mark.parametrize(
+    "route, s",
+    [(hard_contour_E0, 3100.0), (torus_E0_hard, 10000.0)],
+)
+def test_underflowing_value_raises(route, s: float) -> None:
+    # Both returned 0.0 with no error; the message names the log value,
+    # which the series route matches.
+    with pytest.raises(QuadratureError, match=r"underflows: its log value -\d") as raised:
+        route(s, 1.0, 2.0)
+    log_value = float(str(raised.value).split("log value ")[1].split()[0])
+    np.testing.assert_allclose(log_value, exact_E0_hard_detailed(s, 1.0, 2.0)[0], rtol=1e-12)
+
+
+def test_smallest_normal_values_stay_unchanged() -> None:
+    # Just above the underflow threshold the value is the prefactor times
+    # the integral, as before.
+    assert hard_contour_E0(2900.0, 1.0, 2.0) == 1.820968409593863e-293
+    assert torus_E0_hard(2900.0, 1.0, 2.0) == 1.8209684039928736e-293
+
+
+def test_finite_size_torus_overflow_raises() -> None:
+    # exp(s z) overflows on the grid; numpy warned three times and the
+    # doubling then failed with NonConvergenceError.
+    with pytest.raises(QuadratureError, match=r"s = 2000.0, N = 3 "):
+        torus_E0_finiteN(2000.0, 1.0, 2.0, 3)
 
 
 def test_probability_bounds(monkeypatch: pytest.MonkeyPatch) -> None:
