@@ -50,7 +50,7 @@ _LOG_FLOAT_MIN = math.log(sys.float_info.min)
 # circle and on each ray, and resolution levels (four doublings; the finest
 # dimension-2 level has 4096 + 2 * 1536 nodes).  A dimension-2 level
 # builds its kernels _ROW_BLOCK circle rows at a time: at beta = 4/3 the
-# five levels peak at 1.0, 1.9, 3.7, 7.2 and 14.2 MB traced.
+# five levels peak at 1.1, 2.0, 3.8, 7.4 and 14.5 MB traced.
 _CONTOUR_RADIUS = 1.0
 _CIRCLE_NODES = 256
 _RAY_NODES = 96
@@ -124,9 +124,14 @@ def _probability(value: float, tol: float, label: str) -> float:
 
 
 def _scaled_probability(log_pref: float, value: float, tol: float, label: str) -> float:
-    """``exp(log_pref) * value`` through :func:`_probability`, unless that
-    product underflows: when ``log_pref + log(value)`` lies below the log
-    of the smallest normal float, raise ``QuadratureError`` naming it."""
+    """``exp(log_pref) * value`` through :func:`_probability`.
+
+    When ``log_pref + log(value)`` lies below the log of the smallest
+    normal float the product underflows, so raise ``QuadratureError``
+    naming it.  When only the prefactor lies below, ``exp(log_pref)``
+    would be subnormal (or zero) and carry too few bits, so the value is
+    ``exp(log_pref + log(value))``.
+    """
     if value > 0.0:
         log_value = log_pref + math.log(value)
         if log_value < _LOG_FLOAT_MIN:
@@ -134,6 +139,8 @@ def _scaled_probability(log_pref: float, value: float, tol: float, label: str) -
                 f"{label} underflows: its log value {log_value!r} lies below "
                 f"{_LOG_FLOAT_MIN!r}, the log of the smallest normal float"
             )
+        if log_pref < _LOG_FLOAT_MIN:
+            return _probability(math.exp(log_value), tol, label)
     return _probability(math.exp(log_pref) * value, tol, label)
 
 
@@ -350,8 +357,7 @@ def _contour_components(
     block takes the principal branch (continuous along it); both ray
     edges sit at the same points, so it is contracted once with the sum
     of their amplitudes.  Both blocks are built ``_ROW_BLOCK`` circle
-    rows at a time, the symmetric circle-circle block only from its
-    diagonal on.  The ray-ray block is omitted because it vanishes
+    rows at a time.  The ray-ray block is omitted because it vanishes
     identically: against a common real kernel its four edge combinations
     contribute the phase sum ``2 cos(pi p) - 2 cos(2 pi q - pi p)`` with
     ``p = 2/beta`` (mixed edges give the first cosine, equal edges the
@@ -370,21 +376,17 @@ def _contour_components(
     a_r = amp[circle_n : circle_n + ray_n] + amp[circle_n + ray_n :]
     parts = np.stack([a_c.real, a_c.imag], axis=1)
 
-    k_parts = np.zeros((circle_n, 2))
+    k_parts = np.empty((circle_n, 2))
     k_ray = np.empty(circle_n, dtype=complex)
     for start in range(0, circle_n, _ROW_BLOCK):
-        stop = start + _ROW_BLOCK
-        rows = slice(start, stop)
-        # The kernel is symmetric: build the rows from the diagonal on,
-        # and let the part right of the row block serve its mirror too.
-        k_cc = np.subtract.outer(theta[rows], theta[start:])
+        rows = slice(start, start + _ROW_BLOCK)
+        k_cc = np.subtract.outer(theta[rows], theta)
         k_cc *= 0.5
         np.sin(k_cc, out=k_cc)
         np.abs(k_cc, out=k_cc)
         k_cc *= 2.0
         k_cc **= 2.0 * p2
-        k_parts[rows] += k_cc @ parts[start:]
-        k_parts[stop:] += k_cc[:, _ROW_BLOCK:].T @ parts[rows]
+        k_parts[rows] = k_cc @ parts
         zc = z_c[rows, None]
         w_cr = 2.0 - zc / z_r - z_r / zc
         k_ray[rows] = np.exp(p2 * np.log(w_cr)) @ a_r

@@ -11,12 +11,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from betagap.cli import CSV_HEADER, main
+from betagap.gap import exact_E0_hard_detailed
 
 EXPECTED_HEADER = "s,beta,a,n,N,method,value,log_value,stderr,trunc_weight,tail_bound,seed"
 
@@ -548,6 +550,23 @@ def test_contour_underflow_exits_3(
     error = json.loads(out)["error"]
     assert error["type"] == "QuadratureError"
     assert "underflows: its log value" in error["message"]
+
+
+@pytest.mark.parametrize("s", ["2970", "3000"])
+@pytest.mark.parametrize("route", [(), ("--route", "torus")], ids=["contour", "torus"])
+def test_contour_subnormal_prefactor_row(
+    capsys: pytest.CaptureFixture[str], route: tuple[str, ...], s: str
+) -> None:
+    # The prefactor alone is subnormal or zero here: the rows printed a
+    # value 10% off (s = 2970) or 0.0 with a null log value (s = 3000).
+    code, out = run_cli(
+        capsys, "contour", "--beta", "2", "--a", "1", "--s", s, *route, "--format", "json"
+    )
+    assert code == 0
+    record = json.loads(out)
+    series = exact_E0_hard_detailed(float(s), 1.0, 2.0)[0]
+    assert record["log_value"] == pytest.approx(series, rel=1e-15)
+    assert record["value"] == pytest.approx(math.exp(series), rel=1e-12)
 
 
 def test_finite_size_torus_overflow_exits_3_without_warnings() -> None:
