@@ -233,7 +233,8 @@ def _identity_suite() -> list[tuple[str, float, float]]:
     to continue the asymptotic constants, the equality of the two
     constant constructions, the duality of asymptotic forms and
     constants, series-vs-quadrature route equivalence, and the exact
-    beta = 4 / beta = 1 identity between series and ``n = 1`` quadrature.
+    beta = 4 / beta = 1 identity between the ``E(0)`` series and the
+    ``E(1)`` series integrated over its conditioned eigenvalue.
     """
     log_2pi = math.log(2.0 * math.pi)
     rows: list[tuple[str, float, float]] = []

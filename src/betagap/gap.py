@@ -2,11 +2,12 @@
 
 ``E(n; (0, s))`` — the probability that exactly ``n`` eigenvalues lie
 in ``(0, s)`` — is computed along independent routes: convergent and
-terminating hypergeometric series, series-times-quadrature for ``n >
-0``, large-size asymptotic forms, and a large-deviation formula for
-finite size.  The ensemble weight convention is ``lambda**(a*beta/2) *
-exp(-beta*lambda/2)``; :func:`rescale_endpoint` maps gap endpoints from
-other exponential rates into this convention.
+terminating hypergeometric series, for ``n = 1`` a series integrated
+exactly over the conditioned eigenvalue, series-times-quadrature for
+``n = 2, 3``, large-size asymptotic forms, and a large-deviation
+formula for finite size.  The ensemble weight convention is
+``lambda**(a*beta/2) * exp(-beta*lambda/2)``; :func:`rescale_endpoint`
+maps gap endpoints from other exponential rates into this convention.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .barnes import (
     log_tau_hard_n,
 )
 from .errors import QuadratureError, quantized, require_finite
-from .hypergeom import ArgBlocks, HypergeomSpec, SeriesResult, pFq_alpha
+from .hypergeom import ArgBlocks, HypergeomSpec, RatioIntegral, SeriesResult, pFq_alpha
 from .quadrature import gauss_jacobi
 
 __all__ = [
@@ -314,13 +315,22 @@ def _batch_args(fixed: float, m0: int, nodes: np.ndarray, mult: int) -> np.ndarr
 
 def _diagnostics(order: int, rel_change: float, trunc_weight: int, tail: float) -> dict:
     """Quadrature order and change, deepest series weight, and a tail
-    bound covering both the series and the quadrature."""
+    bound covering both the series and the quadrature.  Order 0 means
+    that no quadrature ran."""
     return {
         "order": order,
         "rel_change": rel_change,
         "trunc_weight": trunc_weight,
         "tail_bound": max(tail, rel_change),
     }
+
+
+def _excess_count(n: int) -> int:
+    """``n`` as an ``int``; raises ``ValueError`` unless it is an integer
+    from 0 to 3 (integral floats pass)."""
+    if not (0 <= n <= 3 and float(n).is_integer()):
+        raise ValueError(f"n must be an integer between 0 and 3, got {n}")
+    return int(n)
 
 
 def _log_A_quad(n: int, a: float, beta: float) -> float:
@@ -347,18 +357,23 @@ def exact_En_hard_detailed(
 ) -> tuple[float, dict]:
     """Hard-edge ``E(n; (0, s))`` for ``n <= 3``: log value and diagnostics.
 
-    Combines the ``n``-fold quadrature over conditioned eigenvalue
-    positions with the lower-parameter ``a + 2n`` series evaluated at
-    mixed argument blocks.  The quadrature rule absorbs the
-    ``(1 - y)**(a beta / 2)`` factor and escalates its order until two
-    successive evaluations agree to ``_QUAD_TOL``.  The diagnostics are
-    ``order``, ``rel_change``, ``trunc_weight`` and ``tail_bound``.  At
-    ``s = 0`` with ``n >= 1`` the probability is 0: the log value is
-    ``-inf`` and no quadrature runs.
+    Integrates, over the ``n`` conditioned eigenvalue positions ``y`` in
+    ``(0, 1)`` with weight ``(1 - y)**(a beta / 2)``, the lower-parameter
+    ``a + 2n`` series at ``beta a / 2`` arguments ``s / 4`` and ``beta``
+    arguments ``s y / 4`` per position.  At ``n = 1`` the series is
+    integrated exactly, term by term, from the moments of the weight
+    (:class:`~betagap.hypergeom.RatioIntegral`).  At ``n = 2, 3`` a
+    tensor Gauss–Jacobi rule absorbs the weight and escalates its order
+    until two successive evaluations agree to ``_QUAD_TOL``.  The
+    diagnostics are ``order``, ``rel_change``, ``trunc_weight`` and
+    ``tail_bound``; ``order`` 0 (with ``rel_change`` 0) means that no
+    quadrature ran, and ``tail_bound`` is then the series' relative tail.
+    At ``s = 0`` with ``n >= 1`` the probability is 0: the log value is
+    ``-inf``.  ``n`` must be an integer from 0 to 3; integral floats
+    pass.
     """
     require_finite("beta", beta, positive=True)
-    if n < 0 or n > 3:
-        raise ValueError(f"n must be between 0 and 3, got {n}")
+    n = _excess_count(n)
     if n == 0:
         log_value, series = exact_E0_hard_detailed(s, a, beta, tol, max_weight)
         return log_value, _diagnostics(
@@ -371,6 +386,18 @@ def exact_En_hard_detailed(
         return -math.inf, _diagnostics(0, 0.0, 0, 0.0)
     alpha = beta / 2.0
     lower = a + 2.0 * n
+    log_pref = (
+        _log_A_quad(n, a, beta)
+        + (n + beta / 2.0 * n * (n + a - 1.0)) * math.log(s)
+        - beta * s / 8.0
+    )
+    if n == 1:
+        args = RatioIntegral(s / 4.0, m0, mb, m0, 0.0)
+        spec = HypergeomSpec(upper=(), lower=(lower,), alpha=alpha, args=args)
+        series = pFq_alpha(spec, tol=tol, max_weight=max_weight)
+        return log_pref + series.log_value, _diagnostics(
+            0, 0.0, series.max_weight_used, series.tail_estimate
+        )
     max_used, max_tail = 0, 0.0
 
     def integrand(points: np.ndarray) -> list[float]:
@@ -384,11 +411,6 @@ def exact_En_hard_detailed(
 
     total, order, rel_change = _settled_quadrature(
         integrand, n, beta * a / 2.0, beta, _QUAD_TOL
-    )
-    log_pref = (
-        _log_A_quad(n, a, beta)
-        + (n + beta / 2.0 * n * (n + a - 1.0)) * math.log(s)
-        - beta * s / 8.0
     )
     log_value = log_pref + math.log(total)
     return log_value, _diagnostics(order, rel_change, max_used, max_tail)
@@ -412,7 +434,9 @@ def exact_En_hard(
         Ensemble parameters; this route needs both ``beta * a / 2`` and
         ``beta`` to be nonnegative integers.
     n : int
-        Number of eigenvalues conditioned inside the gap (at most 3).
+        Number of eigenvalues conditioned inside the gap (at most 3):
+        ``n = 1`` is one exactly integrated series, ``n = 2, 3`` run the
+        quadrature ladder.
     tol, max_weight
         Series controls.
 
@@ -451,7 +475,9 @@ def exact_En_finiteN_detailed(
     max_weight: int | None = None,
 ) -> tuple[float, dict]:
     """Finite-size ``E(n; (0, s))`` for ``n <= 3``: log value and the
-    diagnostics of :func:`exact_En_hard_detailed`, with its ``s = 0`` rule.
+    diagnostics of :func:`exact_En_hard_detailed`, with its ``s = 0``
+    rule, its rule for ``n`` and its exact ``n = 1`` integral; the
+    integrand carries ``exp(beta s y / 2)``, which joins the weight.
 
     The ``"corrected"`` variant carries the binomial label count
     ``C(N+n, n)``, the normalization ratio of the shifted-weight
@@ -463,8 +489,7 @@ def exact_En_finiteN_detailed(
     ``max(N (beta a / 2 + n beta), 200)``.
     """
     require_finite("beta", beta, positive=True)
-    if n < 0 or n > 3:
-        raise ValueError(f"n must be between 0 and 3, got {n}")
+    n = _excess_count(n)
     if n == 0:
         log_value, series = exact_E0_finiteN_detailed(s, a, beta, N, tol, max_weight)
         return log_value, _diagnostics(
@@ -502,14 +527,24 @@ def exact_En_finiteN_detailed(
         raise ValueError(f"unknown variant {variant!r}")
     if s == 0.0:
         return -math.inf, _diagnostics(0, 0.0, 0, 0.0)
+    # y = s u substitution: s^n from dy, (s (1 - u))^(a beta / 2) from the
+    # shifted weight, s^beta per coordinate pair from the repulsion.
+    log_scale = (
+        n + n * a * beta / 2.0 + beta * n * (n - 1.0) / 2.0
+    ) * math.log(s)
+    upper, lower = (-float(N),), (a + 2.0 * n,)
+    if n == 1:
+        args = RatioIntegral(-s, m0, cond_mult, m0, beta * s / 2.0)
+        spec = HypergeomSpec(upper=upper, lower=lower, alpha=alpha, args=args)
+        series = pFq_alpha(spec, tol=tol, max_weight=max_weight)
+        log_value = log_pref + log_scale - beta * s * (N + n) / 2.0 + series.log_value
+        return log_value, _diagnostics(0, 0.0, series.max_weight_used, series.tail_estimate)
     max_used, max_tail = 0, 0.0
 
     def integrand(points: np.ndarray) -> list[float]:
         nonlocal max_used, max_tail
         args = _batch_args(-s, m0, -s * points, cond_mult)
-        spec = HypergeomSpec(
-            upper=(-float(N),), lower=(a + 2.0 * n,), alpha=alpha, args=args
-        )
+        spec = HypergeomSpec(upper=upper, lower=lower, alpha=alpha, args=args)
         batch = pFq_alpha(spec, tol=tol, max_weight=max_weight)
         max_used = max(max_used, batch.max_weight_used)
         max_tail = max(max_tail, *(result.tail_estimate for result in batch))
@@ -519,11 +554,6 @@ def exact_En_finiteN_detailed(
     total, order, rel_change = _settled_quadrature(
         integrand, n, a * beta / 2.0, beta, _QUAD_TOL
     )
-    # y = s u substitution: s^n from dy, (s (1 - u))^(a beta / 2) from the
-    # shifted weight, s^beta per coordinate pair from the repulsion.
-    log_scale = (
-        n + n * a * beta / 2.0 + beta * n * (n - 1.0) / 2.0
-    ) * math.log(s)
     log_value = (
         log_pref + log_scale - beta * s * (N + n) / 2.0 + math.log(total)
     )
@@ -548,7 +578,8 @@ def exact_En_finiteN(
     a, beta : float
         Ensemble parameters (``beta * a / 2`` and ``beta`` integral).
     n : int
-        Conditioned eigenvalue count (at most 3).
+        Conditioned eigenvalue count (at most 3); as in
+        :func:`exact_En_hard`, ``n = 1`` runs no quadrature.
     N : int
         Number of remaining eigenvalues; the ensemble size is ``N + n``.
     tol

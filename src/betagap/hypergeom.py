@@ -20,7 +20,10 @@ series' node of a :class:`~betagap.jack.JackPairTable` for two distinct
 values of one sign, whose polynomials in the ratio of the two values
 are cached per ``alpha`` and multiplicities in the same way; otherwise
 its node of a batched :class:`~betagap.jack.JackTable`.  Both tables
-are extended a weight layer at a time as the sum goes deeper.  A batch
+are extended a weight layer at a time as the sum goes deeper.  A
+:class:`RatioIntegral` argument, the two-value argument integrated over
+the ratio of its values, is the one node of a
+:class:`~betagap.jack.JackPairIntegral` on the same path.  A batch
 (the nodes of one quadrature level) sums its series together, one layer
 for all of them at a time, each with its own accumulators and stopping
 rule; a single series is a batch of one row, on the same path.  The
@@ -43,7 +46,14 @@ from .errors import (
     LowerParameterPoleError,
     NonConvergenceError,
 )
-from .jack import JackPairTable, JackTable, _hook_log_sums, _subtract_hook_runs, batch_nodes
+from .jack import (
+    JackPairIntegral,
+    JackPairTable,
+    JackTable,
+    _hook_log_sums,
+    _subtract_hook_runs,
+    batch_nodes,
+)
 from .partitions import partitions_of_weight
 
 # bench/tracing.py replaces partitions_of_weight and these two names on
@@ -55,6 +65,7 @@ from .partitions import gen_pochhammer_signlog  # noqa: F401
 
 __all__ = [
     "ArgBlocks",
+    "RatioIntegral",
     "HypergeomSpec",
     "SeriesResult",
     "SeriesBatch",
@@ -110,25 +121,57 @@ class ArgBlocks:
 
 
 @dataclass(frozen=True, slots=True)
+class RatioIntegral:
+    """Series argument ``u`` repeated ``p`` times and ``u r`` ``q`` times,
+    integrated over ``0 < r < 1`` against ``(1 - r)**power exp(rate r)``.
+
+    The series of this argument is ``int_0^1 pFq(u 1^p, u r 1^q) (1 -
+    r)**power exp(rate r) dr``, summed term by term exactly
+    (:class:`~betagap.jack.JackPairIntegral`): the ``E(1)`` integral over
+    the conditioned eigenvalue, with no quadrature nodes.
+    """
+
+    u: float
+    p: int
+    q: int
+    power: int
+    rate: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.u) and self.u != 0.0):
+            raise ValueError(f"u must be finite and nonzero, got {self.u}")
+        if not (math.isfinite(self.rate) and self.rate >= 0.0):
+            raise ValueError(f"rate must be finite and nonnegative, got {self.rate}")
+        for name, least in (("p", 0), ("q", 1), ("power", 0)):
+            value = getattr(self, name)
+            if not (value >= least and float(value).is_integer()):
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value}")
+            object.__setattr__(self, name, int(value))
+        object.__setattr__(self, "u", float(self.u))
+        object.__setattr__(self, "rate", float(self.rate))
+
+
+@dataclass(frozen=True, slots=True)
 class HypergeomSpec:
     """Parameters and argument of one ``pFq`` evaluation, or of a batch.
 
-    ``args`` is one :class:`ArgBlocks`, or a batch: an array of argument
-    values with one row per series, stored read-only.  The series of a
-    batch share everything but their argument.  A row reads as
-    :meth:`ArgBlocks.from_values` of its values would, and one
-    :class:`ArgBlocks` is summed as the one row of its expanded values.
+    ``args`` is one :class:`ArgBlocks`, one :class:`RatioIntegral`, or a
+    batch: an array of argument values with one row per series, stored
+    read-only.  The series of a batch share everything but their
+    argument.  A row reads as :meth:`ArgBlocks.from_values` of its values
+    would, and one :class:`ArgBlocks` is summed as the one row of its
+    expanded values.
     """
 
     upper: tuple[float, ...]
     lower: tuple[float, ...]
     alpha: float
-    args: ArgBlocks | np.ndarray
+    args: ArgBlocks | RatioIntegral | np.ndarray
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
             raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not isinstance(self.args, ArgBlocks):
+        if not isinstance(self.args, (ArgBlocks, RatioIntegral)):
             points = np.array(self.args, dtype=float)
             if points.ndim != 2 or not points.size:
                 raise ValueError(f"a batch needs rows of argument values, got shape {points.shape}")
@@ -435,7 +478,7 @@ class _Running:
 def _layer_terms(
     layer: _CoefficientLayer,
     k: int,
-    table: JackTable | JackPairTable | None,
+    table: JackTable | JackPairTable | JackPairIntegral | None,
     log_t: list[float],
     t_negative: list[bool],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list[float], list[int] | None]:
@@ -484,7 +527,7 @@ def _sum_layers(
     coefficients: _Coefficients,
     parts: int,
     members: int,
-    table: JackTable | JackPairTable | None,
+    table: JackTable | JackPairTable | JackPairIntegral | None,
     log_t: list[float],
     t_negative: list[bool],
     tol: float,
@@ -625,7 +668,10 @@ def pFq_alpha(
     :class:`JackTable`, then one log-sum-exp per accumulator and a
     correctly rounded float sum.
 
-    One :class:`ArgBlocks` argument is a batch of one row.  A batch sums
+    One :class:`ArgBlocks` argument is a batch of one row, and one
+    :class:`RatioIntegral` a batch of one member whose table is a
+    :class:`~betagap.jack.JackPairIntegral` (with the identity-path
+    coefficients when ``p = 0``).  A batch sums
     every member's series as it would alone, with the same stopping rule,
     checks and diagnostics, but computes each layer for all of them at
     once (:func:`_batch_groups`): the members with two distinct nonzero
@@ -638,8 +684,8 @@ def pFq_alpha(
     Parameters
     ----------
     spec : HypergeomSpec
-        Parameters, deformation ``alpha``, and argument blocks (or a
-        batch of arguments).
+        Parameters, deformation ``alpha``, and argument blocks, an
+        integrated two-value argument, or a batch of arguments.
     tol : float
         Relative layer tolerance for the stopping rule.
     max_weight : int, optional
@@ -648,8 +694,8 @@ def pFq_alpha(
     Returns
     -------
     SeriesResult or SeriesBatch
-        A :class:`SeriesResult` for argument blocks; a
-        :class:`SeriesBatch`, in argument order, for a batch.
+        A :class:`SeriesResult` for argument blocks or an integrated
+        argument; a :class:`SeriesBatch`, in argument order, for a batch.
 
     Raises
     ------
@@ -664,6 +710,13 @@ def pFq_alpha(
     """
     if max_weight is None:
         max_weight = DEFAULT_MAX_WEIGHT
+    if isinstance(spec.args, RatioIntegral):
+        arg = spec.args
+        parts = arg.p + arg.q
+        identity = arg.q if arg.p == 0 else None
+        coefficients = _coefficients(spec.upper, spec.lower, spec.alpha, parts, identity)
+        table = JackPairIntegral(arg.u, arg.p, arg.q, arg.power, arg.rate, spec.alpha)
+        return _sum_layers(coefficients, parts, 1, table, [], [], tol, max_weight)[0]
     single = isinstance(spec.args, ArgBlocks)
     points = [spec.args.expanded()] if single else spec.args.tolist()
     m = len(points[0])

@@ -11,12 +11,15 @@
   (:func:`_hook_log_sums`, :func:`_subtract_hook_runs`);
 - two distinct nonzero values of one sign, ``u`` repeated ``p`` times
   and ``v`` ``q`` times with ``|u| > |v|`` (the quadrature nodes of
-  ``E(1)``, and of ``E(2)`` at ``a = 0``): :class:`JackPairTable`,
+  ``E(2)`` at ``a = 0``): :class:`JackPairTable`,
   ``u**|kappa|`` times a polynomial in ``r = v / u`` whose coefficients
   depend only on ``(alpha, p, q)``.  They are built once, a weight layer
   at a time, by :class:`JackTable`'s strip recursion with the degree of
   ``r`` as an axis, and cached; a node costs one Horner pass per layer.
-  A quadrature level is one batch;
+  A quadrature level is one batch.  :class:`JackPairIntegral` is the
+  same layers integrated over ``r`` against ``(1 - r)**power exp(rate
+  r)``, exactly, from the moments of that weight: the one node of an
+  ``E(1)`` series, which needs no quadrature;
 - any other argument with more than one distinct value (three or more
   values, a zero beside other values, mixed signs: ``E(2)`` at
   ``a > 0``, ``E(3)``): :class:`JackTable`, the Koev–Edelman recursion
@@ -51,6 +54,7 @@ from .partitions import (
     jack_C_at_identity_log,
     partitions_of_weight,
 )
+from .quadrature import ratio_moments
 
 __all__ = [
     "rho",
@@ -61,6 +65,7 @@ __all__ = [
     "jack_C_oracle_signlog",
     "JackTable",
     "JackPairTable",
+    "JackPairIntegral",
     "batch_nodes",
     "MAX_EXPANSION_WEIGHT",
     "MAX_BATCH_ELEMENTS",
@@ -705,6 +710,73 @@ class JackPairTable:
         self._r = self._r[nodes]
         self._negative = self._negative[nodes]
         self._log_scale = self._log_scale[nodes]
+
+
+class JackPairIntegral:
+    """The layers of :class:`JackPairTable` at one argument, integrated
+    over the ratio ``r`` of its two values: a table of one node.
+
+    The argument is ``u`` repeated ``p`` times and ``u r`` ``q`` times,
+    and its node's ``C_kappa`` is ``int_0^1 C_kappa(u 1^p, u r 1^q) (1 -
+    r)**power exp(rate r) dr``.  With ``P_kappa(1^p, r^q) = sum_d c[d,
+    kappa] r**d`` (:class:`_PairCoefficients`, cached) that is ``u**|kappa|
+    C_kappa/P_kappa sum_d c[d, kappa] mu_d``, exact, where ``mu_d`` are the
+    moments of the weight (:func:`~betagap.quadrature.ratio_moments`,
+    which takes out ``exp(rate)``; it joins the log factors).  Every
+    coefficient and moment is nonnegative, so a layer is one positive
+    matrix-vector product.  At ``p = 0``, ``P_kappa(r^q) = r**|kappa|
+    P_kappa(1^q)``, so the node's value is ``mu_k C_kappa(u 1^q)``: the
+    table gives ``u**k mu_k`` for every partition of weight ``k`` and
+    leaves ``C_kappa(1^q)`` to the series' identity-path coefficients,
+    with no strip table.  The interface is :class:`JackTable`'s.
+
+    Parameters
+    ----------
+    u : float
+        The larger value, nonzero.
+    p, q : int
+        Multiplicities of ``u`` and ``u r``.
+    power : int
+        Nonnegative integer power of ``1 - r`` in the weight.
+    rate : float
+        Nonnegative rate of ``exp(rate r)`` in the weight.
+    alpha : float
+        Positive deformation parameter.
+    """
+
+    def __init__(self, u: float, p: int, q: int, power: int, rate: float, alpha: float) -> None:
+        self._coefficients = _pair_coefficients(float(alpha), p, q) if p else None
+        self._parts = p + q
+        self._power = power
+        self._rate = rate
+        self._moments = np.zeros(0)
+        self._negative = u < 0.0
+        self._log_scale = math.log(abs(u))
+
+    def layer(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Layer ``k``, as :meth:`JackTable.layer` gives it, for one node.
+
+        At ``p = 0`` it holds ``u**k mu_k`` for every partition (see the
+        class notes).
+        """
+        if k >= len(self._moments):
+            count = max(2 * len(self._moments), k + 1, 16)
+            self._moments = ratio_moments(self._power, self._rate, count)
+        log_factor = k * self._log_scale + self._rate
+        if self._coefficients is None:
+            count = len(partitions_of_weight(k, self._parts))
+            values = np.full((1, count), self._moments[k])
+            log_factors = np.full((1, count), log_factor)
+        else:
+            coefficients = self._coefficients.layer(k)
+            values = (self._moments[: k + 1] @ coefficients)[None]
+            log_factors = (self._coefficients.strips.layer(k).log_norm + log_factor)[None]
+        values.flags.writeable = False
+        signs = np.array([-1 if self._negative and k % 2 else 1])
+        return values, log_factors, signs
+
+    def keep(self, nodes: np.ndarray) -> None:
+        """Keep the one node: ``nodes`` can only be ``[0]``."""
 
 
 def jack_C_eval_signlog(

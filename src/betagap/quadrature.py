@@ -11,6 +11,10 @@ recurrence of the orthonormal polynomials (scaled to ``p_0 = 1``), and
 the weights come from the derivative form ``1 / ((1 - x**2) p_n'(x)**2)``
 scaled to the weight's total mass ``2**(a+b+1) B(a+1, b+1)``, as
 ``scipy.special.roots_jacobi`` scales them.
+
+``ratio_moments(power, rate, count)`` needs no rule: it gives the
+moments ``int_0^1 (1-r)**power exp(rate r) r**d dr`` in closed form, for
+the series that are integrated term by term.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-__all__ = ["gauss_jacobi"]
+__all__ = ["gauss_jacobi", "ratio_moments"]
 
 #: Newton steps allowed after the starting nodes; one to four suffice.
 _NEWTON_STEPS = 8
@@ -110,3 +114,34 @@ def gauss_jacobi(order: int, a: float, b: float) -> tuple[np.ndarray, np.ndarray
     x.flags.writeable = False
     w.flags.writeable = False
     return x, w
+
+
+def ratio_moments(power: int, rate: float, count: int) -> np.ndarray:
+    """``exp(-rate) int_0^1 (1-r)**power exp(rate r) r**d dr`` for ``d <
+    count``, with ``power`` a nonnegative integer and ``rate >= 0``.
+
+    Expanding ``exp(rate r)`` leaves beta integrals, so the moment ``d``
+    times ``exp(-rate)`` is a Poisson mixture of positive terms,
+
+        sum_j pois_j(rate) B(d + j + 1, power + 1),
+        B(D + 1, power + 1) = prod_{m=1..power} m / (D + m) / (D + power + 1),
+
+    whatever the rate; at ``rate = 0`` it is ``B(d + 1, power + 1)``.
+    The Poisson weights are built by their ratios outward from the mode
+    and divided by their sum, over the mode plus or minus ``14
+    sqrt(rate) + 40``, beyond which they fall below about ``exp(-98)`` of
+    the mode.  Every ``B`` depends on ``d + j`` alone, so the mixture is
+    one matrix-vector product over a sliding window of them.
+    """
+    mode = math.floor(rate)
+    reach = math.ceil(14.0 * math.sqrt(rate)) + 40 if rate else 0
+    lo, hi = max(mode - reach, 0), mode + reach
+    weights = np.ones(hi - lo + 1)
+    weights[mode - lo + 1 :] = np.cumprod(rate / np.arange(mode + 1, hi + 1))
+    weights[: mode - lo] = np.cumprod(np.arange(mode, lo, -1) / rate)[::-1]
+    shifted = np.arange(lo, hi + count, dtype=float)
+    beta = 1.0 / (shifted + (power + 1.0))
+    for m in range(1, power + 1):
+        beta *= m / (shifted + m)
+    window = np.lib.stride_tricks.sliding_window_view(beta, len(weights))
+    return (window @ weights) / weights.sum()

@@ -34,6 +34,8 @@ assert tracer.calls["hypergeom.series"] == 1, tracer.calls
 assert tracer.counts["hypergeom.terms"] > 0, tracer.counts
 calls = [
     ["exact", "--beta", "2", "--a", "1", "--s", "4", "--n", "1"],
+    # n = 1 is one exactly integrated series; n = 2 runs the quadrature
+    ["exact", "--beta", "2", "--a", "0", "--s", "4", "--n", "2"],
     ["asympt", "--beta", "2", "--a", "1", "--s", "100"],
     ["contour", "--beta", "2", "--a", "1", "--s", "2"],
     ["contour", "--beta", "2", "--a", "1", "--s", "2", "--route", "torus"],
@@ -42,12 +44,12 @@ calls = [
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in calls]
-assert codes == [0] * 6, codes
+assert codes == [0] * 7, codes
 seen = tracer.calls
 for layer in ("cli.run", "gap.eval", "hypergeom.series", "partitions.enum",
               "barnes.gamma2", "contour.eval", "mc.estimate", "mc.sample"):
     assert seen[layer] > 0, layer
-assert seen["cli.run"] == 7, seen["cli.run"]
+assert seen["cli.run"] == 8, seen["cli.run"]
 assert seen["contour.eval"] == 3, seen["contour.eval"]
 assert tracer.counts["mc.samples"] == 5000, tracer.counts["mc.samples"]
 assert tracer.counts["gap.quad_order"] > 0

@@ -28,8 +28,8 @@ EXACT_HARD_ROW = (
 )
 
 EXACT_EXCESS_ROW = (
-    "4.0,2.0,1.0,1,,exact_En_hard,0.16135752208170584,"
-    "-1.8241327419135256,,16,8.7161123370131195e-16,"
+    "4.0,2.0,1.0,1,,exact_En_hard,0.1613575220817058,"
+    "-1.8241327419135258,,15,4.236321034882273e-17,"
 )
 
 EXACT_FINITEN_ROW = (
@@ -112,10 +112,11 @@ def test_exact_finite_excess_row(capsys: pytest.CaptureFixture[str]) -> None:
     assert code == 0
     record = json.loads(out)
     assert record["method"] == "exact_En_finiteN"
-    assert record["value"] == 0.6732268230326233
-    assert record["log_value"] == -0.3956729733822598
+    assert record["value"] == 0.6732268230326234
+    assert record["log_value"] == -0.3956729733822596
     assert record["trunc_weight"] == 15
-    assert 0.0 < record["tail_bound"] < 1e-12
+    # n = 1 is one series, which terminates exactly: no tail, no quadrature
+    assert record["tail_bound"] == 0.0
 
 
 def test_csv_row_parses_and_round_trips(capsys: pytest.CaptureFixture[str]) -> None:

@@ -12,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
+from betagap import gap
 from betagap.barnes import log_tau_hard, log_tau_hard_n
 from betagap.errors import ParameterQuantizationError, QuadratureError
 from betagap.gap import (
     _QUAD_ORDERS,
+    _QUAD_TOL,
     LinearStatistic,
+    _batch_args,
     _jacobi_rule,
     _settled_quadrature,
     _vandermonde,
@@ -41,6 +44,7 @@ from betagap.gap import (
     log_norm_ratio_stirling,
     rescale_endpoint,
 )
+from betagap.hypergeom import HypergeomSpec, SeriesResult, pFq_alpha
 
 mp.mp.dps = 40
 
@@ -170,45 +174,145 @@ def test_excess_count_validation() -> None:
         exact_En_finiteN(1.0, 1.0, 2.0, -1, 5)
 
 
+def test_excess_count_must_be_integral() -> None:
+    # A float n used to end in TypeError from math.factorial: integral
+    # floats are counts, anything else names n.
+    assert exact_En_hard_detailed(4.0, 1.0, 2.0, 1.0) == exact_En_hard_detailed(4.0, 1.0, 2.0, 1)
+    assert exact_En_hard_detailed(4.0, 0.0, 2.0, 2.0) == exact_En_hard_detailed(4.0, 0.0, 2.0, 2)
+    assert exact_En_finiteN_detailed(0.5, 1.0, 2.0, 1.0, 5) == exact_En_finiteN_detailed(
+        0.5, 1.0, 2.0, 1, 5
+    )
+    for n in (1.5, math.nan, 3.5, -1.0):
+        message = f"^n must be an integer between 0 and 3, got {n}$"
+        with pytest.raises(ValueError, match=message):
+            exact_En_hard_detailed(4.0, 1.0, 2.0, n)
+        with pytest.raises(ValueError, match=message):
+            exact_En_finiteN_detailed(0.5, 1.0, 2.0, n, 5)
+
+
+# ------------------------------------------------------ E(1) as one series
+
+
+def _ladder_series(spec: HypergeomSpec, tol: float, max_weight: int | None) -> SeriesResult:
+    """The integral a ``RatioIntegral`` series stands for, summed as
+    ``E(1)`` summed it before: the Gauss–Jacobi ladder of
+    ``_settled_quadrature`` over one batch of node series per level, each
+    node's series times ``exp(rate y)``.  Only ``log_value`` is filled in."""
+    arg = spec.args
+
+    def integrand(points: np.ndarray) -> list[float]:
+        args = _batch_args(arg.u, arg.p, arg.u * points, arg.q)
+        node_spec = HypergeomSpec(spec.upper, spec.lower, spec.alpha, args)
+        batch = pFq_alpha(node_spec, tol=tol, max_weight=max_weight)
+        expo = (arg.rate * points[:, 0]).tolist()
+        return [math.exp(x) * result.value for x, result in zip(expo, batch)]
+
+    total, _, _ = _settled_quadrature(integrand, 1, arg.power, 1.0, _QUAD_TOL)
+    return SeriesResult(total, math.log(total), 1, 0, 0.0, False, 0)
+
+
+def _routes_agree(route, monkeypatch: pytest.MonkeyPatch) -> None:
+    """``route()``'s log value against the same route with its one
+    series replaced by the ladder: both raise the same error type, or
+    agree to 1e-13 relative."""
+    try:
+        log_value = route()[0]
+    except Exception as error:  # the ladder must raise the same type
+        with monkeypatch.context() as patch:
+            patch.setattr(gap, "pFq_alpha", _ladder_series)
+            with pytest.raises(type(error)):
+                route()
+        return
+    with monkeypatch.context() as patch:
+        patch.setattr(gap, "pFq_alpha", _ladder_series)
+        want = route()[0]
+    assert abs(math.expm1(log_value - want)) <= 1e-13, (log_value, want)
+
+
+@pytest.mark.parametrize("beta, a", [(1.0, 0.0), (1.0, 2.0), (2.0, 0.0), (2.0, 1.0), (4.0, 0.5)])
+@pytest.mark.parametrize("s", [0.5, 4.0, 40.0])
+def test_single_excess_hard_matches_the_ladder(
+    beta: float, a: float, s: float, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    _routes_agree(lambda: exact_En_hard_detailed(s, a, beta, 1), monkeypatch)
+
+
+@pytest.mark.parametrize("variant", ["corrected", "printed"])
+@pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
+@pytest.mark.parametrize("N", [1, 5, 10])
+def test_single_excess_finite_matches_the_ladder(
+    variant: str, beta: float, N: int, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # a = 2/beta puts one argument at -s beside the conditioned ones, a = 0
+    # none; the printed variant needs an integral a (at beta = 4 both
+    # raise) and conditions a arguments (at a = 0 none, and both raise).
+    for a, s in itertools.product((0.0, 2.0 / beta), (0.1, 0.5, 2.0, 5.0)):
+        _routes_agree(
+            lambda: exact_En_finiteN_detailed(s, a, beta, 1, N, variant=variant), monkeypatch
+        )
+
+
+@pytest.mark.parametrize("s", [0.5, 20.0, 800.0])
+def test_single_excess_two_eigenvalue_closed_form(s: float) -> None:
+    # Two eigenvalues of density (x - y)**2 exp(-x - y) / 2 (beta = 2,
+    # a = 0): exactly one lies in (0, s) with probability exp(-s) (s**2
+    # + 2) - 2 exp(-2 s).  At s = 800 the ladder's node factor exp(beta s
+    # y / 2) overflowed; the moments carry exp(beta s / 2) as a log.
+    want = -s + math.log(s * s + 2.0) + math.log1p(-2.0 * math.exp(-s) / (s * s + 2.0))
+    log_value, _ = exact_En_finiteN_detailed(s, 0.0, 2.0, 1, 1)
+    assert abs(math.expm1(log_value - want)) <= 1e-13, (log_value, want)
+
+
+def test_single_excess_is_one_series_and_no_rule(monkeypatch: pytest.MonkeyPatch) -> None:
+    calls: list[str] = []
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return func(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(gap, "pFq_alpha", counted("pFq_alpha", gap.pFq_alpha))
+    monkeypatch.setattr(gap, "roots_jacobi", counted("roots_jacobi", gap.roots_jacobi))
+    for a in (0.0, 1.0):
+        exact_En_hard_detailed(4.0, a, 2.0, 1)
+        assert calls == ["pFq_alpha"]
+        calls.clear()
+        exact_En_finiteN_detailed(0.5, a, 2.0, 1, 5)
+        assert calls == ["pFq_alpha"]
+        calls.clear()
+
+
 # (s, a, beta, n) -> (log value, order, rel_change, trunc_weight, tail_bound),
 # as computed before both routes shared one quadrature loop, then re-pinned
 # when series layers became whole-array sums (last digits of rel_change),
-# when tail_bound became relative to each node's series value, and when
-# the Gauss–Jacobi rules became the package's own (values within 1.8e-15).
+# when tail_bound became relative to each node's series value, when the
+# Gauss–Jacobi rules became the package's own (values within 1.8e-15), and,
+# for n = 1, when the integral became one exactly integrated series: order
+# 0, rel_change 0 and the series' own tail (values within 8.9e-16).
 HARD_EXCESS_PINS = {
-    (1.0, 0.0, 1.0, 1): (
-        -2.1421585207014013, 12, 2.0863686730621668e-16, 9, 2.0863686730621668e-16
-    ),
-    (1.0, 0.0, 2.0, 1): (-1.508799814031318, 12, 0.0, 11, 2.2956585084563226e-17),
-    (1.0, 1.0, 2.0, 1): (
-        -4.269634634858524, 12, 3.863628743449407e-16, 12, 3.863628743449407e-16
-    ),
-    (1.0, 2.0, 1.0, 1): (
-        -5.992396265376198, 12, 2.0430868206427054e-16, 10, 2.0430868206427054e-16
-    ),
-    (10.0, 0.0, 2.0, 1): (
-        -0.17714816856738969, 12, 2.1758977986293127e-16, 17, 7.146087165783929e-16
-    ),
-    (10.0, 1.0, 2.0, 1): (-0.6179399721991098, 12, 0.0, 20, 2.0242984796889135e-15),
-    (4.0, 0.0, 1.0, 1): (-0.9466111376720515, 12, 0.0, 11, 2.981416239131148e-17),
-    (4.0, 0.0, 2.0, 1): (-0.4653945511863855, 12, 0.0, 14, 2.668295220485154e-16),
+    (1.0, 0.0, 1.0, 1): (-2.1421585207014013, 0, 0.0, 9, 2.721979436590153e-19),
+    (1.0, 0.0, 2.0, 1): (-1.508799814031318, 0, 0.0, 11, 6.4528436927420745e-19),
+    (1.0, 1.0, 2.0, 1): (-4.269634634858525, 0, 0.0, 11, 1.3348032210459121e-17),
+    (1.0, 2.0, 1.0, 1): (-5.992396265376198, 0, 0.0, 10, 7.343396040038893e-19),
+    (10.0, 0.0, 2.0, 1): (-0.17714816856738969, 0, 0.0, 17, 8.118278700936135e-17),
+    (10.0, 1.0, 2.0, 1): (-0.6179399721991099, 0, 0.0, 19, 1.3268045641152424e-16),
+    (4.0, 0.0, 1.0, 1): (-0.9466111376720514, 0, 0.0, 11, 3.406095564983511e-18),
+    (4.0, 0.0, 2.0, 1): (-0.4653945511863855, 0, 0.0, 14, 1.3745125182943006e-17),
     (4.0, 0.0, 2.0, 2): (-5.464790441170959, 12, 0.0, 16, 1.1420335506043466e-15),
-    (4.0, 1.0, 2.0, 1): (
-        -1.8241327419135256, 12, 1.2656002044576432e-16, 16, 8.7161123370131195e-16
-    ),
-    (4.0, 2.0, 1.0, 1): (
-        -3.3461246569469503, 12, 1.5932547322372507e-16, 13, 1.7307118655274093e-16
-    ),
+    (4.0, 1.0, 2.0, 1): (-1.8241327419135258, 0, 0.0, 15, 4.236321034882273e-17),
+    (4.0, 2.0, 1.0, 1): (-3.3461246569469503, 0, 0.0, 12, 2.0199981476424516e-16),
 }
 
 # (s, a, beta, n, N) -> E_{N+n}(n; (0, s)), pinned the same way.
 FINITE_EXCESS_PINS = {
     (0.5, 0.0, 1.0, 1, 10): 0.6312057207905936,
     (0.5, 0.0, 1.0, 1, 5): 0.6894767780690154,
-    (0.5, 0.0, 2.0, 1, 10): 0.5172571788964264,
-    (0.5, 0.0, 2.0, 1, 5): 0.8219353346969259,
+    (0.5, 0.0, 2.0, 1, 10): 0.5172571788964266,
+    (0.5, 0.0, 2.0, 1, 5): 0.8219353346969261,
     (0.5, 1.0, 2.0, 1, 10): 0.809252648736131,
-    (0.5, 1.0, 2.0, 1, 5): 0.6732268230326233,
+    (0.5, 1.0, 2.0, 1, 5): 0.6732268230326234,
     (0.5, 2.0, 1.0, 1, 10): 0.521437051321954,
     (0.5, 2.0, 1.0, 1, 5): 0.2750281590055647,
     (0.5, 1.0, 2.0, 2, 4): 0.011505657728140883,
@@ -236,11 +340,15 @@ def test_finite_excess_pinned_bits(args: tuple) -> None:
 
 
 def test_finite_excess_detailed() -> None:
+    # n = 1 runs no quadrature, and its series (upper parameter -5 over
+    # 3 variables) terminates exactly at weight 15, so its tail is 0.
     log_value, diag = exact_En_finiteN_detailed(0.5, 1.0, 2.0, 1, 5)
     assert math.exp(log_value) == exact_En_finiteN(0.5, 1.0, 2.0, 1, 5)
-    assert diag["trunc_weight"] == 15
-    assert diag["tail_bound"] >= diag["rel_change"] > 0.0
+    assert diag == {"order": 0, "rel_change": 0.0, "trunc_weight": 15, "tail_bound": 0.0}
+    # n = 2 runs the quadrature ladder
+    _, diag = exact_En_finiteN_detailed(0.5, 1.0, 2.0, 2, 4)
     assert diag["order"] == 12
+    assert diag["tail_bound"] >= diag["rel_change"] > 0.0
 
 
 def test_finite_excess_zero_delegates_to_gap() -> None:

@@ -26,6 +26,7 @@ from betagap.hypergeom import (
     DEFAULT_MAX_WEIGHT,
     ArgBlocks,
     HypergeomSpec,
+    RatioIntegral,
     SeriesResult,
     F01_repeated,
     confluence_check,
@@ -36,6 +37,7 @@ from betagap.partitions import (
     jack_C_at_identity_log,
     partitions_of_weight,
 )
+from betagap.quadrature import ratio_moments
 
 mp.mp.dps = 40
 
@@ -629,6 +631,51 @@ def test_two_value_series_meets_the_strip_budget(monkeypatch: pytest.MonkeyPatch
     jack._pair_coefficients.cache_clear()
     assert str(raised.value) == str(want.value)
     assert built == []
+
+
+@pytest.mark.parametrize("power", [0, 1, 2, 3])
+@pytest.mark.parametrize("rate", [0.0, 0.05, 1.0, 10.0, 40.0])
+def test_ratio_moments_match_mpmath(power: int, rate: float) -> None:
+    # int_0^1 (1-r)^power exp(rate r) r^d dr = B(d+1, power+1) 1F1(d+1;
+    # d+power+2; rate), and B(d+1, power+1) alone at rate 0
+    moments = math.exp(rate) * ratio_moments(power, rate, 80)
+    for d, got in enumerate(moments.tolist()):
+        want = mp.beta(d + 1, power + 1)
+        if rate:
+            want *= mp.hyp1f1(d + 1, d + power + 2, rate)
+        assert abs(got / want - 1) <= 1e-14, (d, got, want)
+
+
+def test_ratio_integral_validation() -> None:
+    for fields, message in [
+        ((0.0, 1, 1, 1, 0.0), "u must be finite and nonzero"),
+        ((math.inf, 1, 1, 1, 0.0), "u must be finite and nonzero"),
+        ((1.0, 1, 0, 1, 0.0), "q must be an integer of at least 1"),
+        ((1.0, -1, 1, 1, 0.0), "p must be an integer of at least 0"),
+        ((1.0, 1, 1, 0.5, 0.0), "power must be an integer of at least 0"),
+        ((1.0, 1, 1, 1, -1.0), "rate must be finite and nonnegative"),
+        ((1.0, 1, 1, 1, math.nan), "rate must be finite and nonnegative"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            RatioIntegral(*fields)
+    assert RatioIntegral(2, 1.0, 2.0, 1.0, 0) == RatioIntegral(2.0, 1, 2, 1, 0.0)
+
+
+def test_ratio_integral_meets_the_strip_budget(monkeypatch: pytest.MonkeyPatch) -> None:
+    # The integrated series raises at the weight where the node series of
+    # its two-value argument meets the strip budget, with the same message.
+    monkeypatch.setattr(jack, "MAX_STRIP_PAIRS", 500)
+    jack._strip_table.cache_clear()
+    jack._pair_coefficients.cache_clear()
+    with pytest.raises(ResourceLimitError) as want:
+        pFq_alpha(HypergeomSpec((), (4.0,), 0.8125, ArgBlocks(((8.0, 1), (4.0, 2)))))
+    jack._strip_table.cache_clear()
+    jack._pair_coefficients.cache_clear()
+    with pytest.raises(ResourceLimitError) as raised:
+        pFq_alpha(HypergeomSpec((), (4.0,), 0.8125, RatioIntegral(8.0, 1, 2, 1, 0.0)))
+    jack._strip_table.cache_clear()
+    jack._pair_coefficients.cache_clear()
+    assert str(raised.value) == str(want.value)
 
 
 def test_batch_raises_its_failing_members_error() -> None:
