@@ -55,10 +55,8 @@ from .gap import (
     log_multi_F01_asympt,
     log_norm_ratio_exact,
     log_norm_ratio_stirling,
-    rescale_endpoint,
 )
 from .hypergeom import ArgBlocks, HypergeomSpec, SeriesBatch, SeriesResult, pFq_alpha
-from .jack import jack_C_eval, jack_in_monomial_basis, monomial_eval
 from .mc import (
     EnsembleSpec,
     McEstimate,
@@ -81,11 +79,8 @@ __all__ = [
     "ParameterQuantizationError",
     "QuadratureError",
     "ResourceLimitError",
-    # partitions / jack / hypergeom
+    # partitions / hypergeom
     "partitions_of_weight",
-    "jack_C_eval",
-    "jack_in_monomial_basis",
-    "monomial_eval",
     "ArgBlocks",
     "HypergeomSpec",
     "SeriesResult",
@@ -103,7 +98,6 @@ __all__ = [
     # gap probabilities
     "AsymptoticForm",
     "LinearStatistic",
-    "rescale_endpoint",
     "exact_E0_hard",
     "exact_E0_hard_detailed",
     "exact_E0_finiteN",

@@ -6,8 +6,8 @@ terminating hypergeometric series, for ``n = 1`` a series integrated
 exactly over the conditioned eigenvalue, series-times-quadrature for
 ``n = 2, 3``, large-size asymptotic forms, and a large-deviation
 formula for finite size.  The ensemble weight convention is
-``lambda**(a*beta/2) * exp(-beta*lambda/2)``; :func:`rescale_endpoint`
-maps gap endpoints from other exponential rates into this convention.
+``lambda**(a*beta/2) * exp(-beta*lambda/2)``; a gap ``(0, s)`` under the
+rate ``exp(-c*lambda)`` is the gap ``(0, 2*c*s/beta)`` here.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .quadrature import gauss_jacobi
 __all__ = [
     "AsymptoticForm",
     "LinearStatistic",
-    "rescale_endpoint",
     "exact_E0_hard",
     "exact_E0_hard_detailed",
     "exact_E0_finiteN",
@@ -94,16 +93,6 @@ class LinearStatistic:
         for v in (self.s_tilde_0, *self.s_tilde_list):
             if v <= 0:
                 raise ValueError(f"shift arguments must be positive, got {v}")
-
-
-def rescale_endpoint(s: float, c: float, beta: float) -> float:
-    """Map a gap endpoint from weight ``exp(-c lambda)`` to the
-    canonical rate ``exp(-beta lambda / 2)``.
-
-    Rescaling eigenvalues by ``2 c / beta`` converts the weight, so a
-    gap ``(0, s)`` becomes ``(0, 2 c s / beta)``.
-    """
-    return 2.0 * c * s / beta
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +466,10 @@ def exact_En_finiteN_detailed(
     """Finite-size ``E(n; (0, s))`` for ``n <= 3``: log value and the
     diagnostics of :func:`exact_En_hard_detailed`, with its ``s = 0``
     rule, its rule for ``n`` and its exact ``n = 1`` integral; the
-    integrand carries ``exp(beta s y / 2)``, which joins the weight.
+    integrand carries ``exp(beta s sum(y) / 2)``.  At ``n = 1`` it joins
+    the weight; at ``n = 2, 3`` the quadrature sums it over its bound
+    ``exp(beta s n / 2)``, which the log value takes back, so that no
+    node overflows.
 
     The ``"corrected"`` variant carries the binomial label count
     ``C(N+n, n)``, the normalization ratio of the shifted-weight
@@ -485,7 +477,7 @@ def exact_En_finiteN_detailed(
     the terminating series.  The ``"printed"`` variant reproduces an
     alternative bookkeeping (prefactor ``(N)_n / n!``, same-weight
     normalization ratio, multiplicity ``a``) kept for comparison; it
-    requires integer ``a``.  ``max_weight`` defaults to
+    requires a positive integer ``a``.  ``max_weight`` defaults to
     ``max(N (beta a / 2 + n beta), 200)``.
     """
     require_finite("beta", beta, positive=True)
@@ -523,6 +515,8 @@ def exact_En_finiteN_detailed(
             - _log_laguerre_norm(a, beta, N + n)
         )
         cond_mult = quantized("a", a)
+        if cond_mult == 0:
+            raise ValueError(f"a must be a positive integer for the printed variant, got {a}")
     else:
         raise ValueError(f"unknown variant {variant!r}")
     if s == 0.0:
@@ -548,15 +542,15 @@ def exact_En_finiteN_detailed(
         batch = pFq_alpha(spec, tol=tol, max_weight=max_weight)
         max_used = max(max_used, batch.max_weight_used)
         max_tail = max(max_tail, *(result.tail_estimate for result in batch))
-        expo = (beta * s * points.sum(axis=1) / 2.0).tolist()
+        # exp(beta s sum(y) / 2) over its bound exp(beta s n / 2), which
+        # the log value takes back, so no node overflows
+        expo = (beta * s * (points.sum(axis=1) - n) / 2.0).tolist()
         return [math.exp(x) * result.value for x, result in zip(expo, batch)]
 
     total, order, rel_change = _settled_quadrature(
         integrand, n, a * beta / 2.0, beta, _QUAD_TOL
     )
-    log_value = (
-        log_pref + log_scale - beta * s * (N + n) / 2.0 + math.log(total)
-    )
+    log_value = log_pref + log_scale - beta * s * N / 2.0 + math.log(total)
     return log_value, _diagnostics(order, rel_change, max_used, max_tail)
 
 

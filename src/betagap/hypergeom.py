@@ -27,9 +27,8 @@ the ratio of its values, is the one node of a
 (the nodes of one quadrature level) sums its series together, one layer
 for all of them at a time, each with its own accumulators and stopping
 rule; a single series is a batch of one row, on the same path.  The
-series calls neither the one-partition forms of
-:mod:`betagap.partitions` nor the Schur and monomial evaluators; those
-remain as the public single-term API and the test oracles.
+series calls no one-partition form; the reference evaluators that tests
+check its layers against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -56,10 +55,9 @@ from .jack import (
 )
 from .partitions import partitions_of_weight
 
-# bench/tracing.py replaces partitions_of_weight and these two names on
-# this module to count and time them, so they stay module attributes here
-# although the series does not call these one-partition forms (they are
-# the public single-term API and the test oracles of the layers).
+# Nothing here calls these two one-partition forms.  They stay module
+# attributes only because bench/tracing.py wraps them by name here (with
+# partitions_of_weight), until the benchmark drops those dead counters.
 from .jack import jack_C_eval_signlog  # noqa: F401
 from .partitions import gen_pochhammer_signlog  # noqa: F401
 
@@ -70,8 +68,6 @@ __all__ = [
     "SeriesResult",
     "SeriesBatch",
     "pFq_alpha",
-    "F01_repeated",
-    "confluence_check",
     "DEFAULT_MAX_WEIGHT",
     "CONDITION_LIMIT",
     "MAX_COEFFICIENT_ENTRIES",
@@ -790,57 +786,3 @@ def _signed_log_diff(log_pos: float, log_neg: float) -> tuple[float, int]:
     hi, lo = max(log_pos, log_neg), min(log_pos, log_neg)
     log_mag = hi + math.log1p(-math.exp(lo - hi)) if lo > -math.inf else hi
     return log_mag, 1 if log_pos > log_neg else -1
-
-
-def F01_repeated(
-    c: float,
-    t: float,
-    m: int,
-    alpha: float,
-    tol: float = 1e-12,
-    max_weight: int | None = None,
-) -> SeriesResult:
-    """``0F1`` with lower parameter ``c`` and ``m`` repeated arguments ``t``.
-
-    Parameters
-    ----------
-    c : float
-        Lower parameter.
-    t : float
-        Common argument value.
-    m : int
-        Number of repeated arguments.
-    alpha : float
-        Positive deformation parameter.
-    tol, max_weight
-        Forwarded to :func:`pFq_alpha`.
-
-    Returns
-    -------
-    SeriesResult
-    """
-    spec = HypergeomSpec(upper=(), lower=(c,), alpha=alpha, args=ArgBlocks(((t, m),)))
-    return pFq_alpha(spec, tol=tol, max_weight=max_weight)
-
-
-def confluence_check(
-    c: float,
-    t: float,
-    m: int,
-    alpha: float,
-    b: float = 256.0,
-    tol: float = 1e-12,
-    max_weight: int | None = None,
-) -> float:
-    """Relative gap between ``1F1(b; c; t/b)`` and ``0F1(c; t)``.
-
-    The confluent limit sends the extra upper parameter to infinity
-    while shrinking the argument, so the gap decays like ``1/b``; it is
-    returned for the caller to judge.
-    """
-    limit = F01_repeated(c, t, m, alpha, tol=tol, max_weight=max_weight)
-    spec = HypergeomSpec(
-        upper=(b,), lower=(c,), alpha=alpha, args=ArgBlocks(((t / b, m),))
-    )
-    shifted = pFq_alpha(spec, tol=tol, max_weight=max_weight)
-    return abs(shifted.value - limit.value) / abs(limit.value)

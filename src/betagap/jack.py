@@ -30,203 +30,34 @@
   cut into tables of at most :func:`batch_nodes` nodes.
 
 Both share the strip table of ``(alpha, m)`` and so its budget
-``MAX_STRIP_PAIRS``.  The Schur bialternant at ``alpha == 1`` and the
-monomial expansion driven by the eigenoperator recurrence evaluate one
-``kappa`` at a time.  No route uses them; tests compare both tables
-against them (:func:`jack_C_oracle_signlog`).
+``MAX_STRIP_PAIRS``.  Each evaluator here works a weight layer at a
+time (:func:`jack_C_eval_signlog` reads one entry of a table); the
+one-partition reference forms that tests check them against live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections import Counter
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from itertools import permutations
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import ResourceLimitError
-from .partitions import (
-    dominates,
-    hook_products_log,
-    jack_C_at_identity_log,
-    partitions_of_weight,
-)
+from .partitions import partitions_of_weight
 from .quadrature import ratio_moments
 
 __all__ = [
-    "rho",
-    "jack_in_monomial_basis",
-    "monomial_eval",
-    "jack_C_eval",
     "jack_C_eval_signlog",
-    "jack_C_oracle_signlog",
     "JackTable",
     "JackPairTable",
     "JackPairIntegral",
     "batch_nodes",
-    "MAX_EXPANSION_WEIGHT",
     "MAX_BATCH_ELEMENTS",
     "MAX_STRIP_PAIRS",
 ]
-
-#: Hard ceiling on the weight accepted by :func:`jack_in_monomial_basis`.
-MAX_EXPANSION_WEIGHT = 200
-
-
-def rho(kappa: tuple[int, ...], alpha: float) -> float:
-    """Eigenvalue ``sum_i kappa_i * (kappa_i - 1 - (2/alpha)*(i-1))``."""
-    return sum(part * (part - 1 - (2.0 / alpha) * i) for i, part in enumerate(kappa))
-
-
-@cache
-def jack_in_monomial_basis(
-    kappa: tuple[int, ...], alpha: float, max_parts: int | None = None
-) -> dict[tuple[int, ...], float]:
-    """Monomial expansion of the Jack polynomial ``P_kappa``.
-
-    Uses the second-order eigenoperator recurrence: with ``c_kappa = 1``,
-    every dominated partition ``mu`` receives ``c_mu = (2/alpha) /
-    (rho(kappa) - rho(mu)) * sum (mu_i - mu_j + 2t) * c_nu`` over moves
-    ``nu = sort(mu + t e_i - t e_j)``, processed in reverse-lexicographic
-    order so each ``nu`` is already available.  Moves never increase the
-    number of parts, so restricting to ``max_parts`` is self-contained.
-
-    Parameters
-    ----------
-    kappa : tuple of int
-        Partition indexing the polynomial.
-    alpha : float
-        Positive deformation parameter.
-    max_parts : int, optional
-        Keep only monomials with at most this many parts (sufficient
-        when evaluating in that many variables).
-
-    Returns
-    -------
-    dict
-        Mapping ``mu -> coefficient`` of ``m_mu`` in ``P_kappa``, in the
-        normalization where the coefficient of ``m_kappa`` is 1.
-    """
-    weight = sum(kappa)
-    if weight > MAX_EXPANSION_WEIGHT:
-        raise ResourceLimitError(
-            f"monomial expansion requested at weight {weight} "
-            f"(limit {MAX_EXPANSION_WEIGHT})"
-        )
-    if max_parts is not None and len(kappa) > max_parts:
-        return {}
-    if weight == 0:
-        return {(): 1.0}
-
-    rho_kappa = rho(kappa, alpha)
-    coeffs: dict[tuple[int, ...], float] = {}
-    for mu in partitions_of_weight(weight, max_parts):
-        if mu == kappa:
-            coeffs[mu] = 1.0
-            continue
-        if not dominates(kappa, mu):
-            continue
-        total = 0.0
-        n_rows = len(mu)
-        for j in range(1, n_rows):
-            for i in range(j):
-                for t in range(1, mu[j] + 1):
-                    lifted = list(mu)
-                    lifted[i] += t
-                    lifted[j] -= t
-                    nu = tuple(sorted((p for p in lifted if p > 0), reverse=True))
-                    c_nu = coeffs.get(nu)
-                    if c_nu is not None:
-                        total += (mu[i] - mu[j] + 2 * t) * c_nu
-        coeffs[mu] = (2.0 / alpha) / (rho_kappa - rho(mu, alpha)) * total
-    return coeffs
-
-
-def monomial_eval(mu: tuple[int, ...], x: tuple[float, ...]) -> float:
-    """Monomial symmetric polynomial ``m_mu`` evaluated at ``x``.
-
-    Sums ``prod_r x[sigma(r)]**mu_r`` over injective index maps and
-    divides by the multiplicity factorials, so each distinct monomial is
-    counted once.
-    """
-    n_rows = len(mu)
-    if n_rows == 0:
-        return 1.0
-    if n_rows > len(x):
-        return 0.0
-    repeat = 1.0
-    for count in Counter(mu).values():
-        repeat *= math.factorial(count)
-    total = 0.0
-    for chosen in permutations(range(len(x)), n_rows):
-        term = 1.0
-        for row, idx in zip(mu, chosen):
-            term *= x[idx] ** row
-        total += term
-    return total / repeat
-
-
-def _schur_signlog(kappa: tuple[int, ...], xs: tuple[float, ...]) -> tuple[int, float]:
-    """Sign and log-magnitude of the Schur polynomial ``s_kappa(xs)``.
-
-    Bialternant ratio of generalized Vandermonde determinants, with rows
-    for a value of multiplicity ``m`` replaced by its first ``m - 1``
-    derivatives (the coalescence limit of the plain ratio; the ``1/r!``
-    Taylor factors cancel between numerator and denominator).  Arguments
-    are rescaled by the largest magnitude and every determinant row is
-    max-normalized so the computation stays in range for exponents in
-    the hundreds.
-    """
-    n = len(xs)
-    scale = max(abs(v) for v in xs)
-    # Sort so equal values are adjacent: coalescence handling below
-    # groups multiplicities by runs, and the polynomial is symmetric.
-    scaled = sorted((v / scale for v in xs), reverse=True)
-    groups: list[tuple[float, int]] = []
-    for value in scaled:
-        if groups and value == groups[-1][0]:
-            groups[-1] = (value, groups[-1][1] + 1)
-        else:
-            groups.append((value, 1))
-
-    padded = tuple(kappa) + (0,) * (n - len(kappa))
-    top_exps = [padded[j] + n - 1 - j for j in range(n)]
-    bottom_exps = [n - 1 - j for j in range(n)]
-
-    def det_signlog(exps: list[int]) -> tuple[int, float]:
-        rows = []
-        log_factors = 0.0
-        for value, mult in groups:
-            for deriv in range(mult):
-                row = []
-                for c in exps:
-                    fall = 1.0
-                    for r in range(deriv):
-                        fall *= c - r
-                    row.append(fall * value ** (c - deriv) if c >= deriv else 0.0)
-                row = np.asarray(row)
-                peak = np.max(np.abs(row))
-                if peak == 0.0:
-                    return 0, -math.inf
-                log_factors += math.log(peak)
-                rows.append(row / peak)
-        sign, logdet = np.linalg.slogdet(np.asarray(rows))
-        if sign == 0.0:
-            return 0, -math.inf
-        return int(sign), logdet + log_factors
-
-    sign_top, log_top = det_signlog(top_exps)
-    sign_bot, log_bot = det_signlog(bottom_exps)
-    if sign_top == 0:
-        return 0, -math.inf
-    if sign_bot == 0:
-        raise ArithmeticError("degenerate denominator in bialternant ratio")
-    k = sum(kappa)
-    return sign_top * sign_bot, k * math.log(scale) + log_top - log_bot
-
 
 #: Most horizontal strips one strip table may hold (32 bytes each).
 MAX_STRIP_PAIRS = 2_000_000
@@ -784,9 +615,10 @@ def jack_C_eval_signlog(
 ) -> tuple[int, float]:
     """Sign and log-magnitude of ``C_kappa(x)`` at parameter ``alpha``.
 
-    Zero arguments are dropped.  One distinct value uses the closed-form
-    identity evaluation; more than one builds a :class:`JackTable` up to
-    the weight of ``kappa``.
+    Zero arguments are dropped, and the rest build a :class:`JackTable`
+    up to the weight of ``kappa``.  No route calls this one-partition
+    form; the benchmark's tracer wraps it by name (see
+    :mod:`betagap.hypergeom`).
 
     Returns
     -------
@@ -799,10 +631,6 @@ def jack_C_eval_signlog(
     xs = tuple(v for v in x if v != 0.0)
     if len(kappa) > len(xs):
         return 0, -math.inf
-    if all(v == xs[0] for v in xs):
-        log_id = jack_C_at_identity_log(kappa, alpha, len(xs))
-        sign = 1 if xs[0] > 0 or k % 2 == 0 else -1
-        return sign, k * math.log(abs(xs[0])) + log_id
     position = partitions_of_weight(k, len(xs)).index(tuple(kappa))
     values, log_factors, signs = JackTable([xs], alpha).layer(k)
     value = float(values[0, position])
@@ -811,58 +639,3 @@ def jack_C_eval_signlog(
     sign = int(signs[0])
     log_abs = math.log(abs(value)) + float(log_factors[0, position])
     return (sign if value > 0.0 else -sign), log_abs
-
-
-def jack_C_oracle_signlog(
-    kappa: tuple[int, ...], x: tuple[float, ...], alpha: float
-) -> tuple[int, float]:
-    """Sign and log-magnitude of ``C_kappa(x)`` by a reference evaluator.
-
-    The Schur bialternant at ``alpha == 1`` and the monomial expansion
-    otherwise; one ``kappa`` at a time, with no table.  Tests compare
-    :class:`JackTable` against it.  Zero arguments are dropped.
-    """
-    k = sum(kappa)
-    if k == 0:
-        return 1, 0.0
-    xs = tuple(v for v in x if v != 0.0)
-    if len(kappa) > len(xs):
-        return 0, -math.inf
-    if alpha == 1.0:
-        sign, log_s = _schur_signlog(kappa, xs)
-        if sign == 0:
-            return 0, -math.inf
-        log_hook, _ = hook_products_log(kappa, 1.0)
-        return sign, math.lgamma(k + 1) - log_hook + log_s
-
-    expansion = jack_in_monomial_basis(kappa, alpha, max_parts=len(xs))
-    p_value = sum(coeff * monomial_eval(mu, xs) for mu, coeff in expansion.items())
-    if p_value == 0.0:
-        return 0, -math.inf
-    _, log_lower = hook_products_log(kappa, alpha)
-    log_value = k * math.log(alpha) + math.lgamma(k + 1) - log_lower + math.log(abs(p_value))
-    return (1 if p_value > 0 else -1), log_value
-
-
-def jack_C_eval(kappa: tuple[int, ...], x: tuple[float, ...], alpha: float) -> float:
-    """Jack polynomial ``C_kappa`` evaluated at the point ``x``.
-
-    Parameters
-    ----------
-    kappa : tuple of int
-        Partition.
-    x : tuple of float
-        Argument values (any length; zeros are immaterial).
-    alpha : float
-        Positive deformation parameter.
-
-    Returns
-    -------
-    float
-        ``C_kappa(x)``; zero when ``kappa`` has more parts than ``x``
-        has nonzero entries.
-    """
-    sign, log_abs = jack_C_eval_signlog(kappa, x, alpha)
-    if sign == 0:
-        return 0.0
-    return sign * math.exp(log_abs)

@@ -1,10 +1,12 @@
-"""Integer partitions, hook products, and generalized Pochhammer symbols.
+"""Integer partitions and the generalized Pochhammer symbol.
 
 Partitions are represented as tuples of weakly decreasing positive
-integers; the empty partition is ``()``.  Cells of the Young diagram are
-indexed ``(i, j)`` with 1-based row ``i`` and column ``j``.  Products
-over cells are returned as logarithms: deep series reach magnitudes far
-outside the float range.
+integers; the empty partition is ``()``.  The series of
+:mod:`betagap.hypergeom` enumerates them here and builds its Pochhammer
+ratios and hook products a whole weight layer at a time;
+:func:`gen_pochhammer_signlog` is the one-partition form, which tests
+check those layers against.  The per-cell hook products and the closed
+form of ``C_kappa(1, ..., 1)`` are test oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,11 +16,7 @@ from functools import cache
 
 __all__ = [
     "partitions_of_weight",
-    "conjugate",
-    "dominates",
-    "hook_products_log",
     "gen_pochhammer_signlog",
-    "jack_C_at_identity_log",
 ]
 
 
@@ -61,49 +59,6 @@ def partitions_of_weight(k: int, max_parts: int | None = None) -> tuple[tuple[in
     return tuple(out)
 
 
-def conjugate(kappa: tuple[int, ...]) -> tuple[int, ...]:
-    """Transpose a partition's Young diagram."""
-    if not kappa:
-        return ()
-    return tuple(sum(1 for part in kappa if part >= j) for j in range(1, kappa[0] + 1))
-
-
-def dominates(lam: tuple[int, ...], mu: tuple[int, ...]) -> bool:
-    """Return True when ``lam`` dominates ``mu`` (equal weights assumed)."""
-    partial_lam = 0
-    partial_mu = 0
-    for i in range(max(len(lam), len(mu))):
-        partial_lam += lam[i] if i < len(lam) else 0
-        partial_mu += mu[i] if i < len(mu) else 0
-        if partial_lam < partial_mu:
-            return False
-    return True
-
-
-def _cells(kappa: tuple[int, ...]):
-    """Yield (arm, leg) for every cell of the diagram."""
-    kp = conjugate(kappa)
-    for i, row in enumerate(kappa, start=1):
-        for j in range(1, row + 1):
-            yield row - j, kp[j - 1] - i
-
-
-def hook_products_log(kappa: tuple[int, ...], alpha: float) -> tuple[float, float]:
-    """Logarithms of the upper and lower alpha-deformed hook products.
-
-    Per cell the upper hook is ``leg + 1 + alpha*arm`` and the lower
-    hook is ``leg + alpha*(arm + 1)``; both products are 1 for the empty
-    partition.  Accumulated cell by cell so deep partitions whose hook
-    products overflow a float stay representable.
-    """
-    log_upper = 0.0
-    log_lower = 0.0
-    for arm, leg in _cells(kappa):
-        log_upper += math.log(leg + 1 + alpha * arm)
-        log_lower += math.log(leg + alpha * (arm + 1))
-    return log_upper, log_lower
-
-
 def gen_pochhammer_signlog(x: float, kappa: tuple[int, ...], alpha: float) -> tuple[int, float]:
     """Sign and log-magnitude of the generalized Pochhammer symbol.
 
@@ -131,22 +86,3 @@ def gen_pochhammer_signlog(x: float, kappa: tuple[int, ...], alpha: float) -> tu
                 sign = -sign
             log_abs += math.log(abs(factor))
     return sign, log_abs
-
-
-def jack_C_at_identity_log(kappa: tuple[int, ...], alpha: float, m: int) -> float:
-    """Logarithm of the Jack polynomial ``C_kappa`` at ``m`` ones.
-
-    ``C_kappa(1, ..., 1) = alpha**|kappa| |kappa|! prod_cells (m - (i-1) +
-    alpha*(j-1)) / (upper * lower hook products)``, strictly positive
-    when ``len(kappa) <= m``; with more parts than variables it vanishes
-    and the logarithm is ``-inf``.
-    """
-    if len(kappa) > m:
-        return -math.inf
-    k = sum(kappa)
-    log_upper, log_lower = hook_products_log(kappa, alpha)
-    log_value = k * math.log(alpha) + math.lgamma(k + 1) - log_upper - log_lower
-    for i, row in enumerate(kappa, start=1):
-        for j in range(1, row + 1):
-            log_value += math.log(m - (i - 1) + alpha * (j - 1))
-    return log_value

@@ -31,9 +31,10 @@ from betagap.gap import (
     log_multi_F01_asympt,
 )
 from betagap.hypergeom import ArgBlocks, HypergeomSpec, pFq_alpha
-from betagap.jack import jack_C_eval, jack_C_oracle_signlog
+from betagap.jack import jack_C_eval_signlog
 from betagap.mc import EnsembleSpec, estimate_gap
 from betagap.partitions import partitions_of_weight
+from oracles import jack_C_at_identity_log, jack_C_oracle_signlog
 
 
 #: Verdict lines collected for the terminal-summary replay in conftest.
@@ -152,6 +153,11 @@ def test_ac06_duality_map() -> None:
     )
 
 
+def _jack_C(kappa: tuple[int, ...], x: tuple[float, ...], alpha: float) -> float:
+    sign, log_abs = jack_C_eval_signlog(kappa, x, alpha)
+    return sign * math.exp(log_abs)
+
+
 def test_ac07_jack_normalization() -> None:
     # Mixed-sign entries up to the |x| <= 4 bound, chosen with sums well
     # away from zero so float cancellation stays below the tolerance.
@@ -162,11 +168,11 @@ def test_ac07_jack_normalization() -> None:
             base = sum(xs)
             for k in range(1, 9):
                 total = sum(
-                    jack_C_eval(kappa, xs, alpha)
+                    _jack_C(kappa, xs, alpha)
                     for kappa in partitions_of_weight(k)
                 )
                 worst_sum = max(worst_sum, abs(total / base**k - 1.0))
-    # The identity path at ones against the monomial expansion.
+    # The table and the closed form at ones against the monomial expansion.
     worst_identity = 0.0
     for alpha in (0.5, 2.0):
         for m in (3, 5):
@@ -175,9 +181,12 @@ def test_ac07_jack_normalization() -> None:
                 for kappa in partitions_of_weight(k):
                     sign, log_ref = jack_C_oracle_signlog(kappa, ones, alpha)
                     reference = sign * math.exp(log_ref)
-                    direct = jack_C_eval(kappa, ones, alpha)
-                    scale = max(abs(reference), abs(direct), 1e-300)
-                    worst_identity = max(worst_identity, abs(reference - direct) / scale)
+                    for direct in (
+                        _jack_C(kappa, ones, alpha),
+                        math.exp(jack_C_at_identity_log(kappa, alpha, m)),
+                    ):
+                        scale = max(abs(reference), abs(direct), 1e-300)
+                        worst_identity = max(worst_identity, abs(reference - direct) / scale)
     ok = worst_sum < 1e-10 and worst_identity < 1e-12
     _report(
         "07 jack-normalization",

@@ -587,6 +587,16 @@ def test_finite_size_torus_overflow_exits_3_without_warnings() -> None:
     assert "s = 2000.0, N = 3" in error["message"]
 
 
+def test_finite_excess_overflow_exits_3(capsys: pytest.CaptureFixture[str]) -> None:
+    # An OverflowError in the quadrature's integrand printed a traceback
+    # and exited 1.
+    code, out = run_cli(
+        capsys, "exact", "--beta", "2", "--a", "0", "--s", "800", "--n", "2", "--N", "1"
+    )
+    assert code == 3
+    assert json.loads(out)["error"]["type"] == "QuadratureError"
+
+
 def test_nonconvergence_exits_3(capsys: pytest.CaptureFixture[str]) -> None:
     code, out = run_cli(
         capsys, "exact", "--beta", "2", "--a", "1", "--s", "4",

@@ -1,14 +1,17 @@
 """Every name a module lists in ``__all__`` exists, no ``__all__`` lists a
-function beside its log twin, and neither importing the package nor any
-subcommand needs scipy."""
+function beside its log twin, neither importing the package nor any
+subcommand needs scipy, and the test oracles share no code with the
+package."""
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -90,3 +93,18 @@ print(json.dumps(outcomes))
         [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=300
     )
     assert json.loads(result.stdout) == dict.fromkeys(_NO_SCIPY_CALLS, 0)
+
+
+def test_oracles_import_only_enumeration_and_errors() -> None:
+    # tests/oracles.py checks JackTable, the strip table and the series'
+    # coefficient layers, so it takes from betagap only the partition
+    # enumeration and the error types.
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text())
+    taken = [
+        f"{node.module}.{alias.name}" if isinstance(node, ast.ImportFrom) else alias.name
+        for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    allowed = ("betagap.partitions.partitions_of_weight", "betagap.errors")
+    stray = [name for name in taken if name.startswith("betagap") and not name.startswith(allowed)]
+    assert stray == []

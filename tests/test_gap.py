@@ -42,7 +42,6 @@ from betagap.gap import (
     log_multi_F01_asympt,
     log_norm_ratio_exact,
     log_norm_ratio_stirling,
-    rescale_endpoint,
 )
 from betagap.hypergeom import HypergeomSpec, SeriesResult, pFq_alpha
 
@@ -76,11 +75,6 @@ def test_detailed_returns_log_and_series() -> None:
     np.testing.assert_allclose(math.exp(log_value), exact_E0_hard(4.0, 1.0, 2.0))
     assert series.max_weight_used > 0
     assert series.tail_estimate < 1e-12
-
-
-def test_rescale_endpoint() -> None:
-    np.testing.assert_allclose(rescale_endpoint(3.0, 0.5, 4.0), 0.75, rtol=1e-15)
-    np.testing.assert_allclose(rescale_endpoint(2.0, 1.0, 2.0), 2.0, rtol=1e-15)
 
 
 def test_finite_size_frozen_value() -> None:
@@ -316,7 +310,7 @@ FINITE_EXCESS_PINS = {
     (0.5, 2.0, 1.0, 1, 10): 0.521437051321954,
     (0.5, 2.0, 1.0, 1, 5): 0.2750281590055647,
     (0.5, 1.0, 2.0, 2, 4): 0.011505657728140883,
-    (0.3, 0.0, 2.0, 3, 1): 2.5108334296493014e-08,
+    (0.3, 0.0, 2.0, 3, 1): 2.5108334296492924e-08,
 }
 
 
@@ -349,6 +343,15 @@ def test_finite_excess_detailed() -> None:
     _, diag = exact_En_finiteN_detailed(0.5, 1.0, 2.0, 2, 4)
     assert diag["order"] == 12
     assert diag["tail_bound"] >= diag["rel_change"] > 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_finite_excess_large_endpoint_does_not_overflow(n: int) -> None:
+    # exp(beta s (y_1 + ... + y_n) / 2) overflowed at a node and the call
+    # ended in OverflowError; over its bound exp(beta s n / 2) it cannot,
+    # and the ladder reports that it does not settle.
+    with pytest.raises(QuadratureError, match="not settled at order 60"):
+        exact_En_finiteN(800.0, 0.0, 2.0, n, 1)
 
 
 def test_finite_excess_zero_delegates_to_gap() -> None:
@@ -620,6 +623,15 @@ def test_printed_variant_rejects_zero_size() -> None:
     # Its prefactor takes lgamma(N), which has a pole at N = 0.
     with pytest.raises(ValueError, match="N must be positive for the printed variant"):
         exact_En_finiteN(0.5, 1.0, 2.0, 1, 0, variant="printed")
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_printed_variant_rejects_zero_a(n: int) -> None:
+    # Its conditioned multiplicity is a: at a = 0 an internal ValueError
+    # about q or about the batch rows surfaced, naming neither.
+    message = "^a must be a positive integer for the printed variant, got 0.0$"
+    with pytest.raises(ValueError, match=message):
+        exact_En_finiteN(0.5, 0.0, 2.0, n, 3, variant="printed")
 
 
 def test_finite_routes_at_zero_size() -> None:

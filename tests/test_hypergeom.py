@@ -28,16 +28,11 @@ from betagap.hypergeom import (
     HypergeomSpec,
     RatioIntegral,
     SeriesResult,
-    F01_repeated,
-    confluence_check,
     pFq_alpha,
 )
-from betagap.partitions import (
-    gen_pochhammer_signlog,
-    jack_C_at_identity_log,
-    partitions_of_weight,
-)
+from betagap.partitions import gen_pochhammer_signlog, partitions_of_weight
 from betagap.quadrature import ratio_moments
+from oracles import jack_C_at_identity_log
 
 mp.mp.dps = 40
 
@@ -72,21 +67,26 @@ def test_binomial_identity() -> None:
         np.testing.assert_allclose(result.value, want, rtol=1e-11)
 
 
+def _0f1(c: float, t: float, m: int, alpha: float) -> HypergeomSpec:
+    """``0F1`` with lower parameter ``c`` at ``m`` repeated arguments ``t``."""
+    return HypergeomSpec(upper=(), lower=(c,), alpha=alpha, args=ArgBlocks(((t, m),)))
+
+
 def test_bessel_oracles() -> None:
     # 0F1(;c;1) at integer c equals (c-1)! I_{c-1}(2) / 1; the two frozen
     # references below were computed with an independent scalar Bessel sum.
     np.testing.assert_allclose(
-        F01_repeated(1.0, 1.0, 1, 1.0).value, 2.2795853023360673, rtol=1e-14
+        pFq_alpha(_0f1(1.0, 1.0, 1, 1.0)).value, 2.2795853023360673, rtol=1e-14
     )
     np.testing.assert_allclose(
-        F01_repeated(2.0, 1.0, 1, 1.0).value, 1.5906368546373290, rtol=1e-14
+        pFq_alpha(_0f1(2.0, 1.0, 1, 1.0)).value, 1.5906368546373290, rtol=1e-14
     )
 
 
 def test_single_variable_matches_mpmath() -> None:
     cases_0f1 = ((1.7, 2.4), (0.9, 5.0), (3.2, 17.0))
     for c, t in cases_0f1:
-        mine = F01_repeated(c, t, 1, 1.0).value
+        mine = pFq_alpha(_0f1(c, t, 1, 1.0)).value
         np.testing.assert_allclose(mine, float(mp.hyp0f1(c, t)), rtol=1e-12)
     spec = HypergeomSpec(
         upper=(0.7,), lower=(2.2,), alpha=1.0, args=ArgBlocks.from_values([-3.5])
@@ -164,7 +164,7 @@ def test_lower_parameter_pole_raises() -> None:
     # The deformed Pochhammer of row i starts at c - (i-1)/alpha, so a
     # lower parameter hitting that lattice is a pole too.
     with pytest.raises(LowerParameterPoleError):
-        F01_repeated(2.5, 0.7, 3, 0.8)
+        pFq_alpha(_0f1(2.5, 0.7, 3, 0.8))
 
 
 def test_catastrophic_cancellation_raises() -> None:
@@ -179,11 +179,11 @@ def test_catastrophic_cancellation_raises() -> None:
 
 def test_nonconvergence_raises() -> None:
     with pytest.raises(NonConvergenceError):
-        F01_repeated(1.0, 30.0, 1, 1.0, max_weight=5)
+        pFq_alpha(_0f1(1.0, 30.0, 1, 1.0), max_weight=5)
 
 
 def test_weight_ceiling_default() -> None:
-    result = F01_repeated(1.0, 4.0, 1, 1.0)
+    result = pFq_alpha(_0f1(1.0, 4.0, 1, 1.0))
     assert result.max_weight_used <= DEFAULT_MAX_WEIGHT
     assert result.tail_estimate < 1e-12 * result.value
 
@@ -218,19 +218,14 @@ def test_spec_validation() -> None:
         HypergeomSpec((), (), -1.0, ArgBlocks.from_values([1.0]))
 
 
-def test_repeated_argument_helper_matches_general() -> None:
-    direct = F01_repeated(2.5, 0.7, 3, 2.0)
-    spec = HypergeomSpec(
-        upper=(), lower=(2.5,), alpha=2.0, args=ArgBlocks(((0.7, 3),))
-    )
-    general = pFq_alpha(spec)
-    assert direct.value == general.value
-    assert direct.term_count == general.term_count
-
-
 def test_confluence_gap_decays_linearly() -> None:
-    g_64 = confluence_check(1.5, 0.8, 2, 2.0, b=64.0)
-    g_128 = confluence_check(1.5, 0.8, 2, 2.0, b=128.0)
+    # 1F1(b; c; t/b) tends to 0F1(c; t) as b grows, with a gap like 1/b.
+    limit = pFq_alpha(_0f1(1.5, 0.8, 2, 2.0)).value
+    shifted = [
+        pFq_alpha(HypergeomSpec((b,), (1.5,), 2.0, ArgBlocks(((0.8 / b, 2),)))).value
+        for b in (64.0, 128.0)
+    ]
+    g_64, g_128 = (abs(value - limit) / abs(limit) for value in shifted)
     assert g_64 < 2e-3
     np.testing.assert_allclose(g_64 / g_128, 2.0, rtol=0.05)
 
@@ -256,7 +251,7 @@ def test_exp_sum_property(xs: list[float], alpha: float) -> None:
     t=st.floats(min_value=0.1, max_value=30.0, allow_nan=False),
 )
 def test_value_log_consistency(c: float, t: float) -> None:
-    result = F01_repeated(c, t, 1, 1.0)
+    result = pFq_alpha(_0f1(c, t, 1, 1.0))
     assert result.sign == 1
     np.testing.assert_allclose(
         result.sign * math.exp(result.log_value), result.value, rtol=1e-12
@@ -387,6 +382,9 @@ def _reference_series(spec: HypergeomSpec, tol: float = 1e-12) -> tuple:
     cap = hypergeom._termination_cap(spec.upper)
     distinct = {value for value, _ in spec.args.blocks if value != 0.0}
     table = jack.JackTable([xs], spec.alpha) if len(distinct) > 1 else None
+    # one distinct value t over `nonzero` variables: t**k C_kappa(1, ..., 1)
+    t = next(iter(distinct), 1.0)
+    nonzero = sum(mult for value, mult in spec.args.blocks if value != 0.0)
     log_pos = log_neg = -math.inf
     float_sum = float_comp = 0.0
     terms = small_layers = k = weight = 0
@@ -408,7 +406,8 @@ def _reference_series(spec: HypergeomSpec, tol: float = 1e-12) -> tuple:
                 continue
             sign, log_mag = coefficient
             if table is None:
-                s_c, l_c = jack.jack_C_eval_signlog(kappa, xs, spec.alpha)
+                l_c = k * math.log(abs(t)) + _identity_log(kappa, spec.alpha, nonzero)
+                s_c = 0 if l_c == -math.inf else (-1 if t < 0.0 and k % 2 else 1)
             else:
                 value = values[position]
                 s_c = 0 if value == 0.0 else table_sign * (1 if value > 0.0 else -1)

@@ -1,4 +1,5 @@
-"""Jack polynomial expansion and evaluation routes."""
+"""Jack polynomial evaluators, and the reference forms of ``oracles`` that
+check them."""
 
 from __future__ import annotations
 
@@ -13,17 +14,23 @@ from hypothesis import strategies as st
 
 from betagap import jack
 from betagap.errors import ResourceLimitError
-from betagap.jack import (
-    JackPairTable,
-    JackTable,
-    jack_C_eval,
-    jack_C_eval_signlog,
+from betagap.jack import JackPairTable, JackTable, jack_C_eval_signlog
+from betagap.partitions import partitions_of_weight
+from oracles import (
+    hook_products_log,
+    jack_C_at_identity_log,
+    jack_C_monomial_signlog,
     jack_C_oracle_signlog,
     jack_in_monomial_basis,
     monomial_eval,
     rho,
 )
-from betagap.partitions import hook_products_log, jack_C_at_identity_log, partitions_of_weight
+
+
+def _jack_C(kappa: tuple[int, ...], x: tuple[float, ...], alpha: float) -> float:
+    """``C_kappa(x)`` as a float, from :func:`jack_C_eval_signlog`."""
+    sign, log_abs = jack_C_eval_signlog(kappa, x, alpha)
+    return sign * math.exp(log_abs)
 
 
 def test_rho_values() -> None:
@@ -76,7 +83,7 @@ def test_weight_two_expansion() -> None:
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_sum_rule_at_generic_point(alpha: float, k: int) -> None:
     x = (0.9, 1.7, 0.4)
-    total = sum(jack_C_eval(kappa, x, alpha) for kappa in partitions_of_weight(k))
+    total = sum(_jack_C(kappa, x, alpha) for kappa in partitions_of_weight(k))
     np.testing.assert_allclose(total, sum(x) ** k, rtol=1e-11)
 
 
@@ -98,28 +105,41 @@ def test_signlog_route_matches_direct() -> None:
     x = (2.0, 0.5, 1.0)
     for kappa in ((3, 1), (2, 2), (4,)):
         for alpha in (0.5, 1.0, 2.0):
-            value = jack_C_eval(kappa, x, alpha)
+            _, want = jack_C_oracle_signlog(kappa, x, alpha)
             sign, log_mag = jack_C_eval_signlog(kappa, x, alpha)
             assert sign == 1
-            np.testing.assert_allclose(math.exp(log_mag), value, rtol=1e-11)
+            np.testing.assert_allclose(math.exp(log_mag), math.exp(want), rtol=1e-11)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+@pytest.mark.parametrize("value", [1.0, 0.7, -1.3])
+def test_signlog_at_repeated_value_matches_identity_form(alpha: float, value: float) -> None:
+    # One repeated value builds a JackTable like any other argument.
+    for m in range(1, 6):
+        for k in range(11):
+            for kappa in partitions_of_weight(k, m):
+                sign, log_abs = jack_C_eval_signlog(kappa, (value,) * m, alpha)
+                assert sign == (-1 if value < 0.0 and k % 2 else 1)
+                want = k * math.log(abs(value)) + jack_C_at_identity_log(kappa, alpha, m)
+                assert abs(math.expm1(log_abs - want)) <= 1e-13, (kappa, m)
 
 
 def test_repeated_arguments_agree_with_perturbed() -> None:
     # The equal-argument specialization must be the limit of distinct ones.
     kappa, alpha = (3, 2), 2.0
-    tied = jack_C_eval(kappa, (1.0, 1.0, 0.5), alpha)
+    tied = _jack_C(kappa, (1.0, 1.0, 0.5), alpha)
     eps = 1e-7
-    split = jack_C_eval(kappa, (1.0 + eps, 1.0 - eps, 0.5), alpha)
+    split = _jack_C(kappa, (1.0 + eps, 1.0 - eps, 0.5), alpha)
     np.testing.assert_allclose(tied, split, rtol=1e-5)
 
 
 def test_nonadjacent_repeats_at_unit_parameter() -> None:
     # Duplicated arguments separated by a distinct one must not be treated
     # as distinct rows of the determinant (that would make it singular).
-    value = jack_C_eval((1,), (1.0, 0.5, 1.0), 1.0)
+    value = _jack_C((1,), (1.0, 0.5, 1.0), 1.0)
     np.testing.assert_allclose(value, 2.5, rtol=1e-12)
-    shuffled = jack_C_eval((2, 1), (1.0, 0.5, 1.0), 1.0)
-    adjacent = jack_C_eval((2, 1), (1.0, 1.0, 0.5), 1.0)
+    shuffled = _jack_C((2, 1), (1.0, 0.5, 1.0), 1.0)
+    adjacent = _jack_C((2, 1), (1.0, 1.0, 0.5), 1.0)
     np.testing.assert_allclose(shuffled, adjacent, rtol=1e-12)
 
 
@@ -127,14 +147,14 @@ def test_zero_variable_padding() -> None:
     # Appending zero variables never changes the value.
     kappa, alpha = (2, 1), 0.5
     np.testing.assert_allclose(
-        jack_C_eval(kappa, (1.2, 0.8), alpha),
-        jack_C_eval(kappa, (1.2, 0.8, 0.0), alpha),
+        _jack_C(kappa, (1.2, 0.8), alpha),
+        _jack_C(kappa, (1.2, 0.8, 0.0), alpha),
         rtol=1e-11,
     )
 
 
 def test_too_many_rows_for_variables_gives_zero() -> None:
-    assert jack_C_eval((1, 1, 1), (1.0, 2.0), 1.0) == 0.0
+    assert _jack_C((1, 1, 1), (1.0, 2.0), 1.0) == 0.0
 
 
 @given(
@@ -145,7 +165,7 @@ def test_too_many_rows_for_variables_gives_zero() -> None:
 @settings(deadline=None, max_examples=40)
 def test_sum_rule_property(xs, alpha, k) -> None:
     x = tuple(xs)
-    total = sum(jack_C_eval(kappa, x, alpha) for kappa in partitions_of_weight(k))
+    total = sum(_jack_C(kappa, x, alpha) for kappa in partitions_of_weight(k))
     np.testing.assert_allclose(total, sum(x) ** k, rtol=1e-9)
 
 
@@ -265,28 +285,10 @@ def test_batched_table_matches_single_tables() -> None:
 # --- two-value arguments: cached polynomials in the node ratio ---
 
 
-def _monomial_C_signlog(kappa: tuple[int, ...], x: tuple[float, ...], alpha: float) -> tuple:
-    """``C_kappa(x)`` from the monomial expansion, at every ``alpha``.
-
-    :func:`jack_C_oracle_signlog` reads the Schur bialternant at ``alpha
-    == 1``, whose determinants lose digits as two values coalesce: at
-    ``(1, 1, 0.97, 0.97)`` it is 2.8e-11 off, for :class:`JackTable` and
-    :class:`JackPairTable` alike.  The expansion has no cancellation.
-    """
-    if alpha != 1.0:
-        return jack_C_oracle_signlog(kappa, x, alpha)
-    k = sum(kappa)
-    expansion = jack_in_monomial_basis(kappa, alpha, max_parts=len(x))
-    p_value = sum(coeff * monomial_eval(mu, x) for mu, coeff in expansion.items())
-    if p_value == 0.0:
-        return 0, -math.inf
-    log_lower = hook_products_log(kappa, alpha)[1] if k else 0.0
-    log_value = k * math.log(alpha) + math.lgamma(k + 1) - log_lower + math.log(abs(p_value))
-    return (1 if p_value > 0 else -1), log_value
-
-
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
 def test_pair_table_matches_oracle(alpha: float) -> None:
+    # The monomial expansion at every alpha: the Schur bialternant loses
+    # digits where r = 0.97 brings the two values close.
     for p, q in [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)]:
         for r in (0.03, 0.5, 0.97):
             for u in (1.3, -1.3):
@@ -297,7 +299,7 @@ def test_pair_table_matches_oracle(alpha: float) -> None:
                     kappas = partitions_of_weight(k, p + q)
                     assert len(values) == len(kappas)
                     for kappa, value, log_factor in zip(kappas, values, log_factors):
-                        want_sign, want_log = _monomial_C_signlog(kappa, x, alpha)
+                        want_sign, want_log = jack_C_monomial_signlog(kappa, x, alpha)
                         got = sign * value * math.exp(log_factor)
                         if want_sign == 0:
                             assert got == 0.0, (kappa, x)

@@ -1,4 +1,5 @@
-"""Partition enumeration, hooks, and generalized Pochhammer symbols."""
+"""Partition enumeration and generalized Pochhammer symbols, and the
+reference hook products and identity values of ``oracles``."""
 
 from __future__ import annotations
 
@@ -11,14 +12,13 @@ from hypothesis import strategies as st
 
 from scipy.special import poch
 
-from betagap.jack import jack_C_oracle_signlog
-from betagap.partitions import (
+from betagap.partitions import gen_pochhammer_signlog, partitions_of_weight
+from oracles import (
     conjugate,
     dominates,
-    gen_pochhammer_signlog,
     hook_products_log,
     jack_C_at_identity_log,
-    partitions_of_weight,
+    jack_C_oracle_signlog,
 )
 
 # Partition counts p(0)..p(10).
