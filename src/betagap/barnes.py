@@ -15,7 +15,7 @@ from functools import cache
 
 import numpy as np
 
-from .errors import NonConvergenceError, ResourceLimitError, quantized, require_finite
+from .errors import NonConvergenceError, ResourceLimitError, counted, quantized, require_finite
 
 __all__ = [
     "log_gamma2",
@@ -213,22 +213,18 @@ def log_a_const(a: float, beta: float) -> float:
     )
 
 
-def log_tau_hard_n(n: float, a: float, beta: float, route: str = "continued") -> float:
-    """Log of the hard-edge constant for conditioning on ``n`` eigenvalues.
+def log_tau_hard_n(n: float, a: float, beta: float) -> float:
+    """Log of the hard-edge constant for conditioning on ``n`` eigenvalues,
+    assembled from ``f_{beta/2}``.
 
     Parameters
     ----------
     n : float
-        Number of conditioned eigenvalues; any nonnegative real on the
-        ``"continued"`` route, a nonnegative integer with ``beta * n``
-        integral on the ``"literal"`` route.
+        Number of conditioned eigenvalues; any nonnegative real.
     a : float
         Weight exponent parameter.
     beta : float
         Ensemble inverse temperature.
-    route : str
-        ``"continued"`` assembles the constant from ``f_{beta/2}``;
-        ``"literal"`` multiplies the finite gamma products directly.
 
     Returns
     -------
@@ -239,67 +235,36 @@ def log_tau_hard_n(n: float, a: float, beta: float, route: str = "continued") ->
     require_finite("n", n)
     require_finite("a", a)
     tau = 2.0 / beta
-    if route == "continued":
-        return (
-            -(a + n) * 2.0 * n / tau * math.log(2.0)
-            - math.lgamma(n + 1.0)
-            + (n * (a + n) / tau + n) * math.log(tau)
-            - n * _LOG_2PI
-            + log_f_beta_half(n + 1.0, beta)
-            + log_f_beta_half(n + a, beta)
-            - log_f_beta_half(a, beta)
-        )
-    if route == "literal":
-        n_int = quantized("n", n)
-        bn = quantized("beta*n", beta * n)
-        log_value = (
-            -(a + n) * beta * n * math.log(2.0)
-            - math.lgamma(n + 1.0)
-            + n * (a + n - 1.0) * beta / 2.0 * math.log(beta / 2.0)
-        )
-        for j in range(1, bn + 1):
-            log_value += math.lgamma(a + 2.0 * j / beta) - 0.5 * _LOG_2PI
-        for j in range(n_int):
-            log_value += math.lgamma(1.0 + (j + 1.0) * beta / 2.0)
-        for j in range(n_int, 2 * n_int):
-            log_value -= math.lgamma(1.0 + (j + a) * beta / 2.0)
-        return log_value
-    raise ValueError(f"unknown route {route!r}")
+    return (
+        -(a + n) * 2.0 * n / tau * math.log(2.0)
+        - math.lgamma(n + 1.0)
+        + (n * (a + n) / tau + n) * math.log(tau)
+        - n * _LOG_2PI
+        + log_f_beta_half(n + 1.0, beta)
+        + log_f_beta_half(n + a, beta)
+        - log_f_beta_half(a, beta)
+    )
 
 
-def log_duality_constants(
-    beta: float, n: float, a: float, variant: str = "corrected"
-) -> tuple[float, float]:
+def log_duality_constants(beta: float, n: float, a: float) -> tuple[float, float]:
     """Logs of both sides of the constant identity under ``beta -> 4/beta``.
 
     The left side carries the power of ``beta/2`` induced by rescaling
-    the gap variable; the right side is the plain constant at the mapped
+    the gap variable, the one matching the full asymptotic form's log
+    coefficient; the right side is the plain constant at the mapped
     parameters ``(4/beta, beta(n+1)/2 - 1, beta(a-2)/2 + 2)``.
 
     Parameters
     ----------
     beta, n, a : float
         Parameters of the left side.
-    variant : str
-        ``"corrected"`` uses the rescaling power matching the full
-        asymptotic form's log coefficient; ``"printed"`` reproduces the
-        source's stated power for comparison.
 
     Returns
     -------
     tuple of float
         ``(log_lhs, log_rhs)``; equal when the identity holds.
     """
-    if variant == "corrected":
-        power = beta * a * (a - 1.0) / 4.0 + a / 2.0 + beta * (n * n + n * a) / 2.0
-    elif variant == "printed":
-        power = (
-            a * (beta * a / 2.0 + 1.0) / 2.0
-            - beta * a / 2.0
-            + (n * n + n * a) * beta / 2.0
-        )
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    power = beta * a * (a - 1.0) / 4.0 + a / 2.0 + beta * (n * n + n * a) / 2.0
     log_lhs = (
         log_a_const(a, beta)
         + log_tau_hard_n(n, a, beta)
@@ -341,10 +306,9 @@ def log_morris_value(n: int, a: float, b: float, c: float) -> float:
     ``prod_{j=0}^{n-1} Gamma(1 + a + b + j c) Gamma(1 + (j+1) c) /
     (Gamma(1 + a + j c) Gamma(1 + b + j c) Gamma(1 + c))``.
     """
-    if n < 0 or n != int(n):
-        raise ValueError(f"n must be a nonnegative integer, got {n}")
+    n = counted(n, f"n must be a nonnegative integer, got {n}")
     log_value = 0.0
-    for j in range(int(n)):
+    for j in range(n):
         log_value += (
             math.lgamma(1.0 + a + b + j * c)
             + math.lgamma(1.0 + (j + 1.0) * c)

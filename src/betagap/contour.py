@@ -31,6 +31,7 @@ from .errors import (
     ParameterQuantizationError,
     QuadratureError,
     ResourceLimitError,
+    counted,
     quantized,
     require_finite,
 )
@@ -214,8 +215,7 @@ def torus_E0_finiteN(
     require_finite("beta", beta, positive=True)
     m = _dimension(a, beta)
     require_finite("s", s)
-    if not (N >= 1 and float(N).is_integer()):
-        raise ValueError(f"N must be a positive integer, got {N}")
+    counted(N, f"N must be a positive integer, got {N}", 1)
     if m == 0:
         return _probability(math.exp(-beta * N * s / 2.0), tol, "torus finite-size integral")
 

@@ -1,5 +1,5 @@
-"""Exception hierarchy and the integer-parameter and finite-value rules shared
-by all betagap modules."""
+"""Exception hierarchy and the integer-parameter, count and finite-value rules
+shared by all betagap modules."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ __all__ = [
     "BetagapError",
     "ParameterQuantizationError",
     "quantized",
+    "counted",
     "require_finite",
     "LowerParameterPoleError",
     "CancellationError",
@@ -47,6 +48,14 @@ def quantized(name: str, value: float) -> int:
     raise ParameterQuantizationError(
         f"{name} must be a nonnegative integer for this route, got {value}"
     )
+
+
+def counted(value: float, message: str, least: int = 0, most: float = math.inf) -> int:
+    """``value`` as an ``int`` if it is an integer from ``least`` to ``most``
+    (integral floats pass); else ``ValueError`` with ``message``."""
+    if not (least <= value <= most and float(value).is_integer()):
+        raise ValueError(message)
+    return int(value)
 
 
 def require_finite(name: str, value: float, *, positive: bool = False) -> None:

@@ -5,9 +5,12 @@ in ``(0, s)`` — is computed along independent routes: convergent and
 terminating hypergeometric series, for ``n = 1`` a series integrated
 exactly over the conditioned eigenvalue, series-times-quadrature for
 ``n = 2, 3``, large-size asymptotic forms, and a large-deviation
-formula for finite size.  The ensemble weight convention is
-``lambda**(a*beta/2) * exp(-beta*lambda/2)``; a gap ``(0, s)`` under the
-rate ``exp(-c*lambda)`` is the gap ``(0, 2*c*s/beta)`` here.
+formula for finite size.  The hard-edge and finite-size ``E(n)``
+routes, ``n >= 1``, share one body, ``_excess_integral``, and differ only
+in their prefactor, series argument and rate.  The ensemble weight
+convention is ``lambda**(a*beta/2) * exp(-beta*lambda/2)``; a gap ``(0,
+s)`` under the rate ``exp(-c*lambda)`` is the gap ``(0, 2*c*s/beta)``
+here.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .barnes import (
     log_f_beta_half,
     log_tau_hard_n,
 )
-from .errors import QuadratureError, quantized, require_finite
+from .errors import QuadratureError, counted, quantized, require_finite
 from .hypergeom import ArgBlocks, HypergeomSpec, RatioIntegral, SeriesResult, pFq_alpha
 from .quadrature import gauss_jacobi
 
@@ -145,11 +148,8 @@ def exact_E0_hard(
 
 
 def _ensemble_size(N: int) -> int:
-    """``N`` as an ``int``; raises ``ValueError`` unless it is a
-    nonnegative integer (integral floats pass)."""
-    if not (N >= 0 and float(N).is_integer()):
-        raise ValueError(f"N must be nonnegative and integral, got {N}")
-    return int(N)
+    """``N`` as an ``int``, by :func:`~betagap.errors.counted`."""
+    return counted(N, f"N must be nonnegative and integral, got {N}")
 
 
 def exact_E0_finiteN_detailed(
@@ -315,11 +315,8 @@ def _diagnostics(order: int, rel_change: float, trunc_weight: int, tail: float) 
 
 
 def _excess_count(n: int) -> int:
-    """``n`` as an ``int``; raises ``ValueError`` unless it is an integer
-    from 0 to 3 (integral floats pass)."""
-    if not (0 <= n <= 3 and float(n).is_integer()):
-        raise ValueError(f"n must be an integer between 0 and 3, got {n}")
-    return int(n)
+    """``n`` as an ``int`` from 0 to 3, by :func:`~betagap.errors.counted`."""
+    return counted(n, f"n must be an integer between 0 and 3, got {n}", 0, 3)
 
 
 def _log_A_quad(n: int, a: float, beta: float) -> float:
@@ -336,6 +333,56 @@ def _log_A_quad(n: int, a: float, beta: float) -> float:
     return log_value
 
 
+def _excess_integral(
+    s: float, a: float, beta: float, n: int, upper: tuple[float, ...], scale: float,
+    rate: float, log_prefactor: Callable[[int], float], tol: float, max_weight: int | None,
+) -> tuple[float, dict]:
+    """Log value and diagnostics of an ``E(n)`` route for ``n >= 1``: the
+    log of its prefactor plus that of the integral, over the ``n``
+    conditioned positions ``y`` in ``(0, 1)`` with weight ``(1 - y)**(beta
+    a / 2)`` and repulsion ``beta``, of ``exp(rate sum(y))`` times the
+    lower-parameter ``a + 2n`` series with upper parameters ``upper``,
+    ``beta a / 2`` arguments ``scale`` and ``beta`` arguments ``scale y``
+    per position.
+
+    ``n = 1`` is one exactly integrated series
+    (:class:`~betagap.hypergeom.RatioIntegral`).  ``n = 2, 3`` run
+    :func:`_settled_quadrature`, each node over its bound ``exp(rate n)``
+    so that none overflows; ``log_prefactor`` gets the number of positions
+    whose bound the integral left out (0 at ``n = 1``, else ``n``).  A
+    terminating series defaults ``max_weight`` to its degree ``N (beta a /
+    2 + n beta)``, at least 200.
+    """
+    m0 = quantized("beta*a/2", beta * a / 2.0)
+    mb = quantized("beta", beta)
+    if upper and max_weight is None:
+        max_weight = max(round(-upper[0]) * (m0 + n * mb), 200)
+    if s == 0.0:
+        return -math.inf, _diagnostics(0, 0.0, 0, 0.0)
+    alpha, lower = beta / 2.0, (a + 2.0 * n,)
+    if n == 1:
+        args = RatioIntegral(scale, m0, mb, m0, rate)
+        spec = HypergeomSpec(upper=upper, lower=lower, alpha=alpha, args=args)
+        series = pFq_alpha(spec, tol=tol, max_weight=max_weight)
+        return log_prefactor(0) + series.log_value, _diagnostics(
+            0, 0.0, series.max_weight_used, series.tail_estimate
+        )
+    max_used, max_tail = 0, 0.0
+
+    def integrand(points: np.ndarray) -> list[float]:
+        nonlocal max_used, max_tail
+        args = _batch_args(scale, m0, scale * points, mb)
+        spec = HypergeomSpec(upper=upper, lower=lower, alpha=alpha, args=args)
+        batch = pFq_alpha(spec, tol=tol, max_weight=max_weight)
+        max_used = max(max_used, batch.max_weight_used)
+        max_tail = max(max_tail, *(result.tail_estimate for result in batch))
+        expo = (rate * (points.sum(axis=1) - n)).tolist()
+        return [math.exp(x) * result.value for x, result in zip(expo, batch)]
+
+    total, order, rel_change = _settled_quadrature(integrand, n, beta * a / 2.0, beta, _QUAD_TOL)
+    return log_prefactor(n) + math.log(total), _diagnostics(order, rel_change, max_used, max_tail)
+
+
 def exact_En_hard_detailed(
     s: float,
     a: float,
@@ -349,60 +396,29 @@ def exact_En_hard_detailed(
     Integrates, over the ``n`` conditioned eigenvalue positions ``y`` in
     ``(0, 1)`` with weight ``(1 - y)**(a beta / 2)``, the lower-parameter
     ``a + 2n`` series at ``beta a / 2`` arguments ``s / 4`` and ``beta``
-    arguments ``s y / 4`` per position.  At ``n = 1`` the series is
-    integrated exactly, term by term, from the moments of the weight
-    (:class:`~betagap.hypergeom.RatioIntegral`).  At ``n = 2, 3`` a
-    tensor Gauss–Jacobi rule absorbs the weight and escalates its order
-    until two successive evaluations agree to ``_QUAD_TOL``.  The
-    diagnostics are ``order``, ``rel_change``, ``trunc_weight`` and
-    ``tail_bound``; ``order`` 0 (with ``rel_change`` 0) means that no
-    quadrature ran, and ``tail_bound`` is then the series' relative tail.
-    At ``s = 0`` with ``n >= 1`` the probability is 0: the log value is
-    ``-inf``.  ``n`` must be an integer from 0 to 3; integral floats
-    pass.
+    arguments ``s y / 4`` per position (:func:`_excess_integral` at rate
+    0).  At ``n = 1`` the series is integrated exactly, term by term,
+    from the moments of the weight; at ``n = 2, 3`` a tensor Gauss–Jacobi
+    rule absorbs the weight and escalates its order until two successive
+    evaluations agree to ``_QUAD_TOL``.  The diagnostics are ``order``,
+    ``rel_change``, ``trunc_weight`` and ``tail_bound``; ``order`` 0 (with
+    ``rel_change`` 0) means that no quadrature ran, and ``tail_bound`` is
+    then the series' relative tail.  At ``s = 0`` with ``n >= 1`` the
+    probability is 0: the log value is ``-inf``.  ``n`` must be an
+    integer from 0 to 3; integral floats pass.
     """
     require_finite("beta", beta, positive=True)
     n = _excess_count(n)
     if n == 0:
         log_value, series = exact_E0_hard_detailed(s, a, beta, tol, max_weight)
-        return log_value, _diagnostics(
-            0, 0.0, series.max_weight_used, series.tail_estimate
-        )
+        return log_value, _diagnostics(0, 0.0, series.max_weight_used, series.tail_estimate)
     require_finite("s", s)
-    m0 = quantized("beta*a/2", beta * a / 2.0)
-    mb = quantized("beta", beta)
-    if s == 0.0:
-        return -math.inf, _diagnostics(0, 0.0, 0, 0.0)
-    alpha = beta / 2.0
-    lower = a + 2.0 * n
-    log_pref = (
-        _log_A_quad(n, a, beta)
-        + (n + beta / 2.0 * n * (n + a - 1.0)) * math.log(s)
-        - beta * s / 8.0
-    )
-    if n == 1:
-        args = RatioIntegral(s / 4.0, m0, mb, m0, 0.0)
-        spec = HypergeomSpec(upper=(), lower=(lower,), alpha=alpha, args=args)
-        series = pFq_alpha(spec, tol=tol, max_weight=max_weight)
-        return log_pref + series.log_value, _diagnostics(
-            0, 0.0, series.max_weight_used, series.tail_estimate
-        )
-    max_used, max_tail = 0, 0.0
 
-    def integrand(points: np.ndarray) -> list[float]:
-        nonlocal max_used, max_tail
-        args = _batch_args(s / 4.0, m0, s * points / 4.0, mb)
-        spec = HypergeomSpec(upper=(), lower=(lower,), alpha=alpha, args=args)
-        batch = pFq_alpha(spec, tol=tol, max_weight=max_weight)
-        max_used = max(max_used, batch.max_weight_used)
-        max_tail = max(max_tail, *(result.tail_estimate for result in batch))
-        return [result.value for result in batch]
+    def log_prefactor(_: int) -> float:
+        p = n + beta / 2.0 * n * (n + a - 1.0)
+        return _log_A_quad(n, a, beta) + p * math.log(s) - beta * s / 8.0
 
-    total, order, rel_change = _settled_quadrature(
-        integrand, n, beta * a / 2.0, beta, _QUAD_TOL
-    )
-    log_value = log_pref + math.log(total)
-    return log_value, _diagnostics(order, rel_change, max_used, max_tail)
+    return _excess_integral(s, a, beta, n, (), s / 4.0, 0.0, log_prefactor, tol, max_weight)
 
 
 def exact_En_hard(
@@ -460,98 +476,38 @@ def exact_En_finiteN_detailed(
     n: int,
     N: int,
     tol: float = 1e-12,
-    variant: str = "corrected",
     max_weight: int | None = None,
 ) -> tuple[float, dict]:
     """Finite-size ``E(n; (0, s))`` for ``n <= 3``: log value and the
     diagnostics of :func:`exact_En_hard_detailed`, with its ``s = 0``
-    rule, its rule for ``n`` and its exact ``n = 1`` integral; the
-    integrand carries ``exp(beta s sum(y) / 2)``.  At ``n = 1`` it joins
-    the weight; at ``n = 2, 3`` the quadrature sums it over its bound
-    ``exp(beta s n / 2)``, which the log value takes back, so that no
-    node overflows.
-
-    The ``"corrected"`` variant carries the binomial label count
-    ``C(N+n, n)``, the normalization ratio of the shifted-weight
-    ensemble, and conditioned-coordinate multiplicity ``beta`` inside
-    the terminating series.  The ``"printed"`` variant reproduces an
-    alternative bookkeeping (prefactor ``(N)_n / n!``, same-weight
-    normalization ratio, multiplicity ``a``) kept for comparison; it
-    requires a positive integer ``a``.  ``max_weight`` defaults to
-    ``max(N (beta a / 2 + n beta), 200)``.
+    rule, its rule for ``n`` and its exact ``n = 1`` integral, all from
+    :func:`_excess_integral`.  The series has upper parameter ``-N`` and
+    arguments ``-s`` and ``-s y``; the integrand carries ``exp(beta s
+    sum(y) / 2)``.  The prefactor is the binomial label count ``C(N+n,
+    n)`` times the normalization ratio of the shifted-weight ensemble.
+    ``max_weight`` defaults to ``max(N (beta a / 2 + n beta), 200)``.
     """
     require_finite("beta", beta, positive=True)
     n = _excess_count(n)
     if n == 0:
         log_value, series = exact_E0_finiteN_detailed(s, a, beta, N, tol, max_weight)
-        return log_value, _diagnostics(
-            0, 0.0, series.max_weight_used, series.tail_estimate
-        )
+        return log_value, _diagnostics(0, 0.0, series.max_weight_used, series.tail_estimate)
     require_finite("s", s)
     N = _ensemble_size(N)
-    m0 = quantized("beta*a/2", beta * a / 2.0)
-    mb = quantized("beta", beta)
-    alpha = beta / 2.0
-    if max_weight is None:
-        max_weight = max(N * (m0 + n * mb), 200)
 
-    if variant == "corrected":
-        log_pref = (
-            math.lgamma(N + n + 1.0)
-            - math.lgamma(N + 1.0)
-            - math.lgamma(n + 1.0)
-            + _log_laguerre_norm(a + 2.0 * n, beta, N)
-            - _log_laguerre_norm(a, beta, N + n)
+    def log_prefactor(bounded: int) -> float:
+        # y = s u: s^n from dy, s^(a beta / 2) per position from the shifted
+        # weight, s^beta per pair from the repulsion
+        p = n + n * a * beta / 2.0 + beta * n * (n - 1.0) / 2.0
+        return (
+            math.lgamma(N + n + 1.0) - math.lgamma(N + 1.0) - math.lgamma(n + 1.0)
+            + _log_laguerre_norm(a + 2.0 * n, beta, N) - _log_laguerre_norm(a, beta, N + n)
+            + p * math.log(s) - beta * s * (N + n - bounded) / 2.0
         )
-        cond_mult = mb
-    elif variant == "printed":
-        if N == 0:
-            raise ValueError("N must be positive for the printed variant, got 0")
-        log_pref = (
-            math.lgamma(N + n)
-            - math.lgamma(float(N))
-            - math.lgamma(n + 1.0)
-            + _log_laguerre_norm(a, beta, N)
-            - _log_laguerre_norm(a, beta, N + n)
-        )
-        cond_mult = quantized("a", a)
-        if cond_mult == 0:
-            raise ValueError(f"a must be a positive integer for the printed variant, got {a}")
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-    if s == 0.0:
-        return -math.inf, _diagnostics(0, 0.0, 0, 0.0)
-    # y = s u substitution: s^n from dy, (s (1 - u))^(a beta / 2) from the
-    # shifted weight, s^beta per coordinate pair from the repulsion.
-    log_scale = (
-        n + n * a * beta / 2.0 + beta * n * (n - 1.0) / 2.0
-    ) * math.log(s)
-    upper, lower = (-float(N),), (a + 2.0 * n,)
-    if n == 1:
-        args = RatioIntegral(-s, m0, cond_mult, m0, beta * s / 2.0)
-        spec = HypergeomSpec(upper=upper, lower=lower, alpha=alpha, args=args)
-        series = pFq_alpha(spec, tol=tol, max_weight=max_weight)
-        log_value = log_pref + log_scale - beta * s * (N + n) / 2.0 + series.log_value
-        return log_value, _diagnostics(0, 0.0, series.max_weight_used, series.tail_estimate)
-    max_used, max_tail = 0, 0.0
 
-    def integrand(points: np.ndarray) -> list[float]:
-        nonlocal max_used, max_tail
-        args = _batch_args(-s, m0, -s * points, cond_mult)
-        spec = HypergeomSpec(upper=upper, lower=lower, alpha=alpha, args=args)
-        batch = pFq_alpha(spec, tol=tol, max_weight=max_weight)
-        max_used = max(max_used, batch.max_weight_used)
-        max_tail = max(max_tail, *(result.tail_estimate for result in batch))
-        # exp(beta s sum(y) / 2) over its bound exp(beta s n / 2), which
-        # the log value takes back, so no node overflows
-        expo = (beta * s * (points.sum(axis=1) - n) / 2.0).tolist()
-        return [math.exp(x) * result.value for x, result in zip(expo, batch)]
-
-    total, order, rel_change = _settled_quadrature(
-        integrand, n, a * beta / 2.0, beta, _QUAD_TOL
+    return _excess_integral(
+        s, a, beta, n, (-float(N),), -s, beta * s / 2.0, log_prefactor, tol, max_weight
     )
-    log_value = log_pref + log_scale - beta * s * N / 2.0 + math.log(total)
-    return log_value, _diagnostics(order, rel_change, max_used, max_tail)
 
 
 def exact_En_finiteN(
@@ -561,7 +517,6 @@ def exact_En_finiteN(
     n: int,
     N: int,
     tol: float = 1e-12,
-    variant: str = "corrected",
 ) -> float:
     """Finite-size probability of exactly ``n`` eigenvalues in ``(0, s)``.
 
@@ -578,16 +533,13 @@ def exact_En_finiteN(
         Number of remaining eigenvalues; the ensemble size is ``N + n``.
     tol
         Series tolerance.
-    variant : str
-        ``"corrected"`` or ``"printed"``; see
-        :func:`exact_En_finiteN_detailed`.
 
     Returns
     -------
     float
         ``E_{N+n}(n; (0, s))``.
     """
-    log_value, _ = exact_En_finiteN_detailed(s, a, beta, n, N, tol, variant)
+    log_value, _ = exact_En_finiteN_detailed(s, a, beta, n, N, tol)
     return math.exp(log_value)
 
 
@@ -702,21 +654,17 @@ def linstat_mean(ls: LinearStatistic, N: int) -> float:
     return total
 
 
-def linstat_variance(ls: LinearStatistic, prefactor: str = "2beta") -> float:
+def linstat_variance(ls: LinearStatistic) -> float:
     """Limiting variance of the logarithmic linear statistic.
 
     The bracket combines self- and cross-terms of the kernel variables
-    ``nu``; the overall prefactor is ``2 beta`` (the value a direct
-    Fourier-coefficient computation of the fluctuation sum gives) or
-    ``2 / beta`` (kept selectable because the two appear as competing
-    readings; see the package notes).
+    ``nu``; the overall prefactor is ``2 beta``, the value a direct
+    Fourier-coefficient computation of the fluctuation sum gives.
 
     Parameters
     ----------
     ls : LinearStatistic
         Statistic definition.
-    prefactor : str
-        ``"2beta"`` (default) or ``"2overbeta"``.
 
     Returns
     -------
@@ -734,13 +682,7 @@ def linstat_variance(ls: LinearStatistic, prefactor: str = "2beta") -> float:
     for i in range(len(nus)):
         for j in range(i + 1, len(nus)):
             bracket -= 2.0 * math.log1p(-nus[i] * nus[j])
-    if prefactor == "2beta":
-        scale = 2.0 * beta
-    elif prefactor == "2overbeta":
-        scale = 2.0 / beta
-    else:
-        raise ValueError(f"unknown prefactor {prefactor!r}")
-    return scale * bracket
+    return 2.0 * beta * bracket
 
 
 def char_poly_moment_asympt(s_tilde: float, a: float, beta: float, N: int) -> float:
@@ -803,8 +745,7 @@ def log_large_deviation_E0(N: int, s_tilde: float, a: float, beta: float) -> flo
     float
         ``log E``.
     """
-    if not (N >= 1 and float(N).is_integer()):
-        raise ValueError(f"N must be at least 1 and integral, got {N}")
+    counted(N, f"N must be at least 1 and integral, got {N}", 1)
     require_finite("s_tilde", s_tilde, positive=True)
     require_finite("beta", beta, positive=True)
     require_finite("a", a)
@@ -828,18 +769,15 @@ def log_multi_F01_asympt(
     a: float,
     n: int,
     beta: float,
-    variant: str = "corrected",
 ) -> float:
     """Log of the asymptotic mixed-argument lower-parameter series.
 
     Applies to the lower parameter ``a + 2n`` series with ``beta a / 2``
     arguments ``s0 / 4`` and ``beta`` arguments ``s_j / 4`` as all the
-    ``s`` grow together.  The ``"corrected"`` variant carries the
-    constant of the continued hard-edge prefactor at parameter
-    ``a + 2n`` and square-rooted single-argument powers, which is the
-    combination consistent with the large-size fluctuation derivation;
-    ``"printed"`` reproduces the alternative bookkeeping for
-    comparison.
+    ``s`` grow together.  It carries the constant of the continued
+    hard-edge prefactor at parameter ``a + 2n`` and square-rooted
+    single-argument powers, the combination consistent with the
+    large-size fluctuation derivation.
 
     Parameters
     ----------
@@ -853,8 +791,6 @@ def log_multi_F01_asympt(
         Number of extra argument blocks; ``len(s_list)`` must equal it.
     beta : float
         Ensemble parameter.
-    variant : str
-        ``"corrected"`` or ``"printed"``.
 
     Returns
     -------
@@ -863,25 +799,10 @@ def log_multi_F01_asympt(
     """
     if len(s_list) != n:
         raise ValueError(f"expected {n} secondary scales, got {len(s_list)}")
-    big_a = a + 2.0 * n
     roots = [math.sqrt(sj) for sj in s_list]
     root0 = math.sqrt(s0)
-
-    if variant == "corrected":
-        log_value = log_a_const(big_a, beta)
-        mid = a * math.log(root0) + 2.0 * sum(math.log(r) for r in roots)
-    elif variant == "printed":
-        log_value = (
-            -beta * big_a * (big_a - 1.0) / 4.0 * math.log(beta / 2.0)
-            - big_a / 2.0 * math.log(math.pi * beta)
-            + log_f_beta_half(big_a - 1.0, beta)
-        )
-        mid = a * math.log(s0 / 4.0) + 2.0 * sum(
-            math.log(sj / 4.0) for sj in s_list
-        )
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
-
+    log_value = log_a_const(a + 2.0 * n, beta)
+    mid = a * math.log(root0) + 2.0 * sum(math.log(r) for r in roots)
     log_value += beta * a / 2.0 * root0 + beta * sum(roots)
     log_value -= 0.5 * (1.0 - beta / 2.0) * mid
     log_value -= beta * (

@@ -44,6 +44,7 @@ from .errors import (
     CancellationError,
     LowerParameterPoleError,
     NonConvergenceError,
+    counted,
 )
 from .jack import (
     JackPairIntegral,
@@ -140,9 +141,8 @@ class RatioIntegral:
             raise ValueError(f"rate must be finite and nonnegative, got {self.rate}")
         for name, least in (("p", 0), ("q", 1), ("power", 0)):
             value = getattr(self, name)
-            if not (value >= least and float(value).is_integer()):
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value}")
-            object.__setattr__(self, name, int(value))
+            message = f"{name} must be an integer of at least {least}, got {value}"
+            object.__setattr__(self, name, counted(value, message, least))
         object.__setattr__(self, "u", float(self.u))
         object.__setattr__(self, "rate", float(self.rate))
 

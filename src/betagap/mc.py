@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import require_finite
+from .errors import counted, require_finite
 
 __all__ = [
     "EnsembleSpec",
@@ -45,7 +45,8 @@ class EnsembleSpec:
 
     ``beta`` is the inverse-temperature (positive and finite), ``a`` the
     exponent parameter of the weight ``lambda**(a beta/2) exp(-beta
-    lambda/2)`` (nonnegative and finite), ``N`` the number of eigenvalues.
+    lambda/2)`` (nonnegative and finite), ``N`` the number of eigenvalues
+    (a positive integer; integral floats pass and are stored as ``int``).
     """
 
     beta: float
@@ -55,8 +56,8 @@ class EnsembleSpec:
     def __post_init__(self) -> None:
         require_finite("beta", self.beta, positive=True)
         require_finite("a", self.a)
-        if self.N < 1:
-            raise ValueError(f"N must be a positive integer, got {self.N}")
+        N = counted(self.N, f"N must be a positive integer, got {self.N}", 1)
+        object.__setattr__(self, "N", N)
 
 
 @dataclass(frozen=True)
@@ -235,8 +236,7 @@ def sample_smallest(spec: EnsembleSpec, samples: int, seed: int) -> np.ndarray:
     numpy.ndarray
         ``samples`` independent draws of the smallest eigenvalue.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be positive, got {samples}")
+    samples = counted(samples, f"samples must be positive, got {samples}", 1)
     out = np.empty(samples)
     for lo, size, child in _chunks(samples, seed):
         diag, off = _draw_tridiagonal(spec, size, child)
@@ -296,16 +296,14 @@ def estimate_gap(
     McEstimate
         Empirical probability with ``stderr = sqrt(p (1 - p) / samples)``.
     """
-    if samples < 1000:
-        raise ValueError(f"samples must be at least 1000, got {samples}")
+    samples = counted(samples, f"samples must be at least 1000, got {samples}", 1000)
     require_finite("s", s)
-    if n < 0 or n != int(n):
-        raise ValueError(f"n must be a nonnegative integer, got {n}")
+    n = counted(n, f"n must be a nonnegative integer, got {n}")
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     threshold = s / (4.0 * spec.N)
     chunks = _chunks(samples, seed)
-    hits_in = partial(_gap_hits, spec, threshold, int(n))
+    hits_in = partial(_gap_hits, spec, threshold, n)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
             hits = sum(pool.map(hits_in, chunks))

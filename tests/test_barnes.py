@@ -153,6 +153,20 @@ def test_scaled_constant_matches_hard_edge_constant() -> None:
             )
 
 
+def _literal_tau_hard_n(n: int, a: float, beta: float) -> float:
+    """``log_tau_hard_n`` as finite gamma products (integers ``n`` and ``beta n``)."""
+    log_value = (
+        -(a + n) * beta * n * math.log(2.0) - math.lgamma(n + 1.0)
+        + n * (a + n - 1.0) * beta / 2.0 * math.log(beta / 2.0)
+    )
+    for j in range(1, round(beta * n) + 1):
+        log_value += math.lgamma(a + 2.0 * j / beta) - 0.5 * LOG_2PI
+    for j in range(n):
+        log_value += math.lgamma(1.0 + (j + 1.0) * beta / 2.0)
+        log_value -= math.lgamma(1.0 + (j + n + a) * beta / 2.0)
+    return log_value
+
+
 def test_excess_eigenvalue_constant() -> None:
     np.testing.assert_allclose(log_tau_hard_n(0, 1.0, 2.0), 0.0, atol=1e-12, rtol=0)
     np.testing.assert_allclose(
@@ -162,12 +176,8 @@ def test_excess_eigenvalue_constant() -> None:
     # product is defined.
     for n, av, beta in ((1, 2.0, 2.0), (2, 4.0, 1.0)):
         np.testing.assert_allclose(
-            log_tau_hard_n(n, av, beta, route="literal"),
-            log_tau_hard_n(n, av, beta, route="continued"),
-            atol=1e-12,
+            _literal_tau_hard_n(n, av, beta), log_tau_hard_n(n, av, beta), atol=1e-12
         )
-    with pytest.raises(ValueError):
-        log_tau_hard_n(1, 1.0, 2.0, route="bogus")
 
 
 def test_duality_constants_agree() -> None:
@@ -184,18 +194,20 @@ def test_duality_constants_agree() -> None:
         )
 
 
+def _published_duality_lhs(beta: float, n: float, a: float) -> float:
+    """``log_duality_constants``' left side with the stated power of ``beta/2``."""
+    power = a * (beta * a / 2.0 + 1.0) / 2.0 - beta * a / 2.0 + (n * n + n * a) * beta / 2.0
+    return log_a_const(a, beta) + log_tau_hard_n(n, a, beta) + power * math.log(beta / 2.0)
+
+
 def test_duality_published_variant() -> None:
     # The as-published exponent disagrees by a power of the scale factor
-    # except where the map is the identity; the variant switch exposes it.
-    same = log_duality_constants(2.0, 1.0, 2.0, variant="printed")
-    np.testing.assert_allclose(
-        same[0], log_duality_constants(2.0, 1.0, 2.0)[0], atol=1e-7, rtol=0
-    )
-    log_lhs_printed = log_duality_constants(4.0, 0.0, 2.0, variant="printed")[0]
+    # except where the map is the identity.
+    same = _published_duality_lhs(2.0, 1.0, 2.0)
+    np.testing.assert_allclose(same, log_duality_constants(2.0, 1.0, 2.0)[0], atol=1e-7, rtol=0)
+    log_lhs_printed = _published_duality_lhs(4.0, 0.0, 2.0)
     log_lhs = log_duality_constants(4.0, 0.0, 2.0)[0]
     assert abs(log_lhs_printed - log_lhs - math.log(0.25)) < 1e-10
-    with pytest.raises(ValueError):
-        log_duality_constants(2.0, 1.0, 2.0, variant="bogus")
 
 
 def test_normalization_constant() -> None:

@@ -1,5 +1,5 @@
-"""The integer-parameter and finite-value rules shared by the series, Barnes,
-contour and Monte Carlo routes."""
+"""The integer-parameter, count and finite-value rules shared by the series,
+Barnes, contour and Monte Carlo routes."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from betagap.barnes import log_b_const, log_tau_hard
+from betagap.barnes import log_b_const, log_morris_value, log_tau_hard
 from betagap.contour import hard_contour_E0, torus_E0_finiteN, torus_E0_hard
 from betagap.errors import ParameterQuantizationError, quantized, require_finite
 from betagap.gap import (
@@ -19,6 +19,7 @@ from betagap.gap import (
     exact_En_hard_detailed,
     log_large_deviation_E0,
 )
+from betagap.mc import EnsembleSpec, estimate_gap
 
 
 def test_quantized_rounds_near_integers() -> None:
@@ -132,3 +133,24 @@ def test_routes_reject_bad_beta(route, beta: float) -> None:
 def test_torus_finite_size_rejects_bad_N(a: float, N) -> None:
     with pytest.raises(ValueError, match=r"^N must be a positive integer"):
         torus_E0_finiteN(0.5, a, 2.0, N)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: EnsembleSpec(2.0, 1.0, 2.5), "N must be a positive integer, got 2.5"),
+        (lambda: EnsembleSpec(2.0, 1.0, math.nan), "N must be a positive integer, got nan"),
+        (lambda: estimate_gap(EnsembleSpec(2.0, 1.0, 3), 1.0, n=math.nan, samples=1000),
+         "n must be a nonnegative integer, got nan"),
+        (lambda: estimate_gap(EnsembleSpec(2.0, 1.0, 3), 1.0, samples=1000.5),
+         "samples must be at least 1000, got 1000.5"),
+        (lambda: log_morris_value(math.nan, 1.0, 1.0, 1.0),
+         "n must be a nonnegative integer, got nan"),
+    ],
+    ids=["N=2.5", "N=nan", "n=nan", "samples=1000.5", "morris-n=nan"],
+)
+def test_counts_reject_non_integers(call, message: str) -> None:
+    # Each used to pass, or to end in TypeError or "cannot convert float
+    # NaN to integer", before the count rule became errors.counted.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -1,12 +1,13 @@
 """Every name a module lists in ``__all__`` exists, no ``__all__`` lists a
-function beside its log twin, neither importing the package nor any
-subcommand needs scipy, and the test oracles share no code with the
-package."""
+function beside its log twin, no public function takes a formula switch,
+neither importing the package nor any subcommand needs scipy, and the test
+oracles share no code with the package."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import inspect
 import json
 import pkgutil
 import subprocess
@@ -41,6 +42,21 @@ def test_no_exp_twin_exported(module_name: str) -> None:
     names = set(getattr(importlib.import_module(module_name), "__all__", ()))
     twins = sorted(name for name in names if f"log_{name}" in names)
     assert twins == []
+
+
+def test_no_public_formula_switch() -> None:
+    # Each public function computes one formula, and alternative readings
+    # are test references.  asymptotic_E0's variants are the exponents that
+    # `betagap asympt --variant` and `report` arbitrate between.
+    public = {name: getattr(betagap, name) for name in betagap.__all__ if name != "asymptotic_E0"}
+    found = [
+        f"{name}({param})"
+        for name, obj in public.items()
+        if callable(obj) and not (inspect.isclass(obj) and issubclass(obj, Exception))
+        for param in inspect.signature(obj).parameters
+        if param in ("variant", "route", "prefactor")
+    ]
+    assert found == []
 
 
 def test_import_loads_no_scipy() -> None:

@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from betagap import gap
-from betagap.barnes import log_tau_hard, log_tau_hard_n
-from betagap.errors import ParameterQuantizationError, QuadratureError
+from betagap.barnes import log_a_const, log_f_beta_half, log_tau_hard, log_tau_hard_n
+from betagap.errors import BetagapError, ParameterQuantizationError, QuadratureError, quantized
 from betagap.gap import (
     _QUAD_ORDERS,
     _QUAD_TOL,
@@ -43,7 +43,7 @@ from betagap.gap import (
     log_norm_ratio_exact,
     log_norm_ratio_stirling,
 )
-from betagap.hypergeom import HypergeomSpec, SeriesResult, pFq_alpha
+from betagap.hypergeom import HypergeomSpec, RatioIntegral, SeriesResult, pFq_alpha
 
 mp.mp.dps = 40
 
@@ -126,17 +126,28 @@ def test_two_eigenvalue_ensemble_oracle() -> None:
     np.testing.assert_allclose(sum(got), 1.0, rtol=1e-12)
 
 
+def _printed_single_excess(s: float, a: float, beta: float, N: int) -> tuple[float, SeriesResult]:
+    """Log of finite-size ``E(1)`` in the printed bookkeeping, and its series:
+    prefactor ``N``, the same-weight normalization ratio, and ``a`` (a
+    positive integer) conditioned arguments, through ``gap.pFq_alpha``."""
+    m0, mb = quantized("beta*a/2", beta * a / 2.0), quantized("beta", beta)
+    args = RatioIntegral(-s, m0, quantized("a", a), m0, beta * s / 2.0)
+    spec = HypergeomSpec(upper=(-float(N),), lower=(a + 2.0,), alpha=beta / 2.0, args=args)
+    series = gap.pFq_alpha(spec, tol=1e-12, max_weight=max(N * (m0 + mb), 200))
+    return (
+        math.lgamma(N + 1.0) - math.lgamma(float(N)) - math.lgamma(2.0)
+        + gap._log_laguerre_norm(a, beta, N) - gap._log_laguerre_norm(a, beta, N + 1)
+        + (1.0 + a * beta / 2.0) * math.log(s) - beta * s * (N + 1) / 2.0 + series.log_value
+    ), series
+
+
 def test_published_variant_bookkeeping_disagrees() -> None:
-    # The alternative bookkeeping is kept for comparison only: it badly
+    # The printed bookkeeping is a reference for comparison only: it badly
     # misses the direct-quadrature oracle away from n = 0.
-    printed = exact_En_finiteN(0.8, 1.0, 2.0, 1, 1, variant="printed")
+    printed = math.exp(_printed_single_excess(0.8, 1.0, 2.0, 1)[0])
     np.testing.assert_allclose(printed, 0.03025329761534303, rtol=1e-9)
     corrected = exact_En_finiteN(0.8, 1.0, 2.0, 1, 1)
     assert abs(printed / corrected - 1.0) > 0.5
-    with pytest.raises(ValueError):
-        exact_En_finiteN(0.8, 1.0, 2.0, 1, 1, variant="bogus")
-    with pytest.raises(ParameterQuantizationError):
-        exact_En_finiteN(0.8, 0.5, 2.0, 1, 1, variant="printed")
 
 
 @pytest.mark.parametrize("a", [1.0, 2.0, 3.0])
@@ -207,11 +218,12 @@ def _ladder_series(spec: HypergeomSpec, tol: float, max_weight: int | None) -> S
 
 def _routes_agree(route, monkeypatch: pytest.MonkeyPatch) -> None:
     """``route()``'s log value against the same route with its one
-    series replaced by the ladder: both raise the same error type, or
-    agree to 1e-13 relative."""
+    series replaced by the ladder: both raise the same ``BetagapError``
+    type, or agree to 1e-13 relative.  Any other error fails, so that a
+    call both sides reject alike (a stale keyword) cannot pass."""
     try:
         log_value = route()[0]
-    except Exception as error:  # the ladder must raise the same type
+    except BetagapError as error:  # the ladder must raise the same type
         with monkeypatch.context() as patch:
             patch.setattr(gap, "pFq_alpha", _ladder_series)
             with pytest.raises(type(error)):
@@ -231,19 +243,23 @@ def test_single_excess_hard_matches_the_ladder(
     _routes_agree(lambda: exact_En_hard_detailed(s, a, beta, 1), monkeypatch)
 
 
-@pytest.mark.parametrize("variant", ["corrected", "printed"])
+@pytest.mark.parametrize("bookkeeping", ["corrected", "printed"])
 @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0])
 @pytest.mark.parametrize("N", [1, 5, 10])
 def test_single_excess_finite_matches_the_ladder(
-    variant: str, beta: float, N: int, monkeypatch: pytest.MonkeyPatch
+    bookkeeping: str, beta: float, N: int, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    # a = 2/beta puts one argument at -s beside the conditioned ones, a = 0
-    # none; the printed variant needs an integral a (at beta = 4 both
-    # raise) and conditions a arguments (at a = 0 none, and both raise).
-    for a, s in itertools.product((0.0, 2.0 / beta), (0.1, 0.5, 2.0, 5.0)):
-        _routes_agree(
-            lambda: exact_En_finiteN_detailed(s, a, beta, 1, N, variant=variant), monkeypatch
-        )
+    # The route: a = 2/beta puts one argument at -s beside the conditioned
+    # ones, a = 0 none.  The printed reference conditions a arguments, not
+    # beta: a = 1 and 2 (at beta = 1 both sides raise, for beta a / 2 or a
+    # lower-parameter pole).
+    route = {
+        "corrected": lambda s, a: exact_En_finiteN_detailed(s, a, beta, 1, N),
+        "printed": lambda s, a: _printed_single_excess(s, a, beta, N),
+    }[bookkeeping]
+    a_values = (0.0, 2.0 / beta) if bookkeeping == "corrected" else (1.0, 2.0)
+    for a, s in itertools.product(a_values, (0.1, 0.5, 2.0, 5.0)):
+        _routes_agree(lambda: route(s, a), monkeypatch)
 
 
 @pytest.mark.parametrize("s", [0.5, 20.0, 800.0])
@@ -490,10 +506,24 @@ def test_multi_argument_reduction_to_leading_form() -> None:
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+def _published_multi_F01(s0: float, s_list: tuple[float, ...], a: float, n: int, beta: float) -> float:
+    """``log_multi_F01_asympt`` with the as-published constant at ``A = a +
+    2n`` (no ``2**(A - beta A / 2)``, ``f_{beta/2}`` at ``A - 1``) and
+    powers of ``s / 4`` in place of ``sqrt(s)``."""
+    big_a, half_power = a + 2.0 * n, 0.5 * (1.0 - beta / 2.0)
+    shift = -log_a_const(big_a, beta) + (
+        -beta * big_a * (big_a - 1.0) / 4.0 * math.log(beta / 2.0)
+        - big_a / 2.0 * math.log(math.pi * beta) + log_f_beta_half(big_a - 1.0, beta)
+    )
+    for x, weight in ((s0, a), *((sj, 2.0) for sj in s_list)):
+        shift -= half_power * weight * (math.log(x / 4.0) - math.log(math.sqrt(x)))
+    return log_multi_F01_asympt(s0, s_list, a, n, beta) + shift
+
+
 def test_multi_argument_published_offset() -> None:
     # The as-published constant differs by exactly a factor two here.
     corrected = log_multi_F01_asympt(400.0, (256.0,), 1.0, 1, 2.0)
-    printed = log_multi_F01_asympt(400.0, (256.0,), 1.0, 1, 2.0, variant="printed")
+    printed = _published_multi_F01(400.0, (256.0,), 1.0, 1, 2.0)
     np.testing.assert_allclose(math.exp(corrected - printed), 2.0, rtol=1e-9)
 
 
@@ -547,16 +577,6 @@ def test_linstat_variance_fourier_oracle() -> None:
             total += k * a_k * a_k
         want = total / (2.0 * beta)
         np.testing.assert_allclose(linstat_variance(ls), want, rtol=1e-10)
-        np.testing.assert_allclose(
-            linstat_variance(ls) / linstat_variance(ls, prefactor="2overbeta"),
-            beta * beta,
-            rtol=1e-12,
-        )
-    with pytest.raises(ValueError):
-        linstat_variance(
-            LinearStatistic(s_tilde_0=0.3, s_tilde_list=(), a=1.0, beta=2.0),
-            prefactor="bogus",
-        )
 
 
 def test_char_poly_moment_regression() -> None:
@@ -617,21 +637,6 @@ def test_finite_routes_reject_fractional_size() -> None:
     # integral floats are sizes
     assert exact_E0_finiteN(0.5, 1.0, 2.0, 5.0) == exact_E0_finiteN(0.5, 1.0, 2.0, 5)
     assert exact_En_finiteN(0.5, 1.0, 2.0, 1, 5.0) == exact_En_finiteN(0.5, 1.0, 2.0, 1, 5)
-
-
-def test_printed_variant_rejects_zero_size() -> None:
-    # Its prefactor takes lgamma(N), which has a pole at N = 0.
-    with pytest.raises(ValueError, match="N must be positive for the printed variant"):
-        exact_En_finiteN(0.5, 1.0, 2.0, 1, 0, variant="printed")
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_printed_variant_rejects_zero_a(n: int) -> None:
-    # Its conditioned multiplicity is a: at a = 0 an internal ValueError
-    # about q or about the batch rows surfaced, naming neither.
-    message = "^a must be a positive integer for the printed variant, got 0.0$"
-    with pytest.raises(ValueError, match=message):
-        exact_En_finiteN(0.5, 0.0, 2.0, n, 3, variant="printed")
 
 
 def test_finite_routes_at_zero_size() -> None:

@@ -49,6 +49,16 @@ def test_estimate_validation() -> None:
             estimate_gap(spec, s, samples=1000, seed=0)
 
 
+def test_counts_take_integral_floats() -> None:
+    # EnsembleSpec(2, 1, 4.0) and samples=1000.0 used to end in TypeError,
+    # although exact_E0_finiteN accepts N = 4.0.
+    spec = EnsembleSpec(2.0, 1.0, 4.0)
+    assert isinstance(spec.N, int)
+    want = estimate_gap(EnsembleSpec(2.0, 1.0, 4), 1.0, samples=1000, seed=3)
+    assert estimate_gap(spec, 1.0, samples=1000.0, seed=3) == want
+    np.testing.assert_array_equal(sample_smallest(spec, 10.0, 0), sample_smallest(spec, 10, 0))
+
+
 # ---------------------------------------------------------------- eigensolver
 
 
