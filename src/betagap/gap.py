@@ -4,7 +4,8 @@
 in ``(0, s)`` — is computed along independent routes: convergent and
 terminating hypergeometric series, for ``n = 1`` a series integrated
 exactly over the conditioned eigenvalue, series-times-quadrature for
-``n = 2, 3``, large-size asymptotic forms, and a large-deviation
+``n = 2, 3`` (folded tensor nodes at even ``beta``, a nested map at odd
+``beta``), large-size asymptotic forms, and a large-deviation
 formula for finite size.  The hard-edge and finite-size ``E(n)``
 routes, ``n >= 1``, share one body, ``_excess_integral``, and differ only
 in their prefactor, series argument and rate.  The ensemble weight
@@ -27,9 +28,9 @@ from .barnes import (
     log_f_beta_half,
     log_tau_hard_n,
 )
-from .errors import QuadratureError, counted, quantized, require_finite
+from .errors import QuadratureError, ResourceLimitError, counted, quantized, require_finite
 from .hypergeom import ArgBlocks, HypergeomSpec, RatioIntegral, SeriesResult, pFq_alpha
-from .quadrature import gauss_jacobi
+from .quadrature import gauss_jacobi, ratio_moments
 
 __all__ = [
     "AsymptoticForm",
@@ -212,8 +213,11 @@ def exact_E0_finiteN(
     return math.exp(log_value)
 
 
-_QUAD_ORDERS = (8, 12, 18, 27, 40, 60)
+_QUAD_ORDERS = (6, 8, 12, 18, 27, 40, 60)
 _QUAD_TOL = 1e-9
+#: Most nodes one quadrature level may hold: the folded order-60 level at
+#: ``n = 3``.
+_QUAD_NODE_BUDGET = math.comb(60, 3)
 
 
 def roots_jacobi(order: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -226,11 +230,14 @@ def roots_jacobi(order: int, alpha: float, beta: float) -> tuple[np.ndarray, np.
     return gauss_jacobi(order, alpha, beta)
 
 
-def _jacobi_rule(order: int, power: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights for ``int_0^1 (1-y)**power f(y) dy``: the
-    Gauss–Jacobi rule of :func:`roots_jacobi` mapped from ``[-1, 1]``."""
-    nodes, weights = roots_jacobi(order, power, 0.0)
-    return (nodes + 1.0) / 2.0, weights * 0.5 ** (power + 1.0)
+def _jacobi_rule(
+    order: int, power: float, power_at_zero: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights for ``int_0^1 (1-y)**power y**power_at_zero f(y)
+    dy``: the Gauss–Jacobi rule of :func:`roots_jacobi` mapped from ``[-1,
+    1]``."""
+    nodes, weights = roots_jacobi(order, power, power_at_zero)
+    return (nodes + 1.0) / 2.0, weights * 0.5 ** (power + power_at_zero + 1.0)
 
 
 def _vandermonde(y: tuple[float, ...], beta: float) -> float:
@@ -239,6 +246,64 @@ def _vandermonde(y: tuple[float, ...], beta: float) -> float:
     for yi, yj in itertools.combinations(y, 2):
         vander *= abs(yj - yi) ** beta
     return vander
+
+
+def _folded_level(
+    order: int, n: int, power: float, beta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tensor rule of :func:`_jacobi_rule` folded onto its strictly
+    increasing node tuples: the tuples, their weights times ``n!``, and
+    their Vandermonde factors.  For a symmetric integrand that vanishes
+    where two coordinates meet this is the whole tensor rule, in ``C(order,
+    n)`` nodes instead of ``order**n``."""
+    nodes, weights = _jacobi_rule(order, power)
+    nodes, weights = nodes.tolist(), weights.tolist()
+    count = math.comb(order, n)
+    fold = math.factorial(n)
+    tuples = itertools.combinations(range(order), n)
+    point_weights = np.fromiter(
+        (fold * math.prod(weights[i] for i in index) for index in tuples), float, count
+    )
+    tuples = itertools.combinations(nodes, n)
+    vanders = np.fromiter((_vandermonde(y, beta) for y in tuples), float, count)
+    flat = itertools.chain.from_iterable(itertools.combinations(nodes, n))
+    points = np.fromiter(flat, float, n * count).reshape(count, n)
+    return points, point_weights, vanders
+
+
+def _nested_level(
+    order: int, n: int, power: float, beta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A product rule over the ordered region ``y_1 < ... < y_n`` under the
+    nested (Duffy-type) map ``y_n = t``, ``y_k = t r_k ... r_{n-1}``: the
+    mapped tuples, their weights times ``n!``, and the smooth factor left
+    at each.
+
+    Each consecutive difference is ``y_{k+1} (1 - r_k)``, so the map takes
+    the kink of ``|y_{k+1} - y_k|**beta`` into the weight of ``r_k``.  With
+    the Jacobian, ``r_l`` carries ``r_l**((l-1)(1 + beta l / 2)) (1 -
+    r_l)**beta`` and ``t`` carries ``t**((n-1)(1 + beta n / 2)) (1 -
+    t)**power``, one :func:`_jacobi_rule` per axis.  What is left, ``prod_{j
+    - i >= 2} (1 - r_i ... r_{j-1})**beta prod_{k<n} (1 - y_k)**power``, is
+    smooth (M. G. Duffy, SIAM J. Numer. Anal. 19 (1982) 1260).
+    """
+    axes = [_jacobi_rule(order, beta, (j - 1) * (1.0 + beta * j / 2.0)) for j in range(1, n)]
+    axes.append(_jacobi_rule(order, power, (n - 1) * (1.0 + beta * n / 2.0)))
+    grids = [grid.ravel() for grid in np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")]
+    ratios, y = grids[:-1], [grids[-1]]
+    for r in reversed(ratios):
+        y.insert(0, y[0] * r)
+    weights = float(math.factorial(n))
+    for grid in np.meshgrid(*(w for _, w in axes), indexing="ij"):
+        weights = weights * grid.ravel()
+    factors = np.ones(order**n)
+    for k in range(n - 1):
+        factors *= (1.0 - y[k]) ** power
+        span = ratios[k]
+        for r in ratios[k + 1 :]:
+            span = span * r
+            factors *= (1.0 - span) ** beta
+    return np.stack(y, axis=1), weights, factors
 
 
 def _settled_quadrature(
@@ -251,36 +316,35 @@ def _settled_quadrature(
     """``int_{[0,1]^n} prod_i (1 - y_i)**power prod_{i<j} |y_i - y_j|**beta
     f(y) dy`` for an ``f`` symmetric in ``y``.
 
-    A tensor Gauss–Jacobi rule raises its order through ``_QUAD_ORDERS``
-    until two successive values agree to ``quad_tol``; if none do, the
-    last value is kept when its change is below ``sqrt(quad_tol)``.  Each
-    level sums the rule folded onto its strictly increasing node tuples
-    with weight ``n!``: the whole tensor rule, since the integrand is
-    symmetric and, for ``beta > 0``, zero where two coordinates meet.
-    That is ``C(order, n)`` nodes instead of ``order**n``.  ``integrand``
-    takes a level's node tuples as the rows of an array, in increasing
-    order, and returns ``f`` at each.  Returns the value, the last order
-    and the last relative change.
+    The rule raises its order through ``_QUAD_ORDERS`` until two successive
+    values agree to ``quad_tol``; if none do, the last value is kept when
+    its change is below ``sqrt(quad_tol)``.  The parity of ``beta`` picks
+    each level's nodes.  At even ``beta`` the repulsion is a polynomial and
+    the level is :func:`_folded_level`, ``C(order, n)`` nodes.  Otherwise
+    ``|y_i - y_j|**beta`` has a kink that stops a tensor rule from settling
+    (relative change 2.8e-04 at order 60 for ``exact_En_hard(0.5, 0, 1,
+    2)``), and the level is :func:`_nested_level`, ``order**n`` nodes.  A
+    level over ``_QUAD_NODE_BUDGET`` nodes raises ``ResourceLimitError``
+    before it is built.  ``integrand`` takes a level's node tuples as the
+    rows of an array, in increasing order, and returns ``f`` at each.
+    Returns the value, the last order and the last relative change.
     """
+    fold = beta % 2.0 == 0.0
+    level = _folded_level if fold else _nested_level
     previous = None
     rel_change = math.inf
-    fold = math.factorial(n)
     for order in _QUAD_ORDERS:
-        nodes, weights = _jacobi_rule(order, power)
-        nodes, weights = nodes.tolist(), weights.tolist()
-        count = math.comb(order, n)
-        tuples = itertools.combinations(range(order), n)
-        point_weights = np.fromiter(
-            (fold * math.prod(weights[i] for i in index) for index in tuples), float, count
-        )
-        tuples = itertools.combinations(nodes, n)
-        vanders = np.fromiter((_vandermonde(y, beta) for y in tuples), float, count)
-        flat = itertools.chain.from_iterable(itertools.combinations(nodes, n))
-        points = np.fromiter(flat, float, n * count).reshape(count, n)
+        count = math.comb(order, n) if fold else order**n
+        if count > _QUAD_NODE_BUDGET:
+            raise ResourceLimitError(
+                f"quadrature level at order {order} needs {count} nodes, over the budget "
+                f"of {_QUAD_NODE_BUDGET} (relative change {rel_change:.3e} at the level below)"
+            )
+        points, weights, factors = level(order, n, power, beta)
         values = integrand(points)
         total = 0.0
-        for weight, vander, value in zip(point_weights.tolist(), vanders.tolist(), values):
-            total += weight * (vander * value)
+        for weight, factor, value in zip(weights.tolist(), factors.tolist(), values):
+            total += weight * (factor * value)
         if previous is not None and total != 0.0:
             rel_change = abs(total - previous) / abs(total)
             if rel_change < quad_tol:
@@ -346,12 +410,13 @@ def _excess_integral(
     per position.
 
     ``n = 1`` is one exactly integrated series
-    (:class:`~betagap.hypergeom.RatioIntegral`).  ``n = 2, 3`` run
-    :func:`_settled_quadrature`, each node over its bound ``exp(rate n)``
-    so that none overflows; ``log_prefactor`` gets the number of positions
-    whose bound the integral left out (0 at ``n = 1``, else ``n``).  A
-    terminating series defaults ``max_weight`` to its degree ``N (beta a /
-    2 + n beta)``, at least 200.
+    (:class:`~betagap.hypergeom.RatioIntegral`); when ``scale``
+    underflows to 0 (a subnormal ``s``) only its weight-0 term is left.
+    ``n = 2, 3`` run :func:`_settled_quadrature`, each node over its bound
+    ``exp(rate n)`` so that none overflows; ``log_prefactor`` gets the
+    number of positions whose bound the integral left out (0 at ``n = 1``,
+    else ``n``).  A terminating series defaults ``max_weight`` to its
+    degree ``N (beta a / 2 + n beta)``, at least 200.
     """
     m0 = quantized("beta*a/2", beta * a / 2.0)
     mb = quantized("beta", beta)
@@ -361,6 +426,9 @@ def _excess_integral(
         return -math.inf, _diagnostics(0, 0.0, 0, 0.0)
     alpha, lower = beta / 2.0, (a + 2.0 * n,)
     if n == 1:
+        if scale == 0.0:  # a subnormal s / 4 underflowed: only the weight-0 term is left
+            log_term = rate + math.log(ratio_moments(m0, rate, 1)[0])
+            return log_prefactor(0) + log_term, _diagnostics(0, 0.0, 0, 0.0)
         args = RatioIntegral(scale, m0, mb, m0, rate)
         spec = HypergeomSpec(upper=upper, lower=lower, alpha=alpha, args=args)
         series = pFq_alpha(spec, tol=tol, max_weight=max_weight)
@@ -398,12 +466,14 @@ def exact_En_hard_detailed(
     ``a + 2n`` series at ``beta a / 2`` arguments ``s / 4`` and ``beta``
     arguments ``s y / 4`` per position (:func:`_excess_integral` at rate
     0).  At ``n = 1`` the series is integrated exactly, term by term,
-    from the moments of the weight; at ``n = 2, 3`` a tensor Gauss–Jacobi
-    rule absorbs the weight and escalates its order until two successive
-    evaluations agree to ``_QUAD_TOL``.  The diagnostics are ``order``,
-    ``rel_change``, ``trunc_weight`` and ``tail_bound``; ``order`` 0 (with
-    ``rel_change`` 0) means that no quadrature ran, and ``tail_bound`` is
-    then the series' relative tail.  At ``s = 0`` with ``n >= 1`` the
+    from the moments of the weight; at ``n = 2, 3`` a Gauss–Jacobi rule
+    absorbs the weight and escalates its order until two successive
+    evaluations agree to ``_QUAD_TOL`` (:func:`_settled_quadrature`: the
+    folded tensor rule at even ``beta``, the nested map at odd ``beta``).
+    A level over ``_QUAD_NODE_BUDGET`` nodes raises ``ResourceLimitError``.
+    The diagnostics are ``order``, ``rel_change``, ``trunc_weight`` and
+    ``tail_bound``; ``order`` 0 (with ``rel_change`` 0) means that no
+    quadrature ran, and ``tail_bound`` is then the series' relative tail.  At ``s = 0`` with ``n >= 1`` the
     probability is 0: the log value is ``-inf``.  ``n`` must be an
     integer from 0 to 3; integral floats pass.
     """
@@ -441,7 +511,8 @@ def exact_En_hard(
     n : int
         Number of eigenvalues conditioned inside the gap (at most 3):
         ``n = 1`` is one exactly integrated series, ``n = 2, 3`` run the
-        quadrature ladder.
+        quadrature ladder, on folded tensor nodes at even ``beta`` and on
+        the nested map's nodes at odd ``beta``.
     tol, max_weight
         Series controls.
 
@@ -480,7 +551,8 @@ def exact_En_finiteN_detailed(
 ) -> tuple[float, dict]:
     """Finite-size ``E(n; (0, s))`` for ``n <= 3``: log value and the
     diagnostics of :func:`exact_En_hard_detailed`, with its ``s = 0``
-    rule, its rule for ``n`` and its exact ``n = 1`` integral, all from
+    rule, its rule for ``n``, its exact ``n = 1`` integral and its
+    quadrature nodes by the parity of ``beta``, all from
     :func:`_excess_integral`.  The series has upper parameter ``-N`` and
     arguments ``-s`` and ``-s y``; the integrand carries ``exp(beta s
     sum(y) / 2)``.  The prefactor is the binomial label count ``C(N+n,

@@ -202,6 +202,11 @@ def smallest_eigenvalues(diag: np.ndarray, subdiag: np.ndarray, k: int) -> np.nd
     return np.array([_bisect(t_diag, t_off, j)[0] for j in range(1, k + 1)])
 
 
+def _seed(seed: int) -> int:
+    """``seed`` as an ``int``, by :func:`~betagap.errors.counted`."""
+    return counted(seed, f"seed must be a nonnegative integer, got {seed}")
+
+
 def _chunks(samples: int, seed: int) -> list[tuple[int, int, np.random.SeedSequence]]:
     """``(offset, size, seed sequence)`` of each chunk of a seeded run."""
     children = np.random.SeedSequence(seed).spawn(-(-samples // _CHUNK))
@@ -229,7 +234,8 @@ def sample_smallest(spec: EnsembleSpec, samples: int, seed: int) -> np.ndarray:
     samples : int
         Number of independent draws.
     seed : int
-        RNG seed; the result is deterministic given the seed.
+        RNG seed, a nonnegative integer; the result is deterministic
+        given the seed.
 
     Returns
     -------
@@ -237,6 +243,7 @@ def sample_smallest(spec: EnsembleSpec, samples: int, seed: int) -> np.ndarray:
         ``samples`` independent draws of the smallest eigenvalue.
     """
     samples = counted(samples, f"samples must be positive, got {samples}", 1)
+    seed = _seed(seed)
     out = np.empty(samples)
     for lo, size, child in _chunks(samples, seed):
         diag, off = _draw_tridiagonal(spec, size, child)
@@ -285,11 +292,11 @@ def estimate_gap(
     samples : int
         Number of Monte Carlo samples, at least 1000.
     seed : int
-        RNG seed.  Fixed ``(spec, s, n, samples, seed)`` gives a
-        bit-identical estimate, independent of ``threads``.
+        RNG seed, a nonnegative integer.  Fixed ``(spec, s, n, samples,
+        seed)`` gives a bit-identical estimate, independent of ``threads``.
     threads : int
-        Worker threads over the sample chunks, at least 1; at most one
-        thread per chunk is started.
+        Worker threads over the sample chunks, an integer of at least 1;
+        at most one thread per chunk is started.  Integral floats pass.
 
     Returns
     -------
@@ -299,8 +306,8 @@ def estimate_gap(
     samples = counted(samples, f"samples must be at least 1000, got {samples}", 1000)
     require_finite("s", s)
     n = counted(n, f"n must be a nonnegative integer, got {n}")
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    threads = counted(threads, f"threads must be at least 1, got {threads}", 1)
+    seed = _seed(seed)
     threshold = s / (4.0 * spec.N)
     chunks = _chunks(samples, seed)
     hits_in = partial(_gap_hits, spec, threshold, n)

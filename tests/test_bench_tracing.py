@@ -56,6 +56,12 @@ assert tracer.counts["gap.quad_order"] > 0
 # the batched quadrature still reaches the series through gap.pFq_alpha
 assert tracer.counts["gap.quad_nodes"] > 0
 assert tracer.counts["hypergeom.terms"] > 0
+# at odd beta the nested map's axis rules also pass through gap.roots_jacobi
+before = tracer.counts["gap.quad_order"]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["exact", "--beta", "1", "--a", "0", "--s", "4", "--n", "2"])
+assert code == 0, code
+assert tracer.counts["gap.quad_order"] > before, tracer.counts
 """
 
 

@@ -14,7 +14,13 @@ from scipy.integrate import dblquad, quad
 
 from betagap import gap
 from betagap.barnes import log_a_const, log_f_beta_half, log_tau_hard, log_tau_hard_n
-from betagap.errors import BetagapError, ParameterQuantizationError, QuadratureError, quantized
+from betagap.errors import (
+    BetagapError,
+    ParameterQuantizationError,
+    QuadratureError,
+    ResourceLimitError,
+    quantized,
+)
 from betagap.gap import (
     _QUAD_ORDERS,
     _QUAD_TOL,
@@ -162,6 +168,66 @@ def test_beta4_beta1_interlacing_identity(a: float) -> None:
         assert abs(left - right) <= 1e-13 * left, (s, left, right)
 
 
+@pytest.mark.parametrize("s, a_prime", [(4.0, 0.0), (20.0, 0.0), (40.0, 0.0), (4.0, 2.0)])
+def test_beta4_beta1_decimation_at_one(s: float, a_prime: float) -> None:
+    # E_4(1; (0, s/4); a) = E_1(2; (0, s); a') + E_1(3; (0, s); a') with
+    # a' = 2a - 2 (Forrester & Rains, MSRI Publ. 40 (2001)): the beta = 1
+    # side runs the nested map at n = 2 and 3, the beta = 4 side is one
+    # exactly integrated series.
+    left = exact_En_hard_detailed(s / 4.0, (a_prime + 2.0) / 2.0, 4.0, 1)[0]
+    two = exact_En_hard_detailed(s, a_prime, 1.0, 2)[0]
+    three = exact_En_hard_detailed(s, a_prime, 1.0, 3)[0]
+    right = three + math.log1p(math.exp(two - three))
+    assert abs(math.expm1(right - left)) <= 1e-12, (left, right)
+
+
+@pytest.mark.parametrize(
+    "args, value",
+    [
+        # relative change 2.8e-04 at order 60 (the benchmark's kept failure)
+        ((0.5, 0.0, 1.0, 2), 1.31463220707729e-05),
+        # relative change 4.0e-04 at order 60
+        ((4.0, 2.0, 1.0, 2), None),
+        # settled only at order 60, 4e-08 off
+        ((1.0, 0.0, 3.0, 2), None),
+    ],
+)
+def test_odd_beta_excess_settles(args: tuple, value: float | None) -> None:
+    # The folded tensor rule did not settle on the |y_1 - y_2|**beta kink;
+    # the nested map does by order 8.  The value at beta = 1, s = 0.5 is
+    # that of an exact-moment integration of the n = 2 series.
+    log_value, diag = exact_En_hard_detailed(*args)
+    assert diag["order"] <= 8 and diag["rel_change"] < _QUAD_TOL
+    if value is not None:
+        assert abs(math.exp(log_value) / value - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("a", [0.0, 2.0])
+@pytest.mark.parametrize("s", [0.5, 2.0])
+def test_odd_beta_finite_excess_sums_to_one(s: float, a: float) -> None:
+    # Three eigenvalues at beta = 1: E(0) + E(1) + E(2) + E(3) = 1, with
+    # E(2) and E(3) from the nested map.
+    total = exact_E0_finiteN(s, a, 1.0, 3) + sum(
+        exact_En_finiteN(s, a, 1.0, n, 3 - n) for n in (1, 2, 3)
+    )
+    assert abs(total - 1.0) <= 1e-12
+    _, diag = exact_En_finiteN_detailed(0.5, 0.0, 1.0, 2, 5)
+    assert diag["rel_change"] < _QUAD_TOL
+
+
+@pytest.mark.parametrize("a, beta", [(1.0, 2.0), (0.0, 1.0), (2.0, 1.0)])
+def test_single_excess_at_subnormal_s(a: float, beta: float) -> None:
+    # s / 4 underflows to 0 below 2e-323, and RatioIntegral raised
+    # ValueError; the series is then its weight-0 term, so E(1) follows
+    # the s**P of the prefactor, P = 1 + beta a / 2.
+    tiny, small = 5e-324, 1e-300
+    log_tiny, diag = exact_En_hard_detailed(tiny, a, beta, 1)
+    power = 1.0 + beta * a / 2.0
+    want = exact_En_hard_detailed(small, a, beta, 1)[0] + power * math.log(tiny / small)
+    assert abs(log_tiny - want) <= 1e-12 * abs(want)
+    assert diag == {"order": 0, "rel_change": 0.0, "trunc_weight": 0, "tail_bound": 0.0}
+
+
 def test_hard_excess_frozen_values() -> None:
     # Both values cross-validated against tridiagonal Monte Carlo.
     np.testing.assert_allclose(
@@ -300,7 +366,9 @@ def test_single_excess_is_one_series_and_no_rule(monkeypatch: pytest.MonkeyPatch
 # when tail_bound became relative to each node's series value, when the
 # Gauss–Jacobi rules became the package's own (values within 1.8e-15), and,
 # for n = 1, when the integral became one exactly integrated series: order
-# 0, rel_change 0 and the series' own tail (values within 8.9e-16).
+# 0, rel_change 0 and the series' own tail (values within 8.9e-16), and when
+# the ladder began at order 6: (4, 0, 2, 2) settles at order 8, its value
+# unchanged and its tail bound the order-8 series' own.
 HARD_EXCESS_PINS = {
     (1.0, 0.0, 1.0, 1): (-2.1421585207014013, 0, 0.0, 9, 2.721979436590153e-19),
     (1.0, 0.0, 2.0, 1): (-1.508799814031318, 0, 0.0, 11, 6.4528436927420745e-19),
@@ -310,7 +378,7 @@ HARD_EXCESS_PINS = {
     (10.0, 1.0, 2.0, 1): (-0.6179399721991099, 0, 0.0, 19, 1.3268045641152424e-16),
     (4.0, 0.0, 1.0, 1): (-0.9466111376720514, 0, 0.0, 11, 3.406095564983511e-18),
     (4.0, 0.0, 2.0, 1): (-0.4653945511863855, 0, 0.0, 14, 1.3745125182943006e-17),
-    (4.0, 0.0, 2.0, 2): (-5.464790441170959, 12, 0.0, 16, 1.1420335506043466e-15),
+    (4.0, 0.0, 2.0, 2): (-5.464790441170959, 8, 0.0, 16, 1.1971870227403653e-15),
     (4.0, 1.0, 2.0, 1): (-1.8241327419135258, 0, 0.0, 15, 4.236321034882273e-17),
     (4.0, 2.0, 1.0, 1): (-3.3461246569469503, 0, 0.0, 12, 2.0199981476424516e-16),
 }
@@ -357,7 +425,7 @@ def test_finite_excess_detailed() -> None:
     assert diag == {"order": 0, "rel_change": 0.0, "trunc_weight": 15, "tail_bound": 0.0}
     # n = 2 runs the quadrature ladder
     _, diag = exact_En_finiteN_detailed(0.5, 1.0, 2.0, 2, 4)
-    assert diag["order"] == 12
+    assert diag["order"] == 8
     assert diag["tail_bound"] >= diag["rel_change"] > 0.0
 
 
@@ -421,6 +489,74 @@ def test_folded_rule_is_the_tensor_rule(n: int) -> None:
         for point in itertools.product(zip(nodes.tolist(), weights.tolist()), repeat=n)
     )
     assert abs(total - tensor) <= 1e-15 * tensor
+
+
+def _log_selberg(n: int, power: float, beta: float) -> float:
+    """Log of ``int_{[0,1]^n} prod_i (1 - y_i)**power prod_{i<j} |y_i -
+    y_j|**beta dy``, Selberg's product of gamma functions."""
+    g = beta / 2.0
+    return sum(
+        math.lgamma(1.0 + j * g) + math.lgamma(power + 1.0 + j * g) + math.lgamma(1.0 + (j + 1) * g)
+        - math.lgamma(power + 2.0 + (n + j - 1) * g) - math.lgamma(1.0 + g)
+        for j in range(n)
+    )
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("power", [0.0, 1.0])
+@pytest.mark.parametrize("n", [2, 3])
+def test_settled_quadrature_is_selberg_at_every_beta(n: int, power: float, beta: float) -> None:
+    # With f = 1 the integral is Selberg's.  At odd beta the folded tensor
+    # rule met the kink of |y_i - y_j|**beta and never settled; under the
+    # nested map the integrand left is a polynomial, so the first two
+    # levels agree.
+    seen = []
+
+    def ones(points: np.ndarray) -> np.ndarray:
+        seen.append(points)
+        return np.ones(len(points))
+
+    total, order, _ = _settled_quadrature(ones, n, power, beta, 1e-12)
+    assert order == _QUAD_ORDERS[1]
+    assert abs(math.log(total) - _log_selberg(n, power, beta)) <= 1e-14
+    count = math.comb(order, n) if beta == 2.0 else order**n
+    assert seen[-1].shape == (count, n)
+    assert (np.diff(seen[-1], axis=1) > 0.0).all()
+
+
+def test_quadrature_node_budget(monkeypatch: pytest.MonkeyPatch) -> None:
+    # A level over the budget raises before it is built.
+    monkeypatch.setattr(gap, "_QUAD_NODE_BUDGET", 20)
+    with pytest.raises(ResourceLimitError, match="at order 27 needs 27 nodes, over the budget"):
+        _settled_quadrature(
+            lambda points: np.abs(points[:, 0] - 1.0 / 3.0) ** 0.5, 1, 0.0, 2.0, 1e-12
+        )
+    built = []
+    monkeypatch.setattr(gap, "_nested_level", lambda *args: built.append(args))
+    with pytest.raises(ResourceLimitError, match="at order 6 needs 216 nodes"):
+        exact_En_hard_detailed(4.0, 0.0, 1.0, 3)
+    assert built == []
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (4.0, 0.0, 2.0, 2), (4.0, 0.0, 2.0, 3), (4.0, 1.0, 2.0, 2), (4.0, 1.0, 2.0, 3),
+        (10.0, 0.0, 4.0, 2),
+        (0.5, 1.0, 2.0, 2, 4), (0.5, 1.0, 2.0, 3, 4), (0.3, 0.0, 2.0, 2, 1), (0.3, 0.0, 2.0, 3, 1),
+    ],
+)
+def test_nested_map_agrees_with_the_fold_at_even_beta(
+    args: tuple, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # Each node set checks the other: at even beta the route runs the fold,
+    # and with the fold's level swapped for the map's it runs the map.
+    route = exact_En_hard_detailed if len(args) == 4 else exact_En_finiteN_detailed
+    fold = route(*args)[0]
+    monkeypatch.setattr(gap, "_QUAD_ORDERS", _QUAD_ORDERS[:4])
+    monkeypatch.setattr(gap, "_folded_level", gap._nested_level)
+    nested = route(*args)[0]
+    assert abs(math.expm1(nested - fold)) <= 1e-13, (nested, fold)
 
 
 # ------------------------------------------------------------ asymptotic forms

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from betagap import mc
 from betagap.gap import exact_E0_finiteN, exact_En_finiteN
 from betagap.mc import (
     EnsembleSpec,
@@ -57,6 +58,57 @@ def test_counts_take_integral_floats() -> None:
     want = estimate_gap(EnsembleSpec(2.0, 1.0, 4), 1.0, samples=1000, seed=3)
     assert estimate_gap(spec, 1.0, samples=1000.0, seed=3) == want
     np.testing.assert_array_equal(sample_smallest(spec, 10.0, 0), sample_smallest(spec, 10, 0))
+
+
+class _NoPool:
+    """Stands in for the thread pool: records ``max_workers``, runs serially."""
+
+    started: list[int] = []
+
+    def __init__(self, max_workers: int) -> None:
+        self.started.append(max_workers)
+
+    def __enter__(self) -> _NoPool:
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        return None
+
+    def map(self, func, items):
+        return map(func, items)
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        # numpy's TypeError, a message without "seed", and a run with 2.5 threads
+        ({"seed": 1.5}, "^seed must be a nonnegative integer, got 1.5$"),
+        ({"seed": -1}, "^seed must be a nonnegative integer, got -1$"),
+        ({"threads": 2.5}, "^threads must be at least 1, got 2.5$"),
+    ],
+    ids=["seed-fraction", "seed-negative", "threads-fraction"],
+)
+def test_seed_and_threads_must_be_counts(
+    kwargs: dict, message: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", _NoPool)
+    monkeypatch.setattr(_NoPool, "started", [])
+    spec = EnsembleSpec(2.0, 1.0, 4)
+    with pytest.raises(ValueError, match=message):
+        estimate_gap(spec, 1.0, samples=20_000, **{"seed": 3, "threads": 2, **kwargs})
+    assert _NoPool.started == []
+    if "seed" in kwargs:
+        with pytest.raises(ValueError, match=message):
+            sample_smallest(spec, 10, kwargs["seed"])
+
+
+def test_integral_float_threads_run_as_an_int(monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.setattr(mc, "ThreadPoolExecutor", _NoPool)
+    monkeypatch.setattr(_NoPool, "started", [])
+    spec = EnsembleSpec(2.0, 1.0, 4)
+    got = estimate_gap(spec, 1.0, samples=20_000, seed=3, threads=2.0)
+    assert _NoPool.started == [2]
+    assert got == estimate_gap(spec, 1.0, samples=20_000, seed=3)
 
 
 # ---------------------------------------------------------------- eigensolver
