@@ -15,20 +15,27 @@ when the argument has one distinct nonzero value, ``C_kappa(1, ..., 1)``)
 is built once per parameter set, ``alpha`` and number of variables, and
 cached a layer at a time, so every node of one quadrature and every
 ``s`` of a sweep share it (the Koev–Edelman economy).  Only the argument
-is applied per series: ``t**|kappa|`` for one distinct value ``t``; the
-series' node of a :class:`~betagap.jack.JackPairTable` for two distinct
-values of one sign, whose polynomials in the ratio of the two values
-are cached per ``alpha`` and multiplicities in the same way; otherwise
-its node of a batched :class:`~betagap.jack.JackTable`.  Both tables
-are extended a weight layer at a time as the sum goes deeper.  A
-:class:`RatioIntegral` argument, the two-value argument integrated over
-the ratio of its values, is the one node of a
-:class:`~betagap.jack.JackPairIntegral` on the same path.  A batch
-(the nodes of one quadrature level) sums its series together, one layer
-for all of them at a time, each with its own accumulators and stopping
-rule; a single series is a batch of one row, on the same path.  The
-series calls no one-partition form; the reference evaluators that tests
-check its layers against live in ``tests/oracles.py``.
+is applied per series: ``t**|kappa|`` for one distinct value ``t``; for
+two distinct values of one sign, ``u`` repeated ``p`` times and ``u r``
+``q`` times, nothing per partition at all.  Such a layer depends on its
+argument only through ``u**k`` and the vector ``w_d = r**d``, so each
+term's other factors (its coefficient, ``C_kappa/P_kappa`` and the
+coefficients ``c[d, kappa]`` of ``P_kappa(1^p, r^q)``, from
+:func:`~betagap.jack._pair_coefficients`) are summed over the
+partitions into ``G+-[k, d]``, one sum per sign of coefficient
+(:class:`_Contraction`).  These are cached per parameter set,
+``alpha``, ``p`` and ``q``, a layer at a time as a series first reaches
+it, and a layer costs each member two dot products of length ``k + 1``.
+A :class:`RatioIntegral` argument, the two-value argument integrated
+over ``r``, takes the moments of its weight for ``w``.  Any other
+argument is its node of a batched :class:`~betagap.jack.JackTable`,
+extended a weight layer at a time as the sum goes deeper.  A batch (the
+nodes of one quadrature level) sums its series together, one layer for
+all of them at a time, each with its own accumulators and stopping rule
+(:meth:`_Running.add`); a single series is a batch of one row, on the
+same path.  The series calls no one-partition form; the reference
+evaluators that tests check its layers against live in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -47,14 +54,14 @@ from .errors import (
     counted,
 )
 from .jack import (
-    JackPairIntegral,
-    JackPairTable,
     JackTable,
     _hook_log_sums,
+    _pair_coefficients,
     _subtract_hook_runs,
     batch_nodes,
 )
 from .partitions import partitions_of_weight
+from .quadrature import ratio_moments
 
 # Nothing here calls these two one-partition forms.  They stay module
 # attributes only because bench/tracing.py wraps them by name here (with
@@ -123,9 +130,12 @@ class RatioIntegral:
     integrated over ``0 < r < 1`` against ``(1 - r)**power exp(rate r)``.
 
     The series of this argument is ``int_0^1 pFq(u 1^p, u r 1^q) (1 -
-    r)**power exp(rate r) dr``, summed term by term exactly
-    (:class:`~betagap.jack.JackPairIntegral`): the ``E(1)`` integral over
-    the conditioned eigenvalue, with no quadrature nodes.
+    r)**power exp(rate r) dr``, summed term by term exactly: each weight
+    layer contracts the cached two-value sums of :class:`_Contraction`
+    with the moments of the weight
+    (:func:`~betagap.quadrature.ratio_moments`) in place of the powers of
+    a node's ``r``.  It is the ``E(1)`` integral over the conditioned
+    eigenvalue, with no quadrature nodes.
     """
 
     u: float
@@ -440,6 +450,49 @@ class _Running:
         self.weight_used = 0
         self.terminated_exactly = False
 
+    def add(
+        self, k: int, count: int, shift: float, pos: float, neg: float,
+        term: float | None, log_tol: float,
+    ) -> bool:
+        """Take in layer ``k`` and say whether the series stops there.
+
+        The layer has ``count`` terms, whose positive and negative parts
+        sum to ``exp(shift) pos`` and ``exp(shift) neg``, and whose float
+        sum is ``term``; None leaves the float total for the log
+        accumulators.  The series stops at the third layer in a row below
+        ``exp(log_tol)`` times the running value.
+        """
+        layer_log = -math.inf
+        if count:
+            self.term_count += count
+            layer_log = shift + math.log(pos + neg)
+            self.log_abs_total = _log_add(self.log_abs_total, layer_log)
+            if pos:
+                self.log_pos = _log_add(self.log_pos, shift + math.log(pos))
+            if neg:
+                self.log_neg = _log_add(self.log_neg, shift + math.log(neg))
+            if term is None:
+                self.float_dead = True
+            elif not self.float_dead:
+                total = self.float_sum
+                fresh = total + term
+                if abs(total) >= abs(term):
+                    self.float_comp += (total - fresh) + term
+                else:
+                    self.float_comp += (term - fresh) + total
+                self.float_sum = fresh
+        self.weight_used = k
+        self.last_layer = layer_log
+        if self.log_neg == -math.inf:  # as _signed_log_diff gives it
+            log_s = self.log_pos
+        else:
+            log_s, _ = _signed_log_diff(self.log_pos, self.log_neg)
+        if k > 0 and log_s > -math.inf and layer_log < log_tol + log_s:
+            self.small_layers += 1
+            return self.small_layers >= 3
+        self.small_layers = 0
+        return False
+
     def outcome(self) -> SeriesResult:
         """The member's :class:`SeriesResult`; raises ``CancellationError``
         if the series is lost."""
@@ -471,10 +524,87 @@ class _Running:
         )
 
 
+#: One member's layer, as :meth:`_Running.add` takes it: ``(count, shift,
+#: pos, neg, term)``.
+_LayerSums = tuple[int, float, float, float, "float | None"]
+
+
+class _TermSums:
+    """Layer sums of a group of members from whole arrays of terms: the
+    identity path (``table`` None) and the :class:`JackTable` path.
+
+    ``log_t[i]`` and ``t_negative[i]`` (identity path: ``log|t|`` and the
+    sign of ``t``) or row ``i`` of ``table`` is member ``i``'s argument.
+    """
+
+    def __init__(
+        self, table: JackTable | None, log_t: list[float], t_negative: list[bool]
+    ) -> None:
+        self.table = table
+        self.log_t = log_t
+        self.t_negative = t_negative
+
+    def layer(self, k: int, layer: _CoefficientLayer, running: list[_Running]) -> list[_LayerSums]:
+        """Each running member's sums of layer ``k``.
+
+        A member's terms are summed in logs, shifted by its largest term
+        only outside +-600, and correctly rounded (``math.fsum``) for its
+        float total, unless that total is lost or a term reaches
+        ``exp(709)``.
+        """
+        log_mag, negative, signs, tops, counts = _layer_terms(
+            layer, k, self.table, self.log_t, self.t_negative
+        )
+        size = log_mag.shape[1]
+        if not size:
+            return [(0, 0.0, 0.0, 0.0, None)] * len(running)
+        # log-sum-exp of each row, of its positive and of its negative
+        # terms, shifted by the row's largest term only outside +-600
+        shifts = [0.0 if -600.0 < top < 600.0 or top == -math.inf else top for top in tops]
+        if any(shifts):
+            weights = np.exp(log_mag - np.array(shifts)[:, None])
+        else:
+            weights = np.exp(log_mag)
+        width = len(running)
+        bins = negative if width == 1 else negative + 2 * np.arange(width)[:, None]
+        sums = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=2 * width).tolist()
+        signed = None
+        out = []
+        for row, state in enumerate(running):
+            count = size if counts is None else counts[row]
+            shift = shifts[row]
+            term = None
+            if count and not state.float_dead and tops[row] < 709.0:
+                if shift:
+                    terms = np.exp(log_mag[row])
+                    terms = np.where(negative[row], -terms, terms).tolist()
+                else:
+                    if signed is None:
+                        if signs is None:
+                            signed = np.where(negative, -weights, weights).tolist()
+                        else:
+                            signed = (weights * signs).tolist()
+                    terms = signed[row]
+                try:
+                    term = math.fsum(terms)
+                except OverflowError:
+                    pass
+            out.append((count, shift, sums[2 * row], sums[2 * row + 1], term))
+        return out
+
+    def keep(self, rows: list[int]) -> None:
+        """Drop every member but ``rows`` (in their new order)."""
+        if self.table is None:
+            self.log_t = [self.log_t[row] for row in rows]
+            self.t_negative = [self.t_negative[row] for row in rows]
+        else:
+            self.table.keep(np.array(rows))
+
+
 def _layer_terms(
     layer: _CoefficientLayer,
     k: int,
-    table: JackTable | JackPairTable | JackPairIntegral | None,
+    table: JackTable | None,
     log_t: list[float],
     t_negative: list[bool],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list[float], list[int] | None]:
@@ -519,24 +649,182 @@ def _layer_terms(
     return log_mag, negative, None, tops, counts
 
 
+class _ContractedLayer:
+    """Layer ``k`` of a two-value series with its argument contracted out.
+
+    ``weights[0, d]`` and ``weights[1, d]`` are ``G+[k, d]`` and ``G-[k,
+    d]``: over the live terms of positive (negative) coefficient, the sum
+    of ``|coef_kappa| (C_kappa/P_kappa) c[d, kappa] exp(-shift)``, with
+    ``shift`` the largest log of ``|coef_kappa| C_kappa/P_kappa``.  ``count``
+    is the number of live terms; ``weights`` is None when there are none.
+    A plain class: a dataclass would add most of a millisecond to ``import
+    betagap``.
+    """
+
+    __slots__ = ("count", "shift", "weights")
+
+    def __init__(self, count: int, shift: float, weights: np.ndarray | None) -> None:
+        self.count, self.shift, self.weights = count, shift, weights
+
+
+class _Contraction:
+    """The two-value layers of one ``(upper, lower, alpha, p, q)``, with
+    every factor but the argument summed over the partitions.
+
+    At argument ``u`` repeated ``p`` times and ``u r`` ``q`` times, ``0 <
+    r < 1``, a term of weight ``k`` is ``coef_kappa u**k C_kappa/P_kappa
+    P_kappa(1^p, r^q)``, and ``P_kappa(1^p, r^q) = sum_d c[d, kappa] r**d``
+    with ``c`` from :func:`~betagap.jack._pair_coefficients`.  So the
+    positive and negative parts of the layer are ``exp(shift + k log|u|)
+    (G+-[k] . w)`` with ``w[d] = r**d``; integrated over ``r`` against a
+    weight, ``w`` holds its moments instead (:class:`RatioIntegral`).  At
+    ``p = 0``, ``P_kappa(r^q) = r**k P_kappa(1^q)`` and the identity-path
+    coefficients hold ``C_kappa(1^q)``, so only ``d = k`` is nonzero.  Every
+    ``c`` and every ``w`` is nonnegative, so the sign of a term is that of
+    its coefficient (and of ``u**k``).
+
+    Layers are built when a series first reaches them, from the cached
+    coefficient and pair-coefficient layers of the same weight (looked up,
+    not held, so their own caches bound their memory), under a lock, so
+    threads may share one entry.
+    """
+
+    def __init__(
+        self, upper: tuple[float, ...], lower: tuple[float, ...], alpha: float, p: int, q: int
+    ) -> None:
+        self.coefficient_key = upper, lower, alpha, p + q, q if p == 0 else None
+        self.alpha, self.p, self.q = alpha, p, q
+        self.layers: list[_ContractedLayer] = []
+        self._lock = threading.Lock()
+
+    def layer(self, k: int) -> _ContractedLayer:
+        """Layer ``k``, built (with every layer below it) on first use."""
+        if k >= len(self.layers):
+            with self._lock:
+                while len(self.layers) <= k:
+                    self._build(len(self.layers))
+        return self.layers[k]
+
+    def _build(self, k: int) -> None:
+        coefficients = _coefficients(*self.coefficient_key).layer(k)
+        rows = coefficients.rows
+        if coefficients.pole is not None or not rows.size:
+            self.layers.append(_ContractedLayer(0, 0.0, None))
+            return
+        logs = coefficients.log_coef
+        if self.p:
+            pairs = _pair_coefficients(self.alpha, self.p, self.q)
+            c = pairs.layer(k)[:, rows]
+            logs = logs + pairs.strips.layer(k).log_norm[rows]
+        shift = float(logs.max())
+        scaled = np.exp(logs - shift)
+        weights = np.zeros((2, k + 1))
+        for sign, negative in enumerate((False, True)):
+            part = np.where(coefficients.negative == negative, scaled, 0.0)
+            if self.p:
+                weights[sign] = c @ part
+            else:
+                weights[sign, k] = math.fsum(part.tolist())
+        weights.flags.writeable = False
+        self.layers.append(_ContractedLayer(len(rows), shift, weights))
+
+
+@lru_cache(maxsize=MAX_COEFFICIENT_ENTRIES)
+def _contraction(
+    upper: tuple[float, ...], lower: tuple[float, ...], alpha: float, p: int, q: int
+) -> _Contraction:
+    """The contracted two-value layers of one parameter set, shared by every argument."""
+    return _Contraction(upper, lower, alpha, p, q)
+
+
+class _PairSums:
+    """Layer sums of a group of two-value members from a :class:`_Contraction`.
+
+    Member ``i`` is ``u[i]`` with the weights ``w[d] = ratios[i]**d`` (a
+    quadrature node), or, with ``ratios`` None, the one member ``u[0]``
+    with the moments of ``(1 - r)**power exp(rate (r - 1))``
+    (:func:`~betagap.quadrature.ratio_moments`), whose ``exp(rate)`` joins
+    the shift.  A member's two sums are one elementwise product and sum
+    over its own row, so its bits do not depend on the other members.
+    """
+
+    def __init__(
+        self, contraction: _Contraction, u: list[float], ratios: np.ndarray | None,
+        power: int = 0, rate: float = 0.0,
+    ) -> None:
+        self.contraction = contraction
+        self.abs_u = [abs(value) for value in u]
+        self.log_u = [math.log(value) for value in self.abs_u]
+        self.u_negative = [value < 0.0 for value in u]
+        self.ratios = ratios
+        self.power, self.rate = power, rate
+        self._exp_rate = math.exp(rate) if rate < 709.0 else math.inf
+        self._weights = np.zeros((len(u), 0))
+
+    def layer(self, k: int, layer: _CoefficientLayer, running: list[_Running]) -> list[_LayerSums]:
+        """Each running member's sums of layer ``k``.  ``layer`` goes
+        unread: the contraction holds what the sums need of it."""
+        contracted = self.contraction.layer(k)
+        if contracted.weights is None:
+            return [(0, 0.0, 0.0, 0.0, None)] * len(running)
+        if k >= self._weights.shape[1]:
+            depth = max(2 * self._weights.shape[1], k + 1, 32)
+            if self.ratios is None:
+                self._weights = ratio_moments(self.power, self.rate, depth)[None]
+            else:
+                self._weights = self.ratios[:, None] ** np.arange(depth)
+        products = self._weights[:, None, : k + 1] * contracted.weights
+        sums = np.add.reduce(products, axis=2).tolist()
+        shift = contracted.shift + self.rate
+        outer = math.exp(contracted.shift) * self._exp_rate if shift < 709.0 else math.inf
+        flip = k % 2
+        out = []
+        for row, (pos, neg) in enumerate(sums):
+            if flip and self.u_negative[row]:
+                pos, neg = neg, pos
+            if not pos + neg:  # every weight underflowed
+                out.append((0, 0.0, 0.0, 0.0, None))
+                continue
+            log_power = k * self.log_u[row]
+            term = None
+            if shift + log_power < 709.0 and not running[row].float_dead:
+                # exp(shift) |u|**k: two rounded factors, not the exp of a
+                # rounded sum, whose error grows with the sum's size
+                factor = outer * self.abs_u[row] ** k if log_power < 709.0 else math.inf
+                if not 0.0 < factor < math.inf:
+                    factor = math.exp(shift + log_power)
+                term = factor * (pos - neg)
+                if not math.isfinite(term):
+                    term = None
+            out.append((contracted.count, shift + log_power, pos, neg, term))
+        return out
+
+    def keep(self, rows: list[int]) -> None:
+        """Drop every member but ``rows`` (in their new order)."""
+        self.abs_u = [self.abs_u[row] for row in rows]
+        self.log_u = [self.log_u[row] for row in rows]
+        self.u_negative = [self.u_negative[row] for row in rows]
+        self._weights = self._weights[rows]
+        if self.ratios is not None:
+            self.ratios = self.ratios[rows]
+
+
 def _sum_layers(
     coefficients: _Coefficients,
     parts: int,
     members: int,
-    table: JackTable | JackPairTable | JackPairIntegral | None,
-    log_t: list[float],
-    t_negative: list[bool],
+    source: _TermSums | _PairSums,
     tol: float,
     max_weight: int,
 ) -> list[SeriesResult]:
     """Sum the series of one group of ``members`` layer by layer, and
     return each one's outcome (:meth:`_Running.outcome`).
 
-    The members share ``coefficients``; row ``i`` of ``table`` (table
-    path) or ``log_t[i]`` and ``t_negative[i]`` (identity path: ``log|t|``
-    and the sign of ``t``) is member ``i``'s argument.  Each layer's terms
-    are computed for every running member at once; each member keeps its
-    own accumulators and stopping rule and leaves the group when it stops.
+    The members share ``coefficients``, which set where the series
+    terminates or meets a pole; ``source`` gives each running member's
+    sums of a layer, all of them at once.  Each member keeps its own
+    accumulators and stopping rule (:meth:`_Running.add`) and leaves the
+    group when it stops.
     """
     cap = coefficients.cap
     log_tol = math.log(tol)
@@ -564,81 +852,18 @@ def _sum_layers(
             for state in running:
                 state.terminated_exactly = k > 0
             break
-        log_mag, negative, signs, tops, counts = _layer_terms(layer, k, table, log_t, t_negative)
-        size = log_mag.shape[1]
-        if size:
-            # log-sum-exp of each row, of its positive and of its negative
-            # terms, shifted by the row's largest term only outside +-600
-            shifts = [0.0 if -600.0 < top < 600.0 or top == -math.inf else top for top in tops]
-            if any(shifts):
-                weights = np.exp(log_mag - np.array(shifts)[:, None])
-            else:
-                weights = np.exp(log_mag)
-            width = len(running)
-            bins = negative if width == 1 else negative + 2 * np.arange(width)[:, None]
-            sums = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=2 * width)
-            sums = sums.tolist()
-            signed = None
         stopped = []
-        for row, state in enumerate(running):
-            count = size if counts is None else counts[row]
-            layer_log = -math.inf
-            if count:
-                state.term_count += count
-                top, shift = tops[row], shifts[row]
-                pos, neg = sums[2 * row], sums[2 * row + 1]
-                layer_log = shift + math.log(pos + neg)
-                state.log_abs_total = _log_add(state.log_abs_total, layer_log)
-                if pos:
-                    state.log_pos = _log_add(state.log_pos, shift + math.log(pos))
-                if neg:
-                    state.log_neg = _log_add(state.log_neg, shift + math.log(neg))
-                if top >= 709.0:
-                    state.float_dead = True
-                if not state.float_dead:
-                    if shift:
-                        terms = np.exp(log_mag[row])
-                        terms = np.where(negative[row], -terms, terms).tolist()
-                    else:
-                        if signed is None:
-                            if signs is None:
-                                signed = np.where(negative, -weights, weights).tolist()
-                            else:
-                                signed = (weights * signs).tolist()
-                        terms = signed[row]
-                    try:
-                        term = math.fsum(terms)
-                    except OverflowError:
-                        state.float_dead = True
-                    else:
-                        total = state.float_sum
-                        fresh = total + term
-                        if abs(total) >= abs(term):
-                            state.float_comp += (total - fresh) + term
-                        else:
-                            state.float_comp += (term - fresh) + total
-                        state.float_sum = fresh
-
-            state.weight_used = k
-            state.last_layer = layer_log
-            log_s, _ = _signed_log_diff(state.log_pos, state.log_neg)
-            if k > 0 and log_s > -math.inf and layer_log < log_tol + log_s:
-                state.small_layers += 1
-                if state.small_layers >= 3:
-                    stopped.append(row)
-            else:
-                state.small_layers = 0
+        for row, sums in enumerate(source.layer(k, layer, running)):
+            if running[row].add(k, *sums, log_tol):
+                stopped.append(row)
         if stopped:
             for row in stopped:
                 done[order[row]] = running[row].outcome()
             keep = sorted(set(range(len(running))) - set(stopped))
             running = [running[row] for row in keep]
             order = [order[row] for row in keep]
-            if table is None:
-                log_t = [log_t[row] for row in keep]
-                t_negative = [t_negative[row] for row in keep]
-            elif running:
-                table.keep(np.array(keep))
+            if running:
+                source.keep(keep)
         k += 1
 
     for row, state in zip(order, running):
@@ -658,24 +883,26 @@ def pFq_alpha(
     magnitude, or exactly when a nonpositive-integer upper parameter
     empties the admissible partition box.
 
-    Each layer is whole-array arithmetic: the cached argument-free
-    coefficients of its terms plus ``k log|t|`` (one distinct nonzero
-    argument value ``t``) or the layer of a :class:`JackPairTable` or a
+    Each layer of one distinct nonzero argument value ``t``, or of
+    three or more, is whole-array arithmetic: the cached argument-free
+    coefficients of its terms plus ``k log|t|``, or the layer of a
     :class:`JackTable`, then one log-sum-exp per accumulator and a
-    correctly rounded float sum.
+    correctly rounded float sum.  A layer of two distinct values, ``u``
+    and ``u r``, is ``exp(shift + k log|u|)`` times two dot products of
+    the cached sums of :class:`_Contraction` with ``r**d``, its positive
+    and its negative part, and its float sum is their difference.
 
     One :class:`ArgBlocks` argument is a batch of one row, and one
-    :class:`RatioIntegral` a batch of one member whose table is a
-    :class:`~betagap.jack.JackPairIntegral` (with the identity-path
-    coefficients when ``p = 0``).  A batch sums
-    every member's series as it would alone, with the same stopping rule,
-    checks and diagnostics, but computes each layer for all of them at
-    once (:func:`_batch_groups`): the members with two distinct nonzero
-    values of one sign share one two-value table per pair of
-    multiplicities, the other members with more than one distinct value
-    share batched Jack tables of at most
-    :func:`~betagap.jack.batch_nodes` arguments each, and the rest share
-    arrays by their number of nonzero values.
+    :class:`RatioIntegral` a batch of one two-value member whose dot
+    products take the moments of its weight (with the identity-path
+    coefficients when ``p = 0``).  A batch sums every member's series as
+    it would alone, to the bit, with the same stopping rule, checks and
+    diagnostics, but computes each layer for all of them at once
+    (:func:`_batch_groups`): the members with two distinct nonzero values
+    of one sign share one contraction per pair of multiplicities, the
+    other members with more than one distinct value share batched Jack
+    tables of at most :func:`~betagap.jack.batch_nodes` arguments each,
+    and the rest share arrays by their number of nonzero values.
 
     Parameters
     ----------
@@ -706,20 +933,28 @@ def pFq_alpha(
     """
     if max_weight is None:
         max_weight = DEFAULT_MAX_WEIGHT
+    upper, lower, alpha = spec.upper, spec.lower, float(spec.alpha)
     if isinstance(spec.args, RatioIntegral):
         arg = spec.args
         parts = arg.p + arg.q
-        identity = arg.q if arg.p == 0 else None
-        coefficients = _coefficients(spec.upper, spec.lower, spec.alpha, parts, identity)
-        table = JackPairIntegral(arg.u, arg.p, arg.q, arg.power, arg.rate, spec.alpha)
-        return _sum_layers(coefficients, parts, 1, table, [], [], tol, max_weight)[0]
+        coefficients = _coefficients(upper, lower, alpha, parts, arg.q if arg.p == 0 else None)
+        contraction = _contraction(upper, lower, alpha, arg.p, arg.q)
+        source = _PairSums(contraction, [arg.u], None, arg.power, arg.rate)
+        return _sum_layers(coefficients, parts, 1, source, tol, max_weight)[0]
     single = isinstance(spec.args, ArgBlocks)
     points = [spec.args.expanded()] if single else spec.args.tolist()
     m = len(points[0])
     results: list[SeriesResult | None] = [None] * len(points)
     for path, numbers, u, t in _batch_groups(points):
         identity = path if isinstance(path, int) else None
-        coefficients = _coefficients(spec.upper, spec.lower, spec.alpha, m, identity)
+        coefficients = _coefficients(upper, lower, alpha, m, identity)
+        if isinstance(path, tuple):
+            ratios = np.abs(np.array(t)) / np.abs(np.array(u))
+            source = _PairSums(_contraction(upper, lower, alpha, *path), u, ratios)
+            sums = _sum_layers(coefficients, m, len(numbers), source, tol, max_weight)
+            for row, result in zip(numbers, sums):
+                results[row] = result
+            continue
         log_t, t_negative = [], []
         if identity is not None:
             log_t = [math.log(abs(value)) for value in t]
@@ -727,16 +962,13 @@ def pFq_alpha(
         depth = None  # deepest weight a chunk of this call has reached
         while numbers:
             if path is None:
-                size = batch_nodes(spec.alpha, m, depth)
+                size = batch_nodes(alpha, m, depth)
                 chunk, numbers = numbers[:size], numbers[size:]
-                table = JackTable([points[row] for row in chunk], spec.alpha)
+                table = JackTable([points[row] for row in chunk], alpha)
             else:
                 chunk, numbers, table = numbers, [], None
-                if identity is None:
-                    table = JackPairTable(u, t, *path, spec.alpha)
-            sums = _sum_layers(
-                coefficients, m, len(chunk), table, log_t, t_negative, tol, max_weight
-            )
+            source = _TermSums(table, log_t, t_negative)
+            sums = _sum_layers(coefficients, m, len(chunk), source, tol, max_weight)
             for row, result in zip(chunk, sums):
                 results[row] = result
             depth = max(depth or 0, *(result.max_weight_used for result in sums))
@@ -750,7 +982,7 @@ def _batch_groups(points: list) -> list[tuple]:
     values all equal ``t`` (the identity path; ``t`` is 1 for a row of
     zeros).  It is ``(p, q)`` for rows of two distinct nonzero values of
     one sign, ``u`` repeated ``p`` times and ``t`` ``q`` times with
-    ``|u| > |t|`` (:class:`~betagap.jack.JackPairTable`).  It is None for
+    ``|u| > |t|`` (:class:`_Contraction`).  It is None for
     the other rows, with a zero beside other values, values of mixed sign
     or three or more distinct values (:class:`~betagap.jack.JackTable`).
     ``u`` and ``t`` hold one value per row where the path has them.

@@ -11,15 +11,15 @@
   (:func:`_hook_log_sums`, :func:`_subtract_hook_runs`);
 - two distinct nonzero values of one sign, ``u`` repeated ``p`` times
   and ``v`` ``q`` times with ``|u| > |v|`` (the quadrature nodes of
-  ``E(2)`` at ``a = 0``): :class:`JackPairTable`,
-  ``u**|kappa|`` times a polynomial in ``r = v / u`` whose coefficients
-  depend only on ``(alpha, p, q)``.  They are built once, a weight layer
-  at a time, by :class:`JackTable`'s strip recursion with the degree of
-  ``r`` as an axis, and cached; a node costs one Horner pass per layer.
-  A quadrature level is one batch.  :class:`JackPairIntegral` is the
-  same layers integrated over ``r`` against ``(1 - r)**power exp(rate
-  r)``, exactly, from the moments of that weight: the one node of an
-  ``E(1)`` series, which needs no quadrature;
+  ``E(2)`` at ``a = 0``, and ``E(1)`` integrated over ``r = v / u``):
+  ``u**|kappa|`` times the polynomial ``P_kappa(1^p, r^q)``, whose
+  coefficients ``c[d, kappa]`` depend only on ``(alpha, p, q)``
+  (:func:`_pair_coefficients`).  They are built once, a weight layer at
+  a time, by :class:`JackTable`'s strip recursion with the degree of
+  ``r`` as an axis, and cached.  No Jack value of such an argument is
+  formed: the series of :mod:`betagap.hypergeom` contracts each layer's
+  coefficients over the partitions, once per parameter set, and applies
+  only the powers of ``r`` (or their moments) per argument;
 - any other argument with more than one distinct value (three or more
   values, a zero beside other values, mixed signs: ``E(2)`` at
   ``a > 0``, ``E(3)``): :class:`JackTable`, the Koev–Edelman recursion
@@ -29,11 +29,11 @@
   ``alpha`` and number of variables.  A quadrature level is one batch,
   cut into tables of at most :func:`batch_nodes` nodes.
 
-Both share the strip table of ``(alpha, m)`` and so its budget
-``MAX_STRIP_PAIRS``.  Each evaluator here works a weight layer at a
-time (:func:`jack_C_eval_signlog` reads one entry of a table); the
-one-partition reference forms that tests check them against live in
-``tests/oracles.py``.
+The pair coefficients and :class:`JackTable` share the strip table of
+``(alpha, m)`` and so its budget ``MAX_STRIP_PAIRS``.  Each evaluator
+here works a weight layer at a time (:func:`jack_C_eval_signlog` reads
+one entry of a table); the one-partition reference forms that tests
+check them against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -47,13 +47,10 @@ import numpy as np
 
 from .errors import ResourceLimitError
 from .partitions import partitions_of_weight
-from .quadrature import ratio_moments
 
 __all__ = [
     "jack_C_eval_signlog",
     "JackTable",
-    "JackPairTable",
-    "JackPairIntegral",
     "batch_nodes",
     "MAX_BATCH_ELEMENTS",
     "MAX_STRIP_PAIRS",
@@ -492,122 +489,6 @@ class _PairCoefficients:
 def _pair_coefficients(alpha: float, p: int, q: int) -> _PairCoefficients:
     """The coefficient layers of ``(alpha, p, q)``, shared by every ``r``."""
     return _PairCoefficients(alpha, p, q)
-
-
-class JackPairTable:
-    """``C_kappa(x)`` for every partition and every argument of a batch
-    whose arguments take two distinct values, one weight layer at a time.
-
-    Argument ``n`` is ``u[n]`` repeated ``p`` times and ``v[n]`` repeated
-    ``q`` times, nonzero, of one sign, with ``|u[n]| > |v[n]|``.  Then
-    ``C_kappa(x) = u**|kappa| P_kappa(1^p, r^q) C_kappa/P_kappa`` with
-    ``r = v / u`` in ``(0, 1)``, and the polynomial in ``r`` has
-    coefficients that depend on ``(alpha, p, q)`` alone
-    (:class:`_PairCoefficients`, cached).  A node costs one Horner pass in
-    ``r`` over its layer, elementwise, so every node's values are the same
-    bits in any batch.  The interface is :class:`JackTable`'s.
-
-    Parameters
-    ----------
-    u, v : sequence of float
-        The two values of each argument.
-    p, q : int
-        Their multiplicities, the same for every argument.
-    alpha : float
-        Positive deformation parameter.
-    """
-
-    def __init__(self, u, v, p: int, q: int, alpha: float) -> None:
-        self._coefficients = _pair_coefficients(float(alpha), p, q)
-        self._r = (np.abs(np.asarray(v, dtype=float)) / np.abs(np.asarray(u, dtype=float)))[:, None]
-        self._negative = np.asarray(u) < 0.0
-        self._log_scale = np.array([math.log(abs(value)) for value in u])
-
-    def layer(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Layer ``k``, as :meth:`JackTable.layer` gives it."""
-        coefficients = self._coefficients.layer(k)
-        values = np.empty((len(self._r), coefficients.shape[1]))
-        values[:] = coefficients[k]
-        for d in range(k - 1, -1, -1):
-            values *= self._r
-            values += coefficients[d]
-        values.flags.writeable = False
-        log_factors = self._coefficients.strips.layer(k).log_norm + (k * self._log_scale)[:, None]
-        signs = np.where(self._negative & bool(k % 2), -1, 1)
-        return values, log_factors, signs
-
-    def keep(self, nodes: np.ndarray) -> None:
-        """Drop every node but ``nodes`` (indices, in their new order)."""
-        self._r = self._r[nodes]
-        self._negative = self._negative[nodes]
-        self._log_scale = self._log_scale[nodes]
-
-
-class JackPairIntegral:
-    """The layers of :class:`JackPairTable` at one argument, integrated
-    over the ratio ``r`` of its two values: a table of one node.
-
-    The argument is ``u`` repeated ``p`` times and ``u r`` ``q`` times,
-    and its node's ``C_kappa`` is ``int_0^1 C_kappa(u 1^p, u r 1^q) (1 -
-    r)**power exp(rate r) dr``.  With ``P_kappa(1^p, r^q) = sum_d c[d,
-    kappa] r**d`` (:class:`_PairCoefficients`, cached) that is ``u**|kappa|
-    C_kappa/P_kappa sum_d c[d, kappa] mu_d``, exact, where ``mu_d`` are the
-    moments of the weight (:func:`~betagap.quadrature.ratio_moments`,
-    which takes out ``exp(rate)``; it joins the log factors).  Every
-    coefficient and moment is nonnegative, so a layer is one positive
-    matrix-vector product.  At ``p = 0``, ``P_kappa(r^q) = r**|kappa|
-    P_kappa(1^q)``, so the node's value is ``mu_k C_kappa(u 1^q)``: the
-    table gives ``u**k mu_k`` for every partition of weight ``k`` and
-    leaves ``C_kappa(1^q)`` to the series' identity-path coefficients,
-    with no strip table.  The interface is :class:`JackTable`'s.
-
-    Parameters
-    ----------
-    u : float
-        The larger value, nonzero.
-    p, q : int
-        Multiplicities of ``u`` and ``u r``.
-    power : int
-        Nonnegative integer power of ``1 - r`` in the weight.
-    rate : float
-        Nonnegative rate of ``exp(rate r)`` in the weight.
-    alpha : float
-        Positive deformation parameter.
-    """
-
-    def __init__(self, u: float, p: int, q: int, power: int, rate: float, alpha: float) -> None:
-        self._coefficients = _pair_coefficients(float(alpha), p, q) if p else None
-        self._parts = p + q
-        self._power = power
-        self._rate = rate
-        self._moments = np.zeros(0)
-        self._negative = u < 0.0
-        self._log_scale = math.log(abs(u))
-
-    def layer(self, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Layer ``k``, as :meth:`JackTable.layer` gives it, for one node.
-
-        At ``p = 0`` it holds ``u**k mu_k`` for every partition (see the
-        class notes).
-        """
-        if k >= len(self._moments):
-            count = max(2 * len(self._moments), k + 1, 16)
-            self._moments = ratio_moments(self._power, self._rate, count)
-        log_factor = k * self._log_scale + self._rate
-        if self._coefficients is None:
-            count = len(partitions_of_weight(k, self._parts))
-            values = np.full((1, count), self._moments[k])
-            log_factors = np.full((1, count), log_factor)
-        else:
-            coefficients = self._coefficients.layer(k)
-            values = (self._moments[: k + 1] @ coefficients)[None]
-            log_factors = (self._coefficients.strips.layer(k).log_norm + log_factor)[None]
-        values.flags.writeable = False
-        signs = np.array([-1 if self._negative and k % 2 else 1])
-        return values, log_factors, signs
-
-    def keep(self, nodes: np.ndarray) -> None:
-        """Keep the one node: ``nodes`` can only be ``[0]``."""
 
 
 def jack_C_eval_signlog(

@@ -143,5 +143,7 @@ def ratio_moments(power: int, rate: float, count: int) -> np.ndarray:
     beta = 1.0 / (shifted + (power + 1.0))
     for m in range(1, power + 1):
         beta *= m / (shifted + m)
+    if not rate:  # one Poisson weight, 1: the mixture is B itself
+        return beta
     window = np.lib.stride_tricks.sliding_window_view(beta, len(weights))
     return (window @ weights) / weights.sum()

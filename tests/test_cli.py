@@ -29,7 +29,7 @@ EXACT_HARD_ROW = (
 
 EXACT_EXCESS_ROW = (
     "4.0,2.0,1.0,1,,exact_En_hard,0.1613575220817058,"
-    "-1.8241327419135258,,15,4.236321034882273e-17,"
+    "-1.8241327419135258,,15,4.236321034882243e-17,"
 )
 
 EXACT_FINITEN_ROW = (

@@ -1,7 +1,8 @@
 """Every name a module lists in ``__all__`` exists, no ``__all__`` lists a
 function beside its log twin, no public function takes a formula switch,
-neither importing the package nor any subcommand needs scipy, and the test
-oracles share no code with the package."""
+two-value series have one evaluator, neither importing the package nor any
+subcommand needs scipy, and the test oracles share no code with the
+package."""
 
 from __future__ import annotations
 
@@ -57,6 +58,28 @@ def test_no_public_formula_switch() -> None:
         if param in ("variant", "route", "prefactor")
     ]
     assert found == []
+
+
+def test_no_per_partition_pair_table() -> None:
+    # Two-value series contract their argument out of cached layer sums
+    # (hypergeom._Contraction); the per-partition pair tables they replaced
+    # must not come back beside them.
+    retired = {"JackPairTable", "JackPairIntegral"}
+    source = Path(betagap.__file__).parent
+    found = []
+    for path in sorted(source.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name in retired]
+    assert found == []
+    assert retired.isdisjoint(importlib.import_module("betagap.jack").__all__)
 
 
 def test_import_loads_no_scipy() -> None:

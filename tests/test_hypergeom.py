@@ -33,6 +33,7 @@ from betagap.hypergeom import (
 from betagap.partitions import gen_pochhammer_signlog, partitions_of_weight
 from betagap.quadrature import ratio_moments
 from oracles import jack_C_at_identity_log
+from test_jack import pair_layer
 
 mp.mp.dps = 40
 
@@ -675,6 +676,196 @@ def test_ratio_integral_meets_the_strip_budget(monkeypatch: pytest.MonkeyPatch) 
     jack._strip_table.cache_clear()
     jack._pair_coefficients.cache_clear()
     assert str(raised.value) == str(want.value)
+
+
+# --- two-value layers as contractions of cached sums ---
+
+PAIR_SHAPES = [(1, 1), (1, 2), (2, 1), (2, 2), (3, 1), (1, 3)]
+
+
+def _check_contracted_layers(upper, alpha, p, q, u, weights, rate=0.0) -> None:
+    """Check layers 0..12 of the two-value series ``upper F (7.3)`` at ``u
+    1^p, u r 1^q`` against its per-partition terms.
+
+    ``weights`` gives the member's source and, per partition,
+    ``sum_d c[d, kappa] w_d``, where ``w`` is ``r**d`` (a node: the Horner
+    value at ``r``) or the moments of a :class:`RatioIntegral`
+    (``rate``).  Each term is put in the contraction's scale,
+    ``exp(log_coef + log(C/P) - shift)``, and the contracted sums must be
+    ``math.fsum`` of the positive and of the negative terms.
+    """
+    lower = (7.3,)
+    parts = p + q
+    coefficients = hypergeom._coefficients(upper, lower, alpha, parts, q if p == 0 else None)
+    contraction = hypergeom._contraction(upper, lower, alpha, p, q)
+    source = weights.source(contraction, u)
+    running = [hypergeom._Running()]
+    for k in range(13):
+        layer = coefficients.layer(k)
+        if not layer.nonempty:
+            break
+        (count, shift, pos, neg, term), = source.layer(k, layer, running)
+        contracted = contraction.layer(k)
+        rows = layer.rows
+        values, log_norm = weights.per_partition(k, rows)
+        logs = layer.log_coef if log_norm is None else layer.log_coef + log_norm[rows]
+        terms = np.exp(logs - contracted.shift) * values
+        negative = layer.negative ^ (u < 0.0 and k % 2 == 1)
+        want_pos = math.fsum(terms[~negative].tolist())
+        want_neg = math.fsum(terms[negative].tolist())
+        assert count == len(rows)
+        assert shift == contracted.shift + rate + k * math.log(abs(u))
+        for got, want in ((pos, want_pos), (neg, want_neg)):
+            assert abs(got - want) <= 1e-14 * want, (k, got, want)
+        if rate <= 10.0:
+            want_term = math.exp(shift) * (want_pos - want_neg)
+            assert abs(term - want_term) <= 1e-14 * math.exp(shift) * (want_pos + want_neg)
+
+
+class _NodeWeights:
+    """``w_d = r**d``: a quadrature node."""
+
+    def __init__(self, r: float, p: int, q: int, alpha: float) -> None:
+        self.r, self.p, self.q, self.alpha = r, p, q, alpha
+
+    def source(self, contraction, u: float):
+        return hypergeom._PairSums(contraction, [u], np.array([self.r]))
+
+    def per_partition(self, k: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each live partition's ``sum_d c[d, kappa] w_d``, and every
+        partition's ``log(C/P)``."""
+        values, log_norm, _ = pair_layer(1.0, self.r, self.p, self.q, self.alpha, k)
+        return values[rows], log_norm
+
+
+class _MomentWeights:
+    """``w_d = mu_d``, the moments of ``(1 - r)**power exp(rate (r - 1))``."""
+
+    def __init__(self, power: int, rate: float, p: int, q: int, alpha: float) -> None:
+        self.power, self.rate = power, rate
+        self.pairs = jack._pair_coefficients(alpha, p, q) if p else None
+        self.moments = ratio_moments(power, rate, 16)
+
+    def source(self, contraction, u: float):
+        return hypergeom._PairSums(contraction, [u], None, self.power, self.rate)
+
+    def per_partition(self, k: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """As :meth:`_NodeWeights.per_partition`; at ``p = 0`` the
+        identity-path coefficients hold ``C_kappa(1^q)`` and only ``mu_k``
+        is left."""
+        if self.pairs is None:
+            return np.full(len(rows), self.moments[k]), None
+        c = self.pairs.layer(k)[:, rows]
+        values = [math.fsum((c[:, j] * self.moments[: k + 1]).tolist()) for j in range(len(rows))]
+        return np.array(values), self.pairs.strips.layer(k).log_norm
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
+def test_contracted_layers_match_partition_sums(alpha: float) -> None:
+    # A quadrature node's layer: G+-[k] . r**d against the Horner value of
+    # every partition's polynomial in r, with its coefficient, in the same
+    # scale.
+    for upper in [(), (-5.0,)]:
+        for p, q in PAIR_SHAPES:
+            for r in (0.03, 0.5, 0.97):
+                for u in (1.3, -1.3):
+                    _check_contracted_layers(upper, alpha, p, q, u, _NodeWeights(r, p, q, alpha))
+
+
+@pytest.mark.parametrize("power", [0, 1, 2])
+@pytest.mark.parametrize("rate", [0.0, 0.05, 10.0, 400.0])
+def test_integrated_layers_match_partition_sums(power: int, rate: float) -> None:
+    # A RatioIntegral's layer: G+-[k] . mu against every partition's
+    # polynomial contracted with the moments, p = 0 (identity-path
+    # coefficients, only d = k) included.
+    for alpha in (0.5, 1.0, 2.0):
+        for upper in [(), (-5.0,)]:
+            for p, q in [(0, 1), (0, 3)] + PAIR_SHAPES:
+                weights = _MomentWeights(power, rate, p, q, alpha)
+                for u in (1.3, -1.3):
+                    _check_contracted_layers(upper, alpha, p, q, u, weights, rate)
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        (ArgBlocks(((1.5, 1), (0.6, 2))), (1, 2)),
+        (np.array([(1.5, 1.5, 0.6, 0.6), (0.9, 0.9, 0.2, 0.2)]), (2, 2)),
+        (RatioIntegral(1.5, 1, 2, 1, 0.0), (1, 2)),
+        (RatioIntegral(2.5, 2, 2, 2, 3.0), (2, 2)),
+    ],
+    ids=["node", "batch", "integral", "integral-rate"],
+)
+def test_contracted_series_reads_no_deeper_layer(args, key) -> None:
+    # A series that stops at weight K has built its contraction and its
+    # pair coefficients to weight K and no further.
+    alpha = 0.6875
+    hypergeom._contraction.cache_clear()
+    jack._pair_coefficients.cache_clear()
+    result = pFq_alpha(HypergeomSpec((), (4.0,), alpha, args))
+    depth = result.max_weight_used + 1
+    assert len(hypergeom._contraction((), (4.0,), alpha, *key).layers) == depth
+    assert len(jack._pair_coefficients(alpha, *key).layers) == depth
+
+
+@pytest.mark.parametrize(
+    "args, alpha, parts, weight",
+    [((5000.0, 1.0, 2.0, 1), 1.0, 3, 74), ((40.0, 1.0, 4.0, 1), 2.0, 6, 35)],
+)
+def test_integrated_series_meets_the_strip_budget_where_it_did(args, alpha, parts, weight) -> None:
+    # E(1) past the strip budget raises at the weight, and with the
+    # message, that the per-partition pair layers gave, having contracted
+    # every layer below it.
+    jack._strip_table.cache_clear()
+    jack._pair_coefficients.cache_clear()
+    hypergeom._contraction.cache_clear()
+    try:
+        with pytest.raises(ResourceLimitError) as raised:
+            exact_En_hard(*args)
+        assert str(raised.value) == (
+            f"Jack strip table at alpha={alpha} with {parts} variables would exceed "
+            f"2000000 strips at weight {weight}"
+        )
+        p = round(args[1] * args[2] / 2.0)
+        contraction = hypergeom._contraction((), (args[1] + 2.0,), alpha, p, round(args[2]))
+        assert len(contraction.layers) == weight
+    finally:  # the tables at the budget hold tens of MB
+        jack._strip_table.cache_clear()
+        jack._pair_coefficients.cache_clear()
+        hypergeom._contraction.cache_clear()
+
+
+def test_shared_contractions_under_threads() -> None:
+    # Threads extending one shared contraction entry must not interleave layers.
+    key = ((-9.0, 0.7), (2.4,), 1.375, 2, 2)
+
+    def layers(entry) -> list:
+        return [
+            (layer.count, layer.shift, layer.weights.tolist())
+            for layer in (entry.layer(k) for k in range(30))
+        ]
+
+    want = layers(hypergeom._Contraction(*key))
+    hypergeom._contraction.cache_clear()
+    results: list = [None] * 8
+    start = threading.Barrier(8)
+
+    def work(slot: int) -> None:
+        start.wait()
+        results[slot] = layers(hypergeom._contraction(*key))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(slot,)) for slot in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert all(result == want for result in results)
 
 
 def test_batch_raises_its_failing_members_error() -> None:

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from betagap import jack
+from betagap import hypergeom, jack
 from betagap.errors import ResourceLimitError
-from betagap.jack import JackPairTable, JackTable, jack_C_eval_signlog
+from betagap.jack import JackTable, jack_C_eval_signlog
 from betagap.partitions import partitions_of_weight
 from oracles import (
     hook_products_log,
@@ -285,6 +285,30 @@ def test_batched_table_matches_single_tables() -> None:
 # --- two-value arguments: cached polynomials in the node ratio ---
 
 
+def pair_layer(
+    u: float, r: float, p: int, q: int, alpha: float, k: int
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """``C_kappa(u 1^p, u r 1^q)`` over ``partitions_of_weight(k, p + q)``,
+    as :meth:`JackTable.layer` gives one node: ``u**k C_kappa/P_kappa``
+    times one Horner pass in ``r`` over the cached coefficients of
+    ``P_kappa(1^p, r^q)``."""
+    pairs = jack._pair_coefficients(float(alpha), p, q)
+    coefficients = pairs.layer(k)
+    values = coefficients[k].copy()
+    for d in range(k - 1, -1, -1):
+        values *= r
+        values += coefficients[d]
+    log_factors = pairs.strips.layer(k).log_norm + k * math.log(abs(u))
+    return values, log_factors, -1 if u < 0.0 and k % 2 else 1
+
+
+def _pair_lists(
+    u: float, r: float, p: int, q: int, alpha: float, k: int
+) -> tuple[list, list, int]:
+    values, log_factors, sign = pair_layer(u, r, p, q, alpha, k)
+    return values.tolist(), log_factors.tolist(), sign
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0])
 def test_pair_table_matches_oracle(alpha: float) -> None:
     # The monomial expansion at every alpha: the Schur bialternant loses
@@ -293,9 +317,8 @@ def test_pair_table_matches_oracle(alpha: float) -> None:
         for r in (0.03, 0.5, 0.97):
             for u in (1.3, -1.3):
                 x = (u,) * p + (u * r,) * q
-                table = JackPairTable([u], [u * r], p, q, alpha)
                 for k in range(13):
-                    values, log_factors, sign = _node_layer(table, k)
+                    values, log_factors, sign = pair_layer(u, r, p, q, alpha, k)
                     kappas = partitions_of_weight(k, p + q)
                     assert len(values) == len(kappas)
                     for kappa, value, log_factor in zip(kappas, values, log_factors):
@@ -312,37 +335,47 @@ def test_pair_table_matches_jack_table() -> None:
     # The same argument through both evaluators, to rounding.
     alpha = 1.25
     for u, v, p, q in [(0.9, 0.2, 1, 2), (-2.0, -1.5, 2, 2), (1.0, 0.6, 3, 1)]:
-        pair = JackPairTable([u], [v], p, q, alpha)
         table = JackTable([(u,) * p + (v,) * q], alpha)
         for k in range(25):
-            got, got_logs, got_sign = _node_layer(pair, k)
+            got, got_logs, got_sign = pair_layer(u, v / u, p, q, alpha, k)
             want, want_logs, want_sign = _node_layer(table, k)
             assert got_sign == want_sign
             assert got_logs.tolist() == want_logs.tolist()
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
 
 
+def _pair_sums(u: list, r: list, keep: list | None = None, depth: int = 15) -> list:
+    """Each member's contracted layer sums of the series ``()F(4.0)`` at
+    ``alpha = 0.75`` on the arguments ``u 1^2, u r 1^3``, layer by layer;
+    after layer 7 the group keeps only the members ``keep``."""
+    contraction = hypergeom._contraction((), (4.0,), 0.75, 2, 3)
+    coefficients = hypergeom._coefficients((), (4.0,), 0.75, 5, None)
+    source = hypergeom._PairSums(contraction, u, np.array(r))
+    running = [hypergeom._Running() for _ in u]
+    layers = []
+    for k in range(depth):
+        if k == 8 and keep is not None:
+            source.keep(keep)
+            running = [running[row] for row in keep]
+        layers.append(source.layer(k, coefficients.layer(k), running))
+    return layers
+
+
 def test_pair_table_nodes_keep_their_bits() -> None:
-    # A node's values are the same bits alone, in any batch, and after the
-    # batch drops other nodes.
-    u, v = [1.0, -0.7, 0.4, 2.5], [0.35, -0.2, 0.39, 0.01]
-    alpha = 0.75
-    want = [[_layer_lists(JackPairTable([a], [b], 2, 3, alpha), k) for k in range(15)]
-            for a, b in zip(u, v)]
-    table = JackPairTable(u, v, 2, 3, alpha)
-    for k in range(8):
-        for node in range(len(u)):
-            assert _layer_lists(table, k, node) == want[node][k]
-    table.keep(np.array([3, 0]))
-    for k in range(15):
-        for node, point in enumerate((3, 0)):
-            assert _layer_lists(table, k, node) == want[point][k]
+    # A node's contracted layer sums are the same bits alone, in any batch,
+    # and after the batch drops other nodes.
+    u, r = [1.0, -0.7, 0.4, 2.5], [0.35, 0.2 / 0.7, 0.39 / 0.4, 0.01 / 2.5]
+    want = [_pair_sums([a], [b]) for a, b in zip(u, r)]
+    got = _pair_sums(u, r, keep=[3, 0])
+    for k, layer in enumerate(got):
+        nodes = range(len(u)) if k < 8 else (3, 0)
+        assert layer == [want[node][k][0] for node in nodes]
 
 
-def _first_budget_failure(table) -> tuple[int, str]:
+def _first_budget_failure(layer) -> tuple[int, str]:
     for k in range(80):
         try:
-            table.layer(k)
+            layer(k)
         except ResourceLimitError as exc:
             return k, str(exc)
     raise AssertionError("the strip budget never bound")
@@ -354,10 +387,10 @@ def test_pair_table_meets_the_strip_budget(monkeypatch: pytest.MonkeyPatch) -> N
     monkeypatch.setattr(jack, "MAX_STRIP_PAIRS", 500)
     alpha = 0.8125
     jack._strip_table.cache_clear()
-    want = _first_budget_failure(JackTable([(1.0, 0.5, 0.5)], alpha))
+    want = _first_budget_failure(JackTable([(1.0, 0.5, 0.5)], alpha).layer)
     jack._strip_table.cache_clear()
     jack._pair_coefficients.cache_clear()
-    assert _first_budget_failure(JackPairTable([1.0], [0.5], 1, 2, alpha)) == want
+    assert _first_budget_failure(lambda k: pair_layer(1.0, 0.5, 1, 2, alpha, k)) == want
     jack._strip_table.cache_clear()
     jack._pair_coefficients.cache_clear()
 
@@ -366,15 +399,14 @@ def test_shared_pair_coefficients_under_threads() -> None:
     # Threads extending one shared coefficient entry must not interleave layers.
     alpha = 1.375
     jack._pair_coefficients.cache_clear()
-    want = [_layer_lists(JackPairTable([1.0], [0.55], 2, 2, alpha), k) for k in range(19)]
+    want = [_pair_lists(1.0, 0.55, 2, 2, alpha, k) for k in range(19)]
     jack._pair_coefficients.cache_clear()
     results: list = [None] * 8
     start = threading.Barrier(8)
 
     def work(slot: int) -> None:
         start.wait()
-        table = JackPairTable([1.0], [0.55], 2, 2, alpha)
-        results[slot] = [_layer_lists(table, k) for k in range(19)]
+        results[slot] = [_pair_lists(1.0, 0.55, 2, 2, alpha, k) for k in range(19)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
