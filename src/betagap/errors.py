@@ -58,17 +58,22 @@ def counted(value: float, message: str, least: int = 0, most: float = math.inf) 
     return int(value)
 
 
-def require_finite(name: str, value: float, *, positive: bool = False) -> None:
+def require_finite(
+    name: str, value: float, *, positive: bool = False, signed: bool = False
+) -> None:
     """Reject ``value`` unless it is finite and nonnegative (positive when
-    ``positive``).
+    ``positive``, of either sign when ``signed``).
 
     Raises
     ------
     ValueError
-        Naming ``name`` when ``value`` is NaN, infinite, negative or, when
-        ``positive``, zero.
+        Naming ``name`` when ``value`` is NaN, infinite or, unless
+        ``signed``, negative or, when ``positive``, zero.
     """
-    if not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
+    if signed:
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    elif not math.isfinite(value) or value < 0.0 or (positive and value == 0.0):
         kind = "positive" if positive else "nonnegative"
         raise ValueError(f"{name} must be finite and {kind}, got {value}")
 

@@ -3,35 +3,36 @@
 The series ``pFq``, summed over partitions ``kappa`` with generalized
 Pochhammer ratios and ``C_kappa`` evaluations, is accumulated layer by
 layer in weight, each layer as whole arrays over its partitions.  A
-layer enters both a compensated float total, as its correctly rounded
-sum, and log accumulators, as log-sum-exps of its positive and negative
-terms; the log accumulators keep results usable far outside float
-range, which matters because the finite-size gap formulas multiply
-series values like ``exp(+1900)`` against prefactors like
-``exp(-1920)``.
+layer enters both a compensated float total, as its float sum, and log
+accumulators, as log-sum-exps of its positive and negative terms; the
+log accumulators keep results usable far outside float range, which
+matters because the finite-size gap formulas multiply series values
+like ``exp(+1900)`` against prefactors like ``exp(-1920)``.
 
 The argument-free part of each term (the Pochhammer ratio, ``1/k!`` and,
 when the argument has one distinct nonzero value, ``C_kappa(1, ..., 1)``)
 is built once per parameter set, ``alpha`` and number of variables, and
 cached a layer at a time, so every node of one quadrature and every
-``s`` of a sweep share it (the Koev–Edelman economy).  Only the argument
-is applied per series: ``t**|kappa|`` for one distinct value ``t``; for
-two distinct values of one sign, ``u`` repeated ``p`` times and ``u r``
-``q`` times, nothing per partition at all.  Such a layer depends on its
-argument only through ``u**k`` and the vector ``w_d = r**d``, so each
-term's other factors (its coefficient, ``C_kappa/P_kappa`` and the
-coefficients ``c[d, kappa]`` of ``P_kappa(1^p, r^q)``, from
-:func:`~betagap.jack._pair_coefficients`) are summed over the
-partitions into ``G+-[k, d]``, one sum per sign of coefficient
-(:class:`_Contraction`).  These are cached per parameter set,
-``alpha``, ``p`` and ``q``, a layer at a time as a series first reaches
-it, and a layer costs each member two dot products of length ``k + 1``.
-A :class:`RatioIntegral` argument, the two-value argument integrated
-over ``r``, takes the moments of its weight for ``w``.  Any other
-argument is its node of a batched :class:`~betagap.jack.JackTable`,
-extended a weight layer at a time as the sum goes deeper.  A batch (the
-nodes of one quadrature level) sums its series together, one layer for
-all of them at a time, each with its own accumulators and stopping rule
+``s`` of a sweep share it (the Koev–Edelman economy).  A layer takes
+one of two paths.  An argument of at most two distinct nonzero values
+of one sign, ``u`` repeated ``p`` times and ``u r`` ``q`` times (zeros
+aside when ``p = 0``), applies nothing per partition at all: its layer
+depends on it only through ``u**k`` and the vector ``w_d = r**d``, so
+each term's other factors (its coefficient and, for ``p > 0``,
+``C_kappa/P_kappa`` and the coefficients ``c[d, kappa]`` of
+``P_kappa(1^p, r^q)``, from :func:`~betagap.jack._pair_coefficients`)
+are summed over the partitions into ``G+-[k, d]``, one sum per sign of
+coefficient (:class:`_Contraction`).  One distinct value ``t`` is the
+``p = 0``, ``r = 1`` case, whose coefficients hold ``C_kappa(1^q)``.
+These sums are cached per parameter set, ``alpha``, ``p`` and ``q``, a
+layer at a time as a series first reaches it, and a layer costs each
+member two dot products of length ``k + 1``.  A :class:`RatioIntegral`
+argument, the two-value argument integrated over ``r``, takes the
+moments of its weight for ``w``.  Any other argument is its node of a
+batched :class:`~betagap.jack.JackTable`, extended a weight layer at a
+time as the sum goes deeper.  A batch (the nodes of one quadrature
+level) sums its series together, one layer for all of them at a time,
+each with its own accumulators and stopping rule
 (:meth:`_Running.add`); a single series is a batch of one row, on the
 same path.  The series calls no one-partition form; the reference
 evaluators that tests check its layers against live in
@@ -52,6 +53,7 @@ from .errors import (
     LowerParameterPoleError,
     NonConvergenceError,
     counted,
+    require_finite,
 )
 from .jack import (
     JackTable,
@@ -166,7 +168,8 @@ class HypergeomSpec:
     read-only.  The series of a batch share everything but their
     argument.  A row reads as :meth:`ArgBlocks.from_values` of its values
     would, and one :class:`ArgBlocks` is summed as the one row of its
-    expanded values.
+    expanded values.  Every parameter and argument value must be finite,
+    and ``alpha`` positive; ``ValueError`` names the field that is not.
     """
 
     upper: tuple[float, ...]
@@ -175,16 +178,23 @@ class HypergeomSpec:
     args: ArgBlocks | RatioIntegral | np.ndarray
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not isinstance(self.args, (ArgBlocks, RatioIntegral)):
+        require_finite("alpha", self.alpha, positive=True)
+        for name in ("upper", "lower"):
+            values = tuple(float(value) for value in getattr(self, name))
+            for value in values:
+                require_finite(f"{name} parameter", value, signed=True)
+            object.__setattr__(self, name, values)
+        if isinstance(self.args, ArgBlocks):
+            for value, _ in self.args.blocks:
+                require_finite("argument value", value, signed=True)
+        elif not isinstance(self.args, RatioIntegral):
             points = np.array(self.args, dtype=float)
             if points.ndim != 2 or not points.size:
                 raise ValueError(f"a batch needs rows of argument values, got shape {points.shape}")
+            for value in points[~np.isfinite(points)][:1].tolist():  # the first bad one
+                require_finite("argument value", value, signed=True)
             points.flags.writeable = False
             object.__setattr__(self, "args", points)
-        object.__setattr__(self, "upper", tuple(float(a) for a in self.upper))
-        object.__setattr__(self, "lower", tuple(float(b) for b in self.lower))
 
 
 @dataclass(frozen=True, slots=True)
@@ -254,11 +264,10 @@ class _CoefficientLayer:
     ``nonempty`` says whether the layer has a partition inside the
     termination box; ``pole`` is the message of the first lower-parameter
     pole among its terms, if any.  Otherwise ``rows`` numbers the terms
-    whose upper Pochhammer symbols do not vanish (and, on the identity
-    path, whose ``C_kappa`` does not), in the order of
+    whose upper Pochhammer symbols do not vanish (and, with identity
+    coefficients, whose ``C_kappa(1, ..., 1)`` does not), in the order of
     ``partitions_of_weight(k, parts)``, and ``log_coef`` and ``negative``
-    give each one's log-magnitude and sign, ``signs`` the sign as a factor
-    of 1 or -1, and ``top`` the largest ``log_coef`` (``-inf`` if none).
+    give each one's log-magnitude and sign.
     """
 
     nonempty: bool
@@ -266,8 +275,6 @@ class _CoefficientLayer:
     rows: np.ndarray
     log_coef: np.ndarray
     negative: np.ndarray
-    signs: np.ndarray
-    top: float
 
 
 def _pochhammer_tables(
@@ -305,11 +312,12 @@ class _Coefficients:
 
     A term is ``prod_a [a]_kappa / prod_b [b]_kappa * C_kappa(x) / k!``.
     Everything but ``C_kappa(x)`` depends only on the parameters,
-    ``alpha`` and the number of variables ``parts``; when the argument is
-    ``t`` repeated ``identity`` times (zeros aside), ``C_kappa(x) =
-    t**k C_kappa(1, ..., 1)`` and the coefficient takes
-    ``C_kappa(1, ..., 1)`` too, leaving ``t**k`` to the caller.  Its
-    ``k!`` cancels the series' ``1 / k!``:
+    ``alpha`` and the number of variables ``parts``.  With ``identity``
+    set, for an argument ``t`` repeated ``identity`` times (zeros aside),
+    ``C_kappa(x) = t**k C_kappa(1, ..., 1)`` and the coefficient takes
+    ``C_kappa(1, ..., 1)`` too, leaving ``t**k`` to the ``p = 0``
+    contraction (:class:`_Contraction`).  Its ``k!`` cancels the series'
+    ``1 / k!``:
 
         C_kappa(1^n) / k! = alpha**k prod_cells (n - (i-1) + alpha (j-1))
                             / (upper * lower hook products).
@@ -391,8 +399,8 @@ class _Coefficients:
         if len(poles):
             b = next(b for b, zero in zip(self.lower, lower_zero) if zero[poles[0]])
             message = f"lower parameter {b} has a pole at partition {kappas[rows[poles[0]]]}"
-            no_terms = rows[:0], np.zeros(0), np.zeros(0, dtype=bool), np.zeros(0)
-            self.layers.append(_CoefficientLayer(True, message, *no_terms, -math.inf))
+            no_terms = rows[:0], np.zeros(0), np.zeros(0, dtype=bool)
+            self.layers.append(_CoefficientLayer(True, message, *no_terms))
             return
         if self.identity is not None:
             if self.identity < self.parts:
@@ -401,12 +409,10 @@ class _Coefficients:
             _subtract_hook_runs(log_coef, self._lower_hooks, padded)
             rows_n = self._contents.shape[0]
             log_coef += self._contents[np.arange(rows_n), padded[:, :rows_n]].sum(axis=1)
-        negative = negatives[live] % 2 == 1
-        arrays = rows[live], log_coef[live], negative, np.where(negative, -1.0, 1.0)
+        arrays = rows[live], log_coef[live], negatives[live] % 2 == 1
         for array in arrays:  # shared by every caller of the cached entry
             array.flags.writeable = False
-        top = float(arrays[1].max()) if arrays[1].size else -math.inf
-        self.layers.append(_CoefficientLayer(len(rows) > 0, None, *arrays, top))
+        self.layers.append(_CoefficientLayer(len(rows) > 0, None, *arrays))
 
 
 @lru_cache(maxsize=MAX_COEFFICIENT_ENTRIES)
@@ -530,34 +536,36 @@ _LayerSums = tuple[int, float, float, float, "float | None"]
 
 
 class _TermSums:
-    """Layer sums of a group of members from whole arrays of terms: the
-    identity path (``table`` None) and the :class:`JackTable` path.
+    """Layer sums of a group of members from the layers of a
+    :class:`JackTable`, whose row ``i`` is member ``i``'s argument."""
 
-    ``log_t[i]`` and ``t_negative[i]`` (identity path: ``log|t|`` and the
-    sign of ``t``) or row ``i`` of ``table`` is member ``i``'s argument.
-    """
-
-    def __init__(
-        self, table: JackTable | None, log_t: list[float], t_negative: list[bool]
-    ) -> None:
+    def __init__(self, table: JackTable) -> None:
         self.table = table
-        self.log_t = log_t
-        self.t_negative = t_negative
 
     def layer(self, k: int, layer: _CoefficientLayer, running: list[_Running]) -> list[_LayerSums]:
         """Each running member's sums of layer ``k``.
 
-        A member's terms are summed in logs, shifted by its largest term
-        only outside +-600, and correctly rounded (``math.fsum``) for its
-        float total, unless that total is lost or a term reaches
-        ``exp(709)``.
+        A member's terms take its Jack values from the table (a vanishing
+        value leaves a term of log-magnitude ``-inf``, not counted).  They
+        are summed in logs, shifted by the member's largest term only
+        outside +-600, and correctly rounded (``math.fsum``) for its float
+        total, unless that total is lost or a term reaches ``exp(709)``.
         """
-        log_mag, negative, signs, tops, counts = _layer_terms(
-            layer, k, self.table, self.log_t, self.t_negative
-        )
-        size = log_mag.shape[1]
+        jack_values, jack_logs, jack_signs = self.table.layer(k)
+        rows = layer.rows
+        size = rows.size
         if not size:
             return [(0, 0.0, 0.0, 0.0, None)] * len(running)
+        c_values = jack_values[:, rows]
+        negative = layer.negative ^ (c_values < 0.0) ^ (jack_signs < 0)[:, None]
+        counts = None
+        if c_values.all():
+            log_mag = layer.log_coef + np.log(np.abs(c_values)) + jack_logs[:, rows]
+        else:
+            with np.errstate(divide="ignore"):
+                log_mag = layer.log_coef + np.log(np.abs(c_values)) + jack_logs[:, rows]
+            counts = np.count_nonzero(c_values, axis=1).tolist()
+        tops = log_mag.max(axis=1).tolist()
         # log-sum-exp of each row, of its positive and of its negative
         # terms, shifted by the row's largest term only outside +-600
         shifts = [0.0 if -600.0 < top < 600.0 or top == -math.inf else top for top in tops]
@@ -580,10 +588,7 @@ class _TermSums:
                     terms = np.where(negative[row], -terms, terms).tolist()
                 else:
                     if signed is None:
-                        if signs is None:
-                            signed = np.where(negative, -weights, weights).tolist()
-                        else:
-                            signed = (weights * signs).tolist()
+                        signed = np.where(negative, -weights, weights).tolist()
                     terms = signed[row]
                 try:
                     term = math.fsum(terms)
@@ -594,59 +599,7 @@ class _TermSums:
 
     def keep(self, rows: list[int]) -> None:
         """Drop every member but ``rows`` (in their new order)."""
-        if self.table is None:
-            self.log_t = [self.log_t[row] for row in rows]
-            self.t_negative = [self.t_negative[row] for row in rows]
-        else:
-            self.table.keep(np.array(rows))
-
-
-def _layer_terms(
-    layer: _CoefficientLayer,
-    k: int,
-    table: JackTable | None,
-    log_t: list[float],
-    t_negative: list[bool],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, list[float], list[int] | None]:
-    """Layer ``k``'s terms, one row per running member.
-
-    Returns their log-magnitudes and sign flags, their sign factors (None
-    on the table path), each row's largest log-magnitude, and each row's
-    number of nonzero terms (None: all of them).  On the identity path a
-    member's terms are the coefficients plus ``k log|t|``, so the largest
-    is the coefficients' largest plus the same (addition is monotone); on
-    the table path they take the table's Jack values, and a vanishing
-    value leaves a term of log-magnitude ``-inf``.
-    """
-    if table is None:
-        if len(log_t) == 1:  # scalar arithmetic, as cheap as a lone series
-            shift = k * log_t[0]
-            log_mag = (layer.log_coef + shift)[None]
-            if t_negative[0] and k % 2:
-                return log_mag, ~layer.negative[None], -layer.signs[None], [layer.top + shift], None
-            return log_mag, layer.negative[None], layer.signs[None], [layer.top + shift], None
-        shift = k * np.array(log_t)
-        flip = np.array(t_negative) & bool(k % 2)
-        return (
-            layer.log_coef + shift[:, None],
-            layer.negative ^ flip[:, None],
-            layer.signs * np.where(flip, -1.0, 1.0)[:, None],
-            (layer.top + shift).tolist(),
-            None,
-        )
-    jack_values, jack_logs, jack_signs = table.layer(k)
-    rows = layer.rows
-    c_values = jack_values[:, rows]
-    negative = layer.negative ^ (c_values < 0.0) ^ (jack_signs < 0)[:, None]
-    counts = None
-    if c_values.all():
-        log_mag = layer.log_coef + np.log(np.abs(c_values)) + jack_logs[:, rows]
-    else:
-        with np.errstate(divide="ignore"):
-            log_mag = layer.log_coef + np.log(np.abs(c_values)) + jack_logs[:, rows]
-        counts = np.count_nonzero(c_values, axis=1).tolist()
-    tops = log_mag.max(axis=1).tolist() if rows.size else []
-    return log_mag, negative, None, tops, counts
+        self.table.keep(np.array(rows))
 
 
 class _ContractedLayer:
@@ -678,10 +631,11 @@ class _Contraction:
     positive and negative parts of the layer are ``exp(shift + k log|u|)
     (G+-[k] . w)`` with ``w[d] = r**d``; integrated over ``r`` against a
     weight, ``w`` holds its moments instead (:class:`RatioIntegral`).  At
-    ``p = 0``, ``P_kappa(r^q) = r**k P_kappa(1^q)`` and the identity-path
-    coefficients hold ``C_kappa(1^q)``, so only ``d = k`` is nonzero.  Every
-    ``c`` and every ``w`` is nonnegative, so the sign of a term is that of
-    its coefficient (and of ``u**k``).
+    ``p = 0``, ``P_kappa(r^q) = r**k P_kappa(1^q)`` and the identity
+    coefficients hold ``C_kappa(1^q)``, so only ``d = k`` is nonzero; a
+    series of one distinct value ``t`` is this case at ``u = t``, ``r =
+    1``.  Every ``c`` and every ``w`` is nonnegative, so the sign of a
+    term is that of its coefficient (and of ``u**k``).
 
     Layers are built when a series first reaches them, from the cached
     coefficient and pair-coefficient layers of the same weight (looked up,
@@ -738,7 +692,7 @@ def _contraction(
 
 
 class _PairSums:
-    """Layer sums of a group of two-value members from a :class:`_Contraction`.
+    """Layer sums of a group of members from a :class:`_Contraction`.
 
     Member ``i`` is ``u[i]`` with the weights ``w[d] = ratios[i]**d`` (a
     quadrature node), or, with ``ratios`` None, the one member ``u[0]``
@@ -811,7 +765,6 @@ class _PairSums:
 
 def _sum_layers(
     coefficients: _Coefficients,
-    parts: int,
     members: int,
     source: _TermSums | _PairSums,
     tol: float,
@@ -826,7 +779,7 @@ def _sum_layers(
     accumulators and stopping rule (:meth:`_Running.add`) and leaves the
     group when it stops.
     """
-    cap = coefficients.cap
+    cap, parts = coefficients.cap, coefficients.parts
     log_tol = math.log(tol)
     running = [_Running() for _ in range(members)]
     order = list(range(len(running)))  # member number of each running row
@@ -883,26 +836,24 @@ def pFq_alpha(
     magnitude, or exactly when a nonpositive-integer upper parameter
     empties the admissible partition box.
 
-    Each layer of one distinct nonzero argument value ``t``, or of
-    three or more, is whole-array arithmetic: the cached argument-free
-    coefficients of its terms plus ``k log|t|``, or the layer of a
-    :class:`JackTable`, then one log-sum-exp per accumulator and a
-    correctly rounded float sum.  A layer of two distinct values, ``u``
-    and ``u r``, is ``exp(shift + k log|u|)`` times two dot products of
-    the cached sums of :class:`_Contraction` with ``r**d``, its positive
-    and its negative part, and its float sum is their difference.
+    A layer of at most two distinct nonzero values of one sign, ``u`` and
+    ``u r`` (one value ``t`` is ``u = t``, ``r = 1``), is ``exp(shift + k
+    log|u|)`` times two dot products of the cached sums of
+    :class:`_Contraction` with ``r**d``, its positive and its negative
+    part, and its float sum is their difference.  Any other layer is
+    whole-array arithmetic on the cached argument-free coefficients of
+    its terms and the layer of a :class:`JackTable`, then one
+    log-sum-exp per accumulator and a correctly rounded float sum.
 
     One :class:`ArgBlocks` argument is a batch of one row, and one
     :class:`RatioIntegral` a batch of one two-value member whose dot
-    products take the moments of its weight (with the identity-path
-    coefficients when ``p = 0``).  A batch sums every member's series as
-    it would alone, to the bit, with the same stopping rule, checks and
-    diagnostics, but computes each layer for all of them at once
-    (:func:`_batch_groups`): the members with two distinct nonzero values
-    of one sign share one contraction per pair of multiplicities, the
-    other members with more than one distinct value share batched Jack
-    tables of at most :func:`~betagap.jack.batch_nodes` arguments each,
-    and the rest share arrays by their number of nonzero values.
+    products take the moments of its weight.  A batch sums every
+    member's series as it would alone, to the bit, with the same stopping
+    rule, checks and diagnostics, but computes each layer for all of them
+    at once (:func:`_batch_groups`): the members of at most two distinct
+    values share one contraction per pair of multiplicities, and the
+    others share batched Jack tables of at most
+    :func:`~betagap.jack.batch_nodes` arguments each.
 
     Parameters
     ----------
@@ -910,9 +861,11 @@ def pFq_alpha(
         Parameters, deformation ``alpha``, and argument blocks, an
         integrated two-value argument, or a batch of arguments.
     tol : float
-        Relative layer tolerance for the stopping rule.
+        Relative layer tolerance for the stopping rule; finite and
+        positive.
     max_weight : int, optional
-        Weight ceiling (default ``DEFAULT_MAX_WEIGHT``).
+        Weight ceiling (default ``DEFAULT_MAX_WEIGHT``); a nonnegative
+        integer.
 
     Returns
     -------
@@ -922,6 +875,8 @@ def pFq_alpha(
 
     Raises
     ------
+    ValueError
+        If ``tol`` or ``max_weight`` is out of range.
     LowerParameterPoleError
         If a lower-parameter Pochhammer vanishes on a contributing term.
     CancellationError
@@ -931,44 +886,38 @@ def pFq_alpha(
 
     In a batch, the first member to fail raises its error.
     """
+    require_finite("tol", tol, positive=True)
     if max_weight is None:
         max_weight = DEFAULT_MAX_WEIGHT
+    max_weight = counted(max_weight, f"max_weight must be a nonnegative integer, got {max_weight}")
     upper, lower, alpha = spec.upper, spec.lower, float(spec.alpha)
     if isinstance(spec.args, RatioIntegral):
         arg = spec.args
-        parts = arg.p + arg.q
-        coefficients = _coefficients(upper, lower, alpha, parts, arg.q if arg.p == 0 else None)
         contraction = _contraction(upper, lower, alpha, arg.p, arg.q)
+        coefficients = _coefficients(*contraction.coefficient_key)
         source = _PairSums(contraction, [arg.u], None, arg.power, arg.rate)
-        return _sum_layers(coefficients, parts, 1, source, tol, max_weight)[0]
+        return _sum_layers(coefficients, 1, source, tol, max_weight)[0]
     single = isinstance(spec.args, ArgBlocks)
     points = [spec.args.expanded()] if single else spec.args.tolist()
     m = len(points[0])
     results: list[SeriesResult | None] = [None] * len(points)
-    for path, numbers, u, t in _batch_groups(points):
-        identity = path if isinstance(path, int) else None
-        coefficients = _coefficients(upper, lower, alpha, m, identity)
-        if isinstance(path, tuple):
+    for pair, numbers, u, t in _batch_groups(points):
+        if pair is None:
+            coefficients = _coefficients(upper, lower, alpha, m, None)
+        else:
+            p, q = pair
+            coefficients = _coefficients(upper, lower, alpha, m, q if p == 0 else None)
             ratios = np.abs(np.array(t)) / np.abs(np.array(u))
-            source = _PairSums(_contraction(upper, lower, alpha, *path), u, ratios)
-            sums = _sum_layers(coefficients, m, len(numbers), source, tol, max_weight)
-            for row, result in zip(numbers, sums):
-                results[row] = result
-            continue
-        log_t, t_negative = [], []
-        if identity is not None:
-            log_t = [math.log(abs(value)) for value in t]
-            t_negative = [value < 0.0 for value in t]
         depth = None  # deepest weight a chunk of this call has reached
         while numbers:
-            if path is None:
+            if pair is None:
                 size = batch_nodes(alpha, m, depth)
                 chunk, numbers = numbers[:size], numbers[size:]
-                table = JackTable([points[row] for row in chunk], alpha)
+                source = _TermSums(JackTable([points[row] for row in chunk], alpha))
             else:
-                chunk, numbers, table = numbers, [], None
-            source = _TermSums(table, log_t, t_negative)
-            sums = _sum_layers(coefficients, m, len(chunk), source, tol, max_weight)
+                chunk, numbers = numbers, []
+                source = _PairSums(_contraction(upper, lower, alpha, p, q), u, ratios)
+            sums = _sum_layers(coefficients, len(chunk), source, tol, max_weight)
             for row, result in zip(chunk, sums):
                 results[row] = result
             depth = max(depth or 0, *(result.max_weight_used for result in sums))
@@ -976,23 +925,23 @@ def pFq_alpha(
 
 
 def _batch_groups(points: list) -> list[tuple]:
-    """The rows of a batch by path: ``(path, rows, u, t)``.
+    """The rows of a batch by path: ``(pair, rows, u, t)``.
 
-    ``path`` is the number of nonzero values for rows whose nonzero
-    values all equal ``t`` (the identity path; ``t`` is 1 for a row of
-    zeros).  It is ``(p, q)`` for rows of two distinct nonzero values of
-    one sign, ``u`` repeated ``p`` times and ``t`` ``q`` times with
-    ``|u| > |t|`` (:class:`_Contraction`).  It is None for
-    the other rows, with a zero beside other values, values of mixed sign
-    or three or more distinct values (:class:`~betagap.jack.JackTable`).
+    ``pair`` is ``(p, q)`` for rows of at most two distinct nonzero
+    values of one sign, ``u`` repeated ``p`` times and ``t`` ``q`` times
+    with ``|u| > |t|`` (:class:`_Contraction`).  A row whose nonzero
+    values all equal ``t`` is ``(0, q)`` with ``q`` nonzero values and
+    ``u = t`` (``t`` is 1 for a row of zeros).  ``pair`` is None for the
+    other rows, with a zero beside two values, values of mixed sign or
+    three or more distinct values (:class:`~betagap.jack.JackTable`).
     ``u`` and ``t`` hold one value per row where the path has them.
     """
     mixed: list[int] = []
     by_pair: dict[tuple[int, int], tuple[list, list, list]] = {}
-    by_count: dict[int, tuple[list, list, list]] = {}
     for row, values in enumerate(points):
         nonzero = [value for value in values if value != 0.0]
-        t = nonzero[0] if nonzero else 1.0
+        u = t = nonzero[0] if nonzero else 1.0
+        key = 0, len(nonzero)
         if any(value != t for value in nonzero):
             distinct = set(nonzero)
             mixed_signs = min(distinct) < 0.0 < max(distinct)
@@ -1000,15 +949,13 @@ def _batch_groups(points: list) -> list[tuple]:
                 mixed.append(row)
                 continue
             u, t = sorted(distinct, key=abs, reverse=True)
-            rows, us, ts = by_pair.setdefault((values.count(u), values.count(t)), ([], [], []))
-            us.append(u)
-        else:
-            rows, _, ts = by_count.setdefault(len(nonzero), ([], [], []))
+            key = values.count(u), values.count(t)
+        rows, us, ts = by_pair.setdefault(key, ([], [], []))
         rows.append(row)
+        us.append(u)
         ts.append(t)
     groups = [(None, mixed, [], [])] if mixed else []
-    groups += [(pair, *by_pair[pair]) for pair in sorted(by_pair)]
-    return groups + [(count, *by_count[count]) for count in sorted(by_count)]
+    return groups + [(pair, *by_pair[pair]) for pair in sorted(by_pair)]
 
 
 def _signed_log_diff(log_pos: float, log_neg: float) -> tuple[float, int]:

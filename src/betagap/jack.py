@@ -3,12 +3,14 @@
 ``C_kappa`` denotes the normalization with ``sum_{|kappa|=k} C_kappa(x)
 = (x_1 + ... + x_m)**k``.  Which evaluator serves which argument:
 
-- one distinct nonzero value (every ``E(0)`` series): the closed-form
-  identity evaluation ``x**|kappa| C_kappa(1, ..., 1)``.  The series of
+- one distinct nonzero value (every ``E(0)`` series): the closed form
+  ``x**|kappa| C_kappa(1, ..., 1)``, with no table.  The series of
   :mod:`betagap.hypergeom` takes ``C_kappa(1, ..., 1)`` into its cached
   coefficient layers, with the hook products summed over the same
   constant-leg runs as the strip table's normalization
-  (:func:`_hook_log_sums`, :func:`_subtract_hook_runs`);
+  (:func:`_hook_log_sums`, :func:`_subtract_hook_runs`), and sums them
+  over the partitions as the ``p = 0``, ``r = 1`` case of the two-value
+  contraction below;
 - two distinct nonzero values of one sign, ``u`` repeated ``p`` times
   and ``v`` ``q`` times with ``|u| > |v|`` (the quadrature nodes of
   ``E(2)`` at ``a = 0``, and ``E(1)`` integrated over ``r = v / u``):
@@ -207,6 +209,10 @@ class _StripTable:
         per_kappa = radix.prod(axis=1)
         total = int(per_kappa.sum())
         if self.pairs + total > MAX_STRIP_PAIRS:
+            # a table at the budget holds tens of MB; a functools cache
+            # cannot drop one entry, and the error is rare: empty both
+            _strip_table.cache_clear()
+            _pair_coefficients.cache_clear()
             raise ResourceLimitError(
                 f"Jack strip table at alpha={self.alpha} with {parts} variables "
                 f"would exceed {MAX_STRIP_PAIRS} strips at weight {k}"

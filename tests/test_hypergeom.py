@@ -612,6 +612,30 @@ def test_two_value_rows_build_no_jack_table(monkeypatch: pytest.MonkeyPatch) -> 
         assert result == pFq_alpha(HypergeomSpec((), (4.0,), 1.0, ArgBlocks.from_values(row)))
 
 
+def test_one_value_rows_take_the_contraction(monkeypatch: pytest.MonkeyPatch) -> None:
+    # An E(0) series and a batch of one-value rows (negative values, a row
+    # of zeros, zeros beside one value) build no JackTable and no
+    # _TermSums, and an E(0) series builds one coefficient entry.
+    built = _count_jack_tables(monkeypatch)
+    term_sums: list = []
+
+    class Counted(hypergeom._TermSums):
+        def __init__(self, table) -> None:
+            term_sums.append(table)
+            super().__init__(table)
+
+    monkeypatch.setattr(hypergeom, "_TermSums", Counted)
+    hypergeom._coefficients.cache_clear()
+    _, series = exact_E0_hard_detailed(6.0, 1.5, 4.0)
+    assert series.term_count > 1
+    assert hypergeom._coefficients.cache_info().currsize == 1
+    rows = np.array([(0.7, 0.7, 0.7), (-0.4, -0.4, -0.4), (0.0, 0.0, 0.0), (0.0, 0.9, 0.9)])
+    batch = pFq_alpha(HypergeomSpec((-3.0,), (4.0,), 1.0, rows))
+    assert built == [] and term_sums == []
+    for row, result in zip(rows, batch):
+        assert result == pFq_alpha(HypergeomSpec((-3.0,), (4.0,), 1.0, ArgBlocks.from_values(row)))
+
+
 def test_two_value_series_meets_the_strip_budget(monkeypatch: pytest.MonkeyPatch) -> None:
     # A series on the two-value path raises at the weight where JackTable
     # meets the strip budget, with the same message.
@@ -731,9 +755,12 @@ class _NodeWeights:
     def source(self, contraction, u: float):
         return hypergeom._PairSums(contraction, [u], np.array([self.r]))
 
-    def per_partition(self, k: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def per_partition(self, k: int, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
         """Each live partition's ``sum_d c[d, kappa] w_d``, and every
-        partition's ``log(C/P)``."""
+        partition's ``log(C/P)``; at ``p = 0``, ``r = 1`` (one distinct
+        value) the identity coefficients hold all of ``C_kappa(1^q)``."""
+        if self.p == 0:
+            return np.ones(len(rows)), None
         values, log_norm, _ = pair_layer(1.0, self.r, self.p, self.q, self.alpha, k)
         return values[rows], log_norm
 
@@ -764,12 +791,15 @@ class _MomentWeights:
 def test_contracted_layers_match_partition_sums(alpha: float) -> None:
     # A quadrature node's layer: G+-[k] . r**d against the Horner value of
     # every partition's polynomial in r, with its coefficient, in the same
-    # scale.
+    # scale; and a one-value layer, p = 0 at r = 1.
     for upper in [(), (-5.0,)]:
         for p, q in PAIR_SHAPES:
             for r in (0.03, 0.5, 0.97):
                 for u in (1.3, -1.3):
                     _check_contracted_layers(upper, alpha, p, q, u, _NodeWeights(r, p, q, alpha))
+        for q in (1, 2, 3):
+            for u in (1.3, -1.3):
+                _check_contracted_layers(upper, alpha, 0, q, u, _NodeWeights(1.0, 0, q, alpha))
 
 
 @pytest.mark.parametrize("power", [0, 1, 2])
@@ -826,6 +856,9 @@ def test_integrated_series_meets_the_strip_budget_where_it_did(args, alpha, part
             f"Jack strip table at alpha={alpha} with {parts} variables would exceed "
             f"2000000 strips at weight {weight}"
         )
+        # the error leaves no strip table behind
+        assert jack._strip_table.cache_info().currsize == 0
+        assert jack._pair_coefficients.cache_info().currsize == 0
         p = round(args[1] * args[2] / 2.0)
         contraction = hypergeom._contraction((), (args[1] + 2.0,), alpha, p, round(args[2]))
         assert len(contraction.layers) == weight
@@ -880,6 +913,54 @@ def test_batch_raises_its_failing_members_error() -> None:
         HypergeomSpec((), (4.0,), 1.0, np.zeros(3))
 
 
+@pytest.mark.parametrize(
+    "change, options, field",
+    [
+        ({"args": ArgBlocks.from_values((math.nan, math.nan))}, {}, "argument value"),
+        ({"args": ArgBlocks(((math.inf, 2),))}, {}, "argument value"),
+        ({"args": np.array([[0.5, math.nan, math.nan]])}, {}, "argument value"),
+        ({"upper": (math.nan,)}, {}, "upper parameter"),
+        ({"lower": (-math.inf,)}, {}, "lower parameter"),
+        ({"alpha": math.nan}, {}, "alpha"),
+        ({"alpha": 0.0}, {}, "alpha"),
+        ({}, {"tol": math.nan}, "tol"),
+        ({}, {"tol": 0.0}, "tol"),
+        ({}, {"tol": -1.0}, "tol"),
+        ({}, {"max_weight": -1}, "max_weight"),
+        ({}, {"max_weight": 2.5}, "max_weight"),
+    ],
+    ids=[
+        "nan-args", "inf-arg", "nan-batch", "nan-upper", "inf-lower", "nan-alpha",
+        "zero-alpha", "nan-tol", "zero-tol", "negative-tol", "negative-max-weight",
+        "fractional-max-weight",
+    ],
+)
+def test_series_rejects_bad_inputs(change: dict, options: dict, field: str) -> None:
+    # Each bad field raises ValueError naming it, before any layer is built.
+    fields = {"upper": (), "lower": (4.0,), "alpha": 1.0, "args": ArgBlocks(((0.5, 2),))}
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        pFq_alpha(HypergeomSpec(**{**fields, **change}), **options)
+
+
+@pytest.mark.parametrize(
+    "upper, lower, alpha, t", [((-40.0,), (2.0,), 1.0, -400.0), ((-60.0,), (4.0,), 0.5, -60.0)]
+)
+def test_alternating_one_value_series_sums_its_coefficients(upper, lower, alpha, t) -> None:
+    # An alternating finite-size series of t repeated twice: its float value
+    # against a 60-digit sum of the same float coefficients times t**k, over
+    # the layers it summed.
+    result = pFq_alpha(HypergeomSpec(upper, lower, alpha, ArgBlocks(((t, 2),))))
+    coefficients = hypergeom._coefficients(upper, lower, alpha, 2, 2)
+    with mp.workdps(60):
+        total = mp.mpf(0)
+        for k in range(result.max_weight_used + 1):
+            layer = coefficients.layer(k)
+            for log_coef, negative in zip(layer.log_coef.tolist(), layer.negative.tolist()):
+                term = mp.exp(mp.mpf(log_coef)) * mp.mpf(t) ** k
+                total += -term if negative else term
+        assert abs(result.value - total) <= 1e-15 * abs(total)
+
+
 # Whole single-series results, every field to the bit, as the series gave
 # them when a single series had an entry path of its own beside the batch:
 # the hard-edge series at s = 6 with m = beta a / 2 in {0, 1, 3} repeated
@@ -921,7 +1002,7 @@ def test_hard_edge_series_pinned_bits(key: tuple[float, int]) -> None:
 def test_finite_size_series_pinned_bits() -> None:
     log_value, series = exact_E0_finiteN_detailed(0.5, 1.0, 4.0, 5)
     assert log_value == -1.3839272742721835
-    assert series == SeriesResult(37.19122051366841, 3.6160727257278165, 1, 10, 0.0, True, 21)
+    assert series == SeriesResult(37.191220513668405, 3.6160727257278165, 1, 10, 0.0, True, 21)
 
 
 def test_table_path_series_pinned_bits() -> None:
