@@ -210,7 +210,8 @@ def torus_E0_finiteN(
     Raises
     ------
     QuadratureError
-        If the value lies outside ``[0, 1 + tol]``.
+        If the value lies outside ``[0, 1 + tol]`` or below the smallest
+        normal float.
     """
     require_finite("beta", beta, positive=True)
     m = _dimension(a, beta)
@@ -241,8 +242,8 @@ def torus_E0_finiteN(
     value = _torus_trapezoid(
         nodes, 512 if m == 1 else 256, m, beta, tol, "torus finite-size integral"
     )
-    value = math.exp(-beta * N * s / 2.0 - log_morris) * value
-    return _probability(value, tol, "torus finite-size integral")
+    log_pref = -beta * N * s / 2.0 - log_morris
+    return _scaled_probability(log_pref, value, tol, "torus finite-size integral")
 
 
 def torus_E0_hard(
@@ -357,12 +358,13 @@ def _contour_components(
     block takes the principal branch (continuous along it); both ray
     edges sit at the same points, so it is contracted once with the sum
     of their amplitudes.  Both blocks are built ``_ROW_BLOCK`` circle
-    rows at a time.  The ray-ray block is omitted because it vanishes
-    identically: against a common real kernel its four edge combinations
-    contribute the phase sum ``2 cos(pi p) - 2 cos(2 pi q - pi p)`` with
-    ``p = 2/beta`` (mixed edges give the first cosine, equal edges the
-    second), and with ``q = p - 1`` the two cosines coincide for every
-    ``beta``.
+    rows at a time.  The ray-ray block is omitted.  Against a common real
+    kernel its four edge combinations carry the phase factor ``2 cos(pi
+    p) - 2 cos(3 pi p)`` with ``p = 2/beta`` (mixed edges give the first
+    cosine; equal edges the second, with phase ``e^{+i pi p}`` on the
+    upper edge and ``e^{-i pi p}`` on the lower), which is zero only when
+    ``4/beta`` is an integer.  That is why :func:`hard_contour_E0` admits
+    dimension 2 only there.
     """
     m = _dimension(a, beta)
     q = 2.0 / beta - 1.0

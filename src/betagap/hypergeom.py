@@ -13,26 +13,28 @@ The argument-free part of each term (the Pochhammer ratio, ``1/k!`` and,
 when the argument has one distinct nonzero value, ``C_kappa(1, ..., 1)``)
 is built once per parameter set, ``alpha`` and number of variables, and
 cached a layer at a time, so every node of one quadrature and every
-``s`` of a sweep share it (the Koev–Edelman economy).  A layer takes
-one of two paths.  An argument of at most two distinct nonzero values
-of one sign, ``u`` repeated ``p`` times and ``u r`` ``q`` times (zeros
-aside when ``p = 0``), applies nothing per partition at all: its layer
-depends on it only through ``u**k`` and the vector ``w_d = r**d``, so
-each term's other factors (its coefficient and, for ``p > 0``,
-``C_kappa/P_kappa`` and the coefficients ``c[d, kappa]`` of
-``P_kappa(1^p, r^q)``, from :func:`~betagap.jack._pair_coefficients`)
-are summed over the partitions into ``G+-[k, d]``, one sum per sign of
-coefficient (:class:`_Contraction`).  One distinct value ``t`` is the
-``p = 0``, ``r = 1`` case, whose coefficients hold ``C_kappa(1^q)``.
-These sums are cached per parameter set, ``alpha``, ``p`` and ``q``, a
-layer at a time as a series first reaches it, and a layer costs each
-member two dot products of length ``k + 1``.  A :class:`RatioIntegral`
-argument, the two-value argument integrated over ``r``, takes the
-moments of its weight for ``w``.  Any other argument is its node of a
-batched :class:`~betagap.jack.JackTable`, extended a weight layer at a
-time as the sum goes deeper.  A batch (the nodes of one quadrature
-level) sums its series together, one layer for all of them at a time,
-each with its own accumulators and stopping rule
+``s`` of a sweep share it (the Koev–Edelman economy).  A layer comes
+from one of two sources, each carrying the coefficient entry it reads,
+which sets where the series terminates and meets a pole.  An argument
+of at most two distinct nonzero values of one sign, ``u`` repeated
+``p`` times and ``u r`` ``q`` times (zeros aside when ``p = 0``),
+applies nothing per partition at all: its layer depends on it only
+through ``u**k`` and the vector ``w_d = r**d``, so each term's other
+factors (its coefficient and, for ``p > 0``, ``C_kappa/P_kappa`` and the
+coefficients ``c[d, kappa]`` of ``P_kappa(1^p, r^q)``, from
+:func:`~betagap.jack._pair_coefficients`) are summed over the partitions
+into ``G+-[k, d]``, one sum per sign of coefficient
+(:class:`_Contraction`).  One distinct value ``t`` is the ``p = 0``,
+``r = 1`` case over the nonzero variables, whose coefficients hold
+``C_kappa(1^q)``.  These sums are cached per parameter set, ``alpha``,
+``p`` and ``q``, a layer at a time as a series first reaches it, and a
+layer costs each member two dot products of length ``k + 1``.  A
+:class:`RatioIntegral` argument, the two-value argument integrated over
+``r``, takes the moments of its weight for ``w``.  Any other argument is
+its node of a batched :class:`~betagap.jack.JackTable`, extended a
+weight layer at a time as the sum goes deeper.  A batch (the nodes of
+one quadrature level) sums its series together, one layer for all of
+them at a time, each with its own accumulators and stopping rule
 (:meth:`_Running.add`); a single series is a batch of one row, on the
 same path.  The series calls no one-partition form; the reference
 evaluators that tests check its layers against live in
@@ -42,7 +44,6 @@ evaluators that tests check its layers against live in
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,6 +59,7 @@ from .errors import (
 from .jack import (
     JackTable,
     _hook_log_sums,
+    _Layers,
     _pair_coefficients,
     _subtract_hook_runs,
     batch_nodes,
@@ -264,8 +266,7 @@ class _CoefficientLayer:
     ``nonempty`` says whether the layer has a partition inside the
     termination box; ``pole`` is the message of the first lower-parameter
     pole among its terms, if any.  Otherwise ``rows`` numbers the terms
-    whose upper Pochhammer symbols do not vanish (and, with identity
-    coefficients, whose ``C_kappa(1, ..., 1)`` does not), in the order of
+    whose upper Pochhammer symbols do not vanish, in the order of
     ``partitions_of_weight(k, parts)``, and ``log_coef`` and ``negative``
     give each one's log-magnitude and sign.
     """
@@ -298,24 +299,24 @@ def _pochhammer_tables(
     return logs, negatives, zeros
 
 
-def _content_log_sums(alpha: float, n: int, rows: int, top: int) -> np.ndarray:
+def _content_log_sums(alpha: float, n: int, top: int) -> np.ndarray:
     """``S[i, c] = sum_{j<c} log(n - i + alpha j)``: the contents of the
     first ``c`` cells of row ``i`` in ``C_kappa`` at ``n`` ones."""
-    contents = (n - np.arange(rows))[:, None] + alpha * np.arange(top)[None, :]
-    table = np.zeros((rows, top + 1))
+    contents = (n - np.arange(n))[:, None] + alpha * np.arange(top)[None, :]
+    table = np.zeros((n, top + 1))
     np.cumsum(np.log(contents), axis=1, out=table[:, 1:])
     return table
 
 
-class _Coefficients:
+class _Coefficients(_Layers):
     """The argument-free part of every term of a series, layer by layer.
 
     A term is ``prod_a [a]_kappa / prod_b [b]_kappa * C_kappa(x) / k!``.
     Everything but ``C_kappa(x)`` depends only on the parameters,
-    ``alpha`` and the number of variables ``parts``.  With ``identity``
-    set, for an argument ``t`` repeated ``identity`` times (zeros aside),
-    ``C_kappa(x) = t**k C_kappa(1, ..., 1)`` and the coefficient takes
-    ``C_kappa(1, ..., 1)`` too, leaving ``t**k`` to the ``p = 0``
+    ``alpha`` and the number of variables ``parts``.  An entry is plain,
+    or ``at_ones``: for an argument ``t`` repeated ``parts`` times,
+    ``C_kappa(x) = t**k C_kappa(1^parts)``, and the coefficient takes
+    ``C_kappa(1^parts)`` too, leaving ``t**k`` to the ``p = 0``
     contraction (:class:`_Contraction`).  Its ``k!`` cancels the series'
     ``1 / k!``:
 
@@ -326,8 +327,7 @@ class _Coefficients:
     tables indexed by the parts of a padded partition matrix, never a
     loop over cells.  A table row extends its sum one box at a time, so a
     layer reads the same floats however far the tables were built.
-    Layers are built on first use, with every layer below them, under a
-    lock, so threads may share one entry.
+    Layers are built on first use (:class:`~betagap.jack._Layers`).
     """
 
     def __init__(
@@ -336,36 +336,26 @@ class _Coefficients:
         lower: tuple[float, ...],
         alpha: float,
         parts: int,
-        identity: int | None,
+        at_ones: bool,
     ) -> None:
+        super().__init__()
         self.upper = upper
         self.lower = lower
         self.alpha = alpha
         self.parts = parts
-        self.identity = identity
+        self.at_ones = at_ones
         self.cap = _termination_cap(upper)
-        self.layers: list[_CoefficientLayer] = []
         self._top = -1
-        self._lock = threading.Lock()
-
-    def layer(self, k: int) -> _CoefficientLayer:
-        """Layer ``k``, built (with every layer below it) on first use."""
-        if k >= len(self.layers):
-            with self._lock:
-                while len(self.layers) <= k:
-                    self._build(len(self.layers))
-        return self.layers[k]
 
     def _grow(self, k: int) -> None:
         self._top = top = max(2 * self._top, k, 16)
         alpha, parts = self.alpha, self.parts
         self._upper = [_pochhammer_tables(a, alpha, parts, top) for a in self.upper]
         self._lower = [_pochhammer_tables(b, alpha, parts, top) for b in self.lower]
-        if self.identity is not None:
+        if self.at_ones:
             self._upper_hooks = _hook_log_sums(alpha, parts - 1, top, upper=True)
             self._lower_hooks = _hook_log_sums(alpha, parts - 1, top)
-            rows = min(parts, self.identity)
-            self._contents = _content_log_sums(alpha, self.identity, rows, top)
+            self._contents = _content_log_sums(alpha, parts, top)
 
     def _build(self, k: int) -> None:
         if k > self._top:
@@ -378,10 +368,10 @@ class _Coefficients:
         if self.cap is not None:
             rows = rows[padded[:, 0] <= self.cap]
             padded = padded[rows]
-        if self.identity is None:
-            log_coef = np.full(len(rows), -math.lgamma(k + 1))
-        else:
+        if self.at_ones:
             log_coef = np.full(len(rows), k * math.log(self.alpha))
+        else:
+            log_coef = np.full(len(rows), -math.lgamma(k + 1))
         negatives = np.zeros(len(rows), dtype=np.int64)
         upper_zero = np.zeros(len(rows), dtype=bool)
         cells = np.arange(self.parts), padded[:, : self.parts]
@@ -402,13 +392,10 @@ class _Coefficients:
             no_terms = rows[:0], np.zeros(0), np.zeros(0, dtype=bool)
             self.layers.append(_CoefficientLayer(True, message, *no_terms))
             return
-        if self.identity is not None:
-            if self.identity < self.parts:
-                live &= padded[:, self.identity] == 0
+        if self.at_ones:
             _subtract_hook_runs(log_coef, self._upper_hooks, padded)
             _subtract_hook_runs(log_coef, self._lower_hooks, padded)
-            rows_n = self._contents.shape[0]
-            log_coef += self._contents[np.arange(rows_n), padded[:, :rows_n]].sum(axis=1)
+            log_coef += self._contents[cells].sum(axis=1)
         arrays = rows[live], log_coef[live], negatives[live] % 2 == 1
         for array in arrays:  # shared by every caller of the cached entry
             array.flags.writeable = False
@@ -421,10 +408,10 @@ def _coefficients(
     lower: tuple[float, ...],
     alpha: float,
     parts: int,
-    identity: int | None,
+    at_ones: bool,
 ) -> _Coefficients:
     """The coefficient layers of one parameter set, shared by every argument."""
-    return _Coefficients(upper, lower, alpha, parts, identity)
+    return _Coefficients(upper, lower, alpha, parts, at_ones)
 
 
 def _log_add(a: float, b: float) -> float:
@@ -438,15 +425,14 @@ class _Running:
     """The accumulators of one member's series while it runs."""
 
     __slots__ = (
-        "log_pos", "log_neg", "log_abs_total", "float_sum", "float_comp",
-        "float_dead", "term_count", "small_layers", "last_layer", "weight_used",
+        "log_pos", "log_neg", "float_sum", "float_comp", "float_dead",
+        "term_count", "small_layers", "last_layer", "weight_used",
         "terminated_exactly",
     )
 
     def __init__(self) -> None:
         self.log_pos = -math.inf
         self.log_neg = -math.inf
-        self.log_abs_total = -math.inf
         self.float_sum = 0.0
         self.float_comp = 0.0
         self.float_dead = False
@@ -472,7 +458,6 @@ class _Running:
         if count:
             self.term_count += count
             layer_log = shift + math.log(pos + neg)
-            self.log_abs_total = _log_add(self.log_abs_total, layer_log)
             if pos:
                 self.log_pos = _log_add(self.log_pos, shift + math.log(pos))
             if neg:
@@ -504,9 +489,9 @@ class _Running:
         if the series is lost."""
         log_s, sign_s = _signed_log_diff(self.log_pos, self.log_neg)
         if self.log_neg > -math.inf:
-            # log_s == -inf means the positive and negative totals agree to
-            # the last bit — cancellation beyond float resolution, not a zero.
-            excess = math.inf if log_s == -math.inf else self.log_abs_total - log_s
+            # log_s == -inf (the totals agree to the last bit: cancellation
+            # beyond float resolution, not a zero) makes the excess inf.
+            excess = _log_add(self.log_pos, self.log_neg) - log_s
             if excess > math.log(CONDITION_LIMIT):
                 raise CancellationError(
                     f"series lost to cancellation: summed magnitude exceeds "
@@ -536,13 +521,14 @@ _LayerSums = tuple[int, float, float, float, "float | None"]
 
 
 class _TermSums:
-    """Layer sums of a group of members from the layers of a
+    """Layer sums of a group of members from plain ``coefficients`` and a
     :class:`JackTable`, whose row ``i`` is member ``i``'s argument."""
 
-    def __init__(self, table: JackTable) -> None:
+    def __init__(self, table: JackTable, coefficients: _Coefficients) -> None:
         self.table = table
+        self.coefficients = coefficients
 
-    def layer(self, k: int, layer: _CoefficientLayer, running: list[_Running]) -> list[_LayerSums]:
+    def layer(self, k: int, running: list[_Running]) -> list[_LayerSums]:
         """Each running member's sums of layer ``k``.
 
         A member's terms take its Jack values from the table (a vanishing
@@ -552,6 +538,7 @@ class _TermSums:
         total, unless that total is lost or a term reaches ``exp(709)``.
         """
         jack_values, jack_logs, jack_signs = self.table.layer(k)
+        layer = self.coefficients.layer(k)
         rows = layer.rows
         size = rows.size
         if not size:
@@ -620,7 +607,7 @@ class _ContractedLayer:
         self.count, self.shift, self.weights = count, shift, weights
 
 
-class _Contraction:
+class _Contraction(_Layers):
     """The two-value layers of one ``(upper, lower, alpha, p, q)``, with
     every factor but the argument summed over the partitions.
 
@@ -631,38 +618,29 @@ class _Contraction:
     positive and negative parts of the layer are ``exp(shift + k log|u|)
     (G+-[k] . w)`` with ``w[d] = r**d``; integrated over ``r`` against a
     weight, ``w`` holds its moments instead (:class:`RatioIntegral`).  At
-    ``p = 0``, ``P_kappa(r^q) = r**k P_kappa(1^q)`` and the identity
+    ``p = 0``, ``P_kappa(r^q) = r**k P_kappa(1^q)`` and the at-ones
     coefficients hold ``C_kappa(1^q)``, so only ``d = k`` is nonzero; a
     series of one distinct value ``t`` is this case at ``u = t``, ``r =
     1``.  Every ``c`` and every ``w`` is nonnegative, so the sign of a
     term is that of its coefficient (and of ``u**k``).
 
     Layers are built when a series first reaches them, from the cached
-    coefficient and pair-coefficient layers of the same weight (looked up,
-    not held, so their own caches bound their memory), under a lock, so
-    threads may share one entry.
+    layers of the same weight of ``coefficient_key`` and the pair
+    coefficients (looked up, not held, so their own caches bound their
+    memory), on first use (:class:`~betagap.jack._Layers`).
     """
 
     def __init__(
         self, upper: tuple[float, ...], lower: tuple[float, ...], alpha: float, p: int, q: int
     ) -> None:
-        self.coefficient_key = upper, lower, alpha, p + q, q if p == 0 else None
+        super().__init__()
+        self.coefficient_key = upper, lower, alpha, p + q, p == 0
         self.alpha, self.p, self.q = alpha, p, q
-        self.layers: list[_ContractedLayer] = []
-        self._lock = threading.Lock()
-
-    def layer(self, k: int) -> _ContractedLayer:
-        """Layer ``k``, built (with every layer below it) on first use."""
-        if k >= len(self.layers):
-            with self._lock:
-                while len(self.layers) <= k:
-                    self._build(len(self.layers))
-        return self.layers[k]
 
     def _build(self, k: int) -> None:
         coefficients = _coefficients(*self.coefficient_key).layer(k)
         rows = coefficients.rows
-        if coefficients.pole is not None or not rows.size:
+        if not rows.size:  # no live term, or a pole
             self.layers.append(_ContractedLayer(0, 0.0, None))
             return
         logs = coefficients.log_coef
@@ -692,7 +670,8 @@ def _contraction(
 
 
 class _PairSums:
-    """Layer sums of a group of members from a :class:`_Contraction`.
+    """Layer sums of a group of members from a :class:`_Contraction` and
+    its ``coefficients``.
 
     Member ``i`` is ``u[i]`` with the weights ``w[d] = ratios[i]**d`` (a
     quadrature node), or, with ``ratios`` None, the one member ``u[0]``
@@ -707,6 +686,7 @@ class _PairSums:
         power: int = 0, rate: float = 0.0,
     ) -> None:
         self.contraction = contraction
+        self.coefficients = _coefficients(*contraction.coefficient_key)
         self.abs_u = [abs(value) for value in u]
         self.log_u = [math.log(value) for value in self.abs_u]
         self.u_negative = [value < 0.0 for value in u]
@@ -715,9 +695,8 @@ class _PairSums:
         self._exp_rate = math.exp(rate) if rate < 709.0 else math.inf
         self._weights = np.zeros((len(u), 0))
 
-    def layer(self, k: int, layer: _CoefficientLayer, running: list[_Running]) -> list[_LayerSums]:
-        """Each running member's sums of layer ``k``.  ``layer`` goes
-        unread: the contraction holds what the sums need of it."""
+    def layer(self, k: int, running: list[_Running]) -> list[_LayerSums]:
+        """Each running member's sums of layer ``k``."""
         contracted = self.contraction.layer(k)
         if contracted.weights is None:
             return [(0, 0.0, 0.0, 0.0, None)] * len(running)
@@ -764,21 +743,21 @@ class _PairSums:
 
 
 def _sum_layers(
-    coefficients: _Coefficients,
-    members: int,
     source: _TermSums | _PairSums,
+    members: int,
     tol: float,
     max_weight: int,
 ) -> list[SeriesResult]:
     """Sum the series of one group of ``members`` layer by layer, and
     return each one's outcome (:meth:`_Running.outcome`).
 
-    The members share ``coefficients``, which set where the series
-    terminates or meets a pole; ``source`` gives each running member's
-    sums of a layer, all of them at once.  Each member keeps its own
+    ``source`` gives each running member's sums of a layer, all of them
+    at once, and its ``coefficients``, which the members share, set where
+    the series terminates or meets a pole.  Each member keeps its own
     accumulators and stopping rule (:meth:`_Running.add`) and leaves the
     group when it stops.
     """
+    coefficients = source.coefficients
     cap, parts = coefficients.cap, coefficients.parts
     log_tol = math.log(tol)
     running = [_Running() for _ in range(members)]
@@ -806,7 +785,7 @@ def _sum_layers(
                 state.terminated_exactly = k > 0
             break
         stopped = []
-        for row, sums in enumerate(source.layer(k, layer, running)):
+        for row, sums in enumerate(source.layer(k, running)):
             if running[row].add(k, *sums, log_tol):
                 stopped.append(row)
         if stopped:
@@ -878,7 +857,8 @@ def pFq_alpha(
     ValueError
         If ``tol`` or ``max_weight`` is out of range.
     LowerParameterPoleError
-        If a lower-parameter Pochhammer vanishes on a contributing term.
+        If a lower-parameter Pochhammer vanishes on a contributing term
+        (or, with zeros beside two or more values, on a term they annul).
     CancellationError
         If sign-mixing terms exceed ``CONDITION_LIMIT`` times the result.
     NonConvergenceError
@@ -894,30 +874,25 @@ def pFq_alpha(
     if isinstance(spec.args, RatioIntegral):
         arg = spec.args
         contraction = _contraction(upper, lower, alpha, arg.p, arg.q)
-        coefficients = _coefficients(*contraction.coefficient_key)
         source = _PairSums(contraction, [arg.u], None, arg.power, arg.rate)
-        return _sum_layers(coefficients, 1, source, tol, max_weight)[0]
+        return _sum_layers(source, 1, tol, max_weight)[0]
     single = isinstance(spec.args, ArgBlocks)
     points = [spec.args.expanded()] if single else spec.args.tolist()
     m = len(points[0])
     results: list[SeriesResult | None] = [None] * len(points)
     for pair, numbers, u, t in _batch_groups(points):
-        if pair is None:
-            coefficients = _coefficients(upper, lower, alpha, m, None)
-        else:
-            p, q = pair
-            coefficients = _coefficients(upper, lower, alpha, m, q if p == 0 else None)
-            ratios = np.abs(np.array(t)) / np.abs(np.array(u))
         depth = None  # deepest weight a chunk of this call has reached
         while numbers:
             if pair is None:
                 size = batch_nodes(alpha, m, depth)
                 chunk, numbers = numbers[:size], numbers[size:]
-                source = _TermSums(JackTable([points[row] for row in chunk], alpha))
+                table = JackTable([points[row] for row in chunk], alpha)
+                source = _TermSums(table, _coefficients(upper, lower, alpha, m, False))
             else:
                 chunk, numbers = numbers, []
-                source = _PairSums(_contraction(upper, lower, alpha, p, q), u, ratios)
-            sums = _sum_layers(coefficients, len(chunk), source, tol, max_weight)
+                ratios = np.abs(np.array(t)) / np.abs(np.array(u))
+                source = _PairSums(_contraction(upper, lower, alpha, *pair), u, ratios)
+            sums = _sum_layers(source, len(chunk), tol, max_weight)
             for row, result in zip(chunk, sums):
                 results[row] = result
             depth = max(depth or 0, *(result.max_weight_used for result in sums))

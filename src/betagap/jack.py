@@ -132,6 +132,26 @@ def _rank_tables(parts: int, top: int) -> list[np.ndarray]:
     return tables
 
 
+class _Layers:
+    """Layers of a cached table, built on first use, each with every layer
+    below it, under a lock, so threads may share one entry.
+
+    A subclass appends layer ``k`` to ``layers`` in ``_build(k)``.
+    """
+
+    def __init__(self) -> None:
+        self.layers: list = []
+        self._lock = threading.Lock()
+
+    def layer(self, k: int):
+        """Layer ``k``, built (with every layer below it) on first use."""
+        if k >= len(self.layers):
+            with self._lock:
+                while len(self.layers) <= k:
+                    self._build(len(self.layers))
+        return self.layers[k]
+
+
 @dataclass(frozen=True, slots=True)
 class _StripLayer:
     """The horizontal strips ``kappa/mu`` of one weight layer ``|kappa| = k``."""
@@ -146,7 +166,7 @@ class _StripLayer:
     log_norm: np.ndarray
 
 
-class _StripTable:
+class _StripTable(_Layers):
     """Jack branching coefficients for partitions of at most ``parts`` parts.
 
     ``P_kappa(x_1..x_j) = sum_mu P_mu(x_1..x_{j-1}) x_j^{|kappa/mu|}
@@ -172,24 +192,15 @@ class _StripTable:
     """
 
     def __init__(self, alpha: float, parts: int) -> None:
+        super().__init__()
         self.alpha = alpha
         self.parts = parts
-        self.layers: list[_StripLayer] = []
         self.offsets = [0]  # number of the first partition of each weight
         self.pairs = 0
         self._top = -1
         self._hooks = np.ones((parts, 1))
         self._lower = np.zeros((parts, 1))
         self._ranks: list[np.ndarray] = []
-        self._lock = threading.Lock()
-
-    def layer(self, k: int) -> _StripLayer:
-        """Layer ``k``, built (with every layer below it) on first use."""
-        if k >= len(self.layers):
-            with self._lock:
-                while len(self.layers) <= k:
-                    self._build(len(self.layers))
-        return self.layers[k]
 
     def _build(self, k: int) -> None:
         parts = self.parts
@@ -410,7 +421,7 @@ class JackTable:
         self._done = k
 
 
-class _PairCoefficients:
+class _PairCoefficients(_Layers):
     """``c[d, kappa]`` of ``P_kappa(1^p, r^q) = sum_d c[d, kappa] r**d``,
     a weight layer at a time.
 
@@ -420,28 +431,18 @@ class _PairCoefficients:
     per partition, and an ``r``-valued row holds, per partition ``mu`` of
     weight ``w``, the ``w + 1`` coefficients of its polynomial in ``r``,
     each strip shifting the degree by its size.  Layer ``k`` is the last
-    row's ``(k + 1, partitions)`` array, read-only.  Layers are built on
-    first use, with every layer below them, under a lock, so threads may
-    share one entry.
+    row's ``(k + 1, partitions)`` array, read-only, built on first use
+    (:class:`_Layers`).
     """
 
     def __init__(self, alpha: float, p: int, q: int) -> None:
+        super().__init__()
         self.p = p
         self.strips = _strip_table(alpha, p + q)
-        self.layers: list[np.ndarray] = []
         self._ones = np.zeros((p + 1, 8))
         self._ones[0, 0] = 1.0
         # per r-valued row, one (w + 1, partitions) array per weight w
         self._rows: list[list[np.ndarray]] = [[] for _ in range(q)]
-        self._lock = threading.Lock()
-
-    def layer(self, k: int) -> np.ndarray:
-        """Layer ``k``, built (with every layer below it) on first use."""
-        if k >= len(self.layers):
-            with self._lock:
-                while len(self.layers) <= k:
-                    self._build(len(self.layers))
-        return self.layers[k]
 
     def _build(self, k: int) -> None:
         strips = self.strips.layer(k)

@@ -455,7 +455,7 @@ def test_exact_at_zero_endpoint(capsys: pytest.CaptureFixture[str]) -> None:
     assert code == 0
     record = json.loads(out)
     assert (record["value"], record["log_value"]) == (1.0, 0.0)
-    assert (record["trunc_weight"], record["tail_bound"]) == (3, 0.0)
+    assert (record["trunc_weight"], record["tail_bound"]) == (0, 0.0)
 
 
 @pytest.mark.parametrize(
@@ -538,12 +538,14 @@ def test_contour_dimension_two_off_integer_exits_2(capsys: pytest.CaptureFixture
 
 
 @pytest.mark.parametrize(
-    "route", [("--s", "3100"), ("--route", "torus", "--s", "10000")], ids=["contour", "torus"]
+    "route",
+    [("--s", "3100"), ("--route", "torus", "--s", "10000"), ("--s", "20", "--N", "100")],
+    ids=["contour", "torus", "finite-size"],
 )
 def test_contour_underflow_exits_3(
     capsys: pytest.CaptureFixture[str], route: tuple[str, ...]
 ) -> None:
-    # Both printed "value": 0.0 and "log_value": null with exit 0.
+    # Each printed "value": 0.0 and "log_value": null with exit 0.
     code, out = run_cli(
         capsys, "contour", "--beta", "2", "--a", "1", *route, "--format", "json"
     )

@@ -1,8 +1,8 @@
 """Every name a module lists in ``__all__`` exists, no ``__all__`` lists a
 function beside its log twin, no public function takes a formula switch,
-two-value series have one evaluator, neither importing the package nor any
-subcommand needs scipy, and the test oracles share no code with the
-package."""
+two-value series have one evaluator, cached layers have one locked build
+loop, neither importing the package nor any subcommand needs scipy, and
+the test oracles share no code with the package."""
 
 from __future__ import annotations
 
@@ -80,6 +80,26 @@ def test_no_per_partition_pair_table() -> None:
             found += [f"{path.name}: {name}" for name in names if name in retired]
     assert found == []
     assert retired.isdisjoint(importlib.import_module("betagap.jack").__all__)
+
+
+def test_one_locked_layer_loop() -> None:
+    # Every cached layer table builds its layers in jack._Layers, the one
+    # place a lock is made, and a series reads its coefficient entry from
+    # its layer source, so _sum_layers takes no second one beside it.
+    source = Path(betagap.__file__).parent
+    locks, sum_layers = [], []
+    for path in sorted(source.glob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            owner = f"{path.stem}.{getattr(statement, 'name', '<module>')}"
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "attr", getattr(node.func, "id", ""))
+                    if name in ("Lock", "RLock"):
+                        locks.append(owner)
+                elif isinstance(node, ast.FunctionDef) and node.name == "_sum_layers":
+                    sum_layers.append([arg.arg for arg in node.args.args + node.args.kwonlyargs])
+    assert locks == ["jack._Layers"]
+    assert sum_layers == [["source", "members", "tol", "max_weight"]]
 
 
 def test_import_loads_no_scipy() -> None:

@@ -295,7 +295,7 @@ def test_series_bit_identical_cold_and_warm() -> None:
 
 # --- whole-layer coefficients against the scalar one-partition forms ---
 
-# Each scalar value is reused across parameter sets and identity counts.
+# Each scalar value is reused across parameter sets and numbers of ones.
 _pochhammer = cache(gen_pochhammer_signlog)
 _identity_log = cache(jack_C_at_identity_log)
 
@@ -305,16 +305,17 @@ def _scalar_coefficient(
     upper: tuple[float, ...],
     lower: tuple[float, ...],
     alpha: float,
-    identity: int | None,
+    ones: int | None,
 ) -> tuple[int, float] | str:
     """Sign and log of one term's argument-free factor, by the scalar
-    forms; ``(0, -inf)`` for a vanishing term, or the pole message."""
+    forms, with ``C_kappa`` at ``ones`` ones unless that is None;
+    ``(0, -inf)`` for a vanishing term, or the pole message."""
     k = sum(kappa)
     sign = 1
-    if identity is None:
+    if ones is None:
         log_mag = -math.lgamma(k + 1)
     else:
-        log_mag = _identity_log(kappa, alpha, identity) - math.lgamma(k + 1)
+        log_mag = _identity_log(kappa, alpha, ones) - math.lgamma(k + 1)
     for a in upper:
         s_a, l_a = _pochhammer(a, kappa, alpha)
         if s_a == 0:
@@ -349,15 +350,16 @@ def _parameter_sets(alpha: float) -> list[tuple[tuple[float, ...], tuple[float, 
 @pytest.mark.parametrize("parts", [1, 2, 3, 4, 5])
 def test_coefficient_layers_match_scalar_forms(alpha: float, parts: int) -> None:
     for upper, lower in _parameter_sets(alpha):
-        for identity in (None, parts):
-            coefficients = hypergeom._Coefficients(upper, lower, alpha, parts, identity)
+        for at_ones in (False, True):
+            coefficients = hypergeom._Coefficients(upper, lower, alpha, parts, at_ones)
+            ones = parts if at_ones else None
             cap = coefficients.cap
             for k in range(31):
                 if cap is not None and k > cap * parts:
                     break
                 kappas = partitions_of_weight(k, parts)
                 want = [
-                    (row, _scalar_coefficient(kappa, upper, lower, alpha, identity))
+                    (row, _scalar_coefficient(kappa, upper, lower, alpha, ones))
                     for row, kappa in enumerate(kappas)
                     if cap is None or not kappa or kappa[0] <= cap
                 ]
@@ -377,15 +379,19 @@ def test_coefficient_layers_match_scalar_forms(alpha: float, parts: int) -> None
 
 def _reference_series(spec: HypergeomSpec, tol: float = 1e-12) -> tuple:
     """The series summed one partition at a time from the scalar forms,
-    as before whole-layer sums: (value, log value, terms, last weight)."""
+    as before whole-layer sums: (value, log value, terms, last weight).
+
+    Poles and termination are checked on the partitions whose terms can
+    contribute: of at most as many parts as nonzero variables for one
+    distinct value, and as variables for a Jack table."""
     xs = spec.args.expanded()
-    m = len(xs)
     cap = hypergeom._termination_cap(spec.upper)
     distinct = {value for value, _ in spec.args.blocks if value != 0.0}
     table = jack.JackTable([xs], spec.alpha) if len(distinct) > 1 else None
     # one distinct value t over `nonzero` variables: t**k C_kappa(1, ..., 1)
     t = next(iter(distinct), 1.0)
     nonzero = sum(mult for value, mult in spec.args.blocks if value != 0.0)
+    m = len(xs) if table is not None else nonzero
     log_pos = log_neg = -math.inf
     float_sum = float_comp = 0.0
     terms = small_layers = k = weight = 0
@@ -451,8 +457,9 @@ REFERENCE_SPECS = [
     ((-0.5,), (2.2,), 2.0, ((0.9, 3),)),
     ((0.35, 1.4), (2.6,), 1.0, ((0.55, 1),)),
     ((), (2.3,), 1.0, ((0.0, 3),)),
-    # lower-parameter poles, met before and after the series would stop
+    # a lower-parameter pole only on partitions that zeros annul: none
     ((), (2.0,), 1.0, ((0.0, 3),)),
+    # a lower-parameter pole on contributing terms
     ((), (2.5,), 0.8, ((0.7, 3),)),
     # terminating finite-N shapes
     ((-10.0,), (3.0,), 2.0, ((-0.8, 2),)),
@@ -461,6 +468,8 @@ REFERENCE_SPECS = [
     ((), (3.0,), 1.0, ((1.0, 1), (0.3, 2))),
     ((), (2.7,), 1.5, ((0.0, 1), (0.8, 1), (0.3, 2))),
     ((), (3.3,), 0.5, ((-0.7, 1), (0.4, 2))),
+    # a lower-parameter pole on contributing terms beside a zero
+    ((), (1.0,), 1.0, ((0.0, 1), (0.6, 2))),
 ]
 
 
@@ -498,7 +507,7 @@ def test_series_bit_identical_cold_warm_and_deeper_coefficients() -> None:
 
 def test_shared_coefficients_under_threads() -> None:
     # Threads extending one shared coefficient entry must not interleave layers.
-    key = ((-9.0, 0.7), (2.4,), 1.375, 4, 4)
+    key = ((-9.0, 0.7), (2.4,), 1.375, 4, True)
 
     def layers(entry) -> list:
         return [
@@ -620,9 +629,9 @@ def test_one_value_rows_take_the_contraction(monkeypatch: pytest.MonkeyPatch) ->
     term_sums: list = []
 
     class Counted(hypergeom._TermSums):
-        def __init__(self, table) -> None:
+        def __init__(self, table, coefficients) -> None:
             term_sums.append(table)
-            super().__init__(table)
+            super().__init__(table, coefficients)
 
     monkeypatch.setattr(hypergeom, "_TermSums", Counted)
     hypergeom._coefficients.cache_clear()
@@ -634,6 +643,18 @@ def test_one_value_rows_take_the_contraction(monkeypatch: pytest.MonkeyPatch) ->
     assert built == [] and term_sums == []
     for row, result in zip(rows, batch):
         assert result == pFq_alpha(HypergeomSpec((-3.0,), (4.0,), 1.0, ArgBlocks.from_values(row)))
+
+
+def test_zeros_beside_one_value_are_no_variables() -> None:
+    # Zeros beside one value leave the series of its nonzero variables: one
+    # coefficient entry, and no pole or termination check on the terms
+    # that the zeros annul.  A row of zeros is the series of no variables.
+    hypergeom._coefficients.cache_clear()
+    pFq_alpha(HypergeomSpec((), (2.0,), 1.0, ArgBlocks.from_values((0.0, 0.9, 0.9))))
+    assert hypergeom._coefficients.cache_info().currsize == 1
+    zeros = pFq_alpha(HypergeomSpec((), (2.0,), 1.0, ArgBlocks.from_values((0.0, 0.0, 0.0))))
+    none = pFq_alpha(HypergeomSpec((), (2.0,), 1.0, ArgBlocks(())))
+    assert zeros == none == SeriesResult(1.0, 0.0, 1, 0, 0.0, True, 1)
 
 
 def test_two_value_series_meets_the_strip_budget(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -719,16 +740,14 @@ def _check_contracted_layers(upper, alpha, p, q, u, weights, rate=0.0) -> None:
     ``math.fsum`` of the positive and of the negative terms.
     """
     lower = (7.3,)
-    parts = p + q
-    coefficients = hypergeom._coefficients(upper, lower, alpha, parts, q if p == 0 else None)
     contraction = hypergeom._contraction(upper, lower, alpha, p, q)
     source = weights.source(contraction, u)
     running = [hypergeom._Running()]
     for k in range(13):
-        layer = coefficients.layer(k)
+        layer = source.coefficients.layer(k)
         if not layer.nonempty:
             break
-        (count, shift, pos, neg, term), = source.layer(k, layer, running)
+        (count, shift, pos, neg, term), = source.layer(k, running)
         contracted = contraction.layer(k)
         rows = layer.rows
         values, log_norm = weights.per_partition(k, rows)
@@ -950,7 +969,7 @@ def test_alternating_one_value_series_sums_its_coefficients(upper, lower, alpha,
     # against a 60-digit sum of the same float coefficients times t**k, over
     # the layers it summed.
     result = pFq_alpha(HypergeomSpec(upper, lower, alpha, ArgBlocks(((t, 2),))))
-    coefficients = hypergeom._coefficients(upper, lower, alpha, 2, 2)
+    coefficients = hypergeom._coefficients(upper, lower, alpha, 2, True)
     with mp.workdps(60):
         total = mp.mpf(0)
         for k in range(result.max_weight_used + 1):

@@ -349,7 +349,6 @@ def _pair_sums(u: list, r: list, keep: list | None = None, depth: int = 15) -> l
     ``alpha = 0.75`` on the arguments ``u 1^2, u r 1^3``, layer by layer;
     after layer 7 the group keeps only the members ``keep``."""
     contraction = hypergeom._contraction((), (4.0,), 0.75, 2, 3)
-    coefficients = hypergeom._coefficients((), (4.0,), 0.75, 5, None)
     source = hypergeom._PairSums(contraction, u, np.array(r))
     running = [hypergeom._Running() for _ in u]
     layers = []
@@ -357,7 +356,7 @@ def _pair_sums(u: list, r: list, keep: list | None = None, depth: int = 15) -> l
         if k == 8 and keep is not None:
             source.keep(keep)
             running = [running[row] for row in keep]
-        layers.append(source.layer(k, coefficients.layer(k), running))
+        layers.append(source.layer(k, running))
     return layers
 
 
