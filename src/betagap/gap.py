@@ -5,7 +5,9 @@ in ``(0, s)`` — is computed along independent routes: convergent and
 terminating hypergeometric series, for ``n = 1`` a series integrated
 exactly over the conditioned eigenvalue, series-times-quadrature for
 ``n = 2, 3`` (folded tensor nodes at even ``beta``, a nested map at odd
-``beta``), large-size asymptotic forms, and a large-deviation
+``beta``; at the hard edge with ``a = 0`` the map's scale axis is exact,
+so ``n = 2`` is one series and ``n = 3`` a rule over two ratios),
+large-size asymptotic forms, and a large-deviation
 formula for finite size.  The hard-edge and finite-size ``E(n)``
 routes, ``n >= 1``, share one body, ``_excess_integral``, and differ only
 in their prefactor, series argument and rate.  The ensemble weight
@@ -271,39 +273,61 @@ def _folded_level(
     return points, point_weights, vanders
 
 
+def _ratio_level(
+    order: int, n: int, beta: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ratio axes of :func:`_nested_level` at ``t = 1``, ``order**(n -
+    1)`` nodes: the tuples ``y_k = r_k ... r_{n-1}``, ``y_n = 1``, their
+    weights times ``n!``, and the smooth factor ``prod_{j - i >= 2} (1 -
+    r_i ... r_{j-1})**beta`` at each.
+
+    ``r_l`` carries ``r_l**((l-1)(1 + beta l / 2)) (1 - r_l)**beta``, one
+    :func:`_jacobi_rule` per axis.  Where the integrand integrates ``t``
+    itself, this level is the whole rule.
+    """
+    axes = [_jacobi_rule(order, beta, (j - 1) * (1.0 + beta * j / 2.0)) for j in range(1, n)]
+    count = order ** (n - 1)
+    ratios = [grid.ravel() for grid in np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")]
+    y = [np.ones(count)]
+    for r in reversed(ratios):
+        y.insert(0, y[0] * r)
+    weights = np.full(count, float(math.factorial(n)))
+    for grid in np.meshgrid(*(w for _, w in axes), indexing="ij"):
+        weights = weights * grid.ravel()
+    factors = np.ones(count)
+    for k in range(n - 2):
+        span = ratios[k]
+        for r in ratios[k + 1 :]:
+            span = span * r
+            factors *= (1.0 - span) ** beta
+    return np.stack(y, axis=1), weights, factors
+
+
 def _nested_level(
     order: int, n: int, power: float, beta: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """A product rule over the ordered region ``y_1 < ... < y_n`` under the
     nested (Duffy-type) map ``y_n = t``, ``y_k = t r_k ... r_{n-1}``: the
     mapped tuples, their weights times ``n!``, and the smooth factor left
-    at each.
+    at each, ``order**n`` nodes.
 
     Each consecutive difference is ``y_{k+1} (1 - r_k)``, so the map takes
     the kink of ``|y_{k+1} - y_k|**beta`` into the weight of ``r_k``.  With
-    the Jacobian, ``r_l`` carries ``r_l**((l-1)(1 + beta l / 2)) (1 -
-    r_l)**beta`` and ``t`` carries ``t**((n-1)(1 + beta n / 2)) (1 -
-    t)**power``, one :func:`_jacobi_rule` per axis.  What is left, ``prod_{j
-    - i >= 2} (1 - r_i ... r_{j-1})**beta prod_{k<n} (1 - y_k)**power``, is
-    smooth (M. G. Duffy, SIAM J. Numer. Anal. 19 (1982) 1260).
+    the Jacobian, ``t`` carries ``t**((n-1)(1 + beta n / 2)) (1 -
+    t)**power``, one :func:`_jacobi_rule`, beside the ratio axes of
+    :func:`_ratio_level`, each of whose nodes it scales.  What is left,
+    ``prod_{j - i >= 2} (1 - r_i ... r_{j-1})**beta prod_{k<n} (1 -
+    y_k)**power``, is smooth (M. G. Duffy, SIAM J. Numer. Anal. 19 (1982)
+    1260).
     """
-    axes = [_jacobi_rule(order, beta, (j - 1) * (1.0 + beta * j / 2.0)) for j in range(1, n)]
-    axes.append(_jacobi_rule(order, power, (n - 1) * (1.0 + beta * n / 2.0)))
-    grids = [grid.ravel() for grid in np.meshgrid(*(nodes for nodes, _ in axes), indexing="ij")]
-    ratios, y = grids[:-1], [grids[-1]]
-    for r in reversed(ratios):
-        y.insert(0, y[0] * r)
-    weights = float(math.factorial(n))
-    for grid in np.meshgrid(*(w for _, w in axes), indexing="ij"):
-        weights = weights * grid.ravel()
-    factors = np.ones(order**n)
+    ratio_points, ratio_weights, ratio_factors = _ratio_level(order, n, beta)
+    t, t_weights = _jacobi_rule(order, power, (n - 1) * (1.0 + beta * n / 2.0))
+    points = (ratio_points[:, None, :] * t[None, :, None]).reshape(-1, n)
+    weights = np.outer(ratio_weights, t_weights).ravel()
+    factors = np.repeat(ratio_factors, order)
     for k in range(n - 1):
-        factors *= (1.0 - y[k]) ** power
-        span = ratios[k]
-        for r in ratios[k + 1 :]:
-            span = span * r
-            factors *= (1.0 - span) ** beta
-    return np.stack(y, axis=1), weights, factors
+        factors *= (1.0 - points[:, k]) ** power
+    return points, weights, factors
 
 
 def _settled_quadrature(
@@ -312,6 +336,7 @@ def _settled_quadrature(
     power: float,
     beta: float,
     quad_tol: float,
+    exact_t: bool = False,
 ) -> tuple[float, int, float]:
     """``int_{[0,1]^n} prod_i (1 - y_i)**power prod_{i<j} |y_i - y_j|**beta
     f(y) dy`` for an ``f`` symmetric in ``y``.
@@ -322,25 +347,33 @@ def _settled_quadrature(
     each level's nodes.  At even ``beta`` the repulsion is a polynomial and
     the level is :func:`_folded_level`, ``C(order, n)`` nodes.  Otherwise
     ``|y_i - y_j|**beta`` has a kink that stops a tensor rule from settling
-    (relative change 2.8e-04 at order 60 for ``exact_En_hard(0.5, 0, 1,
-    2)``), and the level is :func:`_nested_level`, ``order**n`` nodes.  A
-    level over ``_QUAD_NODE_BUDGET`` nodes raises ``ResourceLimitError``
-    before it is built.  ``integrand`` takes a level's node tuples as the
-    rows of an array, in increasing order, and returns ``f`` at each.
-    Returns the value, the last order and the last relative change.
+    (relative change 2.9e-04 at order 60 for ``exact_En_finiteN(0.5, 0, 1,
+    2, 5)``), and the level is :func:`_nested_level`, ``order**n`` nodes.
+    With ``exact_t`` (``power`` 0) ``integrand`` integrates the nested
+    map's ``t`` axis itself, and the level is :func:`_ratio_level` at every
+    ``beta``, ``order**(n - 1)`` nodes.  A level over ``_QUAD_NODE_BUDGET``
+    nodes raises ``ResourceLimitError`` before it is built.  ``integrand``
+    takes a level's node tuples as the rows of an array, in increasing
+    order, and returns ``f`` at each (with ``exact_t``, ``int_0^1
+    t**((n-1)(1 + beta n / 2)) f(t y) dt``).  Returns the value, the last
+    order and the last relative change.
     """
-    fold = beta % 2.0 == 0.0
-    level = _folded_level if fold else _nested_level
+    if exact_t:
+        axes, level = n - 1, lambda order: _ratio_level(order, n, beta)
+    elif beta % 2.0 == 0.0:
+        axes, level = None, lambda order: _folded_level(order, n, power, beta)
+    else:
+        axes, level = n, lambda order: _nested_level(order, n, power, beta)
     previous = None
     rel_change = math.inf
     for order in _QUAD_ORDERS:
-        count = math.comb(order, n) if fold else order**n
+        count = math.comb(order, n) if axes is None else order**axes
         if count > _QUAD_NODE_BUDGET:
             raise ResourceLimitError(
                 f"quadrature level at order {order} needs {count} nodes, over the budget "
                 f"of {_QUAD_NODE_BUDGET} (relative change {rel_change:.3e} at the level below)"
             )
-        points, weights, factors = level(order, n, power, beta)
+        points, weights, factors = level(order)
         values = integrand(points)
         total = 0.0
         for weight, factor, value in zip(weights.tolist(), factors.tolist(), values):
@@ -415,8 +448,14 @@ def _excess_integral(
     ``n = 2, 3`` run :func:`_settled_quadrature`, each node over its bound
     ``exp(rate n)`` so that none overflows; ``log_prefactor`` gets the
     number of positions whose bound the integral left out (0 at ``n = 1``,
-    else ``n``).  A terminating series defaults ``max_weight`` to its
-    degree ``N (beta a / 2 + n beta)``, at least 200.
+    else ``n``).  At ``rate`` 0 and ``beta a / 2 = 0`` (the hard edge at
+    ``a = 0``) every argument carries the nested map's ``t``, whose axis
+    is then exact (``HypergeomSpec.t_power``): ``n = 3`` runs the ladder
+    of :func:`_ratio_level`, and ``n = 2``, whose ratio axis is exact too,
+    is one ``RatioIntegral`` series times ``2!``.  Finite size and ``a >
+    0`` are not homogeneous in ``t``.  A terminating series defaults
+    ``max_weight`` to its degree ``N (beta a / 2 + n beta)``, at least
+    200.
     """
     m0 = quantized("beta*a/2", beta * a / 2.0)
     mb = quantized("beta", beta)
@@ -435,19 +474,30 @@ def _excess_integral(
         return log_prefactor(0) + series.log_value, _diagnostics(
             0, 0.0, series.max_weight_used, series.tail_estimate
         )
+    exact_t = rate == 0.0 and m0 == 0
+    t_power = (n - 1) * (1.0 + beta * n / 2.0) if exact_t else None
+    if n == 2 and exact_t and scale != 0.0:  # a subnormal s runs the ratio rule below
+        args = RatioIntegral(scale, mb, mb, mb, 0.0)
+        spec = HypergeomSpec(upper=upper, lower=lower, alpha=alpha, args=args, t_power=t_power)
+        series = pFq_alpha(spec, tol=tol, max_weight=max_weight)
+        return log_prefactor(n) + math.log(2.0) + series.log_value, _diagnostics(
+            0, 0.0, series.max_weight_used, series.tail_estimate
+        )
     max_used, max_tail = 0, 0.0
 
     def integrand(points: np.ndarray) -> list[float]:
         nonlocal max_used, max_tail
         args = _batch_args(scale, m0, scale * points, mb)
-        spec = HypergeomSpec(upper=upper, lower=lower, alpha=alpha, args=args)
+        spec = HypergeomSpec(upper=upper, lower=lower, alpha=alpha, args=args, t_power=t_power)
         batch = pFq_alpha(spec, tol=tol, max_weight=max_weight)
         max_used = max(max_used, batch.max_weight_used)
         max_tail = max(max_tail, *(result.tail_estimate for result in batch))
         expo = (rate * (points.sum(axis=1) - n)).tolist()
         return [math.exp(x) * result.value for x, result in zip(expo, batch)]
 
-    total, order, rel_change = _settled_quadrature(integrand, n, beta * a / 2.0, beta, _QUAD_TOL)
+    total, order, rel_change = _settled_quadrature(
+        integrand, n, beta * a / 2.0, beta, _QUAD_TOL, exact_t
+    )
     return log_prefactor(n) + math.log(total), _diagnostics(order, rel_change, max_used, max_tail)
 
 
@@ -470,7 +520,10 @@ def exact_En_hard_detailed(
     absorbs the weight and escalates its order until two successive
     evaluations agree to ``_QUAD_TOL`` (:func:`_settled_quadrature`: the
     folded tensor rule at even ``beta``, the nested map at odd ``beta``).
-    A level over ``_QUAD_NODE_BUDGET`` nodes raises ``ResourceLimitError``.
+    At ``a = 0`` the map's scale axis is exact: ``n = 2`` is one series
+    (``order`` 0), and ``n = 3`` a rule over the two ratios alone, at
+    every ``beta``.  A level over ``_QUAD_NODE_BUDGET`` nodes raises
+    ``ResourceLimitError``.
     The diagnostics are ``order``, ``rel_change``, ``trunc_weight`` and
     ``tail_bound``; ``order`` 0 (with ``rel_change`` 0) means that no
     quadrature ran, and ``tail_bound`` is then the series' relative tail.  At ``s = 0`` with ``n >= 1`` the
@@ -512,7 +565,8 @@ def exact_En_hard(
         Number of eigenvalues conditioned inside the gap (at most 3):
         ``n = 1`` is one exactly integrated series, ``n = 2, 3`` run the
         quadrature ladder, on folded tensor nodes at even ``beta`` and on
-        the nested map's nodes at odd ``beta``.
+        the nested map's nodes at odd ``beta``; at ``a = 0``, ``n = 2``
+        is one series too and ``n = 3`` a rule over two ratios.
     tol, max_weight
         Series controls.
 

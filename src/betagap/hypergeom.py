@@ -17,8 +17,8 @@ cached a layer at a time, so every node of one quadrature and every
 from one of two sources, each carrying the coefficient entry it reads,
 which sets where the series terminates and meets a pole.  An argument
 of at most two distinct nonzero values of one sign, ``u`` repeated
-``p`` times and ``u r`` ``q`` times (zeros aside when ``p = 0``),
-applies nothing per partition at all: its layer depends on it only
+``p`` times and ``u r`` ``q`` times (zeros aside: a zero is no
+variable), applies nothing per partition at all: its layer depends on it only
 through ``u**k`` and the vector ``w_d = r**d``, so each term's other
 factors (its coefficient and, for ``p > 0``, ``C_kappa/P_kappa`` and the
 coefficients ``c[d, kappa]`` of ``P_kappa(1^p, r^q)``, from
@@ -32,7 +32,9 @@ layer costs each member two dot products of length ``k + 1``.  A
 :class:`RatioIntegral` argument, the two-value argument integrated over
 ``r``, takes the moments of its weight for ``w``.  Any other argument is
 its node of a batched :class:`~betagap.jack.JackTable`, extended a
-weight layer at a time as the sum goes deeper.  A batch (the nodes of
+weight layer at a time as the sum goes deeper.  Either source can also
+integrate the argument's common scale out (``HypergeomSpec.t_power``),
+which divides each layer by one number.  A batch (the nodes of
 one quadrature level) sums its series together, one layer for all of
 them at a time, each with its own accumulators and stopping rule
 (:meth:`_Running.add`); a single series is a batch of one row, on the
@@ -172,15 +174,25 @@ class HypergeomSpec:
     would, and one :class:`ArgBlocks` is summed as the one row of its
     expanded values.  Every parameter and argument value must be finite,
     and ``alpha`` positive; ``ValueError`` names the field that is not.
+
+    ``t_power``, when given, integrates every argument's common scale
+    ``t`` over ``(0, 1)`` against ``t**t_power``: each argument value
+    carries ``t``, so layer ``k`` carries ``t**k`` and takes the factor
+    ``1 / (k + t_power + 1)`` (:func:`_sum_layers`).  It must be finite
+    and nonnegative.
     """
 
     upper: tuple[float, ...]
     lower: tuple[float, ...]
     alpha: float
     args: ArgBlocks | RatioIntegral | np.ndarray
+    t_power: float | None = None
 
     def __post_init__(self) -> None:
         require_finite("alpha", self.alpha, positive=True)
+        if self.t_power is not None:
+            require_finite("t_power", self.t_power)
+            object.__setattr__(self, "t_power", float(self.t_power))
         for name in ("upper", "lower"):
             values = tuple(float(value) for value in getattr(self, name))
             for value in values:
@@ -747,15 +759,18 @@ def _sum_layers(
     members: int,
     tol: float,
     max_weight: int,
+    t_power: float | None = None,
 ) -> list[SeriesResult]:
     """Sum the series of one group of ``members`` layer by layer, and
     return each one's outcome (:meth:`_Running.outcome`).
 
     ``source`` gives each running member's sums of a layer, all of them
     at once, and its ``coefficients``, which the members share, set where
-    the series terminates or meets a pole.  Each member keeps its own
-    accumulators and stopping rule (:meth:`_Running.add`) and leaves the
-    group when it stops.
+    the series terminates or meets a pole.  With ``t_power`` (see
+    :class:`HypergeomSpec`) layer ``k`` is divided by ``k + t_power + 1``:
+    its shift loses the log and its float sum is divided.  Each member
+    keeps its own accumulators and stopping rule (:meth:`_Running.add`)
+    and leaves the group when it stops.
     """
     coefficients = source.coefficients
     cap, parts = coefficients.cap, coefficients.parts
@@ -784,8 +799,16 @@ def _sum_layers(
             for state in running:
                 state.terminated_exactly = k > 0
             break
+        layer_sums = source.layer(k, running)
+        if t_power is not None:
+            scale = k + t_power + 1.0
+            log_scale = math.log(scale)
+            layer_sums = [
+                (count, shift - log_scale, pos, neg, None if term is None else term / scale)
+                for count, shift, pos, neg, term in layer_sums
+            ]
         stopped = []
-        for row, sums in enumerate(source.layer(k, running)):
+        for row, sums in enumerate(layer_sums):
             if running[row].add(k, *sums, log_tol):
                 stopped.append(row)
         if stopped:
@@ -857,8 +880,7 @@ def pFq_alpha(
     ValueError
         If ``tol`` or ``max_weight`` is out of range.
     LowerParameterPoleError
-        If a lower-parameter Pochhammer vanishes on a contributing term
-        (or, with zeros beside two or more values, on a term they annul).
+        If a lower-parameter Pochhammer vanishes on a contributing term.
     CancellationError
         If sign-mixing terms exceed ``CONDITION_LIMIT`` times the result.
     NonConvergenceError
@@ -875,24 +897,25 @@ def pFq_alpha(
         arg = spec.args
         contraction = _contraction(upper, lower, alpha, arg.p, arg.q)
         source = _PairSums(contraction, [arg.u], None, arg.power, arg.rate)
-        return _sum_layers(source, 1, tol, max_weight)[0]
+        return _sum_layers(source, 1, tol, max_weight, spec.t_power)[0]
     single = isinstance(spec.args, ArgBlocks)
     points = [spec.args.expanded()] if single else spec.args.tolist()
-    m = len(points[0])
     results: list[SeriesResult | None] = [None] * len(points)
     for pair, numbers, u, t in _batch_groups(points):
         depth = None  # deepest weight a chunk of this call has reached
         while numbers:
-            if pair is None:
+            if pair is None:  # u holds each row's nonzero values, all of one length
+                m = len(u[0])
                 size = batch_nodes(alpha, m, depth)
                 chunk, numbers = numbers[:size], numbers[size:]
-                table = JackTable([points[row] for row in chunk], alpha)
+                table = JackTable(u[:size], alpha)
+                u = u[size:]
                 source = _TermSums(table, _coefficients(upper, lower, alpha, m, False))
             else:
                 chunk, numbers = numbers, []
                 ratios = np.abs(np.array(t)) / np.abs(np.array(u))
                 source = _PairSums(_contraction(upper, lower, alpha, *pair), u, ratios)
-            sums = _sum_layers(source, len(chunk), tol, max_weight)
+            sums = _sum_layers(source, len(chunk), tol, max_weight, spec.t_power)
             for row, result in zip(chunk, sums):
                 results[row] = result
             depth = max(depth or 0, *(result.max_weight_used for result in sums))
@@ -902,16 +925,19 @@ def pFq_alpha(
 def _batch_groups(points: list) -> list[tuple]:
     """The rows of a batch by path: ``(pair, rows, u, t)``.
 
-    ``pair`` is ``(p, q)`` for rows of at most two distinct nonzero
-    values of one sign, ``u`` repeated ``p`` times and ``t`` ``q`` times
-    with ``|u| > |t|`` (:class:`_Contraction`).  A row whose nonzero
-    values all equal ``t`` is ``(0, q)`` with ``q`` nonzero values and
-    ``u = t`` (``t`` is 1 for a row of zeros).  ``pair`` is None for the
-    other rows, with a zero beside two values, values of mixed sign or
-    three or more distinct values (:class:`~betagap.jack.JackTable`).
-    ``u`` and ``t`` hold one value per row where the path has them.
+    A zero is no variable: a term of more parts than the row has nonzero
+    values vanishes, so each row is read without its zeros.  ``pair`` is
+    ``(p, q)`` for rows of at most two distinct nonzero values of one
+    sign, ``u`` repeated ``p`` times and ``t`` ``q`` times with ``|u| >
+    |t|`` (:class:`_Contraction`).  A row whose nonzero values all equal
+    ``t`` is ``(0, q)`` with ``q`` nonzero values and ``u = t`` (``t`` is
+    1 for a row of zeros).  ``u`` and ``t`` hold one value per row.
+    ``pair`` is None for the other rows, with values of mixed sign or
+    three or more distinct values (:class:`~betagap.jack.JackTable`):
+    ``u`` holds each row's nonzero values, one group per number of them,
+    and ``t`` is empty.
     """
-    mixed: list[int] = []
+    mixed: dict[int, tuple[list, list]] = {}
     by_pair: dict[tuple[int, int], tuple[list, list, list]] = {}
     for row, values in enumerate(points):
         nonzero = [value for value in values if value != 0.0]
@@ -919,17 +945,18 @@ def _batch_groups(points: list) -> list[tuple]:
         key = 0, len(nonzero)
         if any(value != t for value in nonzero):
             distinct = set(nonzero)
-            mixed_signs = min(distinct) < 0.0 < max(distinct)
-            if len(distinct) > 2 or len(nonzero) < len(values) or mixed_signs:
-                mixed.append(row)
+            if len(distinct) > 2 or min(distinct) < 0.0 < max(distinct):
+                rows, nonzero_rows = mixed.setdefault(len(nonzero), ([], []))
+                rows.append(row)
+                nonzero_rows.append(nonzero)
                 continue
             u, t = sorted(distinct, key=abs, reverse=True)
-            key = values.count(u), values.count(t)
+            key = nonzero.count(u), nonzero.count(t)
         rows, us, ts = by_pair.setdefault(key, ([], [], []))
         rows.append(row)
         us.append(u)
         ts.append(t)
-    groups = [(None, mixed, [], [])] if mixed else []
+    groups = [(None, *mixed[m], []) for m in sorted(mixed)]
     return groups + [(pair, *by_pair[pair]) for pair in sorted(by_pair)]
 
 

@@ -22,9 +22,9 @@
   formed: the series of :mod:`betagap.hypergeom` contracts each layer's
   coefficients over the partitions, once per parameter set, and applies
   only the powers of ``r`` (or their moments) per argument;
-- any other argument with more than one distinct value (three or more
-  values, a zero beside other values, mixed signs: ``E(2)`` at
-  ``a > 0``, ``E(3)``): :class:`JackTable`, the Koev–Edelman recursion
+- any other argument with more than one distinct nonzero value (three
+  or more values, mixed signs: ``E(2)`` at ``a > 0``, ``E(3)``), read
+  without its zeros, since a zero is no variable: :class:`JackTable`, the Koev–Edelman recursion
   over horizontal strips, which builds every ``C_kappa`` of a batch of
   series, one node per argument, one variable and one weight layer at a
   time from branching coefficients shared by all series at the same

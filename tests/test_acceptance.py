@@ -295,19 +295,22 @@ def test_ac12_mixed_argument_trend() -> None:
 
 def test_ac13_En_formula_trend() -> None:
     # The paper's E(n) formula (asymptotic_En, with its double-gamma
-    # constant) against exact E(1): the residual d(s) = log E(1) - log of
-    # the form must shrink in s, and its fitted limit c0, from d = c0 +
-    # c1 s^(-1/2) + c2 / s through the three s, must vanish.
+    # constant) against exact E(1), and E(2) at beta = 1, a = 0: the
+    # residual d(s) = log E(n) - log of the form must shrink in s, and its
+    # fitted limit c0, from d = c0 + c1 s^(-1/2) + c2 / s through the three
+    # s, must vanish.  (E(2) at beta = 2, a = 0 meets the strip budget at
+    # s = 160.)
     start = time.perf_counter()
     scales = (160.0, 320.0, 640.0)
     basis = np.array([[1.0, s**-0.5, 1.0 / s] for s in scales])
     rows, ok = [], True
-    for beta, a in ((1.0, 0.0), (1.0, 2.0), (2.0, 0.0), (2.0, 1.0)):
-        form = asymptotic_En(1.0, a, beta)
-        d = [exact_En_hard_detailed(s, a, beta, 1)[0] - form.log_evaluate(s) for s in scales]
+    for n, beta, a in ((1, 1.0, 0.0), (1, 1.0, 2.0), (1, 2.0, 0.0), (1, 2.0, 1.0), (2, 1.0, 0.0)):
+        form = asymptotic_En(n, a, beta)
+        d = [exact_En_hard_detailed(s, a, beta, n)[0] - form.log_evaluate(s) for s in scales]
         c0 = float(np.linalg.solve(basis, d)[0])
         ok = ok and abs(c0) < 1e-2 and abs(d[0]) > abs(d[1]) > abs(d[2])
-        rows.append(f"b{beta:g}a{a:g}:d640={d[2]:.4f},c0={c0:.1e}")
+        label = f"b{beta:g}a{a:g}" if n == 1 else f"n{n}b{beta:g}a{a:g}"
+        rows.append(f"{label}:d640={d[2]:.4f},c0={c0:.1e}")
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 20.0
     _report("13 En-formula-trend", ok, f"{' '.join(rows)} time={elapsed:.1f}s")

@@ -34,8 +34,9 @@ assert tracer.calls["hypergeom.series"] == 1, tracer.calls
 assert tracer.counts["hypergeom.terms"] > 0, tracer.counts
 calls = [
     ["exact", "--beta", "2", "--a", "1", "--s", "4", "--n", "1"],
-    # n = 1 is one exactly integrated series; n = 2 runs the quadrature
-    ["exact", "--beta", "2", "--a", "0", "--s", "4", "--n", "2"],
+    # n = 1 is one exactly integrated series; n = 2 at a > 0 runs the
+    # quadrature (at a = 0 it is one series too)
+    ["exact", "--beta", "2", "--a", "1", "--s", "4", "--n", "2"],
     ["asympt", "--beta", "2", "--a", "1", "--s", "100"],
     ["contour", "--beta", "2", "--a", "1", "--s", "2"],
     ["contour", "--beta", "2", "--a", "1", "--s", "2", "--route", "torus"],
@@ -59,7 +60,7 @@ assert tracer.counts["hypergeom.terms"] > 0
 # at odd beta the nested map's axis rules also pass through gap.roots_jacobi
 before = tracer.counts["gap.quad_order"]
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["exact", "--beta", "1", "--a", "0", "--s", "4", "--n", "2"])
+    code = cli.main(["exact", "--beta", "1", "--a", "2", "--s", "4", "--n", "2"])
 assert code == 0, code
 assert tracer.counts["gap.quad_order"] > before, tracer.counts
 """

@@ -603,12 +603,12 @@ def test_odd_beta_excess_exits_0(capsys: pytest.CaptureFixture[str]) -> None:
     # The folded tensor rule did not settle on the |y_1 - y_2|**beta kink
     # at beta = 1 (QuadratureError, exit 3); the nested map does.
     code, out = run_cli(
-        capsys, "exact", "--beta", "1", "--a", "0", "--s", "4", "--n", "2", "--format", "json"
+        capsys, "exact", "--beta", "1", "--a", "2", "--s", "4", "--n", "2", "--format", "json"
     )
     assert code == 0
     record = json.loads(out)
     assert record["method"] == "exact_En_hard"
-    assert record["log_value"] == exact_En_hard_detailed(4.0, 0.0, 1.0, 2)[0]
+    assert record["log_value"] == exact_En_hard_detailed(4.0, 2.0, 1.0, 2)[0]
 
 
 def test_nonconvergence_exits_3(capsys: pytest.CaptureFixture[str]) -> None:

@@ -85,7 +85,8 @@ def test_no_per_partition_pair_table() -> None:
 def test_one_locked_layer_loop() -> None:
     # Every cached layer table builds its layers in jack._Layers, the one
     # place a lock is made, and a series reads its coefficient entry from
-    # its layer source, so _sum_layers takes no second one beside it.
+    # its layer source, so _sum_layers takes no second one beside it (only
+    # the spec's t_power, a number).
     source = Path(betagap.__file__).parent
     locks, sum_layers = [], []
     for path in sorted(source.glob("*.py")):
@@ -99,7 +100,7 @@ def test_one_locked_layer_loop() -> None:
                 elif isinstance(node, ast.FunctionDef) and node.name == "_sum_layers":
                     sum_layers.append([arg.arg for arg in node.args.args + node.args.kwonlyargs])
     assert locks == ["jack._Layers"]
-    assert sum_layers == [["source", "members", "tol", "max_weight"]]
+    assert sum_layers == [["source", "members", "tol", "max_weight", "t_power"]]
 
 
 def test_import_loads_no_scipy() -> None:

@@ -181,23 +181,79 @@ def test_beta4_beta1_decimation_at_one(s: float, a_prime: float) -> None:
     assert abs(math.expm1(right - left)) <= 1e-12, (left, right)
 
 
+# (beta, s) -> hard-edge log E(2) at a = 0 by the quadrature ladder (the
+# fold at even beta, the nested map at odd beta), or the end of the
+# ResourceLimitError message it raised, computed before the t axis became
+# exact.
+HARD_TWO_AT_ZERO_A_LADDER = {
+    (1.0, 0.5): -11.239368528896687,
+    (1.0, 4.0): -5.218632287594135,
+    (1.0, 40.0): -0.4990603128944089,
+    (1.0, 160.0): -4.2339253780294985,
+    (2.0, 0.5): -13.350001335093369,
+    (2.0, 4.0): -5.46479044117096,
+    (2.0, 40.0): -0.24022757759459878,
+    (2.0, 160.0): "alpha=1.0 with 4 variables would exceed 2000000 strips at weight 47",
+    (3.0, 0.5): -15.70773411208752,
+    (3.0, 4.0): -5.958811894601606,
+    (3.0, 40.0): "alpha=1.5 with 6 variables would exceed 2000000 strips at weight 35",
+    (3.0, 160.0): "alpha=1.5 with 6 variables would exceed 2000000 strips at weight 35",
+    (4.0, 0.5): -18.135373224045935,
+    (4.0, 4.0): -6.52357674857318,
+    (4.0, 40.0): "alpha=2.0 with 8 variables would exceed 2000000 strips at weight 32",
+    (4.0, 160.0): "alpha=2.0 with 8 variables would exceed 2000000 strips at weight 32",
+}
+
+
+@pytest.mark.parametrize("beta, s", sorted(HARD_TWO_AT_ZERO_A_LADDER))
+def test_hard_excess_at_zero_a_matches_the_ladder(
+    beta: float, s: float, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # At a = 0, n = 2 is one series with both axes integrated exactly: no
+    # rule, order 0, and the ladder's value or its error (the strip budget
+    # of the same contraction, at the same weight).
+    want = HARD_TWO_AT_ZERO_A_LADDER[beta, s]
+    rules: list = []
+    monkeypatch.setattr(gap, "roots_jacobi", lambda *args: rules.append(args))
+    if isinstance(want, str):
+        with pytest.raises(ResourceLimitError, match=f"{want}$"):
+            exact_En_hard_detailed(s, 0.0, beta, 2)
+        return
+    log_value, diag = exact_En_hard_detailed(s, 0.0, beta, 2)
+    assert abs(math.expm1(log_value - want)) <= 4e-15, (log_value, want)
+    assert diag["order"] == 0 and diag["rel_change"] == 0.0 and rules == []
+
+
+def test_hard_three_at_zero_a_and_decimation() -> None:
+    # n = 3 at a = 0 runs the ratio rule, order**2 nodes, with t exact.  At
+    # s = 160 the ladder gave log E_1(3) = -1.1875656389189846, and through
+    # E_4(1; (0, s/4); 1) = E_1(2; (0, s); 0) + E_1(3; (0, s); 0) the beta = 4
+    # value past its strip budget, -1.14112906379161.
+    three, diag = exact_En_hard_detailed(160.0, 0.0, 1.0, 3)
+    assert abs(three - -1.1875656389189846) <= 1e-14
+    assert diag["order"] == 12 and diag["rel_change"] < _QUAD_TOL
+    two = exact_En_hard_detailed(160.0, 0.0, 1.0, 2)[0]
+    assert abs(three + math.log1p(math.exp(two - three)) - -1.14112906379161) <= 1e-13
+
+
 @pytest.mark.parametrize(
     "args, value",
     [
-        # relative change 2.8e-04 at order 60 (the benchmark's kept failure)
-        ((0.5, 0.0, 1.0, 2), 1.31463220707729e-05),
+        # relative change 4.0e-04 at order 60
+        ((0.5, 2.0, 1.0, 2), 3.4413311297176317e-10),
         # relative change 4.0e-04 at order 60
         ((4.0, 2.0, 1.0, 2), None),
-        # settled only at order 60, 4e-08 off
-        ((1.0, 0.0, 3.0, 2), None),
+        # settled only at order 60, 7.7e-08 off
+        ((1.0, 2.0 / 3.0, 3.0, 2), None),
         # finite size: relative change 2.9e-04 at order 60
         ((0.5, 0.0, 1.0, 2, 5), None),
     ],
 )
 def test_odd_beta_excess_settles(args: tuple, value: float | None) -> None:
     # The folded tensor rule did not settle on the |y_1 - y_2|**beta kink;
-    # the nested map does by order 8.  The value at beta = 1, s = 0.5 is
-    # that of an exact-moment integration of the n = 2 series.
+    # the nested map does by order 8, and its value at a = 2, s = 0.5 is
+    # pinned.  (The hard edge at a = 0 runs no nested map; see
+    # test_hard_excess_at_zero_a_matches_the_ladder.)
     route = exact_En_hard_detailed if len(args) == 4 else exact_En_finiteN_detailed
     log_value, diag = route(*args)
     assert diag["order"] <= 8 and diag["rel_change"] < _QUAD_TOL
@@ -372,7 +428,9 @@ def test_single_excess_is_one_series_and_no_rule(monkeypatch: pytest.MonkeyPatch
 # unchanged and its tail bound the order-8 series' own; and when two-value
 # layers became contractions of cached sums (values within 8.9e-16; the
 # order-6 and order-8 totals of (4, 0, 2, 2), equal to the last bit before,
-# now differ by two units in the last place).
+# now differ by two units in the last place); and when n = 2 at a = 0 became
+# one series with t and r exact: (4, 0, 2, 2) runs no quadrature, its value
+# unchanged and its tail bound the series' own.
 HARD_EXCESS_PINS = {
     (1.0, 0.0, 1.0, 1): (-2.1421585207014013, 0, 0.0, 9, 2.721979436590153e-19),
     (1.0, 0.0, 2.0, 1): (-1.508799814031318, 0, 0.0, 11, 6.4528436927420745e-19),
@@ -382,9 +440,7 @@ HARD_EXCESS_PINS = {
     (10.0, 1.0, 2.0, 1): (-0.6179399721991098, 0, 0.0, 19, 1.326804564115233e-16),
     (4.0, 0.0, 1.0, 1): (-0.9466111376720514, 0, 0.0, 11, 3.406095564983511e-18),
     (4.0, 0.0, 2.0, 1): (-0.4653945511863855, 0, 0.0, 14, 1.3745125182943006e-17),
-    (4.0, 0.0, 2.0, 2): (
-        -5.46479044117096, 8, 4.0200628186980627e-16, 16, 1.1971870227403568e-15
-    ),
+    (4.0, 0.0, 2.0, 2): (-5.46479044117096, 0, 0.0, 15, 1.0664727753875973e-16),
     (4.0, 1.0, 2.0, 1): (-1.8241327419135258, 0, 0.0, 15, 4.236321034882243e-17),
     (4.0, 2.0, 1.0, 1): (-3.3461246569469503, 0, 0.0, 12, 2.0199981476424516e-16),
 }
@@ -530,6 +586,26 @@ def test_settled_quadrature_is_selberg_at_every_beta(n: int, power: float, beta:
     assert (np.diff(seen[-1], axis=1) > 0.0).all()
 
 
+@pytest.mark.parametrize("beta", [1.0, 2.0, 3.0])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ratio_level_is_selberg_at_every_beta(n: int, beta: float) -> None:
+    # With exact_t the integrand integrates t itself: for f = 1 it returns
+    # int_0^1 t**c dt = 1 / (c + 1), c = (n-1)(1 + beta n / 2), at each of
+    # the order**(n-1) ratio nodes, and the integral is Selberg's at power 0.
+    seen = []
+    c = (n - 1) * (1.0 + beta * n / 2.0)
+
+    def ones(points: np.ndarray) -> np.ndarray:
+        seen.append(points)
+        return np.full(len(points), 1.0 / (c + 1.0))
+
+    total, order, _ = _settled_quadrature(ones, n, 0.0, beta, 1e-12, exact_t=True)
+    assert order == _QUAD_ORDERS[1]
+    assert abs(math.log(total) - _log_selberg(n, 0.0, beta)) <= 1e-14
+    assert seen[-1].shape == (order ** (n - 1), n)
+    assert (np.diff(seen[-1], axis=1) > 0.0).all() and (seen[-1][:, -1] == 1.0).all()
+
+
 def test_quadrature_node_budget(monkeypatch: pytest.MonkeyPatch) -> None:
     # A level over the budget raises before it is built.
     monkeypatch.setattr(gap, "_QUAD_NODE_BUDGET", 20)
@@ -539,7 +615,11 @@ def test_quadrature_node_budget(monkeypatch: pytest.MonkeyPatch) -> None:
         )
     built = []
     monkeypatch.setattr(gap, "_nested_level", lambda *args: built.append(args))
+    monkeypatch.setattr(gap, "_ratio_level", lambda *args: built.append(args))
     with pytest.raises(ResourceLimitError, match="at order 6 needs 216 nodes"):
+        exact_En_hard_detailed(4.0, 2.0, 1.0, 3)
+    # the hard edge at a = 0 integrates t exactly: order**2 nodes at n = 3
+    with pytest.raises(ResourceLimitError, match="at order 6 needs 36 nodes"):
         exact_En_hard_detailed(4.0, 0.0, 1.0, 3)
     assert built == []
 
@@ -547,8 +627,8 @@ def test_quadrature_node_budget(monkeypatch: pytest.MonkeyPatch) -> None:
 @pytest.mark.parametrize(
     "args",
     [
-        (4.0, 0.0, 2.0, 2), (4.0, 0.0, 2.0, 3), (4.0, 1.0, 2.0, 2), (4.0, 1.0, 2.0, 3),
-        (10.0, 0.0, 4.0, 2),
+        (4.0, 2.0, 2.0, 2), (4.0, 2.0, 2.0, 3), (4.0, 1.0, 2.0, 2), (4.0, 1.0, 2.0, 3),
+        (4.0, 0.5, 4.0, 2),
         (0.5, 1.0, 2.0, 2, 4), (0.5, 1.0, 2.0, 3, 4), (0.3, 0.0, 2.0, 2, 1), (0.3, 0.0, 2.0, 3, 1),
     ],
 )
@@ -556,7 +636,8 @@ def test_nested_map_agrees_with_the_fold_at_even_beta(
     args: tuple, monkeypatch: pytest.MonkeyPatch
 ) -> None:
     # Each node set checks the other: at even beta the route runs the fold,
-    # and with the fold's level swapped for the map's it runs the map.
+    # and with the fold's level swapped for the map's it runs the map.  The
+    # hard edge at a = 0 runs neither (_ratio_level), so no row is there.
     route = exact_En_hard_detailed if len(args) == 4 else exact_En_finiteN_detailed
     fold = route(*args)[0]
     monkeypatch.setattr(gap, "_QUAD_ORDERS", _QUAD_ORDERS[:4])

@@ -382,16 +382,14 @@ def _reference_series(spec: HypergeomSpec, tol: float = 1e-12) -> tuple:
     as before whole-layer sums: (value, log value, terms, last weight).
 
     Poles and termination are checked on the partitions whose terms can
-    contribute: of at most as many parts as nonzero variables for one
-    distinct value, and as variables for a Jack table."""
-    xs = spec.args.expanded()
+    contribute: of at most as many parts as nonzero variables."""
+    xs = [value for value in spec.args.expanded() if value != 0.0]
     cap = hypergeom._termination_cap(spec.upper)
-    distinct = {value for value, _ in spec.args.blocks if value != 0.0}
+    distinct = set(xs)
     table = jack.JackTable([xs], spec.alpha) if len(distinct) > 1 else None
-    # one distinct value t over `nonzero` variables: t**k C_kappa(1, ..., 1)
+    # one distinct value t over the nonzero variables: t**k C_kappa(1, ..., 1)
     t = next(iter(distinct), 1.0)
-    nonzero = sum(mult for value, mult in spec.args.blocks if value != 0.0)
-    m = len(xs) if table is not None else nonzero
+    m = len(xs)
     log_pos = log_neg = -math.inf
     float_sum = float_comp = 0.0
     terms = small_layers = k = weight = 0
@@ -413,7 +411,7 @@ def _reference_series(spec: HypergeomSpec, tol: float = 1e-12) -> tuple:
                 continue
             sign, log_mag = coefficient
             if table is None:
-                l_c = k * math.log(abs(t)) + _identity_log(kappa, spec.alpha, nonzero)
+                l_c = k * math.log(abs(t)) + _identity_log(kappa, spec.alpha, m)
                 s_c = 0 if l_c == -math.inf else (-1 if t < 0.0 and k % 2 else 1)
             else:
                 value = values[position]
@@ -612,11 +610,12 @@ def test_two_value_rows_build_no_jack_table(monkeypatch: pytest.MonkeyPatch) -> 
     built = _count_jack_tables(monkeypatch)
     assert 0.0 < exact_En_hard(4.0, 1.0, 2.0, 1) < 1.0
     assert built == []
-    # three distinct values, a zero beside other values and mixed signs
-    # keep JackTable, one table for the batch
+    # three distinct values and mixed signs keep JackTable, one table for
+    # the batch; a zero beside two values is no variable, so its row is a
+    # two-value row
     rows = np.array([(1.0, 0.6, 0.3), (0.5, 0.0, 0.2), (1.0, 0.4, 0.3), (0.8, -0.5, -0.5)])
     batch = pFq_alpha(HypergeomSpec((), (4.0,), 1.0, rows))
-    assert built == [4]
+    assert built == [3]
     for row, result in zip(rows, batch):
         assert result == pFq_alpha(HypergeomSpec((), (4.0,), 1.0, ArgBlocks.from_values(row)))
 
@@ -655,6 +654,25 @@ def test_zeros_beside_one_value_are_no_variables() -> None:
     zeros = pFq_alpha(HypergeomSpec((), (2.0,), 1.0, ArgBlocks.from_values((0.0, 0.0, 0.0))))
     none = pFq_alpha(HypergeomSpec((), (2.0,), 1.0, ArgBlocks(())))
     assert zeros == none == SeriesResult(1.0, 0.0, 1, 0, 0.0, True, 1)
+
+
+def test_zeros_beside_two_values_are_no_variables(monkeypatch: pytest.MonkeyPatch) -> None:
+    # At lower parameter 2 and alpha 1 the partition (1, 1, 1) is a pole
+    # that the zero annuls: the row (0, 0.9, 0.5) raised it.  It is the
+    # series of (0.9, 0.5).
+    want = pFq_alpha(HypergeomSpec((), (2.0,), 1.0, ArgBlocks.from_values((0.9, 0.5))))
+    got = pFq_alpha(HypergeomSpec((), (2.0,), 1.0, ArgBlocks.from_values((0.0, 0.9, 0.5))))
+    assert got == want
+    assert abs(got.value / 1.98954414315428 - 1.0) <= 1e-14
+    # Rows that keep JackTable drop their zeros too, one table per number
+    # of nonzero values, each row the series of its nonzero values.
+    built = _count_jack_tables(monkeypatch)
+    rows = np.array([(0.0, 0.9, 0.5, 0.2), (0.7, 0.6, 0.5, 0.2), (0.9, 0.0, -0.5, 0.0)])
+    batch = pFq_alpha(HypergeomSpec((), (4.0,), 1.0, rows))
+    assert built == [1, 1, 1]
+    for row, result in zip(rows, batch):
+        nonzero = [value for value in row if value != 0.0]
+        assert result == pFq_alpha(HypergeomSpec((), (4.0,), 1.0, ArgBlocks.from_values(nonzero)))
 
 
 def test_two_value_series_meets_the_strip_budget(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -704,6 +722,29 @@ def test_ratio_integral_validation() -> None:
         with pytest.raises(ValueError, match=message):
             RatioIntegral(*fields)
     assert RatioIntegral(2, 1.0, 2.0, 1.0, 0) == RatioIntegral(2.0, 1, 2, 1, 0.0)
+
+
+@pytest.mark.parametrize("t_power", [0.0, 2.0, 5.5])
+def test_t_power_integrates_the_common_scale(t_power: float) -> None:
+    # 0F0 of any argument is exp(x_1 + ... + x_m): the C_kappa of one weight
+    # sum to (x_1 + ... + x_m)**k.  Integrated over the common scale t
+    # against t**t_power it is int_0^1 t**t_power exp(t sum(x)) dt, here for
+    # rows of one value, two values (one beside a zero), three values and
+    # mixed signs, and for an integrated two-value argument.
+    rows = np.array([(0.8, 0.8, 0.8), (1.2, 0.4, 0.4), (0.9, 0.0, 0.6), (1.5, 0.7, 0.3),
+                     (1.5, 0.7, -0.3)])
+    batch = pFq_alpha(HypergeomSpec((), (), 1.5, rows, t_power=t_power))
+    for row, result in zip(rows, batch):
+        total = mp.mpf(float(row.sum()))
+        want = mp.quad(lambda t: t**t_power * mp.exp(t * total), [0, 1])
+        assert abs(result.value / want - 1) <= 1e-14, (row, result.value, want)
+    ratio = RatioIntegral(1.3, 2, 1, 2, 0.5)
+    result = pFq_alpha(HypergeomSpec((), (), 1.5, ratio, t_power=t_power))
+    want = mp.quad(
+        lambda r, t: (1 - r) ** 2 * mp.exp(0.5 * r) * t**t_power * mp.exp(t * 1.3 * (2 + r)),
+        [0, 1], [0, 1],
+    )
+    assert abs(result.value / want - 1) <= 1e-14, (result.value, want)
 
 
 def test_ratio_integral_meets_the_strip_budget(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -942,6 +983,8 @@ def test_batch_raises_its_failing_members_error() -> None:
         ({"lower": (-math.inf,)}, {}, "lower parameter"),
         ({"alpha": math.nan}, {}, "alpha"),
         ({"alpha": 0.0}, {}, "alpha"),
+        ({"t_power": math.nan}, {}, "t_power"),
+        ({"t_power": -1.0}, {}, "t_power"),
         ({}, {"tol": math.nan}, "tol"),
         ({}, {"tol": 0.0}, "tol"),
         ({}, {"tol": -1.0}, "tol"),
@@ -950,7 +993,7 @@ def test_batch_raises_its_failing_members_error() -> None:
     ],
     ids=[
         "nan-args", "inf-arg", "nan-batch", "nan-upper", "inf-lower", "nan-alpha",
-        "zero-alpha", "nan-tol", "zero-tol", "negative-tol", "negative-max-weight",
+        "zero-alpha", "nan-t-power", "negative-t-power", "nan-tol", "zero-tol", "negative-tol", "negative-max-weight",
         "fractional-max-weight",
     ],
 )
