@@ -3,11 +3,14 @@
 The series ``pFq``, summed over partitions ``kappa`` with generalized
 Pochhammer ratios and ``C_kappa`` evaluations, is accumulated layer by
 layer in weight, each layer as whole arrays over its partitions.  A
-layer enters both a compensated float total, as its float sum, and log
-accumulators, as log-sum-exps of its positive and negative terms; the
-log accumulators keep results usable far outside float range, which
-matters because the finite-size gap formulas multiply series values
-like ``exp(+1900)`` against prefactors like ``exp(-1920)``.
+layer enters one compensated float total, with the summed magnitude of
+its terms beside it, both times ``2**-E`` for an integer exponent ``E``
+(:class:`_Running`).  ``E`` stays 0 while the layers keep inside
+``exp(+-600)``; past that a layer comes scaled by its own power of two,
+and the total is rescaled exactly.  So results stay usable far outside
+float range, which matters because the finite-size gap formulas multiply
+series values like ``exp(+1900)`` against prefactors like
+``exp(-1920)``.
 
 The argument-free part of each term (the Pochhammer ratio, ``1/k!`` and,
 when the argument has one distinct nonzero value, ``C_kappa(1, ..., 1)``)
@@ -36,7 +39,7 @@ weight layer at a time as the sum goes deeper.  Either source can also
 integrate the argument's common scale out (``HypergeomSpec.t_power``),
 which divides each layer by one number.  A batch (the nodes of
 one quadrature level) sums its series together, one layer for all of
-them at a time, each with its own accumulators and stopping rule
+them at a time, each with its own sum and stopping rule
 (:meth:`_Running.add`); a single series is a batch of one row, on the
 same path.  The series calls no one-partition form; the reference
 evaluators that tests check its layers against live in
@@ -217,9 +220,12 @@ class SeriesResult:
 
     ``value`` is the compensated float sum (it saturates to ``inf`` or
     ``0.0`` outside float range) while ``sign`` and ``log_value`` stay
-    meaningful at any magnitude.  ``tail_estimate`` is the magnitude of
-    the last weight layer relative to the value, ``exp(last_layer -
-    log_value)``, zero for exactly terminated series.
+    meaningful at any magnitude: the sum is kept as ``total * 2**E``, and
+    ``log_value`` is ``E ln 2 + log|total|``, or ``log1p`` of ``total -
+    1`` with its compensation where ``E = 0`` and ``total`` lies within
+    a factor 2 of 1.  ``tail_estimate`` is the magnitude of the last
+    weight layer relative to the value, zero for exactly terminated
+    series.
     """
 
     value: float
@@ -426,71 +432,77 @@ def _coefficients(
     return _Coefficients(upper, lower, alpha, parts, at_ones)
 
 
-def _log_add(a: float, b: float) -> float:
-    """``log(exp(a) + exp(b))``."""
-    if a < b:
-        a, b = b, a
-    return a if b == -math.inf else a + math.log1p(math.exp(b - a))
+#: ``ln 2`` in two parts: ``e * _LN2_HI`` is exact for every ``|e| <
+#: 2**20``, so ``(x - e * _LN2_HI) - e * _LN2_LO`` reduces a log by ``e``
+#: powers of two with no more error than the log itself carries.
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
+
+
+def _binary_exponent(log: float) -> int:
+    """The power of two that scales ``exp(log)`` near 1: 0 inside
+    ``exp(+-600)``, where every sum here stays in float range unscaled."""
+    return 0 if -600.0 < log < 600.0 or log == -math.inf else round(log / _LN2_HI)
 
 
 class _Running:
-    """The accumulators of one member's series while it runs."""
+    """The sum of one member's series while it runs.
+
+    The sum is ``(total + comp) 2**exponent``: a two-sum ``total`` and its
+    compensation, with ``magnitude`` the summed magnitudes of its terms, all
+    in the same scale.  A layer of another exponent meets the state on the
+    larger of the two, and ``math.ldexp`` rescales the other side exactly
+    (a series' first layer, of weight 0, has exponent 0 or more).
+    """
 
     __slots__ = (
-        "log_pos", "log_neg", "float_sum", "float_comp", "float_dead",
-        "term_count", "small_layers", "last_layer", "weight_used",
-        "terminated_exactly",
+        "exponent", "total", "comp", "magnitude", "term_count", "small_layers",
+        "last_layer", "weight_used", "terminated_exactly",
     )
 
     def __init__(self) -> None:
-        self.log_pos = -math.inf
-        self.log_neg = -math.inf
-        self.float_sum = 0.0
-        self.float_comp = 0.0
-        self.float_dead = False
+        self.exponent = 0
+        self.total = 0.0
+        self.comp = 0.0
+        self.magnitude = 0.0
         self.term_count = 0
         self.small_layers = 0
-        self.last_layer = -math.inf
+        self.last_layer = 0.0
         self.weight_used = 0
         self.terminated_exactly = False
 
     def add(
-        self, k: int, count: int, shift: float, pos: float, neg: float,
-        term: float | None, log_tol: float,
+        self, k: int, count: int, exponent: int, signed: float, magnitude: float, tol: float
     ) -> bool:
         """Take in layer ``k`` and say whether the series stops there.
 
-        The layer has ``count`` terms, whose positive and negative parts
-        sum to ``exp(shift) pos`` and ``exp(shift) neg``, and whose float
-        sum is ``term``; None leaves the float total for the log
-        accumulators.  The series stops at the third layer in a row below
-        ``exp(log_tol)`` times the running value.
+        The layer has ``count`` terms, whose sum is ``signed 2**exponent``
+        and whose magnitudes sum to ``magnitude 2**exponent``.  The series
+        stops at the third layer in a row below ``tol`` times the running
+        total.
         """
-        layer_log = -math.inf
         if count:
             self.term_count += count
-            layer_log = shift + math.log(pos + neg)
-            if pos:
-                self.log_pos = _log_add(self.log_pos, shift + math.log(pos))
-            if neg:
-                self.log_neg = _log_add(self.log_neg, shift + math.log(neg))
-            if term is None:
-                self.float_dead = True
-            elif not self.float_dead:
-                total = self.float_sum
-                fresh = total + term
-                if abs(total) >= abs(term):
-                    self.float_comp += (total - fresh) + term
-                else:
-                    self.float_comp += (term - fresh) + total
-                self.float_sum = fresh
+            if exponent > self.exponent:
+                down = self.exponent - exponent
+                self.total = math.ldexp(self.total, down)
+                self.comp = math.ldexp(self.comp, down)
+                self.magnitude = math.ldexp(self.magnitude, down)
+                self.exponent = exponent
+            elif exponent < self.exponent:
+                signed = math.ldexp(signed, exponent - self.exponent)
+                magnitude = math.ldexp(magnitude, exponent - self.exponent)
+            total = self.total
+            fresh = total + signed
+            if abs(total) >= abs(signed):
+                self.comp += (total - fresh) + signed
+            else:
+                self.comp += (signed - fresh) + total
+            self.total = fresh
+            self.magnitude += magnitude
         self.weight_used = k
-        self.last_layer = layer_log
-        if self.log_neg == -math.inf:  # as _signed_log_diff gives it
-            log_s = self.log_pos
-        else:
-            log_s, _ = _signed_log_diff(self.log_pos, self.log_neg)
-        if k > 0 and log_s > -math.inf and layer_log < log_tol + log_s:
+        self.last_layer = magnitude
+        if k > 0 and magnitude < tol * abs(self.total):
             self.small_layers += 1
             return self.small_layers >= 3
         self.small_layers = 0
@@ -499,37 +511,44 @@ class _Running:
     def outcome(self) -> SeriesResult:
         """The member's :class:`SeriesResult`; raises ``CancellationError``
         if the series is lost."""
-        log_s, sign_s = _signed_log_diff(self.log_pos, self.log_neg)
-        if self.log_neg > -math.inf:
-            # log_s == -inf (the totals agree to the last bit: cancellation
-            # beyond float resolution, not a zero) makes the excess inf.
-            excess = _log_add(self.log_pos, self.log_neg) - log_s
+        total, exponent = self.total, self.exponent
+        value = total + self.comp
+        sign = -1 if value < 0.0 else 1
+        if not value:  # no term, or the terms cancel to the last bit
+            log_scaled = -math.inf
+        elif not exponent and 0.5 <= abs(total) <= 2.0:
+            # near 1 the compensation holds bits that total + comp rounds away
+            log_scaled = math.log1p((abs(total) - 1.0) + (self.comp if total > 0.0 else -self.comp))
+        else:
+            log_scaled = math.log(abs(value))
+        if self.magnitude:
+            excess = math.log(self.magnitude) - log_scaled
             if excess > math.log(CONDITION_LIMIT):
                 raise CancellationError(
                     f"series lost to cancellation: summed magnitude exceeds "
                     f"result by exp({excess:.1f})"
                 )
-        float_sum = self.float_sum
-        if not self.float_dead and abs(log_s) < 700.0 and math.isfinite(float_sum):
-            value = float_sum + self.float_comp
-        elif log_s == -math.inf:
-            value = 0.0
-        else:
-            value = sign_s * math.exp(log_s) if log_s < 709.0 else sign_s * math.inf
+        log_value = log_scaled
+        if exponent:
+            log_value = exponent * _LN2_HI + (exponent * _LN2_LO + log_scaled)
+            try:
+                value = math.ldexp(value, exponent)
+            except OverflowError:
+                value = math.copysign(math.inf, value)
         # relative: the last layer against the value, not its bare magnitude
-        if self.terminated_exactly:
+        if self.terminated_exactly or not self.last_layer:
             tail = 0.0
         else:
-            tail = math.exp(min(self.last_layer - log_s, 709.0))
+            tail = math.exp(math.log(self.last_layer) - log_scaled)
         return SeriesResult(
-            value, log_s, sign_s, self.weight_used, tail, self.terminated_exactly,
+            value, log_value, sign, self.weight_used, tail, self.terminated_exactly,
             self.term_count,
         )
 
 
-#: One member's layer, as :meth:`_Running.add` takes it: ``(count, shift,
-#: pos, neg, term)``.
-_LayerSums = tuple[int, float, float, float, "float | None"]
+#: One member's layer, as :meth:`_Running.add` takes it: ``(count,
+#: exponent, signed, magnitude)``.
+_LayerSums = tuple[int, int, float, float]
 
 
 class _TermSums:
@@ -540,61 +559,42 @@ class _TermSums:
         self.table = table
         self.coefficients = coefficients
 
-    def layer(self, k: int, running: list[_Running]) -> list[_LayerSums]:
+    def layer(self, k: int) -> list[_LayerSums]:
         """Each running member's sums of layer ``k``.
 
         A member's terms take its Jack values from the table (a vanishing
         value leaves a term of log-magnitude ``-inf``, not counted).  They
-        are summed in logs, shifted by the member's largest term only
-        outside +-600, and correctly rounded (``math.fsum``) for its float
-        total, unless that total is lost or a term reaches ``exp(709)``.
+        are scaled by the power of two of the member's largest term
+        (:func:`_binary_exponent`), 1 inside ``exp(+-600)``, and summed
+        correctly rounded (``math.fsum``).
         """
         jack_values, jack_logs, jack_signs = self.table.layer(k)
         layer = self.coefficients.layer(k)
         rows = layer.rows
         size = rows.size
         if not size:
-            return [(0, 0.0, 0.0, 0.0, None)] * len(running)
+            return [(0, 0, 0.0, 0.0)] * len(jack_values)
         c_values = jack_values[:, rows]
         negative = layer.negative ^ (c_values < 0.0) ^ (jack_signs < 0)[:, None]
-        counts = None
+        counts = [size] * len(c_values)
         if c_values.all():
             log_mag = layer.log_coef + np.log(np.abs(c_values)) + jack_logs[:, rows]
         else:
             with np.errstate(divide="ignore"):
                 log_mag = layer.log_coef + np.log(np.abs(c_values)) + jack_logs[:, rows]
             counts = np.count_nonzero(c_values, axis=1).tolist()
-        tops = log_mag.max(axis=1).tolist()
-        # log-sum-exp of each row, of its positive and of its negative
-        # terms, shifted by the row's largest term only outside +-600
-        shifts = [0.0 if -600.0 < top < 600.0 or top == -math.inf else top for top in tops]
-        if any(shifts):
-            weights = np.exp(log_mag - np.array(shifts)[:, None])
+        exponents = [_binary_exponent(top) for top in log_mag.max(axis=1).tolist()]
+        if any(exponents):
+            scales = np.array(exponents)[:, None]
+            weights = np.exp((log_mag - scales * _LN2_HI) - scales * _LN2_LO)
         else:
             weights = np.exp(log_mag)
-        width = len(running)
-        bins = negative if width == 1 else negative + 2 * np.arange(width)[:, None]
-        sums = np.bincount(bins.ravel(), weights=weights.ravel(), minlength=2 * width).tolist()
-        signed = None
-        out = []
-        for row, state in enumerate(running):
-            count = size if counts is None else counts[row]
-            shift = shifts[row]
-            term = None
-            if count and not state.float_dead and tops[row] < 709.0:
-                if shift:
-                    terms = np.exp(log_mag[row])
-                    terms = np.where(negative[row], -terms, terms).tolist()
-                else:
-                    if signed is None:
-                        signed = np.where(negative, -weights, weights).tolist()
-                    terms = signed[row]
-                try:
-                    term = math.fsum(terms)
-                except OverflowError:
-                    pass
-            out.append((count, shift, sums[2 * row], sums[2 * row + 1], term))
-        return out
+        signed = np.where(negative, -weights, weights).tolist()
+        magnitudes = np.add.reduce(weights, axis=1).tolist()
+        return [
+            (count, exponent, math.fsum(terms), magnitude)
+            for count, exponent, terms, magnitude in zip(counts, exponents, signed, magnitudes)
+        ]
 
     def keep(self, rows: list[int]) -> None:
         """Drop every member but ``rows`` (in their new order)."""
@@ -707,11 +707,11 @@ class _PairSums:
         self._exp_rate = math.exp(rate) if rate < 709.0 else math.inf
         self._weights = np.zeros((len(u), 0))
 
-    def layer(self, k: int, running: list[_Running]) -> list[_LayerSums]:
+    def layer(self, k: int) -> list[_LayerSums]:
         """Each running member's sums of layer ``k``."""
         contracted = self.contraction.layer(k)
         if contracted.weights is None:
-            return [(0, 0.0, 0.0, 0.0, None)] * len(running)
+            return [(0, 0, 0.0, 0.0)] * len(self.abs_u)
         if k >= self._weights.shape[1]:
             depth = max(2 * self._weights.shape[1], k + 1, 32)
             if self.ratios is None:
@@ -728,20 +728,19 @@ class _PairSums:
             if flip and self.u_negative[row]:
                 pos, neg = neg, pos
             if not pos + neg:  # every weight underflowed
-                out.append((0, 0.0, 0.0, 0.0, None))
+                out.append((0, 0, 0.0, 0.0))
                 continue
             log_power = k * self.log_u[row]
-            term = None
-            if shift + log_power < 709.0 and not running[row].float_dead:
+            exponent = _binary_exponent(shift + log_power)
+            if exponent:
+                factor = math.exp((shift + log_power - exponent * _LN2_HI) - exponent * _LN2_LO)
+            else:
                 # exp(shift) |u|**k: two rounded factors, not the exp of a
                 # rounded sum, whose error grows with the sum's size
                 factor = outer * self.abs_u[row] ** k if log_power < 709.0 else math.inf
                 if not 0.0 < factor < math.inf:
                     factor = math.exp(shift + log_power)
-                term = factor * (pos - neg)
-                if not math.isfinite(term):
-                    term = None
-            out.append((contracted.count, shift + log_power, pos, neg, term))
+            out.append((contracted.count, exponent, factor * (pos - neg), factor * (pos + neg)))
         return out
 
     def keep(self, rows: list[int]) -> None:
@@ -767,14 +766,12 @@ def _sum_layers(
     ``source`` gives each running member's sums of a layer, all of them
     at once, and its ``coefficients``, which the members share, set where
     the series terminates or meets a pole.  With ``t_power`` (see
-    :class:`HypergeomSpec`) layer ``k`` is divided by ``k + t_power + 1``:
-    its shift loses the log and its float sum is divided.  Each member
-    keeps its own accumulators and stopping rule (:meth:`_Running.add`)
-    and leaves the group when it stops.
+    :class:`HypergeomSpec`) each member's sums of layer ``k`` are divided
+    by ``k + t_power + 1``.  Each member keeps its own sum and stopping
+    rule (:meth:`_Running.add`) and leaves the group when it stops.
     """
     coefficients = source.coefficients
     cap, parts = coefficients.cap, coefficients.parts
-    log_tol = math.log(tol)
     running = [_Running() for _ in range(members)]
     order = list(range(len(running)))  # member number of each running row
     done: dict[int, SeriesResult] = {}
@@ -786,10 +783,14 @@ def _sum_layers(
                 state.terminated_exactly = True
             break
         if k > max_weight:
-            last_layer = running[0].last_layer
+            state = running[0]
+            try:
+                last_layer = math.ldexp(state.last_layer, state.exponent)
+            except OverflowError:
+                last_layer = math.inf
             raise NonConvergenceError(
                 f"series not converged by weight {max_weight} "
-                f"(last layer magnitude {math.exp(min(last_layer, 700.0)):.3e})"
+                f"(last layer magnitude {last_layer:.3e})"
             )
 
         layer = coefficients.layer(k)
@@ -799,17 +800,16 @@ def _sum_layers(
             for state in running:
                 state.terminated_exactly = k > 0
             break
-        layer_sums = source.layer(k, running)
+        layer_sums = source.layer(k)
         if t_power is not None:
             scale = k + t_power + 1.0
-            log_scale = math.log(scale)
             layer_sums = [
-                (count, shift - log_scale, pos, neg, None if term is None else term / scale)
-                for count, shift, pos, neg, term in layer_sums
+                (count, exponent, signed / scale, magnitude / scale)
+                for count, exponent, signed, magnitude in layer_sums
             ]
         stopped = []
         for row, sums in enumerate(layer_sums):
-            if running[row].add(k, *sums, log_tol):
+            if running[row].add(k, *sums, tol):
                 stopped.append(row)
         if stopped:
             for row in stopped:
@@ -842,10 +842,10 @@ def pFq_alpha(
     ``u r`` (one value ``t`` is ``u = t``, ``r = 1``), is ``exp(shift + k
     log|u|)`` times two dot products of the cached sums of
     :class:`_Contraction` with ``r**d``, its positive and its negative
-    part, and its float sum is their difference.  Any other layer is
-    whole-array arithmetic on the cached argument-free coefficients of
-    its terms and the layer of a :class:`JackTable`, then one
-    log-sum-exp per accumulator and a correctly rounded float sum.
+    part: its sum is their difference and its magnitude their sum.  Any
+    other layer is whole-array arithmetic on the cached argument-free
+    coefficients of its terms and the layer of a :class:`JackTable`, then
+    a correctly rounded sum and a magnitude per member.
 
     One :class:`ArgBlocks` argument is a batch of one row, and one
     :class:`RatioIntegral` a batch of one two-value member whose dot
@@ -959,11 +959,3 @@ def _batch_groups(points: list) -> list[tuple]:
     groups = [(None, *mixed[m], []) for m in sorted(mixed)]
     return groups + [(pair, *by_pair[pair]) for pair in sorted(by_pair)]
 
-
-def _signed_log_diff(log_pos: float, log_neg: float) -> tuple[float, int]:
-    """Log-magnitude and sign of ``exp(log_pos) - exp(log_neg)``."""
-    if log_pos == log_neg:
-        return -math.inf, 1
-    hi, lo = max(log_pos, log_neg), min(log_pos, log_neg)
-    log_mag = hi + math.log1p(-math.exp(lo - hi)) if lo > -math.inf else hi
-    return log_mag, 1 if log_pos > log_neg else -1

@@ -41,7 +41,7 @@ EXACT_FINITEN_ROW = (
 # (1.6e-3 here) would say nothing about it; the relative tail does.
 EXACT_FINITEN_DEEP_ROW = (
     "0.5,2.0,1.0,0,400,exact_E0_finiteN,1.590267001969877e-76,"
-    "-174.53256513964607,,38,1.4237138032578096e-14,"
+    "-174.53256513964607,,38,1.4237138032578146e-14,"
 )
 
 IDENTITY_NAMES = {
@@ -112,8 +112,8 @@ def test_exact_finite_excess_row(capsys: pytest.CaptureFixture[str]) -> None:
     assert code == 0
     record = json.loads(out)
     assert record["method"] == "exact_En_finiteN"
-    assert record["value"] == 0.6732268230326234
-    assert record["log_value"] == -0.3956729733822596
+    assert record["value"] == 0.6732268230326233
+    assert record["log_value"] == -0.3956729733822598
     assert record["trunc_weight"] == 15
     # n = 1 is one series, which terminates exactly: no tail, no quadrature
     assert record["tail_bound"] == 0.0
@@ -485,8 +485,8 @@ def test_report_arbitration_content(capsys: pytest.CaptureFixture[str]) -> None:
     assert "exponent arbitration at beta=2.0, a=1.0" in out
     assert "F1A: -0.25" in out
     assert "MG: -0.125" in out
-    assert "fitted: -0.2548779110874152\n" in out
-    assert "fitted (slope pinned to F1A): -0.9094460642189628\n" in out
+    assert "fitted: -0.25487791108742425\n" in out
+    assert "fitted (slope pinned to F1A): -0.9094460642189649\n" in out
     assert "informational only" in out
 
 

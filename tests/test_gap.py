@@ -430,30 +430,32 @@ def test_single_excess_is_one_series_and_no_rule(monkeypatch: pytest.MonkeyPatch
 # order-6 and order-8 totals of (4, 0, 2, 2), equal to the last bit before,
 # now differ by two units in the last place); and when n = 2 at a = 0 became
 # one series with t and r exact: (4, 0, 2, 2) runs no quadrature, its value
-# unchanged and its tail bound the series' own.
+# unchanged and its tail bound the series' own; and when a series' log value
+# became the log of its one scaled sum (log values within 2 units in the
+# last place, the tail bound of (10, 1, 2, 1) within 7.1e-15).
 HARD_EXCESS_PINS = {
     (1.0, 0.0, 1.0, 1): (-2.1421585207014013, 0, 0.0, 9, 2.721979436590153e-19),
     (1.0, 0.0, 2.0, 1): (-1.508799814031318, 0, 0.0, 11, 6.4528436927420745e-19),
     (1.0, 1.0, 2.0, 1): (-4.269634634858525, 0, 0.0, 11, 1.3348032210459121e-17),
     (1.0, 2.0, 1.0, 1): (-5.992396265376198, 0, 0.0, 10, 7.343396040038893e-19),
     (10.0, 0.0, 2.0, 1): (-0.17714816856738946, 0, 0.0, 17, 8.118278700936077e-17),
-    (10.0, 1.0, 2.0, 1): (-0.6179399721991098, 0, 0.0, 19, 1.326804564115233e-16),
-    (4.0, 0.0, 1.0, 1): (-0.9466111376720514, 0, 0.0, 11, 3.406095564983511e-18),
+    (10.0, 1.0, 2.0, 1): (-0.61793997219911, 0, 0.0, 19, 1.3268045641152424e-16),
+    (4.0, 0.0, 1.0, 1): (-0.9466111376720515, 0, 0.0, 11, 3.406095564983511e-18),
     (4.0, 0.0, 2.0, 1): (-0.4653945511863855, 0, 0.0, 14, 1.3745125182943006e-17),
     (4.0, 0.0, 2.0, 2): (-5.46479044117096, 0, 0.0, 15, 1.0664727753875973e-16),
     (4.0, 1.0, 2.0, 1): (-1.8241327419135258, 0, 0.0, 15, 4.236321034882243e-17),
-    (4.0, 2.0, 1.0, 1): (-3.3461246569469503, 0, 0.0, 12, 2.0199981476424516e-16),
+    (4.0, 2.0, 1.0, 1): (-3.3461246569469507, 0, 0.0, 12, 2.0199981476424516e-16),
 }
 
 # (s, a, beta, n, N) -> E_{N+n}(n; (0, s)), pinned the same way.
 FINITE_EXCESS_PINS = {
-    (0.5, 0.0, 1.0, 1, 10): 0.6312057207905937,
-    (0.5, 0.0, 1.0, 1, 5): 0.6894767780690155,
-    (0.5, 0.0, 2.0, 1, 10): 0.5172571788964266,
-    (0.5, 0.0, 2.0, 1, 5): 0.8219353346969261,
+    (0.5, 0.0, 1.0, 1, 10): 0.6312057207905933,
+    (0.5, 0.0, 1.0, 1, 5): 0.6894767780690154,
+    (0.5, 0.0, 2.0, 1, 10): 0.5172571788964264,
+    (0.5, 0.0, 2.0, 1, 5): 0.8219353346969259,
     (0.5, 1.0, 2.0, 1, 10): 0.809252648736131,
-    (0.5, 1.0, 2.0, 1, 5): 0.6732268230326234,
-    (0.5, 2.0, 1.0, 1, 10): 0.521437051321954,
+    (0.5, 1.0, 2.0, 1, 5): 0.6732268230326233,
+    (0.5, 2.0, 1.0, 1, 10): 0.5214370513219538,
     (0.5, 2.0, 1.0, 1, 5): 0.2750281590055647,
     (0.5, 1.0, 2.0, 2, 4): 0.011505657728140883,
     (0.3, 0.0, 2.0, 3, 1): 2.5108334296492924e-08,

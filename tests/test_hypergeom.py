@@ -252,11 +252,24 @@ def test_exp_sum_property(xs: list[float], alpha: float) -> None:
     t=st.floats(min_value=0.1, max_value=30.0, allow_nan=False),
 )
 def test_value_log_consistency(c: float, t: float) -> None:
+    # The log value is the log of the value, except near 1, where log1p
+    # reads the compensation too.
     result = pFq_alpha(_0f1(c, t, 1, 1.0))
-    assert result.sign == 1
-    np.testing.assert_allclose(
-        result.sign * math.exp(result.log_value), result.value, rtol=1e-12
-    )
+    assert result.sign == 1 == math.copysign(1.0, result.value)
+    if 0.5 <= abs(result.value) <= 2.0:
+        assert abs(result.log_value - math.log(abs(result.value))) <= 2**-52
+    else:
+        assert result.log_value == math.log(abs(result.value))
+
+
+def test_log_value_near_one_keeps_the_compensation() -> None:
+    # At s = 1e-12, log E(0) = -s/8 + log 0F1(;2;s/4) is about -2.6e-27: the
+    # difference of two numbers near 1.25e-13, which log(value) rounds away.
+    s = 1e-12
+    log_value, _ = exact_E0_hard_detailed(s, 2.0, 1.0)
+    with mp.workdps(60):
+        want = -mp.mpf(s) / 8 + mp.log(mp.hyp0f1(2, mp.mpf(s) / 4))
+        assert abs(log_value - want) <= 1e-27
 
 
 # Values of the Schur/monomial route that summed these series before the
@@ -377,6 +390,14 @@ def test_coefficient_layers_match_scalar_forms(alpha: float, parts: int) -> None
                 np.testing.assert_allclose(layer.log_coef, logs, rtol=1e-13, atol=2e-13)
 
 
+def _log_difference(log_pos: float, log_neg: float) -> float:
+    """``log|exp(log_pos) - exp(log_neg)|``, ``-inf`` where they agree."""
+    if log_pos == log_neg:
+        return -math.inf
+    hi, lo = max(log_pos, log_neg), min(log_pos, log_neg)
+    return hi + math.log1p(-math.exp(lo - hi))
+
+
 def _reference_series(spec: HypergeomSpec, tol: float = 1e-12) -> tuple:
     """The series summed one partition at a time from the scalar forms,
     as before whole-layer sums: (value, log value, terms, last weight).
@@ -435,7 +456,7 @@ def _reference_series(spec: HypergeomSpec, tol: float = 1e-12) -> tuple:
                 float_comp += (term - fresh) + float_sum
             float_sum = fresh
         weight = k
-        log_s, _ = hypergeom._signed_log_diff(log_pos, log_neg)
+        log_s = _log_difference(log_pos, log_neg)
         if k > 0 and layer_log < math.log(tol) + log_s:
             small_layers += 1
             if small_layers >= 3:
@@ -443,8 +464,7 @@ def _reference_series(spec: HypergeomSpec, tol: float = 1e-12) -> tuple:
         else:
             small_layers = 0
         k += 1
-    log_s, _ = hypergeom._signed_log_diff(log_pos, log_neg)
-    return float_sum + float_comp, log_s, terms, weight
+    return float_sum + float_comp, _log_difference(log_pos, log_neg), terms, weight
 
 
 REFERENCE_SPECS = [
@@ -487,6 +507,19 @@ def test_series_matches_scalar_reference_sum(upper, lower, alpha, blocks) -> Non
     assert abs(result.log_value - log_value) <= 1e-13 * max(1.0, abs(log_value))
     assert result.term_count == terms
     assert result.max_weight_used == weight
+
+
+def test_table_series_past_exp_600() -> None:
+    # Three distinct values whose terms pass exp(600): the Jack-table layers
+    # are scaled by powers of two, and the sum matches the scalar one.
+    spec = HypergeomSpec((-20.0,), (1.5,), 1.5, ArgBlocks.from_values((-1e6, -3e5, -1e5)))
+    value, log_value, terms, weight = _reference_series(spec)
+    assert log_value > 600.0
+    result = pFq_alpha(spec)
+    assert result.sign == 1
+    assert abs(result.value - value) <= 1e-15 * value
+    assert abs(result.log_value - log_value) <= 2**-52 * log_value
+    assert (result.term_count, result.max_weight_used) == (terms, weight)
 
 
 def test_series_bit_identical_cold_warm_and_deeper_coefficients() -> None:
@@ -777,18 +810,19 @@ def _check_contracted_layers(upper, alpha, p, q, u, weights, rate=0.0) -> None:
     ``sum_d c[d, kappa] w_d``, where ``w`` is ``r**d`` (a node: the Horner
     value at ``r``) or the moments of a :class:`RatioIntegral`
     (``rate``).  Each term is put in the contraction's scale,
-    ``exp(log_coef + log(C/P) - shift)``, and the contracted sums must be
-    ``math.fsum`` of the positive and of the negative terms.
+    ``exp(log_coef + log(C/P) - shift)``; the layer's sum and magnitude
+    must be ``math.fsum`` of the positive terms less and plus that of the
+    negative terms, times the layer's factor ``exp(shift + rate) |u|**k
+    2**-exponent``, taken to 30 digits.
     """
     lower = (7.3,)
     contraction = hypergeom._contraction(upper, lower, alpha, p, q)
     source = weights.source(contraction, u)
-    running = [hypergeom._Running()]
     for k in range(13):
         layer = source.coefficients.layer(k)
         if not layer.nonempty:
             break
-        (count, shift, pos, neg, term), = source.layer(k, running)
+        (count, exponent, signed, magnitude), = source.layer(k)
         contracted = contraction.layer(k)
         rows = layer.rows
         values, log_norm = weights.per_partition(k, rows)
@@ -798,12 +832,13 @@ def _check_contracted_layers(upper, alpha, p, q, u, weights, rate=0.0) -> None:
         want_pos = math.fsum(terms[~negative].tolist())
         want_neg = math.fsum(terms[negative].tolist())
         assert count == len(rows)
-        assert shift == contracted.shift + rate + k * math.log(abs(u))
-        for got, want in ((pos, want_pos), (neg, want_neg)):
-            assert abs(got - want) <= 1e-14 * want, (k, got, want)
-        if rate <= 10.0:
-            want_term = math.exp(shift) * (want_pos - want_neg)
-            assert abs(term - want_term) <= 1e-14 * math.exp(shift) * (want_pos + want_neg)
+        with mp.workdps(30):
+            log_factor = mp.mpf(contracted.shift) + mp.mpf(rate) + k * mp.log(abs(u))
+            factor = float(mp.exp(log_factor) / mp.mpf(2) ** exponent)
+        want_magnitude = factor * (want_pos + want_neg)
+        assert abs(magnitude - want_magnitude) <= 1e-14 * want_magnitude, (k, magnitude)
+        want_signed = factor * (want_pos - want_neg)
+        assert abs(signed - want_signed) <= 1e-14 * want_magnitude, (k, signed)
 
 
 class _NodeWeights:
@@ -1005,14 +1040,20 @@ def test_series_rejects_bad_inputs(change: dict, options: dict, field: str) -> N
 
 
 @pytest.mark.parametrize(
-    "upper, lower, alpha, t", [((-40.0,), (2.0,), 1.0, -400.0), ((-60.0,), (4.0,), 0.5, -60.0)]
+    "upper, lower, alpha, t, m",
+    [
+        ((-40.0,), (2.0,), 1.0, -400.0, 2),
+        ((-60.0,), (4.0,), 0.5, -60.0, 2),
+        # exact_E0_finiteN(0.5, 1.5, 4, 30)
+        ((-30.0,), (1.5,), 2.0, -0.5, 3),
+    ],
 )
-def test_alternating_one_value_series_sums_its_coefficients(upper, lower, alpha, t) -> None:
-    # An alternating finite-size series of t repeated twice: its float value
-    # against a 60-digit sum of the same float coefficients times t**k, over
-    # the layers it summed.
-    result = pFq_alpha(HypergeomSpec(upper, lower, alpha, ArgBlocks(((t, 2),))))
-    coefficients = hypergeom._coefficients(upper, lower, alpha, 2, True)
+def test_alternating_one_value_series_sums_its_coefficients(upper, lower, alpha, t, m) -> None:
+    # An alternating finite-size series of t repeated m times: its float
+    # value and its log value against a 60-digit sum of the same float
+    # coefficients times t**k, over the layers it summed.
+    result = pFq_alpha(HypergeomSpec(upper, lower, alpha, ArgBlocks(((t, m),))))
+    coefficients = hypergeom._coefficients(upper, lower, alpha, m, True)
     with mp.workdps(60):
         total = mp.mpf(0)
         for k in range(result.max_weight_used + 1):
@@ -1021,6 +1062,22 @@ def test_alternating_one_value_series_sums_its_coefficients(upper, lower, alpha,
                 term = mp.exp(mp.mpf(log_coef)) * mp.mpf(t) ** k
                 total += -term if negative else term
         assert abs(result.value - total) <= 1e-15 * abs(total)
+        log_error = abs(result.log_value - mp.log(abs(total)))
+        assert log_error <= 2**-52 * max(1.0, abs(result.log_value))
+
+
+def test_one_value_series_past_float_range() -> None:
+    # 1F1(-150; 1; -1e4) has positive terms up to about exp(780): its layers
+    # are scaled by powers of two, and its value saturates while its sign
+    # and log value hold.
+    result = pFq_alpha(HypergeomSpec((-150.0,), (1.0,), 1.0, ArgBlocks(((-1e4, 1),))))
+    assert result.terminated_exactly
+    assert result.value == math.inf
+    assert result.sign == 1
+    with mp.workdps(60):
+        want = mp.log(mp.hyp1f1(-150, 1, -1e4))
+        assert want > 709
+        assert abs(result.log_value - want) <= 2**-52 * abs(result.log_value)
 
 
 # Whole single-series results, every field to the bit, as the series gave
@@ -1032,24 +1089,24 @@ def test_alternating_one_value_series_sums_its_coefficients(upper, lower, alpha,
 E0_HARD_SERIES_PINS = {
     (1.0, 0): SeriesResult(1.0, 0.0, 1, 0, 0.0, True, 1),
     (1.0, 1): SeriesResult(
-        1.9627864279361782, 0.67436511056541, 1, 12, 2.2161787275206348e-17, False, 13
+        1.9627864279361782, 0.6743651105654103, 1, 12, 2.2161787275206348e-17, False, 13
     ),
     (1.0, 3): SeriesResult(
-        2.116771427539108, 0.7498920163372993, 1, 15, 5.29840384981085e-16, False, 174
+        2.116771427539108, 0.7498920163372992, 1, 15, 5.29840384981085e-16, False, 174
     ),
     (2.0, 0): SeriesResult(1.0, 0.0, 1, 0, 0.0, True, 1),
     (2.0, 1): SeriesResult(
-        3.1655890675997798, 1.1523391575829185, 1, 13, 1.58551807555288e-18, False, 14
+        3.1655890675997798, 1.1523391575829183, 1, 13, 1.58551807555288e-18, False, 14
     ),
     (2.0, 3): SeriesResult(
-        4.457372853421946, 1.4945595461580823, 1, 17, 7.15794665247843e-16, False, 237
+        4.457372853421946, 1.4945595461580827, 1, 17, 7.15794665247843e-16, False, 237
     ),
     (4.0, 0): SeriesResult(1.0, 0.0, 1, 0, 0.0, True, 1),
     (4.0, 1): SeriesResult(
-        5.834386409833859, 1.7637691033683387, 1, 13, 5.550754749910036e-18, False, 14
+        5.834386409833859, 1.7637691033683385, 1, 13, 5.550754749910036e-18, False, 14
     ),
     (4.0, 3): SeriesResult(
-        17.74691188013176, 2.8762115222012694, 1, 19, 1.3406663703383632e-16, False, 314
+        17.74691188013176, 2.876211522201269, 1, 19, 1.3406663703383632e-16, False, 314
     ),
 }
 
@@ -1063,12 +1120,12 @@ def test_hard_edge_series_pinned_bits(key: tuple[float, int]) -> None:
 
 def test_finite_size_series_pinned_bits() -> None:
     log_value, series = exact_E0_finiteN_detailed(0.5, 1.0, 4.0, 5)
-    assert log_value == -1.3839272742721835
-    assert series == SeriesResult(37.191220513668405, 3.6160727257278165, 1, 10, 0.0, True, 21)
+    assert log_value == -1.383927274272184
+    assert series == SeriesResult(37.191220513668405, 3.616072725727816, 1, 10, 0.0, True, 21)
 
 
 def test_table_path_series_pinned_bits() -> None:
     spec = HypergeomSpec((0.5,), (3.7,), 0.5, ArgBlocks.from_values((0.3, -1.1, 0.0, 0.3)))
     assert pFq_alpha(spec) == SeriesResult(
-        0.9726567300631657, -0.027724054456059424, 1, 17, 6.185516905065429e-16, False, 237
+        0.9726567300631657, -0.027724054456059348, 1, 17, 6.185516905065429e-16, False, 237
     )

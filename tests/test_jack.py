@@ -350,13 +350,11 @@ def _pair_sums(u: list, r: list, keep: list | None = None, depth: int = 15) -> l
     after layer 7 the group keeps only the members ``keep``."""
     contraction = hypergeom._contraction((), (4.0,), 0.75, 2, 3)
     source = hypergeom._PairSums(contraction, u, np.array(r))
-    running = [hypergeom._Running() for _ in u]
     layers = []
     for k in range(depth):
         if k == 8 and keep is not None:
             source.keep(keep)
-            running = [running[row] for row in keep]
-        layers.append(source.layer(k, running))
+        layers.append(source.layer(k))
     return layers
 
 
