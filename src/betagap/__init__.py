@@ -12,7 +12,6 @@ from __future__ import annotations
 from .barnes import (
     log_a_const,
     log_b_const,
-    log_duality_constants,
     log_f_beta_half,
     log_gamma2,
     log_morris_value,
@@ -38,8 +37,6 @@ from .gap import (
     LinearStatistic,
     asymptotic_E0,
     asymptotic_En,
-    asymptotic_En_ratio,
-    char_poly_moment_asympt,
     duality_check,
     exact_E0_finiteN,
     exact_E0_finiteN_detailed,
@@ -92,7 +89,6 @@ __all__ = [
     "log_tau_hard",
     "log_a_const",
     "log_tau_hard_n",
-    "log_duality_constants",
     "log_b_const",
     "log_morris_value",
     # gap probabilities
@@ -108,10 +104,8 @@ __all__ = [
     "exact_En_finiteN_detailed",
     "asymptotic_E0",
     "asymptotic_En",
-    "asymptotic_En_ratio",
     "linstat_mean",
     "linstat_variance",
-    "char_poly_moment_asympt",
     "log_large_deviation_E0",
     "log_norm_ratio_exact",
     "log_norm_ratio_stirling",

@@ -23,7 +23,6 @@ __all__ = [
     "log_tau_hard",
     "log_a_const",
     "log_tau_hard_n",
-    "log_duality_constants",
     "log_b_const",
     "log_morris_value",
     "MAX_SHIFT_STEPS",
@@ -244,41 +243,6 @@ def log_tau_hard_n(n: float, a: float, beta: float) -> float:
         + log_f_beta_half(n + a, beta)
         - log_f_beta_half(a, beta)
     )
-
-
-def log_duality_constants(beta: float, n: float, a: float) -> tuple[float, float]:
-    """Logs of both sides of the constant identity under ``beta -> 4/beta``.
-
-    The left side carries the power of ``beta/2`` induced by rescaling
-    the gap variable, the one matching the full asymptotic form's log
-    coefficient; the right side is the plain constant at the mapped
-    parameters ``(4/beta, beta(n+1)/2 - 1, beta(a-2)/2 + 2)``.
-
-    Parameters
-    ----------
-    beta, n, a : float
-        Parameters of the left side.
-
-    Returns
-    -------
-    tuple of float
-        ``(log_lhs, log_rhs)``; equal when the identity holds.
-    """
-    power = beta * a * (a - 1.0) / 4.0 + a / 2.0 + beta * (n * n + n * a) / 2.0
-    log_lhs = (
-        log_a_const(a, beta)
-        + log_tau_hard_n(n, a, beta)
-        + power * math.log(beta / 2.0)
-    )
-    beta_dual = 4.0 / beta
-    n_dual = beta * (n + 1.0) / 2.0 - 1.0
-    a_dual = beta * (a - 2.0) / 2.0 + 2.0
-    if n_dual < 0 or a_dual < 0:
-        raise ValueError(
-            f"dual parameters out of range: n'={n_dual}, a'={a_dual}"
-        )
-    log_rhs = log_a_const(a_dual, beta_dual) + log_tau_hard_n(n_dual, a_dual, beta_dual)
-    return log_lhs, log_rhs
 
 
 def log_b_const(a: float, beta: float) -> float:

@@ -79,7 +79,8 @@ def _settled_limit(
     relatively, or — for algebraically converging sequences — when two
     successive Richardson extrapolations with the measured decay ratio
     agree to the same threshold.  The imaginary part of the accepted value
-    must be noise relative to its real part.
+    must be noise relative to its real part.  The real part is returned as
+    a Python ``float``.
     """
     require_finite("tol", tol, positive=True)
     values: list[np.complex128] = []
@@ -113,7 +114,7 @@ def _settled_limit(
             f"{label}: imaginary residue {settled.imag:.3e} "
             f"exceeds tolerance relative to {settled.real:.3e}"
         )
-    return settled.real
+    return float(settled.real)
 
 
 def _probability(value: float, tol: float, label: str) -> float:

@@ -7,8 +7,11 @@ exactly over the conditioned eigenvalue, series-times-quadrature for
 ``n = 2, 3`` (folded tensor nodes at even ``beta``, a nested map at odd
 ``beta``; at the hard edge with ``a = 0`` the map's scale axis is exact,
 so ``n = 2`` is one series and ``n = 3`` a rule over two ratios),
-large-size asymptotic forms, and a large-deviation
-formula for finite size.  The hard-edge and finite-size ``E(n)``
+large-size asymptotic forms, and a large-deviation formula for finite
+size: the normalization ratio times the Gaussian characteristic function
+of a log linear statistic (:class:`LinearStatistic`).  Each closed form
+is written once; the duality's constant identity is read from
+:func:`duality_check`.  The hard-edge and finite-size ``E(n)``
 routes, ``n >= 1``, share one body, ``_excess_integral``, and differ only
 in their prefactor, series argument and rate.  The ensemble weight
 convention is ``lambda**(a*beta/2) * exp(-beta*lambda/2)``; a gap ``(0,
@@ -47,10 +50,8 @@ __all__ = [
     "exact_En_finiteN_detailed",
     "asymptotic_E0",
     "asymptotic_En",
-    "asymptotic_En_ratio",
     "linstat_mean",
     "linstat_variance",
-    "char_poly_moment_asympt",
     "log_large_deviation_E0",
     "log_norm_ratio_exact",
     "log_norm_ratio_stirling",
@@ -86,7 +87,8 @@ class LinearStatistic:
 
     Encodes ``(beta a / 2) sum_l log(s_tilde_0 + x_l) + beta sum_j
     sum_l log(s_tilde_j + x_l)`` with ``x_l`` the eigenvalues divided
-    by four times the ensemble size.
+    by four times the ensemble size.  The shifts must be finite and
+    positive, ``a`` finite and nonnegative, ``beta`` finite and positive.
     """
 
     s_tilde_0: float
@@ -96,9 +98,11 @@ class LinearStatistic:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s_tilde_list", tuple(float(v) for v in self.s_tilde_list))
-        for v in (self.s_tilde_0, *self.s_tilde_list):
-            if v <= 0:
-                raise ValueError(f"shift arguments must be positive, got {v}")
+        require_finite("s_tilde_0", self.s_tilde_0, positive=True)
+        for j, v in enumerate(self.s_tilde_list):
+            require_finite(f"s_tilde_list[{j}]", v, positive=True)
+        require_finite("a", self.a)
+        require_finite("beta", self.beta, positive=True)
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +154,11 @@ def exact_E0_hard(
     return math.exp(log_value)
 
 
-def _ensemble_size(N: int) -> int:
-    """``N`` as an ``int``, by :func:`~betagap.errors.counted`."""
-    return counted(N, f"N must be nonnegative and integral, got {N}")
+def _ensemble_size(N: int, least: int = 0) -> int:
+    """``N`` as an ``int`` of at least ``least``, by
+    :func:`~betagap.errors.counted`."""
+    kind = f"at least {least}" if least else "nonnegative"
+    return counted(N, f"N must be {kind} and integral, got {N}", least)
 
 
 def exact_E0_finiteN_detailed(
@@ -729,31 +735,9 @@ def asymptotic_En(n: float, a: float, beta: float) -> AsymptoticForm:
     )
 
 
-def asymptotic_En_ratio(n: float, a: float, beta: float) -> AsymptoticForm:
-    """Large-gap form of the ratio ``E(n) / E(0)``."""
-    return AsymptoticForm(
-        c_s=0.0,
-        c_sqrt=beta * n,
-        c_log=-beta * (n * n + n * a) / 4.0,
-        c_const=log_tau_hard_n(n, a, beta),
-        source="EF",
-    )
-
-
 # ---------------------------------------------------------------------------
 # linear statistics and large deviations
 # ---------------------------------------------------------------------------
-
-
-def _mean_block(x: float) -> float:
-    """Equilibrium mean of ``log(x + t)`` per eigenvalue, halved."""
-    root = math.sqrt(x * (x + 1.0))
-    return (
-        root
-        - x
-        + math.log((math.sqrt(x + 1.0) + math.sqrt(x)) / 2.0)
-        - 0.5
-    )
 
 
 def _nu(x: float) -> float:
@@ -764,19 +748,18 @@ def _nu(x: float) -> float:
 def linstat_mean(ls: LinearStatistic, N: int) -> float:
     """Mean of the logarithmic linear statistic at ensemble size ``N``.
 
-    Leading term ``2 N`` times the equilibrium block per unit weight
-    plus the size-independent correction ``(1/(2 beta) - 1/4) *
-    log((1 + x)/x)`` per unit weight.
+    Leading term ``2 N`` times the equilibrium block (the equilibrium mean
+    of ``log(x + t)`` per eigenvalue, halved) per unit weight plus the
+    size-independent correction ``(1/(2 beta) - 1/4) * log((1 + x)/x)`` per
+    unit weight.  ``N`` is a positive integer.
     """
+    N = _ensemble_size(N, 1)
     beta = ls.beta
     correction = 1.0 / (2.0 * beta) - 0.25
     total = 0.0
-    for weight, x in [(beta * ls.a / 2.0, ls.s_tilde_0)] + [
-        (beta, x) for x in ls.s_tilde_list
-    ]:
-        total += weight * (
-            2.0 * N * _mean_block(x) + correction * math.log((1.0 + x) / x)
-        )
+    for weight, x in [(beta * ls.a / 2.0, ls.s_tilde_0)] + [(beta, x) for x in ls.s_tilde_list]:
+        block = math.sqrt(x * (x + 1.0)) - x + math.log((math.sqrt(x + 1.0) + math.sqrt(x)) / 2.0)
+        total += weight * (2.0 * N * (block - 0.5) + correction * math.log((1.0 + x) / x))
     return total
 
 
@@ -811,35 +794,22 @@ def linstat_variance(ls: LinearStatistic) -> float:
     return 2.0 * beta * bracket
 
 
-def char_poly_moment_asympt(s_tilde: float, a: float, beta: float, N: int) -> float:
-    """Asymptotic moment of the shifted characteristic polynomial.
-
-    Gaussian fluctuation approximation ``exp(c mu + c**2 sigma**2 / 2)``
-    for ``< prod_l (s_tilde + x_l)**c >`` with ``c = beta a / 2`` and
-    ``x_l`` the spectrum scaled to (0, 1).
-    """
-    c = beta * a / 2.0
-    mean_unit = 2.0 * N * _mean_block(s_tilde) + (
-        1.0 / (2.0 * beta) - 0.25
-    ) * math.log((1.0 + s_tilde) / s_tilde)
-    nu = _nu(s_tilde)
-    var_unit = -(2.0 / beta) * math.log1p(-nu * nu)
-    return math.exp(c * mean_unit + c * c * var_unit / 2.0)
-
-
 def log_norm_ratio_exact(N: int, a: float, beta: float) -> float:
     """Log of the normalization ratio between the bare and the
-    ``a``-weighted ensembles, via its gamma product."""
-    log_value = N * a * beta / 2.0 * math.log(beta / 2.0)
-    for j in range(N):
-        log_value += math.lgamma(1.0 + j * beta / 2.0) - math.lgamma(
-            a * beta / 2.0 + 1.0 + j * beta / 2.0
-        )
-    return log_value
+    ``a``-weighted size-``N`` ensembles, via their gamma products; ``N``
+    is a nonnegative integer."""
+    N = _ensemble_size(N)
+    require_finite("beta", beta, positive=True)
+    require_finite("a", a)
+    return _log_laguerre_norm(0.0, beta, N) - _log_laguerre_norm(a, beta, N)
 
 
 def log_norm_ratio_stirling(N: int, a: float, beta: float) -> float:
-    """Large-``N`` form of :func:`log_norm_ratio_exact`."""
+    """Large-``N`` form of :func:`log_norm_ratio_exact`; ``N`` is a
+    positive integer."""
+    N = _ensemble_size(N, 1)
+    require_finite("beta", beta, positive=True)
+    require_finite("a", a)
     return (
         -a * N * beta / 2.0 * math.log(N)
         - beta * a * (a - 1.0) / 4.0 * math.log(N * beta / 2.0)
@@ -871,21 +841,17 @@ def log_large_deviation_E0(N: int, s_tilde: float, a: float, beta: float) -> flo
     float
         ``log E``.
     """
-    counted(N, f"N must be at least 1 and integral, got {N}", 1)
+    N = _ensemble_size(N, 1)
     require_finite("s_tilde", s_tilde, positive=True)
     require_finite("beta", beta, positive=True)
     require_finite("a", a)
-    root = math.sqrt(s_tilde * (s_tilde + 1.0))
-    plus = math.sqrt(s_tilde + 1.0) + math.sqrt(s_tilde)
+    ls = LinearStatistic(s_tilde, (), a, beta)
     return (
         -2.0 * beta * N * N * s_tilde
-        - beta * a * (a - 1.0) / 4.0 * math.log(N * beta / 2.0)
-        - a / 2.0 * math.log(math.pi * N * beta)
-        + log_f_beta_half(a, beta)
-        + N * beta * a * (root - s_tilde + math.log(plus))
-        + beta * a / 4.0 * (1.0 / beta - 0.5) * math.log(1.0 + 1.0 / s_tilde)
-        - beta * a * a / 4.0 * math.log(root)
-        + beta * a * a / 2.0 * math.log(plus / 2.0)
+        + beta * a * N / 2.0 * math.log(4.0 * N)
+        + log_norm_ratio_stirling(N, a, beta)
+        + linstat_mean(ls, N)
+        + linstat_variance(ls) / 2.0
     )
 
 
@@ -908,23 +874,29 @@ def log_multi_F01_asympt(
     Parameters
     ----------
     s0 : float
-        Distinguished argument scale.
+        Distinguished argument scale; finite and positive.
     s_list : tuple of float
-        The ``n`` remaining argument scales.
+        The ``n`` remaining argument scales; finite and positive.
     a : float
-        Weight parameter.
+        Weight parameter; finite and nonnegative.
     n : int
         Number of extra argument blocks; ``len(s_list)`` must equal it.
     beta : float
-        Ensemble parameter.
+        Ensemble parameter; finite and positive.
 
     Returns
     -------
     float
         Log of the asymptotic value.
     """
+    n = counted(n, f"n must be a nonnegative integer, got {n}")
     if len(s_list) != n:
         raise ValueError(f"expected {n} secondary scales, got {len(s_list)}")
+    require_finite("s0", s0, positive=True)
+    for j, sj in enumerate(s_list):
+        require_finite(f"s_list[{j}]", sj, positive=True)
+    require_finite("a", a)
+    require_finite("beta", beta, positive=True)
     roots = [math.sqrt(sj) for sj in s_list]
     root0 = math.sqrt(s0)
     log_value = log_a_const(a + 2.0 * n, beta)
@@ -950,7 +922,9 @@ def duality_check(beta: float, n: float, a: float) -> dict:
     the rescaled variable ``s / (beta/2)**2``; the right side is the
     form at the mapped parameters ``(4/beta, beta(n+1)/2 - 1,
     beta(a-2)/2 + 2)``.  Matching coefficient-by-coefficient is the
-    content of the duality.
+    content of the duality; the two ``c_const`` entries are the two sides
+    of its constant identity.  A negative mapped ``n`` or ``a`` raises
+    ``ValueError``.
 
     Returns
     -------
@@ -969,6 +943,8 @@ def duality_check(beta: float, n: float, a: float) -> dict:
     beta_dual = 4.0 / beta
     n_dual = beta * (n + 1.0) / 2.0 - 1.0
     a_dual = beta * (a - 2.0) / 2.0 + 2.0
+    if n_dual < 0 or a_dual < 0:
+        raise ValueError(f"dual parameters out of range: n'={n_dual}, a'={a_dual}")
     rhs = asymptotic_En(n_dual, a_dual, beta_dual)
     rhs_eff = (rhs.c_s, rhs.c_sqrt, rhs.c_log, rhs.c_const)
     diff = max(abs(x - y) for x, y in zip(lhs_eff, rhs_eff))

@@ -12,8 +12,10 @@
   over the partitions as the ``p = 0``, ``r = 1`` case of the two-value
   contraction below;
 - two distinct nonzero values of one sign, ``u`` repeated ``p`` times
-  and ``v`` ``q`` times with ``|u| > |v|`` (the quadrature nodes of
-  ``E(2)`` at ``a = 0``, and ``E(1)`` integrated over ``r = v / u``):
+  and ``v`` ``q`` times with ``|u| > |v|`` (``E(1)`` integrated over ``r
+  = v / u``, hard-edge ``E(2)`` at ``a = 0`` integrated the same way, and
+  the quadrature nodes of finite-size ``E(2)`` at ``a = 0`` and of a
+  subnormal ``s``):
   ``u**|kappa|`` times the polynomial ``P_kappa(1^p, r^q)``, whose
   coefficients ``c[d, kappa]`` depend only on ``(alpha, p, q)``
   (:func:`_pair_coefficients`).  They are built once, a weight layer at

@@ -17,13 +17,13 @@ from betagap.barnes import (
     MAX_SHIFT_STEPS,
     log_a_const,
     log_b_const,
-    log_duality_constants,
     log_f_beta_half,
     log_gamma2,
     log_morris_value,
     log_tau_hard,
     log_tau_hard_n,
 )
+from betagap.gap import duality_check
 
 mp.mp.dps = 40
 
@@ -180,9 +180,16 @@ def test_excess_eigenvalue_constant() -> None:
         )
 
 
+def _duality_constants(beta: float, n: float, a: float) -> tuple[float, float]:
+    """Logs of both sides of the constant identity under ``beta -> 4/beta``:
+    the ``c_const`` entries of :func:`duality_check`."""
+    report = duality_check(beta, n, a)
+    return report["lhs"][3], report["rhs"][3]
+
+
 def test_duality_constants_agree() -> None:
     for beta, n, av in ((2.0, 1.0, 2.0), (4.0, 0.0, 2.0), (1.0, 1.0, 4.0)):
-        log_lhs, log_rhs = log_duality_constants(beta, n, av)
+        log_lhs, log_rhs = _duality_constants(beta, n, av)
         np.testing.assert_allclose(log_lhs, log_rhs, atol=1e-10, rtol=0)
     for (beta, n, av), want in (
         ((4.0, 0.0, 2.0), 1.0 / (4.0 * math.pi)),
@@ -190,12 +197,13 @@ def test_duality_constants_agree() -> None:
         ((2.0, 1.0, 2.0), 0.000791571747205763),
     ):
         np.testing.assert_allclose(
-            log_duality_constants(beta, n, av)[0], math.log(want), atol=1e-12, rtol=0
+            _duality_constants(beta, n, av)[0], math.log(want), atol=1e-12, rtol=0
         )
 
 
 def _published_duality_lhs(beta: float, n: float, a: float) -> float:
-    """``log_duality_constants``' left side with the stated power of ``beta/2``."""
+    """The left constant of :func:`duality_check` with the stated power of
+    ``beta/2``."""
     power = a * (beta * a / 2.0 + 1.0) / 2.0 - beta * a / 2.0 + (n * n + n * a) * beta / 2.0
     return log_a_const(a, beta) + log_tau_hard_n(n, a, beta) + power * math.log(beta / 2.0)
 
@@ -204,9 +212,9 @@ def test_duality_published_variant() -> None:
     # The as-published exponent disagrees by a power of the scale factor
     # except where the map is the identity.
     same = _published_duality_lhs(2.0, 1.0, 2.0)
-    np.testing.assert_allclose(same, log_duality_constants(2.0, 1.0, 2.0)[0], atol=1e-7, rtol=0)
+    np.testing.assert_allclose(same, _duality_constants(2.0, 1.0, 2.0)[0], atol=1e-7, rtol=0)
     log_lhs_printed = _published_duality_lhs(4.0, 0.0, 2.0)
-    log_lhs = log_duality_constants(4.0, 0.0, 2.0)[0]
+    log_lhs = _duality_constants(4.0, 0.0, 2.0)[0]
     assert abs(log_lhs_printed - log_lhs - math.log(0.25)) < 1e-10
 
 

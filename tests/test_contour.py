@@ -239,8 +239,24 @@ def test_dimension_two_needs_integer_four_over_beta(s: float, beta: float) -> No
     )
 
 
+@pytest.mark.parametrize("a", [0.0, 1.0])
+@pytest.mark.parametrize(
+    "route",
+    [
+        lambda a: torus_E0_finiteN(0.5, a, 2.0, 4),
+        lambda a: torus_E0_hard(1.0, a, 2.0),
+        lambda a: hard_contour_E0(1.0, a, 2.0),
+    ],
+    ids=["torus-finiteN", "torus-hard", "contour"],
+)
+def test_circle_routes_return_a_python_float(route, a: float) -> None:
+    # At beta a / 2 = 1 all three returned np.float64, the settled real part
+    # of a numpy complex, and a float only at a = 0.
+    assert type(route(a)) is float
+
+
 def test_quadrature_error_prints_a_plain_float(monkeypatch: pytest.MonkeyPatch) -> None:
-    # The settled value is a numpy scalar; the message shows it as a float.
+    # A numpy scalar in the value still shows in the message as a float.
     monkeypatch.setattr(contour, "_settled_limit", lambda *args: np.float64(-1e-3))
     for route in (
         lambda: torus_E0_finiteN(0.5, 1.0, 2.0, 4),

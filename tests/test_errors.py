@@ -11,13 +11,19 @@ from betagap.barnes import log_b_const, log_morris_value, log_tau_hard
 from betagap.contour import hard_contour_E0, torus_E0_finiteN, torus_E0_hard
 from betagap.errors import ParameterQuantizationError, quantized, require_finite
 from betagap.gap import (
+    LinearStatistic,
+    duality_check,
     exact_E0_finiteN_detailed,
     exact_E0_hard,
     exact_E0_hard_detailed,
     exact_En_finiteN_detailed,
     exact_En_hard,
     exact_En_hard_detailed,
+    linstat_mean,
     log_large_deviation_E0,
+    log_multi_F01_asympt,
+    log_norm_ratio_exact,
+    log_norm_ratio_stirling,
 )
 from betagap.mc import EnsembleSpec, estimate_gap
 
@@ -152,5 +158,44 @@ def test_torus_finite_size_rejects_bad_N(a: float, N) -> None:
 def test_counts_reject_non_integers(call, message: str) -> None:
     # Each used to pass, or to end in TypeError or "cannot convert float
     # NaN to integer", before the count rule became errors.counted.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: LinearStatistic(math.nan, (), 1.0, 2.0),
+         "s_tilde_0 must be finite and positive, got nan"),
+        (lambda: LinearStatistic(math.inf, (), 1.0, 2.0),
+         "s_tilde_0 must be finite and positive, got inf"),
+        (lambda: LinearStatistic(0.3, (0.5, math.nan), 1.0, 2.0),
+         r"s_tilde_list\[1\] must be finite and positive, got nan"),
+        (lambda: LinearStatistic(0.3, (), math.nan, 2.0),
+         "a must be finite and nonnegative, got nan"),
+        (lambda: LinearStatistic(0.3, (), 1.0, -2.0),
+         "beta must be finite and positive, got -2.0"),
+        (lambda: linstat_mean(LinearStatistic(0.3, (), 1.0, 2.0), -5),
+         "N must be at least 1 and integral, got -5"),
+        (lambda: log_norm_ratio_stirling(0, 1.0, 2.0), "N must be at least 1 and integral, got 0"),
+        (lambda: log_norm_ratio_exact(-1, 1.0, 2.0),
+         "N must be nonnegative and integral, got -1"),
+        (lambda: log_norm_ratio_exact(4, 1.0, math.nan),
+         "beta must be finite and positive, got nan"),
+        (lambda: log_multi_F01_asympt(math.nan, (), 1.0, 0, 2.0),
+         "s0 must be finite and positive, got nan"),
+        (lambda: log_multi_F01_asympt(-1.0, (), 1.0, 0, 2.0),
+         "s0 must be finite and positive, got -1.0"),
+        (lambda: log_multi_F01_asympt(4.0, (0.0,), 1.0, 1, 2.0),
+         r"s_list\[0\] must be finite and positive, got 0.0"),
+        (lambda: duality_check(4.0, 0.0, 0.5), "dual parameters out of range: n'=1.0, a'=-1.0"),
+    ],
+    ids=["ls-shift-nan", "ls-shift-inf", "ls-list-nan", "ls-a-nan", "ls-beta-negative",
+         "mean-N-negative", "stirling-N-zero", "exact-N-negative", "exact-beta-nan",
+         "multi-s0-nan", "multi-s0-negative", "multi-list-zero", "duality-a-negative"],
+)
+def test_closed_forms_reject_bad_input(call, message: str) -> None:
+    # Each returned nan or a number, or raised "math domain error" or an
+    # error under another name, before the closed forms checked their input.
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

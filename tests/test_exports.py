@@ -1,6 +1,6 @@
 """Every name a module lists in ``__all__`` exists, no ``__all__`` lists a
 function beside its log twin, no public function takes a formula switch,
-two-value series have one evaluator, cached layers have one locked build
+no closed form has a second copy, two-value series have one evaluator, cached layers have one locked build
 loop, neither importing the package nor any subcommand needs scipy, and
 the test oracles share no code with the package."""
 
@@ -60,11 +60,9 @@ def test_no_public_formula_switch() -> None:
     assert found == []
 
 
-def test_no_per_partition_pair_table() -> None:
-    # Two-value series contract their argument out of cached layer sums
-    # (hypergeom._Contraction); the per-partition pair tables they replaced
-    # must not come back beside them.
-    retired = {"JackPairTable", "JackPairIntegral"}
+def _defined_or_imported(retired: set[str]) -> list[str]:
+    """Each place a package module defines, imports or assigns a name in
+    ``retired``, as ``"<file>: <name>"``."""
     source = Path(betagap.__file__).parent
     found = []
     for path in sorted(source.glob("*.py")):
@@ -78,8 +76,32 @@ def test_no_per_partition_pair_table() -> None:
             else:
                 continue
             found += [f"{path.name}: {name}" for name in names if name in retired]
-    assert found == []
+    return found
+
+
+def test_no_per_partition_pair_table() -> None:
+    # Two-value series contract their argument out of cached layer sums
+    # (hypergeom._Contraction); the per-partition pair tables they replaced
+    # must not come back beside them.
+    retired = {"JackPairTable", "JackPairIntegral"}
+    assert _defined_or_imported(retired) == []
     assert retired.isdisjoint(importlib.import_module("betagap.jack").__all__)
+
+
+def test_no_second_copy_of_a_closed_form() -> None:
+    # Each closed form is stated once: the characteristic-polynomial moment
+    # is exp(linstat_mean + linstat_variance / 2), the E(n) / E(0) form is
+    # asymptotic_En minus asymptotic_E0, and the duality constants are the
+    # c_const entries of duality_check.
+    retired = {"char_poly_moment_asympt", "asymptotic_En_ratio", "log_duality_constants"}
+    assert _defined_or_imported(retired) == []
+    exported = [
+        f"{module}: {name}"
+        for module in ["betagap"] + [f"betagap.{m}" for m in _SUBMODULES]
+        for name in getattr(importlib.import_module(module), "__all__", ())
+        if name in retired
+    ]
+    assert exported == []
 
 
 def test_one_locked_layer_loop() -> None:

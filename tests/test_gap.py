@@ -31,8 +31,6 @@ from betagap.gap import (
     _vandermonde,
     asymptotic_E0,
     asymptotic_En,
-    asymptotic_En_ratio,
-    char_poly_moment_asympt,
     duality_check,
     exact_E0_finiteN,
     exact_E0_finiteN_detailed,
@@ -698,16 +696,16 @@ def test_excess_asymptotic_coefficients() -> None:
 
 
 def test_excess_ratio_coefficients() -> None:
+    # The large-gap form of E(n) / E(0) is the difference of the two forms.
     for n, a, beta in ((1.0, 1.0, 2.0), (2.0, 2.0, 1.0)):
-        form = asymptotic_En_ratio(n, a, beta)
-        assert form.source == "EF"
-        np.testing.assert_allclose(form.c_s, 0.0, atol=1e-15)
-        np.testing.assert_allclose(form.c_sqrt, beta * n, rtol=1e-15)
+        excess, base = asymptotic_En(n, a, beta), asymptotic_E0(a, beta)
+        np.testing.assert_allclose(excess.c_s - base.c_s, 0.0, atol=1e-15)
+        np.testing.assert_allclose(excess.c_sqrt - base.c_sqrt, beta * n, rtol=1e-15)
         np.testing.assert_allclose(
-            form.c_log, -beta * (n * n + n * a) / 4.0, rtol=1e-14
+            excess.c_log - base.c_log, -beta * (n * n + n * a) / 4.0, rtol=1e-14
         )
         np.testing.assert_allclose(
-            form.c_const, log_tau_hard_n(n, a, beta), rtol=1e-13
+            excess.c_const - base.c_const, log_tau_hard_n(n, a, beta), rtol=1e-13
         )
 
 
@@ -805,9 +803,48 @@ def test_linstat_variance_fourier_oracle() -> None:
 
 
 def test_char_poly_moment_regression() -> None:
+    # The Gaussian moment < prod_l (s_tilde + x_l)**(beta a / 2) > at N = 20.
+    ls = LinearStatistic(0.3, (), 1.0, 2.0)
     np.testing.assert_allclose(
-        char_poly_moment_asympt(0.3, 1.0, 2.0, 20), 1.077574348054638e-06, rtol=1e-10
+        math.exp(linstat_mean(ls, 20) + linstat_variance(ls) / 2.0),
+        1.077574348054638e-06,
+        rtol=1e-10,
     )
+
+
+def _expanded_large_deviation(N: int, s_tilde: float, a: float, beta: float) -> mp.mpf:
+    """``log_large_deviation_E0`` as one expanded closed form, in mpmath at
+    the module's 40 digits, with ``log f_{beta/2}(a)`` taken from
+    :func:`log_f_beta_half` (its own tests pin the double gamma)."""
+    log_f = mp.mpf(log_f_beta_half(a, beta))
+    N, s_tilde, a, beta = (mp.mpf(v) for v in (N, s_tilde, a, beta))
+    root = mp.sqrt(s_tilde * (s_tilde + 1))
+    plus = mp.sqrt(s_tilde + 1) + mp.sqrt(s_tilde)
+    return (
+        -2 * beta * N * N * s_tilde
+        - beta * a * (a - 1) / 4 * mp.log(N * beta / 2)
+        - a / 2 * mp.log(mp.pi * N * beta)
+        + log_f
+        + N * beta * a * (root - s_tilde + mp.log(plus))
+        + beta * a / 4 * (1 / beta - mp.mpf(1) / 2) * mp.log(1 + 1 / s_tilde)
+        - beta * a * a / 4 * mp.log(root)
+        + beta * a * a / 2 * mp.log(plus / 2)
+    )
+
+
+def test_large_deviation_matches_expanded_form() -> None:
+    # The norm ratio times the Gaussian linear statistic is the expanded
+    # closed form to rounding, over the whole grid; the worst point is
+    # (20, 0.01, 7, 4) at 7.9e-14, where the large terms cancel to 2.8.
+    errors = {}
+    for point in itertools.product(
+        (1, 2, 10, 20, 50, 400, 100_000), (0.01, 0.3, 2.0, 50.0), (0.0, 1.0, 2.5, 7.0),
+        (0.7, 2.0, 4.0),
+    ):
+        want = _expanded_large_deviation(*point)
+        errors[point] = float(abs(log_large_deviation_E0(*point) - want) / max(1, abs(want)))
+    worst = max(errors, key=errors.get)
+    assert errors[worst] < 2e-13, (worst, errors[worst])
 
 
 def test_large_deviation_consistency() -> None:

@@ -639,7 +639,13 @@ def _count_jack_tables(monkeypatch: pytest.MonkeyPatch) -> list:
 
 def test_two_value_rows_build_no_jack_table(monkeypatch: pytest.MonkeyPatch) -> None:
     # E(1) at beta = 2, a = 1 has arguments (s/4, s y/4, s y/4): every
-    # quadrature node takes the cached two-value coefficients.
+    # quadrature node takes the cached two-value coefficients.  The strip
+    # table's depth sets how JackTable cuts a batch, so the test starts from
+    # empty caches (a cached contraction would spare the E(1) call the strip
+    # table) and its own E(1) call builds them, to about weight 20.
+    hypergeom._contraction.cache_clear()
+    jack._strip_table.cache_clear()
+    jack._pair_coefficients.cache_clear()
     built = _count_jack_tables(monkeypatch)
     assert 0.0 < exact_En_hard(4.0, 1.0, 2.0, 1) < 1.0
     assert built == []
