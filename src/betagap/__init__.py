@@ -54,14 +54,7 @@ from .gap import (
     log_norm_ratio_stirling,
 )
 from .hypergeom import ArgBlocks, HypergeomSpec, SeriesBatch, SeriesResult, pFq_alpha
-from .mc import (
-    EnsembleSpec,
-    McEstimate,
-    estimate_gap,
-    sample_bidiagonal,
-    sample_smallest,
-    smallest_eigenvalues,
-)
+from .mc import EnsembleSpec, McEstimate, estimate_gap, sample_bidiagonal
 from .partitions import partitions_of_weight
 
 __version__ = "0.1.0"
@@ -119,7 +112,5 @@ __all__ = [
     "EnsembleSpec",
     "McEstimate",
     "sample_bidiagonal",
-    "sample_smallest",
-    "smallest_eigenvalues",
     "estimate_gap",
 ]

@@ -228,7 +228,12 @@ def log_tau_hard_n(n: float, a: float, beta: float) -> float:
     Returns
     -------
     float
-        Log of the constant; zero at ``n = 0``.
+        Log of the constant.  At ``n = 0`` every term but
+        ``log_f_beta_half(1, beta)`` vanishes, so the value is that
+        double-gamma evaluation of ``log Gamma(1) = 0``, not an exact zero:
+        -1.2e-13 at ``beta = 0.5`` and -9.4e-14 at ``beta = 3``.  So
+        ``asymptotic_En(0, a, beta).c_const`` differs from
+        ``asymptotic_E0(a, beta).c_const`` by that amount.
     """
     require_finite("beta", beta, positive=True)
     require_finite("n", n)

@@ -80,9 +80,8 @@ def _settled_limit(
     successive Richardson extrapolations with the measured decay ratio
     agree to the same threshold.  The imaginary part of the accepted value
     must be noise relative to its real part.  The real part is returned as
-    a Python ``float``.
+    a Python ``float``.  Each route checks ``tol`` where it starts.
     """
-    require_finite("tol", tol, positive=True)
     values: list[np.complex128] = []
     previous_extrap: np.complex128 | None = None
     for level in range(levels):
@@ -218,6 +217,7 @@ def torus_E0_finiteN(
     m = _dimension(a, beta)
     require_finite("s", s)
     counted(N, f"N must be a positive integer, got {N}", 1)
+    require_finite("tol", tol, positive=True)
     if m == 0:
         return _probability(math.exp(-beta * N * s / 2.0), tol, "torus finite-size integral")
 
@@ -282,6 +282,7 @@ def torus_E0_hard(
     require_finite("beta", beta, positive=True)
     m = _dimension(a, beta)
     require_finite("s", s, positive=True)
+    require_finite("tol", tol, positive=True)
     if m == 0:
         return _probability(math.exp(-beta * s / 8.0), tol, "circle integral")
     q = float(quantized("2/beta", 2.0 / beta) - 1)
@@ -444,6 +445,7 @@ def hard_contour_E0(s: float, a: float, beta: float, tol: float = 1e-8) -> float
             f"4/beta must be a positive integer for the dimension-2 contour, got {ratio}"
         )
     require_finite("s", s, positive=True)
+    require_finite("tol", tol, positive=True)
     if m == 0:
         return _probability(math.exp(-beta * s / 8.0), tol, "contour integral")
     q = 2.0 / beta - 1.0

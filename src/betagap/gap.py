@@ -34,7 +34,14 @@ from .barnes import (
     log_tau_hard_n,
 )
 from .errors import QuadratureError, ResourceLimitError, counted, quantized, require_finite
-from .hypergeom import ArgBlocks, HypergeomSpec, RatioIntegral, SeriesResult, pFq_alpha
+from .hypergeom import (
+    ArgBlocks,
+    HypergeomSpec,
+    RatioIntegral,
+    SeriesResult,
+    _series_controls,
+    pFq_alpha,
+)
 from .quadrature import gauss_jacobi, ratio_moments
 
 __all__ = [
@@ -248,35 +255,23 @@ def _jacobi_rule(
     return (nodes + 1.0) / 2.0, weights * 0.5 ** (power + power_at_zero + 1.0)
 
 
-def _vandermonde(y: tuple[float, ...], beta: float) -> float:
-    """``prod_{i<j} |y_j - y_i|**beta``."""
-    vander = 1.0
-    for yi, yj in itertools.combinations(y, 2):
-        vander *= abs(yj - yi) ** beta
-    return vander
-
-
 def _folded_level(
     order: int, n: int, power: float, beta: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The tensor rule of :func:`_jacobi_rule` folded onto its strictly
     increasing node tuples: the tuples, their weights times ``n!``, and
-    their Vandermonde factors.  For a symmetric integrand that vanishes
-    where two coordinates meet this is the whole tensor rule, in ``C(order,
-    n)`` nodes instead of ``order**n``."""
+    their Vandermonde factors ``prod_{i<j} |y_j - y_i|**beta``.  For a
+    symmetric integrand that vanishes where two coordinates meet this is
+    the whole tensor rule, in ``C(order, n)`` nodes instead of
+    ``order**n``, gathered through one index array."""
     nodes, weights = _jacobi_rule(order, power)
-    nodes, weights = nodes.tolist(), weights.tolist()
-    count = math.comb(order, n)
-    fold = math.factorial(n)
-    tuples = itertools.combinations(range(order), n)
-    point_weights = np.fromiter(
-        (fold * math.prod(weights[i] for i in index) for index in tuples), float, count
-    )
-    tuples = itertools.combinations(nodes, n)
-    vanders = np.fromiter((_vandermonde(y, beta) for y in tuples), float, count)
-    flat = itertools.chain.from_iterable(itertools.combinations(nodes, n))
-    points = np.fromiter(flat, float, n * count).reshape(count, n)
-    return points, point_weights, vanders
+    index = np.array(list(itertools.combinations(range(order), n)))
+    points = nodes[index]
+    point_weights = weights[index].prod(axis=1)
+    vanders = np.ones(len(index))
+    for i, j in itertools.combinations(range(n), 2):
+        vanders *= np.abs(points[:, j] - points[:, i]) ** beta
+    return points, math.factorial(n) * point_weights, vanders
 
 
 def _ratio_level(
@@ -467,6 +462,7 @@ def _excess_integral(
     mb = quantized("beta", beta)
     if upper and max_weight is None:
         max_weight = max(round(-upper[0]) * (m0 + n * mb), 200)
+    max_weight = _series_controls(tol, max_weight)
     if s == 0.0:
         return -math.inf, _diagnostics(0, 0.0, 0, 0.0)
     alpha, lower = beta / 2.0, (a + 2.0 * n,)

@@ -769,16 +769,21 @@ def _sum_layers(
     :class:`HypergeomSpec`) each member's sums of layer ``k`` are divided
     by ``k + t_power + 1``.  Each member keeps its own sum and stopping
     rule (:meth:`_Running.add`) and leaves the group when it stops.
+
+    One rule ends a series: its first empty coefficient layer ends every
+    running member, terminated exactly.  Only a nonempty layer past
+    ``max_weight`` raises ``NonConvergenceError``, and only a nonempty
+    layer within it is checked for a pole.
     """
     coefficients = source.coefficients
-    cap, parts = coefficients.cap, coefficients.parts
     running = [_Running() for _ in range(members)]
     order = list(range(len(running)))  # member number of each running row
     done: dict[int, SeriesResult] = {}
 
     k = 0
     while running:
-        if cap is not None and k > cap * parts:
+        layer = coefficients.layer(k)
+        if not layer.nonempty:  # never at k = 0, which holds the empty partition
             for state in running:
                 state.terminated_exactly = True
             break
@@ -792,14 +797,8 @@ def _sum_layers(
                 f"series not converged by weight {max_weight} "
                 f"(last layer magnitude {last_layer:.3e})"
             )
-
-        layer = coefficients.layer(k)
         if layer.pole is not None:
             raise LowerParameterPoleError(layer.pole)
-        if not layer.nonempty:
-            for state in running:
-                state.terminated_exactly = k > 0
-            break
         layer_sums = source.layer(k)
         if t_power is not None:
             scale = k + t_power + 1.0
@@ -824,6 +823,17 @@ def _sum_layers(
     for row, state in zip(order, running):
         done[row] = state.outcome()
     return [done[row] for row in range(len(done))]
+
+
+def _series_controls(tol: float, max_weight: int | None) -> int:
+    """Check a series route's controls where the route starts: ``tol``
+    finite and positive, ``max_weight`` a nonnegative integer (integral
+    floats pass).  Returns ``max_weight`` as an ``int``, by default
+    ``DEFAULT_MAX_WEIGHT``."""
+    require_finite("tol", tol, positive=True)
+    if max_weight is None:
+        return DEFAULT_MAX_WEIGHT
+    return counted(max_weight, f"max_weight must be a nonnegative integer, got {max_weight}")
 
 
 def pFq_alpha(
@@ -888,10 +898,7 @@ def pFq_alpha(
 
     In a batch, the first member to fail raises its error.
     """
-    require_finite("tol", tol, positive=True)
-    if max_weight is None:
-        max_weight = DEFAULT_MAX_WEIGHT
-    max_weight = counted(max_weight, f"max_weight must be a nonnegative integer, got {max_weight}")
+    max_weight = _series_controls(tol, max_weight)
     upper, lower, alpha = spec.upper, spec.lower, float(spec.alpha)
     if isinstance(spec.args, RatioIntegral):
         arg = spec.args

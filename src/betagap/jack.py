@@ -285,11 +285,13 @@ def _strip_table(alpha: float, parts: int) -> _StripTable:
 
 
 #: Most float elements one batched :class:`JackTable` is sized for, as
-#: counted by :func:`batch_nodes`.  Memory, not speed, sets it.  On the
-#: benchmark's ``E(n)`` quadratures (2-core host, 10 runs each), 2**16
-#: (512 KB of floats) runs 2.5 times as many evaluations per second as one
-#: node per series, at a peak resident size 2.3% higher; 2**15 runs 1.95
-#: times as many at 1.8% higher.
+#: counted by :func:`batch_nodes`.  Memory, not speed, sets it.  The
+#: batches serve quadrature levels whose nodes carry three or more distinct
+#: arguments: ``E(2)`` at ``a > 0`` and ``E(3)``.  On ``exact_En_hard(4, 1,
+#: 2, 2)`` and ``exact_En_hard(4, 0, 2, 3)`` (warm caches, best of 5 CPU
+#: times, 2-core Xeon host), 2**16 (512 KB of floats) runs 2.6 and 2.0
+#: times as fast as one node per series, and 2**15 1.7 and 1.2 times, at
+#: the same peak resident size within 0.3 MB.
 MAX_BATCH_ELEMENTS = 1 << 16
 
 

@@ -6,7 +6,7 @@ lower-bidiagonal matrix with chi-distributed entries, and estimates
 gap probabilities ``E_N(n; (0, s/(4N)))`` empirically.  Eigenvalue
 counting uses Sturm-sequence pivots on the symmetric tridiagonal
 product matrix, vectorized over batches; the full dense matrix is
-never formed.
+never formed, and no eigenvalue is located: the route only counts.
 
 Sampling is deterministic given a seed: work is split into fixed-size
 chunks with independently spawned RNG streams, so the estimate is
@@ -29,13 +29,10 @@ __all__ = [
     "EnsembleSpec",
     "McEstimate",
     "sample_bidiagonal",
-    "sample_smallest",
-    "smallest_eigenvalues",
     "estimate_gap",
 ]
 
 _CHUNK = 4096
-_BISECT_REL_TOL = 1e-12
 _ZERO_CUTOFF = 1e-14  # eigenvalues below this times the trace count as 0
 
 
@@ -156,107 +153,19 @@ def _count_below(diag: np.ndarray, off: np.ndarray, x: np.ndarray) -> np.ndarray
     return count
 
 
-def _bisect(diag: np.ndarray, off: np.ndarray, j: int) -> np.ndarray:
-    """The ``j``-th smallest eigenvalue of each tridiagonal matrix, by
-    Sturm-count bisection on ``[0, Gershgorin bound]`` to relative
-    tolerance ``_BISECT_REL_TOL``."""
-    hi = diag + np.abs(np.pad(off, ((0, 0), (1, 0)))) + np.abs(
-        np.pad(off, ((0, 0), (0, 1)))
-    )
-    hi = np.max(hi, axis=1)
-    lo = np.zeros(diag.shape[0])
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        below = _count_below(diag, off, mid) >= j
-        hi = np.where(below, mid, hi)
-        lo = np.where(below, lo, mid)
-        if np.all(hi - lo <= _BISECT_REL_TOL * np.maximum(hi, 1e-300)):
-            break
-    return 0.5 * (lo + hi)
-
-
-def smallest_eigenvalues(diag: np.ndarray, subdiag: np.ndarray, k: int) -> np.ndarray:
-    """The ``k`` smallest squared singular values of a bidiagonal matrix.
-
-    Parameters
-    ----------
-    diag, subdiag : numpy.ndarray
-        Diagonal (length ``N``) and subdiagonal (length ``N - 1``)
-        entries of a lower-bidiagonal matrix ``B``.
-    k : int
-        How many of the smallest eigenvalues of ``B B^T`` to return,
-        ``1 <= k <= N``.
-
-    Returns
-    -------
-    numpy.ndarray
-        The ``k`` smallest eigenvalues of ``B B^T``, ascending, each
-        located by Sturm-count bisection (no dense matrix is formed).
-    """
-    diag = np.asarray(diag, dtype=float)
-    subdiag = np.asarray(subdiag, dtype=float)
-    n = diag.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must satisfy 1 <= k <= {n}, got {k}")
-    t_diag, t_off = _tridiagonal(diag[None, :], subdiag[None, :])
-    return np.array([_bisect(t_diag, t_off, j)[0] for j in range(1, k + 1)])
-
-
-def _seed(seed: int) -> int:
-    """``seed`` as an ``int``, by :func:`~betagap.errors.counted`."""
-    return counted(seed, f"seed must be a nonnegative integer, got {seed}")
-
-
-def _chunks(samples: int, seed: int) -> list[tuple[int, int, np.random.SeedSequence]]:
-    """``(offset, size, seed sequence)`` of each chunk of a seeded run."""
+def _chunks(samples: int, seed: int) -> list[tuple[int, np.random.SeedSequence]]:
+    """``(size, seed sequence)`` of each chunk of a seeded run."""
     children = np.random.SeedSequence(seed).spawn(-(-samples // _CHUNK))
-    return [
-        (idx * _CHUNK, min(_CHUNK, samples - idx * _CHUNK), child)
-        for idx, child in enumerate(children)
-    ]
-
-
-def _draw_tridiagonal(
-    spec: EnsembleSpec, size: int, child: np.random.SeedSequence
-) -> tuple[np.ndarray, np.ndarray]:
-    """Tridiagonal entries of ``B B^T`` for one chunk's bidiagonal draws."""
-    b, c = sample_bidiagonal(spec, np.random.default_rng(child), size=size)
-    return _tridiagonal(b, c)
-
-
-def sample_smallest(spec: EnsembleSpec, samples: int, seed: int) -> np.ndarray:
-    """Draw smallest eigenvalues of the ensemble, vectorized.
-
-    Parameters
-    ----------
-    spec : EnsembleSpec
-        Ensemble parameters.
-    samples : int
-        Number of independent draws.
-    seed : int
-        RNG seed, a nonnegative integer; the result is deterministic
-        given the seed.
-
-    Returns
-    -------
-    numpy.ndarray
-        ``samples`` independent draws of the smallest eigenvalue.
-    """
-    samples = counted(samples, f"samples must be positive, got {samples}", 1)
-    seed = _seed(seed)
-    out = np.empty(samples)
-    for lo, size, child in _chunks(samples, seed):
-        diag, off = _draw_tridiagonal(spec, size, child)
-        out[lo : lo + size] = _bisect(diag, off, 1) / spec.beta
-    return out
+    return [(min(_CHUNK, samples - idx * _CHUNK), child) for idx, child in enumerate(children)]
 
 
 def _gap_hits(
-    spec: EnsembleSpec, threshold: float, n: int, chunk: tuple[int, int, np.random.SeedSequence]
+    spec: EnsembleSpec, threshold: float, n: int, chunk: tuple[int, np.random.SeedSequence]
 ) -> int:
     """Samples in one chunk with exactly ``n`` eigenvalues below the threshold."""
-    _, size, child = chunk
-    diag, off = _draw_tridiagonal(spec, size, child)
+    size, child = chunk
+    b, c = sample_bidiagonal(spec, np.random.default_rng(child), size=size)
+    diag, off = _tridiagonal(b, c)
     counts = _count_below(diag, off, spec.beta * threshold)
     if threshold > 0.0:
         # Guard against round-off at the hard edge: eigenvalues below a
@@ -307,7 +216,7 @@ def estimate_gap(
     require_finite("s", s)
     n = counted(n, f"n must be a nonnegative integer, got {n}")
     threads = counted(threads, f"threads must be at least 1, got {threads}", 1)
-    seed = _seed(seed)
+    seed = counted(seed, f"seed must be a nonnegative integer, got {seed}")
     threshold = s / (4.0 * spec.N)
     chunks = _chunks(samples, seed)
     hits_in = partial(_gap_hits, spec, threshold, n)

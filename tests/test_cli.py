@@ -621,6 +621,21 @@ def test_nonconvergence_exits_3(capsys: pytest.CaptureFixture[str]) -> None:
     assert record["error"]["type"] == "NonConvergenceError"
 
 
+def test_terminated_series_exits_0_at_max_weight_0(capsys: pytest.CaptureFixture[str]) -> None:
+    # At a = 0 the hard-edge series has no variable: its weight-0 term is
+    # all of it, so E(0) is exp(-s / 4) at beta = 2.  Its empty first layer
+    # ends the series before the weight ceiling is read; only a capped
+    # series was checked for its end first, so this exited 3.
+    code, out = run_cli(
+        capsys, "exact", "--beta", "2", "--a", "0", "--s", "1", "--max-weight", "0",
+        "--format", "json",
+    )
+    assert code == 0
+    record = json.loads(out)
+    assert (record["value"], record["log_value"]) == (0.7788007830714049, -0.25)
+    assert (record["trunc_weight"], record["tail_bound"]) == (0, 0.0)
+
+
 def test_contour_tol_reaches_default_route(capsys: pytest.CaptureFixture[str]) -> None:
     # The branch-cut contour cannot settle to 1e-18, below double rounding;
     # it used to ignore --tol.

@@ -199,3 +199,35 @@ def test_closed_forms_reject_bad_input(call, message: str) -> None:
     # error under another name, before the closed forms checked their input.
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: hard_contour_E0(2.0, 0.0, 2.0, tol=math.nan),
+         "tol must be finite and positive, got nan"),
+        (lambda: hard_contour_E0(2.0, 0.0, 2.0, tol=math.inf),
+         "tol must be finite and positive, got inf"),
+        (lambda: torus_E0_hard(2.0, 0.0, 2.0, tol=-1.0),
+         "tol must be finite and positive, got -1.0"),
+        (lambda: torus_E0_finiteN(0.5, 0.0, 2.0, 3, tol=math.nan),
+         "tol must be finite and positive, got nan"),
+        (lambda: exact_En_hard(0.0, 1.0, 2.0, 1, tol=math.nan),
+         "tol must be finite and positive, got nan"),
+        (lambda: exact_En_hard_detailed(5e-324, 1.0, 2.0, 1, tol=0.0),
+         "tol must be finite and positive, got 0.0"),
+        (lambda: exact_En_hard_detailed(0.0, 1.0, 2.0, 1, max_weight=-3),
+         "max_weight must be a nonnegative integer, got -3"),
+        (lambda: exact_En_finiteN_detailed(0.0, 1.0, 2.0, 2, 3, max_weight=2.5),
+         "max_weight must be a nonnegative integer, got 2.5"),
+    ],
+    ids=["contour-tol-nan", "contour-tol-inf", "torus-tol-negative", "torus-finite-tol-nan",
+         "En-s0-tol-nan", "En-subnormal-tol-zero", "En-s0-max-weight-negative",
+         "En-finite-s0-max-weight-fraction"],
+)
+def test_series_and_circle_controls_checked_where_the_route_starts(call, message: str) -> None:
+    # Each early return (a = 0 on the circle routes, s = 0 or a subnormal s
+    # for E(n)) used to skip the check: a QuadratureError, a value, 0.0 or
+    # -inf came back instead of the error naming the control.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -1,8 +1,9 @@
 """Every name a module lists in ``__all__`` exists, no ``__all__`` lists a
 function beside its log twin, no public function takes a formula switch,
-no closed form has a second copy, two-value series have one evaluator, cached layers have one locked build
-loop, neither importing the package nor any subcommand needs scipy, and
-the test oracles share no code with the package."""
+no closed form has a second copy, two-value series have one evaluator,
+cached layers have one locked build loop, no eigensolver or scalar
+Vandermonde is back, neither importing the package nor any subcommand
+needs scipy, and the test oracles share no code with the package."""
 
 from __future__ import annotations
 
@@ -102,6 +103,17 @@ def test_no_second_copy_of_a_closed_form() -> None:
         if name in retired
     ]
     assert exported == []
+
+
+def test_no_eigensolver_or_scalar_vandermonde() -> None:
+    # The Monte Carlo route only counts eigenvalues below a threshold
+    # (mc._count_below), and a folded quadrature level forms its Vandermonde
+    # factors over its index array; the bisection eigensolver and the
+    # per-tuple Vandermonde they replaced must not come back.
+    retired = {"smallest_eigenvalues", "sample_smallest", "_bisect", "_vandermonde"}
+    assert _defined_or_imported(retired) == []
+    assert retired.isdisjoint(betagap.__all__)
+    assert retired.isdisjoint(importlib.import_module("betagap.mc").__all__)
 
 
 def test_one_locked_layer_loop() -> None:

@@ -28,7 +28,6 @@ from betagap.gap import (
     _batch_args,
     _jacobi_rule,
     _settled_quadrature,
-    _vandermonde,
     asymptotic_E0,
     asymptotic_En,
     duality_check,
@@ -521,12 +520,26 @@ def test_settled_quadrature_escalates_then_raises() -> None:
     )
     assert math.isclose(total, 1.0 / 45.0, rel_tol=1e-14)
     assert order == _QUAD_ORDERS[1] and rel_change < 1e-12
-    assert _vandermonde((0.5, 0.25, 1.0), 2.0) == 0.0625 * 0.25 * 0.5625
     # A kink inside (0, 1) keeps changing in the fifth digits at every order.
     with pytest.raises(QuadratureError, match="not settled at order 60"):
         _settled_quadrature(
             lambda points: np.abs(points[:, 0] - 1.0 / 3.0) ** 0.5, 1, 0.0, 2.0, 1e-12
         )
+
+
+def test_settled_quadrature_accepts_a_last_change_below_the_root_tolerance() -> None:
+    # |y - 1/3|**1.5 has a kink the rule never resolves to _QUAD_TOL: no two
+    # levels agree to 1e-9, and the order-60 level is kept because its change
+    # (1.33e-5) is below sqrt(_QUAD_TOL).  Against the exact integral
+    # ((1/3)**2.5 + (2/3)**2.5) / 2.5 its error is 2.41e-5, within
+    # sqrt(_QUAD_TOL) but 1.8 times the change it reports.
+    total, order, rel_change = _settled_quadrature(
+        lambda points: np.abs(points[:, 0] - 1.0 / 3.0) ** 1.5, 1, 0.0, 2.0, _QUAD_TOL
+    )
+    exact = ((1.0 / 3.0) ** 2.5 + (2.0 / 3.0) ** 2.5) / 2.5
+    assert order == _QUAD_ORDERS[-1]
+    assert _QUAD_TOL <= rel_change < math.sqrt(_QUAD_TOL)
+    assert abs(total - exact) <= math.sqrt(_QUAD_TOL) * exact
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -546,11 +559,21 @@ def test_folded_rule_is_the_tensor_rule(n: int) -> None:
     nodes, weights = _jacobi_rule(order, 1.0)
     tensor = math.fsum(
         math.prod(w for _, w in point)
-        * _vandermonde(tuple(y for y, _ in point), 2.0)
+        * _pairwise_vandermonde(tuple(y for y, _ in point), 2.0)
         * math.exp(sum(y for y, _ in point) / 2.0)
         for point in itertools.product(zip(nodes.tolist(), weights.tolist()), repeat=n)
     )
     assert abs(total - tensor) <= 1e-15 * tensor
+    # The level's factors are the pairwise products, at every even beta.
+    for beta in (2.0, 4.0, 6.0):
+        points, _, factors = gap._folded_level(order, n, 1.0, beta)
+        want = [_pairwise_vandermonde(y, beta) for y in points.tolist()]
+        np.testing.assert_allclose(factors, want, rtol=1e-15, atol=0.0)
+
+
+def _pairwise_vandermonde(y: tuple[float, ...], beta: float) -> float:
+    """``prod_{i<j} |y_j - y_i|**beta``, one pair at a time."""
+    return math.prod(abs(yj - yi) ** beta for yi, yj in itertools.combinations(y, 2))
 
 
 def _log_selberg(n: int, power: float, beta: float) -> float:
@@ -729,6 +752,25 @@ def test_multi_argument_reduction_to_leading_form() -> None:
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 4.0, 7.0])
+def test_multi_argument_at_equal_scales_is_the_shifted_leading_form(beta: float, n: int) -> None:
+    # With every scale equal to s0 the n extra blocks are the lower parameter
+    # a + 2n of the leading form, so the pair term between the blocks has
+    # the leading form's constant and powers as its reference.
+    for a in (0.0, 1.0, 2.0):
+        for s in (1.0, 16.0, 400.0, 2500.0):
+            got = log_multi_F01_asympt(s, (s,) * n, a, n, beta)
+            want = asymptotic_E0(a + 2.0 * n, beta).log_evaluate(s) + beta * s / 8.0
+            assert abs(got - want) <= 3.5e-15 * max(1.0, abs(want)), (a, s, got, want)
+        # and the value does not depend on the order of the blocks
+        values = [
+            log_multi_F01_asympt(300.0, scales, a, n, beta)
+            for scales in itertools.permutations((100.0, 256.0, 400.0)[:n])
+        ]
+        assert max(values) - min(values) <= 1e-15 * max(abs(v) for v in values)
+
+
 def _published_multi_F01(s0: float, s_list: tuple[float, ...], a: float, n: int, beta: float) -> float:
     """``log_multi_F01_asympt`` with the as-published constant at ``A = a +
     2n`` (no ``2**(A - beta A / 2)``, ``f_{beta/2}`` at ``A - 1``) and
@@ -800,6 +842,22 @@ def test_linstat_variance_fourier_oracle() -> None:
             total += k * a_k * a_k
         want = total / (2.0 * beta)
         np.testing.assert_allclose(linstat_variance(ls), want, rtol=1e-10)
+
+
+def test_linear_statistic_at_equal_shifts_is_one_merged_shift() -> None:
+    # n shifts equal to s_tilde_0 weigh beta each, so the statistic is the one
+    # shift s_tilde_0 at a + 2n: a reference for the pair terms of the
+    # variance, which the merged statistic has none of.
+    for x in (0.05, 0.3, 4.0):
+        for a in (0.0, 1.0, 2.5):
+            for beta in (0.5, 1.0, 2.0, 4.0, 7.0):
+                for n in (2, 3):
+                    ls = LinearStatistic(x, (x,) * n, a, beta)
+                    merged = LinearStatistic(x, (), a + 2.0 * n, beta)
+                    pairs = [(linstat_variance(ls), linstat_variance(merged))]
+                    pairs += [(linstat_mean(ls, N), linstat_mean(merged, N)) for N in (1, 20)]
+                    for got, want in pairs:
+                        assert abs(got - want) <= 2.0**-51 * max(1.0, abs(want)), (x, a, beta, n)
 
 
 def test_char_poly_moment_regression() -> None:

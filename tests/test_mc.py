@@ -11,14 +11,7 @@ from hypothesis import strategies as st
 
 from betagap import mc
 from betagap.gap import exact_E0_finiteN, exact_En_finiteN
-from betagap.mc import (
-    EnsembleSpec,
-    _count_below,
-    estimate_gap,
-    sample_bidiagonal,
-    sample_smallest,
-    smallest_eigenvalues,
-)
+from betagap.mc import EnsembleSpec, _count_below, _tridiagonal, estimate_gap, sample_bidiagonal
 
 
 # ----------------------------------------------------------------- validation
@@ -57,7 +50,6 @@ def test_counts_take_integral_floats() -> None:
     assert isinstance(spec.N, int)
     want = estimate_gap(EnsembleSpec(2.0, 1.0, 4), 1.0, samples=1000, seed=3)
     assert estimate_gap(spec, 1.0, samples=1000.0, seed=3) == want
-    np.testing.assert_array_equal(sample_smallest(spec, 10.0, 0), sample_smallest(spec, 10, 0))
 
 
 class _NoPool:
@@ -97,9 +89,6 @@ def test_seed_and_threads_must_be_counts(
     with pytest.raises(ValueError, match=message):
         estimate_gap(spec, 1.0, samples=20_000, **{"seed": 3, "threads": 2, **kwargs})
     assert _NoPool.started == []
-    if "seed" in kwargs:
-        with pytest.raises(ValueError, match=message):
-            sample_smallest(spec, 10, kwargs["seed"])
 
 
 def test_integral_float_threads_run_as_an_int(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -111,7 +100,23 @@ def test_integral_float_threads_run_as_an_int(monkeypatch: pytest.MonkeyPatch) -
     assert got == estimate_gap(spec, 1.0, samples=20_000, seed=3)
 
 
-# ---------------------------------------------------------------- eigensolver
+# ------------------------------------------------------------- Sturm counts
+# _count_below against np.linalg.eigvalsh on the same matrix B B^T, at
+# thresholds between the dense eigenvalues and beside the outermost ones.
+
+
+def _dense_and_counts(b, c) -> tuple[list[int], list[int]]:
+    """Eigenvalues of ``B B^T`` below each threshold, by ``np.linalg.eigvalsh``
+    and by :func:`_count_below`, for the lower-bidiagonal ``B`` of ``b``
+    and ``c``."""
+    b, c = np.asarray(b, dtype=float), np.asarray(c, dtype=float)
+    B = np.diag(b) + np.diag(c, -1)
+    lam = np.linalg.eigvalsh(B @ B.T)
+    thresholds = np.concatenate([[lam[0] / 2.0], (lam[:-1] + lam[1:]) / 2.0, [2.0 * lam[-1]]])
+    diag, off = _tridiagonal(b[None, :], c[None, :])
+    dense = [int(np.sum(lam < x)) for x in thresholds]
+    counts = [int(_count_below(diag, off, x)[0]) for x in thresholds]
+    return dense, counts
 
 
 def test_sampler_shapes() -> None:
@@ -120,30 +125,24 @@ def test_sampler_shapes() -> None:
     b, c = sample_bidiagonal(spec, rng, 17)
     assert b.shape == (17, 6) and c.shape == (17, 5)
     assert np.all(b > 0) and np.all(c > 0)
-    lam = smallest_eigenvalues(b[0], c[0], 6)
-    assert lam.shape == (6,)
-    assert np.all(lam > 0)
-    assert np.all(np.diff(lam) >= 0)
 
 
 def test_eigensolver_closed_forms() -> None:
-    np.testing.assert_allclose(
-        smallest_eigenvalues(np.array([2.0]), np.array([]), 1), [4.0]
-    )
-    # 2x2 lower bidiagonal: B B^T = [[4, 2], [2, 10]] has eigenvalues
-    # 7 -+ sqrt(13).
-    got = smallest_eigenvalues(np.array([2.0, 3.0]), np.array([1.0]), 2)
-    want = [7.0 - math.sqrt(13.0), 7.0 + math.sqrt(13.0)]
-    np.testing.assert_allclose(got, want, rtol=1e-12)
+    # 1x1: B B^T = [4].  2x2 lower bidiagonal: B B^T = [[4, 2], [2, 10]] has
+    # eigenvalues 7 -+ sqrt(13).
+    diag, off = _tridiagonal(np.array([[2.0]]), np.zeros((1, 0)))
+    assert [int(_count_below(diag, off, x)[0]) for x in (3.9, 4.1)] == [0, 1]
+    diag, off = _tridiagonal(np.array([[2.0, 3.0]]), np.array([[1.0]]))
+    low, high = 7.0 - math.sqrt(13.0), 7.0 + math.sqrt(13.0)
+    thresholds = (low * (1 - 1e-12), low * (1 + 1e-12), high * (1 - 1e-12), high * (1 + 1e-12))
+    assert [int(_count_below(diag, off, x)[0]) for x in thresholds] == [0, 1, 1, 2]
+    assert _dense_and_counts([2.0, 3.0], [1.0]) == ([0, 1, 2], [0, 1, 2])
 
 
 def test_eigensolver_matches_dense() -> None:
     rng = np.random.default_rng(3)
-    b = rng.uniform(0.5, 2.0, 6)
-    c = rng.uniform(0.2, 1.5, 5)
-    dense = np.sort(np.linalg.eigvalsh((np.diag(b) + np.diag(c, -1)) @ (np.diag(b) + np.diag(c, -1)).T))
-    np.testing.assert_allclose(smallest_eigenvalues(b, c, 6), dense, rtol=1e-10)
-    np.testing.assert_allclose(smallest_eigenvalues(b, c, 2), dense[:2], rtol=1e-10)
+    dense, counts = _dense_and_counts(rng.uniform(0.5, 2.0, 6), rng.uniform(0.2, 1.5, 5))
+    assert counts == dense == list(range(7))
 
 
 @pytest.mark.parametrize(
@@ -151,11 +150,9 @@ def test_eigensolver_matches_dense() -> None:
     [([1.0, 1.0, 1.0], [1.0, 1.0]), ([2.0] * 5, [2.0] * 4)],
 )
 def test_eigensolver_tied_entries(b: list[float], c: list[float]) -> None:
-    # Equal entries make an exact zero pivot on the bisection path.
-    B = np.diag(b) + np.diag(c, -1)
-    dense = np.sort(np.linalg.eigvalsh(B @ B.T))
-    got = smallest_eigenvalues(np.asarray(b), np.asarray(c), len(b))
-    np.testing.assert_allclose(got, dense, rtol=1e-8, atol=1e-12)
+    # Equal entries make exact zero pivots.
+    dense, counts = _dense_and_counts(b, c)
+    assert counts == dense == list(range(len(b) + 1))
 
 
 def test_zero_first_pivot_counts_as_negative() -> None:
@@ -175,12 +172,15 @@ def test_zero_first_pivot_counts_as_negative() -> None:
 )
 def test_eigensolver_property(entries: list[float]) -> None:
     n = (len(entries) + 1) // 2
-    b = np.asarray(entries[:n])
-    c = np.asarray(entries[n : 2 * n - 1])
-    B = np.diag(b) + np.diag(c, -1)
-    dense = np.sort(np.linalg.eigvalsh(B @ B.T))
-    got = smallest_eigenvalues(b, c, n)
-    np.testing.assert_allclose(got, dense, rtol=1e-8, atol=1e-12)
+    dense, counts = _dense_and_counts(entries[:n], entries[n : 2 * n - 1])
+    assert counts == dense
+
+
+def test_counts_on_pinned_matrices() -> None:
+    # Fixed entries whose six eigenvalues span 0.13 to 7.0.
+    b = [0.75, 1.5, 0.5, 2.0, 1.25, 1.0]
+    c = [0.5, 1.0, 0.25, 1.5, 0.75]
+    assert _dense_and_counts(b, c) == (list(range(7)), list(range(7)))
 
 
 # ----------------------------------------------------------------- sampler law
@@ -230,15 +230,17 @@ def test_excess_count_matches_exact() -> None:
 
 
 def test_smallest_eigenvalue_law_calibration() -> None:
-    # Kolmogorov-Smirnov against the exact finite-size law at the 1%
-    # level (the critical constant 1.628 / sqrt(n)).
+    # Kolmogorov distance between the empirical law of the smallest
+    # eigenvalue and the exact finite-size law, over a grid of thresholds,
+    # against the 1% Kolmogorov-Smirnov constant 1.628 / sqrt(n).  One seed
+    # for every threshold, so each one counts on the same matrices.
     spec = EnsembleSpec(beta=2.0, a=1.0, N=5)
-    lam = np.sort(sample_smallest(spec, 10_000, seed=21))
-    cdf = np.array([1.0 - exact_E0_finiteN(float(x), 1.0, 2.0, 5) for x in lam])
-    n = len(lam)
-    d_plus = np.max(np.arange(1, n + 1) / n - cdf)
-    d_minus = np.max(cdf - np.arange(0, n) / n)
-    assert max(d_plus, d_minus) < 1.628 / math.sqrt(n)
+    n = 10_000
+    distance = 0.0
+    for s in np.linspace(0.2, 30.0, 60).tolist():
+        est = estimate_gap(spec, s, samples=n, seed=21)
+        distance = max(distance, abs(est.probability - exact_E0_finiteN(s / 20.0, 1.0, 2.0, 5)))
+    assert distance < 1.628 / math.sqrt(n)
 
 
 # ------------------------------------------------------------- reproducibility
@@ -282,37 +284,7 @@ def test_monotone_in_threshold_with_common_seed() -> None:
     assert probs[0] >= probs[1] >= probs[2]
 
 
-# Exact bits of the Sturm bisection and of the chunk plan that
-# sample_smallest and estimate_gap share.
-
-
-def test_bisection_pinned_bits() -> None:
-    b = np.array([0.75, 1.5, 0.5, 2.0, 1.25, 1.0])
-    c = np.array([0.5, 1.0, 0.25, 1.5, 0.75])
-    assert smallest_eigenvalues(b, c, 6).tolist() == [
-        0.13204260985222227,
-        0.48389675537031707,
-        0.6443497133814091,
-        1.9365380932875667,
-        3.5333134191579916,
-        7.019859408950708,
-    ]
-    tied = smallest_eigenvalues(np.ones(3), np.ones(2), 3)
-    assert tied.tolist() == [0.19806226419512996, 1.5549581320869947, 3.246979603717591]
-
-
-def test_sampler_pinned_bits() -> None:
-    # 9000 samples span three chunks of 4096.
-    lam = sample_smallest(EnsembleSpec(beta=2.0, a=1.0, N=5), 9000, seed=21)
-    assert {i: float(lam[i]) for i in (0, 4095, 4096, 8191, 8192, 8999)} == {
-        0: 0.280282532696544,
-        4095: 0.5707739985420103,
-        4096: 0.281434530167125,
-        8191: 0.15066869842642072,
-        8192: 0.466137900899661,
-        8999: 0.4872789194244244,
-    }
-    assert math.fsum(lam) == 4528.448934379949
+# Exact bits of the chunk plan: 9000 samples span three chunks of 4096.
 
 
 @pytest.mark.parametrize("threads", [1, 2, 4])
