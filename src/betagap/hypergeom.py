@@ -15,8 +15,9 @@ series values like ``exp(+1900)`` against prefactors like
 The argument-free part of each term (the Pochhammer ratio, ``1/k!`` and,
 when the argument has one distinct nonzero value, ``C_kappa(1, ..., 1)``)
 is built once per parameter set, ``alpha`` and number of variables, and
-cached a layer at a time, so every node of one quadrature and every
-``s`` of a sweep share it (the Koev–Edelman economy).  A layer comes
+cached a block of weight layers at a time, so every node of one
+quadrature and every ``s`` of a sweep share it (the Koev–Edelman
+economy).  A layer comes
 from one of two sources, each carrying the coefficient entry it reads,
 which sets where the series terminates and meets a pole.  An argument
 of at most two distinct nonzero values of one sign, ``u`` repeated
@@ -69,14 +70,15 @@ from .jack import (
     _subtract_hook_runs,
     batch_nodes,
 )
-from .partitions import partitions_of_weight
+from .partitions import partition_array
 from .quadrature import ratio_moments
 
-# Nothing here calls these two one-partition forms.  They stay module
-# attributes only because bench/tracing.py wraps them by name here (with
-# partitions_of_weight), until the benchmark drops those dead counters.
+# Nothing here calls these three: two one-partition forms and the tuple
+# enumeration.  They stay module attributes only because bench/tracing.py
+# wraps them by name here, until the benchmark drops those dead counters.
 from .jack import jack_C_eval_signlog  # noqa: F401
 from .partitions import gen_pochhammer_signlog  # noqa: F401
+from .partitions import partitions_of_weight  # noqa: F401
 
 __all__ = [
     "ArgBlocks",
@@ -270,11 +272,18 @@ def _termination_cap(upper: tuple[float, ...]) -> int | None:
     return cap
 
 
-#: Most coefficient entries kept at once.  An entry holds 25 bytes per
-#: partition it has reached (a log, a row number, a sign flag and a sign
-#: factor), about a third of what ``partitions_of_weight`` already caches
-#: for the same layers: 6 MB for 3 variables to weight 200.
+#: Most coefficient entries kept at once.  An entry holds 17 bytes per
+#: partition it has reached (a log, a row number and a sign flag): 4 MB
+#: for 3 variables to weight 200.  The partition arrays it reads
+#: (:func:`~betagap.partitions.partition_array`, 32 bytes per partition of
+#: at most 3 parts, 7.5 MB for the same layers) are cached once per number
+#: of parts, for every entry and the strip tables alike.
 MAX_COEFFICIENT_ENTRIES = 64
+
+#: Weight layers a :class:`_Coefficients` entry builds at once.  On the
+#: cold pass of the benchmark's ``e0_series`` workload (2-core host),
+#: blocks of 4 took about 10% longer than blocks of 8, and 16 no less.
+_LAYER_BLOCK = 8
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,7 +354,15 @@ class _Coefficients(_Layers):
     tables indexed by the parts of a padded partition matrix, never a
     loop over cells.  A table row extends its sum one box at a time, so a
     layer reads the same floats however far the tables were built.
-    Layers are built on first use (:class:`~betagap.jack._Layers`).
+
+    Layers are built on first use (:class:`~betagap.jack._Layers`), in
+    blocks of ``_LAYER_BLOCK`` weights: the block's partition arrays
+    (:func:`~betagap.partitions.partition_array`) are concatenated, the
+    tables gathered once over all their rows, and the result split into
+    one :class:`_CoefficientLayer` per weight, each with its own rows,
+    signs and first pole.  Every operation is per row, so a layer holds
+    the same bits as if it were built alone.  A pole layer built past the
+    weight where a series stops is never read.
     """
 
     def __init__(
@@ -376,20 +393,23 @@ class _Coefficients(_Layers):
             self._contents = _content_log_sums(alpha, parts, top)
 
     def _build(self, k: int) -> None:
-        if k > self._top:
-            self._grow(k)
-        kappas = partitions_of_weight(k, self.parts)
-        padded = np.zeros((len(kappas), self.parts + 1), dtype=np.intp)
-        for row, kappa in enumerate(kappas):
-            padded[row, : len(kappa)] = kappa
-        rows = np.arange(len(kappas))
-        if self.cap is not None:
-            rows = rows[padded[:, 0] <= self.cap]
-            padded = padded[rows]
+        stop = k + _LAYER_BLOCK
+        if stop - 1 > self._top:
+            self._grow(stop - 1)
+        weights = range(k, stop)
+        layers = [partition_array(w, self.parts) for w in weights]
+        sizes = [len(layer) for layer in layers]
+        padded = np.concatenate(layers)
+        rows = np.concatenate([np.arange(size) for size in sizes])
         if self.at_ones:
-            log_coef = np.full(len(rows), k * math.log(self.alpha))
+            log_coef = np.repeat([w * math.log(self.alpha) for w in weights], sizes)
         else:
-            log_coef = np.full(len(rows), -math.lgamma(k + 1))
+            log_coef = np.repeat([-math.lgamma(w + 1) for w in weights], sizes)
+        bounds = np.cumsum([0] + sizes)
+        if self.cap is not None:
+            inside = padded[:, 0] <= self.cap
+            padded, rows, log_coef = padded[inside], rows[inside], log_coef[inside]
+            bounds = np.concatenate(([0], np.cumsum(inside)))[bounds]
         negatives = np.zeros(len(rows), dtype=np.int64)
         upper_zero = np.zeros(len(rows), dtype=bool)
         cells = np.arange(self.parts), padded[:, : self.parts]
@@ -403,21 +423,29 @@ class _Coefficients(_Layers):
             negatives += negs[cells].sum(axis=1)
             lower_zero.append(zeros[cells].any(axis=1))
         live = ~upper_zero
-        poles = np.flatnonzero(np.any(lower_zero, axis=0) & live) if lower_zero else []
-        if len(poles):
-            b = next(b for b, zero in zip(self.lower, lower_zero) if zero[poles[0]])
-            message = f"lower parameter {b} has a pole at partition {kappas[rows[poles[0]]]}"
-            no_terms = rows[:0], np.zeros(0), np.zeros(0, dtype=bool)
-            self.layers.append(_CoefficientLayer(True, message, *no_terms))
-            return
+        poles = np.flatnonzero(np.any(lower_zero, axis=0) & live) if lower_zero else rows[:0]
         if self.at_ones:
             _subtract_hook_runs(log_coef, self._upper_hooks, padded)
             _subtract_hook_runs(log_coef, self._lower_hooks, padded)
             log_coef += self._contents[cells].sum(axis=1)
         arrays = rows[live], log_coef[live], negatives[live] % 2 == 1
-        for array in arrays:  # shared by every caller of the cached entry
+        for array in arrays:  # shared, as views, by every caller of the cached entry
             array.flags.writeable = False
-        self.layers.append(_CoefficientLayer(len(rows) > 0, None, *arrays))
+        live_bounds = np.concatenate(([0], np.cumsum(live)))[bounds].tolist()
+        first_poles = np.searchsorted(poles, bounds).tolist()
+        bounds = bounds.tolist()
+        for i in range(_LAYER_BLOCK):
+            if first_poles[i] < first_poles[i + 1]:  # a pole in this layer
+                row = poles[first_poles[i]]
+                b = next(b for b, zero in zip(self.lower, lower_zero) if zero[row])
+                kappa = tuple(part for part in padded[row].tolist() if part)
+                message = f"lower parameter {b} has a pole at partition {kappa}"
+                no_terms = rows[:0], np.zeros(0), np.zeros(0, dtype=bool)
+                self.layers.append(_CoefficientLayer(True, message, *no_terms))
+                continue
+            lo, hi = live_bounds[i], live_bounds[i + 1]
+            terms = [array[lo:hi] for array in arrays]
+            self.layers.append(_CoefficientLayer(bounds[i + 1] > bounds[i], None, *terms))
 
 
 @lru_cache(maxsize=MAX_COEFFICIENT_ENTRIES)

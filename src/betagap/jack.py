@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ResourceLimitError
-from .partitions import partitions_of_weight
+from .partitions import partition_array, partitions_of_weight
 
 __all__ = [
     "jack_C_eval_signlog",
@@ -138,7 +138,8 @@ class _Layers:
     """Layers of a cached table, built on first use, each with every layer
     below it, under a lock, so threads may share one entry.
 
-    A subclass appends layer ``k`` to ``layers`` in ``_build(k)``.
+    A subclass appends layer ``k`` to ``layers`` in ``_build(k)``, and may
+    append the layers after it in the same call.
     """
 
     def __init__(self) -> None:
@@ -211,11 +212,8 @@ class _StripTable(_Layers):
             self._hooks = _hook_ratio_products(self.alpha, parts - 1, self._top)
             self._lower = _hook_log_sums(self.alpha, parts - 1, self._top)
             self._ranks = _rank_tables(parts, self._top)
-        kappas = partitions_of_weight(k, parts)
-        count = len(kappas)
-        padded = np.zeros((count, parts + 1), dtype=np.int32)
-        for row, kappa in enumerate(kappas):
-            padded[row, : len(kappa)] = kappa
+        padded = partition_array(k, parts).astype(np.int32)  # halves kap and mu below
+        count = len(padded)
         # mu_i runs over kappa_{i+1}..kappa_i; the last part of mu is 0.
         radix = padded[:, :parts] - padded[:, 1:] + 1
         radix[:, parts - 1] = 1

@@ -1,12 +1,16 @@
 """Integer partitions and the generalized Pochhammer symbol.
 
 Partitions are represented as tuples of weakly decreasing positive
-integers; the empty partition is ``()``.  The series of
-:mod:`betagap.hypergeom` enumerates them here and builds its Pochhammer
-ratios and hook products a whole weight layer at a time;
-:func:`gen_pochhammer_signlog` is the one-partition form, which tests
-check those layers against.  The per-cell hook products and the closed
-form of ``C_kappa(1, ..., 1)`` are test oracles, in ``tests/oracles.py``.
+integers; the empty partition is ``()``.  :func:`partitions_of_weight`
+enumerates them in that form, and :func:`partition_array` holds the same
+layer, in the same order, as one zero-padded integer array, built from
+the arrays of fewer parts a block per first part.  The series of
+:mod:`betagap.hypergeom` and the strip table of :mod:`betagap.jack` read
+the arrays and build their Pochhammer ratios and hook products a whole
+weight layer at a time; :func:`gen_pochhammer_signlog` is the
+one-partition form, which tests check those layers against.  The
+per-cell hook products and the closed form of ``C_kappa(1, ..., 1)`` are
+test oracles, in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,8 +18,11 @@ from __future__ import annotations
 import math
 from functools import cache
 
+import numpy as np
+
 __all__ = [
     "partitions_of_weight",
+    "partition_array",
     "gen_pochhammer_signlog",
 ]
 
@@ -57,6 +64,41 @@ def partitions_of_weight(k: int, max_parts: int | None = None) -> tuple[tuple[in
 
     descend(k, k, ())
     return tuple(out)
+
+
+@cache
+def partition_array(k: int, parts: int) -> np.ndarray:
+    """The partitions of ``k`` into at most ``parts`` parts as one array.
+
+    Row ``i`` is the ``i``-th partition of ``partitions_of_weight(k,
+    parts)``, padded with zeros to ``parts + 1`` columns, so every row
+    ends in a zero.  The array is cached and read-only.
+
+    Block ``j`` of the rows, ``j = k, k - 1, ..., ceil(k / parts)``, holds
+    the partitions of first part ``j``: ``j`` before each row of
+    ``partition_array(k - j, parts - 1)`` whose first part is at most
+    ``j``, which is a suffix of that array, since its first parts
+    decrease.  So a layer costs one copy per block, not a loop over its
+    partitions.
+    """
+    if k < 0:
+        raise ValueError(f"weight must be nonnegative, got {k}")
+    if parts < 0:
+        raise ValueError(f"parts must be nonnegative, got {parts}")
+    if k == 0 or parts == 0:
+        out = np.zeros((int(k == 0), parts + 1), dtype=np.intp)
+    else:
+        firsts = range(k, -(-k // parts) - 1, -1)  # a first part below k / parts is too small
+        rests = []
+        for j in firsts:
+            rest = partition_array(k - j, parts - 1)
+            rests.append(rest[np.count_nonzero(rest[:, 0] > j) :])
+        sizes = [len(rest) for rest in rests]
+        out = np.empty((sum(sizes), parts + 1), dtype=np.intp)
+        out[:, 0] = np.repeat(firsts, sizes)
+        np.concatenate(rests, out=out[:, 1:])
+    out.flags.writeable = False
+    return out
 
 
 def gen_pochhammer_signlog(x: float, kappa: tuple[int, ...], alpha: float) -> tuple[int, float]:

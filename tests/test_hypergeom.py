@@ -20,7 +20,12 @@ from betagap.errors import (
     NonConvergenceError,
     ResourceLimitError,
 )
-from betagap.gap import exact_E0_finiteN_detailed, exact_E0_hard_detailed, exact_En_hard
+from betagap.gap import (
+    exact_E0_finiteN_detailed,
+    exact_E0_hard,
+    exact_E0_hard_detailed,
+    exact_En_hard,
+)
 from betagap.hypergeom import (
     CONDITION_LIMIT,
     DEFAULT_MAX_WEIGHT,
@@ -534,6 +539,36 @@ def test_series_bit_identical_cold_warm_and_deeper_coefficients() -> None:
     after_deep = pFq_alpha(spec)
     assert cold == warm == after_deep
     assert pFq_alpha(deep).max_weight_used > 2 * cold.max_weight_used
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_series_stops_before_a_pole_inside_its_first_layer_block(m: int) -> None:
+    # Coefficient layers are built _LAYER_BLOCK weights at a time.  At x =
+    # 1e-30 the series stops at weight 3, and the pole of lower parameter
+    # -5 at weight 6, built in the same block, is never raised; at x =
+    # 1e-3 the series reaches it.
+    spec = HypergeomSpec((), (-5.0,), 1.0, ArgBlocks.from_values((1e-30,) * m))
+    result = pFq_alpha(spec)
+    assert (result.value, result.max_weight_used) == (1.0, 3)
+    spec = HypergeomSpec((), (-5.0,), 1.0, ArgBlocks.from_values((1e-3,) * m))
+    message = r"^lower parameter -5\.0 has a pole at partition \(6,\)$"
+    with pytest.raises(LowerParameterPoleError, match=message):
+        pFq_alpha(spec)
+
+
+def test_series_bits_do_not_depend_on_which_block_was_built_first() -> None:
+    # s = 4 stops at weight 14, in the second block of coefficient layers,
+    # and s = 60 at weight 27, in the fourth; either order, from cold
+    # caches, gives the same bits.
+    def cold() -> None:
+        hypergeom._coefficients.cache_clear()
+        hypergeom._contraction.cache_clear()
+
+    cold()
+    shallow_first = exact_E0_hard(4.0, 2.0, 2.0), exact_E0_hard(60.0, 2.0, 2.0)
+    cold()
+    deep = exact_E0_hard(60.0, 2.0, 2.0)
+    assert (exact_E0_hard(4.0, 2.0, 2.0), deep) == shallow_first
 
 
 def test_shared_coefficients_under_threads() -> None:

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from scipy.special import poch
 
-from betagap.partitions import gen_pochhammer_signlog, partitions_of_weight
+from betagap.partitions import gen_pochhammer_signlog, partition_array, partitions_of_weight
 from oracles import (
     conjugate,
     dominates,
@@ -40,6 +40,26 @@ def test_max_parts_filter() -> None:
     two_rows = partitions_of_weight(6, max_parts=2)
     assert all(len(kappa) <= 2 for kappa in two_rows)
     assert set(two_rows) == {(6,), (5, 1), (4, 2), (3, 3)}
+
+
+@pytest.mark.parametrize("parts", range(9))
+def test_partition_array_matches_the_enumeration(parts: int) -> None:
+    # The array holds the tuples of partitions_of_weight row by row, in
+    # their order, each padded with zeros to parts + 1 columns; k = 0 is
+    # one row of zeros, and parts > k keeps every partition of k.
+    for k in range(41):
+        array = partition_array(k, parts)
+        want = partitions_of_weight(k, parts)
+        assert array.shape == (len(want), parts + 1)
+        assert not array.flags.writeable
+        padded = [kappa + (0,) * (parts + 1 - len(kappa)) for kappa in want]
+        assert array.tolist() == [list(row) for row in padded]
+    assert partition_array(0, parts).tolist() == [[0] * (parts + 1)]
+    assert len(partition_array(parts + 1, parts + 2)) == len(partitions_of_weight(parts + 1))
+    with pytest.raises(ValueError, match="weight must be nonnegative"):
+        partition_array(-1, parts)
+    with pytest.raises(ValueError, match="parts must be nonnegative"):
+        partition_array(parts, -1)
 
 
 def test_conjugate_example() -> None:
