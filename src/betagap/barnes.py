@@ -216,6 +216,10 @@ def log_tau_hard_n(n: float, a: float, beta: float) -> float:
     """Log of the hard-edge constant for conditioning on ``n`` eigenvalues,
     assembled from ``f_{beta/2}``.
 
+    The double-gamma part is the two ratios ``f(n + 1) / f(1)`` and ``f(n
+    + a) / f(a)``, each exactly 1 at ``n = 0``, so the value there is
+    ``0.0``.
+
     Parameters
     ----------
     n : float
@@ -228,12 +232,7 @@ def log_tau_hard_n(n: float, a: float, beta: float) -> float:
     Returns
     -------
     float
-        Log of the constant.  At ``n = 0`` every term but
-        ``log_f_beta_half(1, beta)`` vanishes, so the value is that
-        double-gamma evaluation of ``log Gamma(1) = 0``, not an exact zero:
-        -1.2e-13 at ``beta = 0.5`` and -9.4e-14 at ``beta = 3``.  So
-        ``asymptotic_En(0, a, beta).c_const`` differs from
-        ``asymptotic_E0(a, beta).c_const`` by that amount.
+        Log of the constant.
     """
     require_finite("beta", beta, positive=True)
     require_finite("n", n)
@@ -244,9 +243,8 @@ def log_tau_hard_n(n: float, a: float, beta: float) -> float:
         - math.lgamma(n + 1.0)
         + (n * (a + n) / tau + n) * math.log(tau)
         - n * _LOG_2PI
-        + log_f_beta_half(n + 1.0, beta)
-        + log_f_beta_half(n + a, beta)
-        - log_f_beta_half(a, beta)
+        + (log_f_beta_half(n + 1.0, beta) - log_f_beta_half(1.0, beta))
+        + (log_f_beta_half(n + a, beta) - log_f_beta_half(a, beta))
     )
 
 

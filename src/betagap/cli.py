@@ -36,6 +36,7 @@ from .barnes import (
 from .contour import hard_contour_E0, torus_E0_finiteN, torus_E0_hard
 from .errors import BetagapError, ParameterQuantizationError, require_finite
 from .gap import (
+    _E0_LOG_POWERS,
     asymptotic_E0,
     asymptotic_En,
     duality_check,
@@ -378,7 +379,7 @@ def _run_report(args: argparse.Namespace, sink: IO[str]) -> int:
     beta, a = args.beta, args.a
     grid = _REPORT_GRID
     forms = {
-        variant: asymptotic_E0(a, beta, variant) for variant in ("PU", "MG", "F1A")
+        variant: asymptotic_E0(a, beta, variant) for variant in _E0_LOG_POWERS
     }
     slope, const, pinned = _fit_exponent(
         beta, a, grid, args.tol, args.max_weight, forms["F1A"].c_log
@@ -457,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asympt", help="asymptotic form evaluation")
     _add_common(p, need_s=True)
     p.add_argument("--n", type=int, default=0)
-    p.add_argument("--variant", choices=("F1A", "PU", "MG"), default="F1A")
+    p.add_argument("--variant", choices=tuple(_E0_LOG_POWERS), default="F1A")
 
     p = sub.add_parser("largedev", help="finite-size large-deviation formula")
     _add_common(p)
@@ -513,6 +514,9 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
     elif args.command == "sweep":
         require_finite("--s-min", args.s_min)
         require_finite("--s-max", args.s_max)
+    if args.command == "asympt" and args.n != 0 and args.variant != "F1A":
+        # the variants differ only in the power of s of E(0)
+        raise ValueError(f"--variant {args.variant} needs --n 0, got --n {args.n}")
     if args.command in ("asympt", "largedev", "report"):
         # the double-gamma constants walk their argument down one unit at
         # a time, and name their own variables, not these flags

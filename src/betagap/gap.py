@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,7 +79,8 @@ class AsymptoticForm:
     source: str
 
     def log_evaluate(self, s: float) -> float:
-        """Log of the form at gap size ``s``."""
+        """Log of the form at gap size ``s``, finite and positive."""
+        require_finite("s", s, positive=True)
         return (
             self.c_s * s
             + self.c_sqrt * math.sqrt(s)
@@ -676,44 +677,31 @@ def exact_En_finiteN(
 # ---------------------------------------------------------------------------
 
 
+#: The log-s power of each ``E(0)`` large-gap variant as a function of ``(a,
+#: beta)``, in ``report``'s order; ``None`` keeps :func:`asymptotic_En`'s
+#: own, the duality-consistent ``"F1A"``.
+_E0_LOG_POWERS = {
+    "PU": lambda a, beta: -a * (beta * a / 2.0 + 1.0) / 4.0 + beta * a / 4.0,
+    "MG": lambda a, beta: -beta * a * (a - 1.0) / 8.0 - a / 8.0,
+    "F1A": None,
+}
+
+
 def asymptotic_E0(a: float, beta: float, variant: str = "F1A") -> AsymptoticForm:
-    """Large-gap form of ``E(0; (0, s))``.
+    """Large-gap form of ``E(0; (0, s))``: ``asymptotic_En(0, a, beta)``.
 
-    All variants share ``exp(-beta s / 8 + beta a sqrt(s) / 2)`` and the
-    constant; they differ in the power of ``s``:
-
-    - ``"F1A"``: ``-beta a (a-1)/8 - a/4``, the power consistent with
-      the finite-size large-deviation route (and with the classical
-      ``beta = 2`` result).
-    - ``"PU"``: ``-a (beta a / 2 + 1)/4 + beta a / 4``.
-    - ``"MG"``: ``-beta a (a-1)/8 - a/8``.
-
-    Parameters
-    ----------
-    a, beta : float
-        Ensemble parameters.
-    variant : str
-        One of ``"F1A"``, ``"PU"``, ``"MG"``.
-
-    Returns
-    -------
-    AsymptoticForm
+    ``variant`` names the power of ``s``.  ``"F1A"`` keeps that form's
+    ``-beta a (a-1)/8 - a/4``, consistent with the finite-size
+    large-deviation route (and with the classical ``beta = 2`` result);
+    ``"PU"``, ``-a (beta a / 2 + 1)/4 + beta a / 4``, and ``"MG"``,
+    ``-beta a (a-1)/8 - a/8``, take theirs from ``_E0_LOG_POWERS``.  Any
+    other name raises ``ValueError``.
     """
-    if variant == "F1A":
-        c_log = -beta * a * (a - 1.0) / 8.0 - a / 4.0
-    elif variant == "PU":
-        c_log = -a * (beta * a / 2.0 + 1.0) / 4.0 + beta * a / 4.0
-    elif variant == "MG":
-        c_log = -beta * a * (a - 1.0) / 8.0 - a / 8.0
-    else:
+    if variant not in _E0_LOG_POWERS:
         raise ValueError(f"unknown variant {variant!r}")
-    return AsymptoticForm(
-        c_s=-beta / 8.0,
-        c_sqrt=beta * a / 2.0,
-        c_log=c_log,
-        c_const=log_a_const(a, beta),
-        source=variant,
-    )
+    form = replace(asymptotic_En(0, a, beta), source=variant)
+    log_power = _E0_LOG_POWERS[variant]
+    return form if log_power is None else replace(form, c_log=log_power(a, beta))
 
 
 def asymptotic_En(n: float, a: float, beta: float) -> AsymptoticForm:

@@ -599,18 +599,13 @@ class _TermSums:
         jack_values, jack_logs, jack_signs = self.table.layer(k)
         layer = self.coefficients.layer(k)
         rows = layer.rows
-        size = rows.size
-        if not size:
+        if not rows.size:
             return [(0, 0, 0.0, 0.0)] * len(jack_values)
         c_values = jack_values[:, rows]
         negative = layer.negative ^ (c_values < 0.0) ^ (jack_signs < 0)[:, None]
-        counts = [size] * len(c_values)
-        if c_values.all():
+        with np.errstate(divide="ignore"):
             log_mag = layer.log_coef + np.log(np.abs(c_values)) + jack_logs[:, rows]
-        else:
-            with np.errstate(divide="ignore"):
-                log_mag = layer.log_coef + np.log(np.abs(c_values)) + jack_logs[:, rows]
-            counts = np.count_nonzero(c_values, axis=1).tolist()
+        counts = np.count_nonzero(c_values, axis=1).tolist()
         exponents = [_binary_exponent(top) for top in log_mag.max(axis=1).tolist()]
         if any(exponents):
             scales = np.array(exponents)[:, None]

@@ -389,6 +389,12 @@ def test_bad_endpoint_exits_2(
          "--s 1.0 is outside the range of the asymptotic[F1A] form: its log value 0.686"),
         (("asympt", "--beta", "2", "--a", "1e5", "--s", "10"), "ValueError",
          "--s 10.0 is outside the range of the asymptotic[F1A] form"),
+        # the variants are powers of s of E(0): at --n 1 the flag was
+        # ignored and the asymptotic[C2D] row printed with exit 0
+        (("asympt", "--beta", "2", "--a", "1", "--s", "100", "--n", "1", "--variant", "PU"),
+         "ValueError", "--variant PU needs --n 0, got --n 1"),
+        (("asympt", "--beta", "2", "--a", "1", "--s", "100", "--n", "2", "--variant", "MG"),
+         "ValueError", "--variant MG needs --n 0, got --n 2"),
         (("largedev", "--beta", "2", "--a", "3", "--N", "1", "--s", "0.01"), "ValueError",
          "--s 0.01 is outside the range of the large_deviation_E0 form: its log value 4.03"),
         # the circle prefactor carries log(4/s): s = 0 used to end in a traceback
@@ -427,7 +433,8 @@ def test_bad_endpoint_exits_2(
         "largedev-N-negative", "exact-tol-nan", "exact-max-weight-negative",
         "sweep-grid-zero", "sweep-grid-tied", "sweep-tol-before-grid",
         "mc-a-nan", "mc-a-inf", "mc-beta-inf",
-        "asympt-above-1", "asympt-inf", "largedev-above-1", "contour-torus-s-zero",
+        "asympt-above-1", "asympt-inf", "asympt-n1-variant", "asympt-n2-variant",
+        "largedev-above-1", "contour-torus-s-zero",
         "contour-beta-negative", "torus-beta-negative", "torus-finiteN-beta-negative",
         "contour-beta-zero", "torus-finiteN-N-negative", "exact-beta-zero",
         "largedev-beta-negative", "exact-n1-finiteN-beta-zero", "exact-n1-beta-zero",

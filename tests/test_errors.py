@@ -12,6 +12,8 @@ from betagap.contour import hard_contour_E0, torus_E0_finiteN, torus_E0_hard
 from betagap.errors import ParameterQuantizationError, quantized, require_finite
 from betagap.gap import (
     LinearStatistic,
+    asymptotic_E0,
+    asymptotic_En,
     duality_check,
     exact_E0_finiteN_detailed,
     exact_E0_hard,
@@ -189,10 +191,19 @@ def test_counts_reject_non_integers(call, message: str) -> None:
         (lambda: log_multi_F01_asympt(4.0, (0.0,), 1.0, 1, 2.0),
          r"s_list\[0\] must be finite and positive, got 0.0"),
         (lambda: duality_check(4.0, 0.0, 0.5), "dual parameters out of range: n'=1.0, a'=-1.0"),
+        (lambda: asymptotic_E0(1.0, 2.0).log_evaluate(math.nan),
+         "s must be finite and positive, got nan"),
+        (lambda: asymptotic_E0(1.0, 2.0).log_evaluate(math.inf),
+         "s must be finite and positive, got inf"),
+        (lambda: asymptotic_En(1, 1.0, 2.0).log_evaluate(0.0),
+         "s must be finite and positive, got 0.0"),
+        (lambda: asymptotic_En(1, 1.0, 2.0).log_evaluate(-1.0),
+         "s must be finite and positive, got -1.0"),
     ],
     ids=["ls-shift-nan", "ls-shift-inf", "ls-list-nan", "ls-a-nan", "ls-beta-negative",
          "mean-N-negative", "stirling-N-zero", "exact-N-negative", "exact-beta-nan",
-         "multi-s0-nan", "multi-s0-negative", "multi-list-zero", "duality-a-negative"],
+         "multi-s0-nan", "multi-s0-negative", "multi-list-zero", "duality-a-negative",
+         "form-s-nan", "form-s-inf", "form-s-zero", "form-s-negative"],
 )
 def test_closed_forms_reject_bad_input(call, message: str) -> None:
     # Each returned nan or a number, or raised "math domain error" or an

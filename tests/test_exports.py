@@ -92,10 +92,21 @@ def test_no_per_partition_pair_table() -> None:
 def test_no_second_copy_of_a_closed_form() -> None:
     # Each closed form is stated once: the characteristic-polynomial moment
     # is exp(linstat_mean + linstat_variance / 2), the E(n) / E(0) form is
-    # asymptotic_En minus asymptotic_E0, and the duality constants are the
-    # c_const entries of duality_check.
+    # asymptotic_En minus asymptotic_E0, the duality constants are the
+    # c_const entries of duality_check, and the large-gap form is built only
+    # by asymptotic_En (asymptotic_E0 is its n = 0 case).
     retired = {"char_poly_moment_asympt", "asymptotic_En_ratio", "log_duality_constants"}
     assert _defined_or_imported(retired) == []
+    builders = []
+    for path in sorted(Path(betagap.__file__).parent.glob("*.py")):
+        for statement in ast.parse(path.read_text()).body:
+            builders += [
+                f"{path.stem}.{getattr(statement, 'name', '<module>')}"
+                for node in ast.walk(statement)
+                if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", "")) == "AsymptoticForm"
+            ]
+    assert builders == ["gap.asymptotic_En"]
     exported = [
         f"{module}: {name}"
         for module in ["betagap"] + [f"betagap.{m}" for m in _SUBMODULES]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
@@ -686,6 +687,29 @@ def test_leading_asymptotic_variants() -> None:
         )
     with pytest.raises(ValueError):
         asymptotic_E0(1.0, 2.0, variant="bogus")
+
+
+_FORM_BETAS = (0.5, 1.0, 4.0 / 3.0, 2.0, 3.0, 4.0, 6.0, 7.3)
+_FORM_AS = (0.0, 1.0 / 3.0, 1.0, 1.5, 2.5, 4.0, 9.1)
+
+
+@pytest.mark.parametrize("beta", _FORM_BETAS)
+def test_excess_constant_vanishes_at_n_zero(beta: float) -> None:
+    # Each double-gamma ratio of log_tau_hard_n is exactly 1 at n = 0.  It
+    # was the double-gamma rounding of log Gamma(1): -1.2e-13 at beta = 0.5.
+    assert [log_tau_hard_n(0, a, beta) for a in _FORM_AS] == [0.0] * len(_FORM_AS)
+
+
+@pytest.mark.parametrize("beta", _FORM_BETAS)
+def test_leading_form_is_the_excess_form_at_n_zero(beta: float) -> None:
+    # asymptotic_E0 is asymptotic_En at n = 0, field for field; "PU" and
+    # "MG" differ from it in c_log only.
+    for a in _FORM_AS:
+        excess = asymptotic_En(0, a, beta)
+        assert asymptotic_E0(a, beta, "F1A") == replace(excess, source="F1A"), a
+        for variant in ("PU", "MG"):
+            rival = asymptotic_E0(a, beta, variant)
+            assert rival == replace(excess, c_log=rival.c_log, source=variant), a
 
 
 def test_asymptotic_form_evaluation() -> None:
