@@ -22,7 +22,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import IO
 
 import numpy as np
@@ -37,6 +37,7 @@ from .contour import hard_contour_E0, torus_E0_finiteN, torus_E0_hard
 from .errors import BetagapError, ParameterQuantizationError, require_finite
 from .gap import (
     _E0_LOG_POWERS,
+    AsymptoticForm,
     asymptotic_E0,
     asymptotic_En,
     duality_check,
@@ -50,8 +51,6 @@ from .gap import (
 from .mc import EnsembleSpec, estimate_gap
 
 __all__ = ["Record", "build_parser", "run", "main"]
-
-CSV_HEADER = "s,beta,a,n,N,method,value,log_value,stderr,trunc_weight,tail_bound,seed"
 
 #: Default abscissas for exponent fitting: geometric grid on [100, 400].
 _REPORT_GRID = tuple(100.0 * 2.0 ** (k / 2.0) for k in range(5))
@@ -89,15 +88,10 @@ class Record:
 
     def json_obj(self) -> dict:
         """Field dict in header order, absent values as None."""
-        out = {}
-        for f in fields(self):
-            item = getattr(self, f.name)
-            if isinstance(item, float):
-                item = float(item)
-            elif isinstance(item, int):
-                item = int(item)
-            out[f.name] = item
-        return out
+        return asdict(self)
+
+
+CSV_HEADER = ",".join(f.name for f in fields(Record))
 
 
 def _strict(item):
@@ -355,23 +349,23 @@ def _fit_exponent(
     grid: tuple[float, ...],
     tol: float,
     max_weight: int | None,
-    fixed_slope: float,
+    form: AsymptoticForm,
 ) -> tuple[float, float, float]:
     """Exponent fit of the log-residual vs log s.
 
-    The residual is ``log E + beta s / 8 - (beta a / 2) sqrt(s)``; its
+    The residual is ``log E - form.c_s s - form.c_sqrt sqrt(s)``; its
     asymptote is ``c_log * log s + c_const``.  Returns the free
     least-squares ``(slope, constant)`` plus the constant re-estimated
-    with the slope pinned to ``fixed_slope`` (the free fit trades
+    with the slope pinned to ``form.c_log`` (the free fit trades
     constant against slope on a finite grid).
     """
     xs, ys = [], []
     for s in grid:
         log_value, _ = exact_E0_hard_detailed(s, a, beta, tol, max_weight)
         xs.append(math.log(s))
-        ys.append(log_value + beta * s / 8.0 - (beta * a / 2.0) * math.sqrt(s))
+        ys.append(log_value - form.c_s * s - form.c_sqrt * math.sqrt(s))
     slope, const = np.polyfit(xs, ys, 1)
-    pinned = float(np.mean([y - fixed_slope * x for x, y in zip(xs, ys)]))
+    pinned = float(np.mean([y - form.c_log * x for x, y in zip(xs, ys)]))
     return float(slope), float(const), pinned
 
 
@@ -381,9 +375,7 @@ def _run_report(args: argparse.Namespace, sink: IO[str]) -> int:
     forms = {
         variant: asymptotic_E0(a, beta, variant) for variant in _E0_LOG_POWERS
     }
-    slope, const, pinned = _fit_exponent(
-        beta, a, grid, args.tol, args.max_weight, forms["F1A"].c_log
-    )
+    slope, const, pinned = _fit_exponent(beta, a, grid, args.tol, args.max_weight, forms["F1A"])
     if args.fmt == "json":
         payload = {
             "beta": beta,
@@ -523,6 +515,10 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
         for flag, value in (("--a", args.a), ("--beta", args.beta)):
             if not math.isfinite(value):
                 raise ValueError(f"{flag} must be finite, got {value}")
+    if not getattr(args, "tol", 1.0) > 0:
+        raise ValueError(f"tol must be positive, got {args.tol}")
+    if getattr(args, "max_weight", None) is not None and args.max_weight < 0:
+        raise ValueError(f"max-weight must be nonnegative, got {args.max_weight}")
     if args.command == "exact":
         args.s_grid = (args.s,)
     elif args.command == "sweep":
@@ -531,18 +527,13 @@ def _config_from_args(args: argparse.Namespace) -> argparse.Namespace:
             raise ValueError(f"s-count must be positive, got {count}")
         if count > 1 and hi <= lo:
             raise ValueError(f"grid needs s-max > s-min, got [{lo}, {hi}]")
+        if lo <= 0.0:  # the grid's first and least point
+            raise ValueError(f"grid bounds must be positive, got --s-min {lo}")
         if args.log_grid:
             grid = np.geomspace(lo, hi, count)
         else:
             grid = np.linspace(lo, hi, count)
         args.s_grid = tuple(float(g) for g in grid)
-    if not getattr(args, "tol", 1.0) > 0:
-        raise ValueError(f"tol must be positive, got {args.tol}")
-    if getattr(args, "max_weight", None) is not None and args.max_weight < 0:
-        raise ValueError(f"max-weight must be nonnegative, got {args.max_weight}")
-    if args.command == "sweep":
-        if any(g <= 0 for g in args.s_grid):
-            raise ValueError("grid bounds must be positive")
         if any(b <= a for a, b in zip(args.s_grid, args.s_grid[1:])):
             raise ValueError("grid must be strictly increasing")
     return args

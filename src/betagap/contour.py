@@ -116,22 +116,16 @@ def _settled_limit(
     return float(settled.real)
 
 
-def _probability(value: float, tol: float, label: str) -> float:
-    """``value``, unless it lies outside ``[0, 1 + tol]``: a probability
-    there means the quadrature failed, so raise ``QuadratureError``."""
-    if not 0.0 <= value <= 1.0 + tol:
-        raise QuadratureError(f"{label} gave {float(value)!r}, outside [0, 1 + tol]")
-    return value
-
-
 def _scaled_probability(log_pref: float, value: float, tol: float, label: str) -> float:
-    """``exp(log_pref) * value`` through :func:`_probability`.
+    """``exp(log_pref) * value``, the end of every circle route.
 
     When ``log_pref + log(value)`` lies below the log of the smallest
     normal float the product underflows, so raise ``QuadratureError``
     naming it.  When only the prefactor lies below, ``exp(log_pref)``
     would be subnormal (or zero) and carry too few bits, so the value is
-    ``exp(log_pref + log(value))``.
+    ``exp(log_pref + log(value))``.  A product outside ``[0, 1 + tol]``
+    means the quadrature failed, so raise ``QuadratureError``.  A closed
+    form is ``value`` 1.0, whose product is ``exp(log_pref)``.
     """
     if value > 0.0:
         log_value = log_pref + math.log(value)
@@ -141,8 +135,11 @@ def _scaled_probability(log_pref: float, value: float, tol: float, label: str) -
                 f"{_LOG_FLOAT_MIN!r}, the log of the smallest normal float"
             )
         if log_pref < _LOG_FLOAT_MIN:
-            return _probability(math.exp(log_value), tol, label)
-    return _probability(math.exp(log_pref) * value, tol, label)
+            log_pref, value = 0.0, math.exp(log_value)
+    value = math.exp(log_pref) * value
+    if not 0.0 <= value <= 1.0 + tol:
+        raise QuadratureError(f"{label} gave {float(value)!r}, outside [0, 1 + tol]")
+    return value
 
 
 def _torus_trapezoid(
@@ -219,7 +216,7 @@ def torus_E0_finiteN(
     counted(N, f"N must be a positive integer, got {N}", 1)
     require_finite("tol", tol, positive=True)
     if m == 0:
-        return _probability(math.exp(-beta * N * s / 2.0), tol, "torus finite-size integral")
+        return _scaled_probability(-beta * N * s / 2.0, 1.0, tol, "torus finite-size integral")
 
     cos_power = N - 1.0 + 2.0 / beta
     log_morris = log_morris_value(m, 2.0 / beta - 1.0, float(N), 2.0 / beta)
@@ -277,14 +274,15 @@ def torus_E0_hard(
     Raises
     ------
     QuadratureError
-        If the value lies outside ``[0, 1 + tol]``.
+        If the value lies outside ``[0, 1 + tol]`` or below the smallest
+        normal float.
     """
     require_finite("beta", beta, positive=True)
     m = _dimension(a, beta)
     require_finite("s", s, positive=True)
     require_finite("tol", tol, positive=True)
     if m == 0:
-        return _probability(math.exp(-beta * s / 8.0), tol, "circle integral")
+        return _scaled_probability(-beta * s / 8.0, 1.0, tol, "circle integral")
     q = float(quantized("2/beta", 2.0 / beta) - 1)
 
     root_s = math.sqrt(s)
@@ -435,7 +433,8 @@ def hard_contour_E0(s: float, a: float, beta: float, tol: float = 1e-8) -> float
         If ``beta a / 2 = 2`` and ``4 / beta`` is not a positive integer:
         the only dimension-2 points where the route has been seen exact.
     QuadratureError
-        If the value lies outside ``[0, 1 + tol]``.
+        If the value lies outside ``[0, 1 + tol]`` or below the smallest
+        normal float.
     """
     require_finite("beta", beta, positive=True)
     m = _dimension(a, beta)
@@ -447,7 +446,7 @@ def hard_contour_E0(s: float, a: float, beta: float, tol: float = 1e-8) -> float
     require_finite("s", s, positive=True)
     require_finite("tol", tol, positive=True)
     if m == 0:
-        return _probability(math.exp(-beta * s / 8.0), tol, "contour integral")
+        return _scaled_probability(-beta * s / 8.0, 1.0, tol, "contour integral")
     q = 2.0 / beta - 1.0
     log_pref = (
         log_b_const(a, beta) - beta * s / 8.0 + q * m / 2.0 * math.log(4.0 / s)

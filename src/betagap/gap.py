@@ -182,14 +182,13 @@ def exact_E0_finiteN_detailed(
     Terminating route ``exp(-beta N s / 2)`` times the series with
     upper parameter ``-N``, lower parameter ``a``, and ``beta a / 2``
     repeated arguments ``-s``.  ``N = 0`` is the empty ensemble, whose
-    gap probability is 1.
+    gap probability is 1.  The series terminates at weight ``N beta a /
+    2``, so by default ``max_weight`` sets no ceiling.
     """
     require_finite("beta", beta, positive=True)
     require_finite("s", s)
     N = _ensemble_size(N)
     m = quantized("beta*a/2", beta * a / 2.0)
-    if max_weight is None:
-        max_weight = max(N * max(m, 1), 200)
     spec = HypergeomSpec(
         upper=(-float(N),), lower=(a,) if m else (), alpha=beta / 2.0,
         args=ArgBlocks(((-s, m),)),
@@ -455,15 +454,13 @@ def _excess_integral(
     is then exact (``HypergeomSpec.t_power``): ``n = 3`` runs the ladder
     of :func:`_ratio_level`, and ``n = 2``, whose ratio axis is exact too,
     is one ``RatioIntegral`` series times ``2!``.  Finite size and ``a >
-    0`` are not homogeneous in ``t``.  A terminating series defaults
-    ``max_weight`` to its degree ``N (beta a / 2 + n beta)``, at least
-    200.
+    0`` are not homogeneous in ``t``.  ``tol`` and ``max_weight`` are
+    checked here, before the ``s = 0`` return; a terminating series (finite
+    size) has no default ceiling (:func:`~betagap.hypergeom.pFq_alpha`).
     """
     m0 = quantized("beta*a/2", beta * a / 2.0)
     mb = quantized("beta", beta)
-    if upper and max_weight is None:
-        max_weight = max(round(-upper[0]) * (m0 + n * mb), 200)
-    max_weight = _series_controls(tol, max_weight)
+    _series_controls(tol, max_weight)
     if s == 0.0:
         return -math.inf, _diagnostics(0, 0.0, 0, 0.0)
     alpha, lower = beta / 2.0, (a + 2.0 * n,)
@@ -614,7 +611,7 @@ def exact_En_finiteN_detailed(
     arguments ``-s`` and ``-s y``; the integrand carries ``exp(beta s
     sum(y) / 2)``.  The prefactor is the binomial label count ``C(N+n,
     n)`` times the normalization ratio of the shifted-weight ensemble.
-    ``max_weight`` defaults to ``max(N (beta a / 2 + n beta), 200)``.
+    The series terminates, so by default ``max_weight`` sets no ceiling.
     """
     require_finite("beta", beta, positive=True)
     n = _excess_count(n)

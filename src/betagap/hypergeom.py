@@ -92,7 +92,7 @@ __all__ = [
     "MAX_COEFFICIENT_ENTRIES",
 ]
 
-#: Default weight ceiling for series truncation.
+#: Default weight ceiling of a series that does not terminate.
 DEFAULT_MAX_WEIGHT = 200
 
 #: Ratio of summed magnitudes to result magnitude beyond which a
@@ -780,7 +780,7 @@ def _sum_layers(
     source: _TermSums | _PairSums,
     members: int,
     tol: float,
-    max_weight: int,
+    max_weight: int | None,
     t_power: float | None = None,
 ) -> list[SeriesResult]:
     """Sum the series of one group of ``members`` layer by layer, and
@@ -796,9 +796,13 @@ def _sum_layers(
     One rule ends a series: its first empty coefficient layer ends every
     running member, terminated exactly.  Only a nonempty layer past
     ``max_weight`` raises ``NonConvergenceError``, and only a nonempty
-    layer within it is checked for a pole.
+    layer within it is checked for a pole.  ``max_weight`` None is
+    ``DEFAULT_MAX_WEIGHT`` for a series that does not terminate and no
+    ceiling for one that does (its ``coefficients`` have a ``cap``).
     """
     coefficients = source.coefficients
+    if max_weight is None:
+        max_weight = DEFAULT_MAX_WEIGHT if coefficients.cap is None else math.inf
     running = [_Running() for _ in range(members)]
     order = list(range(len(running)))  # member number of each running row
     done: dict[int, SeriesResult] = {}
@@ -848,14 +852,14 @@ def _sum_layers(
     return [done[row] for row in range(len(done))]
 
 
-def _series_controls(tol: float, max_weight: int | None) -> int:
+def _series_controls(tol: float, max_weight: int | None) -> int | None:
     """Check a series route's controls where the route starts: ``tol``
-    finite and positive, ``max_weight`` a nonnegative integer (integral
-    floats pass).  Returns ``max_weight`` as an ``int``, by default
-    ``DEFAULT_MAX_WEIGHT``."""
+    finite and positive, ``max_weight`` None or a nonnegative integer
+    (integral floats pass).  Returns ``max_weight`` as an ``int``, or
+    None (:func:`_sum_layers` reads the default)."""
     require_finite("tol", tol, positive=True)
     if max_weight is None:
-        return DEFAULT_MAX_WEIGHT
+        return None
     return counted(max_weight, f"max_weight must be a nonnegative integer, got {max_weight}")
 
 
@@ -899,8 +903,10 @@ def pFq_alpha(
         Relative layer tolerance for the stopping rule; finite and
         positive.
     max_weight : int, optional
-        Weight ceiling (default ``DEFAULT_MAX_WEIGHT``); a nonnegative
-        integer.
+        Weight ceiling; a nonnegative integer.  By default a terminating
+        series (a nonpositive-integer upper parameter) has none: its first
+        empty layer ends it.  Any other series stops at
+        ``DEFAULT_MAX_WEIGHT``.
 
     Returns
     -------

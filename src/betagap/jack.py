@@ -479,8 +479,6 @@ class _PairCoefficients(_Layers):
             row = np.zeros((k + 1, count))
             for s in range(k + 1):
                 picked = order[bounds[s] : bounds[s + 1]]
-                if not picked.size:
-                    continue
                 w = k - s
                 terms = np.take(before[w], strips.mu[picked] - self.strips.offsets[w], axis=1)
                 terms *= strips.psi[picked]

@@ -117,12 +117,7 @@ def sample_bidiagonal(
         bidiagonal entries of each sampled factor ``B``.
     """
     diag_dof, sub_dof = _chi_degrees(spec)
-    b = _chi(rng, diag_dof, (size, spec.N))
-    if spec.N == 1:
-        c = np.zeros((size, 0))
-    else:
-        c = _chi(rng, sub_dof, (size, spec.N - 1))
-    return b, c
+    return _chi(rng, diag_dof, (size, spec.N)), _chi(rng, sub_dof, (size, spec.N - 1))
 
 
 def _tridiagonal(b: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

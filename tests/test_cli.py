@@ -372,6 +372,10 @@ def test_bad_endpoint_exits_2(
          "ValueError", "max-weight must be nonnegative"),
         (("sweep", "--beta", "2", "--a", "1", "--s-min", "0", "--s-max", "4",
           "--s-count", "3"), "ValueError", "grid bounds must be positive"),
+        # numpy's "Geometric sequence cannot include zero" named no flag
+        (("sweep", "--beta", "2", "--a", "1", "--s-min", "0", "--s-max", "4",
+          "--s-count", "3", "--log-grid"), "ValueError",
+         "grid bounds must be positive, got --s-min 0.0"),
         (("sweep", "--beta", "2", "--a", "1", "--s-min", "1",
           "--s-max", "1.0000000000000002", "--s-count", "5"),
          "ValueError", "grid must be strictly increasing"),
@@ -431,7 +435,7 @@ def test_bad_endpoint_exits_2(
         "exact-a-inf", "contour-a-inf", "exact-a-nan", "exact-beta-inf",
         "sweep-N-negative", "exact-N-negative", "exact-n1-N-negative",
         "largedev-N-negative", "exact-tol-nan", "exact-max-weight-negative",
-        "sweep-grid-zero", "sweep-grid-tied", "sweep-tol-before-grid",
+        "sweep-grid-zero", "sweep-log-grid-zero", "sweep-grid-tied", "sweep-tol-before-grid",
         "mc-a-nan", "mc-a-inf", "mc-beta-inf",
         "asympt-above-1", "asympt-inf", "asympt-n1-variant", "asympt-n2-variant",
         "largedev-above-1", "contour-torus-s-zero",

@@ -16,7 +16,12 @@ from betagap.errors import (
     QuadratureError,
     ResourceLimitError,
 )
-from betagap.gap import exact_E0_finiteN, exact_E0_hard, exact_E0_hard_detailed
+from betagap.gap import (
+    exact_E0_finiteN,
+    exact_E0_finiteN_detailed,
+    exact_E0_hard,
+    exact_E0_hard_detailed,
+)
 
 
 # ------------------------------------------------------------ route agreement
@@ -281,6 +286,27 @@ def test_underflowing_value_raises(route, s: float) -> None:
     np.testing.assert_allclose(log_value, exact_E0_hard_detailed(s, 1.0, 2.0)[0], rtol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "route, series, args",
+    [
+        (hard_contour_E0, exact_E0_hard_detailed, (6000.0, 0.0, 2.0)),
+        (hard_contour_E0, exact_E0_hard_detailed, (2900.0, 0.0, 2.0)),
+        (torus_E0_hard, exact_E0_hard_detailed, (6000.0, 0.0, 2.0)),
+        (torus_E0_hard, exact_E0_hard_detailed, (2900.0, 0.0, 2.0)),
+        (torus_E0_finiteN, exact_E0_finiteN_detailed, (400.0, 0.0, 2.0, 10)),
+    ],
+    ids=["contour-6000", "contour-2900", "torus-6000", "torus-2900", "torus-finiteN-400"],
+)
+def test_underflowing_closed_form_raises(route, series, args: tuple) -> None:
+    # At beta a / 2 = 0 the routes are closed forms.  They returned 0.0 at
+    # s = 6000 and the subnormal 1.369e-315 at s = 2900, with no error; the
+    # message names the series route's log value (-1500.0 at s = 6000).
+    with pytest.raises(QuadratureError, match=r"underflows: its log value -\d") as raised:
+        route(*args)
+    log_value = float(str(raised.value).split("log value ")[1].split()[0])
+    assert log_value == series(*args)[0]
+
+
 @pytest.mark.parametrize("route", [hard_contour_E0, torus_E0_hard])
 @pytest.mark.parametrize("s", [2900.0, 2970.0, 3000.0])
 def test_values_with_a_subnormal_prefactor_match_the_series(route, s: float) -> None:
@@ -310,7 +336,7 @@ def test_probability_bounds(monkeypatch: pytest.MonkeyPatch) -> None:
     ):
         with pytest.raises(QuadratureError, match="outside"):
             route()
-    assert contour._probability(1.0 + 1e-9, 1e-8, "route") == 1.0 + 1e-9
-    assert contour._probability(0.0, 1e-8, "route") == 0.0
+    assert contour._scaled_probability(0.0, 1.0 + 1e-9, 1e-8, "route") == 1.0 + 1e-9
+    assert contour._scaled_probability(0.0, 0.0, 1e-8, "route") == 0.0
     with pytest.raises(QuadratureError):
-        contour._probability(1.0 + 2e-8, 1e-8, "route")
+        contour._scaled_probability(0.0, 1.0 + 2e-8, 1e-8, "route")

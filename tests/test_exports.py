@@ -1,9 +1,10 @@
 """Every name a module lists in ``__all__`` exists, no ``__all__`` lists a
 function beside its log twin, no public function takes a formula switch,
 no closed form has a second copy, two-value series have one evaluator,
-cached layers have one locked build loop, no eigensolver or scalar
-Vandermonde is back, neither importing the package nor any subcommand
-needs scipy, and the test oracles share no code with the package."""
+cached layers have one locked build loop, each route's end is decided
+once, no eigensolver or scalar Vandermonde is back, neither importing the
+package nor any subcommand needs scipy, and the test oracles share no
+code with the package."""
 
 from __future__ import annotations
 
@@ -125,6 +126,16 @@ def test_no_eigensolver_or_scalar_vandermonde() -> None:
     assert _defined_or_imported(retired) == []
     assert retired.isdisjoint(betagap.__all__)
     assert retired.isdisjoint(importlib.import_module("betagap.mc").__all__)
+
+
+def test_one_end_rule_per_route() -> None:
+    # A series' weight ceiling is decided in hypergeom alone (a terminating
+    # series has none by default), so no route restates a degree; every
+    # circle route, closed forms included, ends in
+    # contour._scaled_probability, so no second range check comes back.
+    assigned = _defined_or_imported({"max_weight"})
+    assert assigned and all(place.startswith("hypergeom.py: ") for place in assigned)
+    assert _defined_or_imported({"_probability"}) == []
 
 
 def test_one_locked_layer_loop() -> None:

@@ -134,10 +134,10 @@ def _printed_single_excess(s: float, a: float, beta: float, N: int) -> tuple[flo
     """Log of finite-size ``E(1)`` in the printed bookkeeping, and its series:
     prefactor ``N``, the same-weight normalization ratio, and ``a`` (a
     positive integer) conditioned arguments, through ``gap.pFq_alpha``."""
-    m0, mb = quantized("beta*a/2", beta * a / 2.0), quantized("beta", beta)
+    m0 = quantized("beta*a/2", beta * a / 2.0)
     args = RatioIntegral(-s, m0, quantized("a", a), m0, beta * s / 2.0)
     spec = HypergeomSpec(upper=(-float(N),), lower=(a + 2.0,), alpha=beta / 2.0, args=args)
-    series = gap.pFq_alpha(spec, tol=1e-12, max_weight=max(N * (m0 + mb), 200))
+    series = gap.pFq_alpha(spec, tol=1e-12)
     return (
         math.lgamma(N + 1.0) - math.lgamma(float(N)) - math.lgamma(2.0)
         + gap._log_laguerre_norm(a, beta, N) - gap._log_laguerre_norm(a, beta, N + 1)
@@ -319,7 +319,9 @@ def test_excess_count_must_be_integral() -> None:
 # ------------------------------------------------------ E(1) as one series
 
 
-def _ladder_series(spec: HypergeomSpec, tol: float, max_weight: int | None) -> SeriesResult:
+def _ladder_series(
+    spec: HypergeomSpec, tol: float, max_weight: int | None = None
+) -> SeriesResult:
     """The integral a ``RatioIntegral`` series stands for, summed as
     ``E(1)`` summed it before: the Gauss–Jacobi ladder of
     ``_settled_quadrature`` over one batch of node series per level, each

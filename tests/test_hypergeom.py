@@ -194,6 +194,18 @@ def test_weight_ceiling_default() -> None:
     assert result.tail_estimate < 1e-12 * result.value
 
 
+def test_terminating_series_has_no_default_ceiling() -> None:
+    # A degree-300 series settles at weight 284, past DEFAULT_MAX_WEIGHT.
+    # It raised NonConvergenceError at weight 200 by default; an explicit
+    # ceiling still binds.
+    spec = HypergeomSpec((-300.0,), (1.0,), 1.0, ArgBlocks.from_values([-1000.0]))
+    result = pFq_alpha(spec)
+    assert (result.log_value, result.max_weight_used) == (728.910010361783, 284)
+    assert result == pFq_alpha(spec, max_weight=300)
+    with pytest.raises(NonConvergenceError, match="by weight 200 "):
+        pFq_alpha(spec, max_weight=DEFAULT_MAX_WEIGHT)
+
+
 def test_block_canonicalization() -> None:
     a = ArgBlocks(((2.0, 1), (1.0, 2)))
     b = ArgBlocks(((1.0, 1), (2.0, 1), (1.0, 1)))

@@ -127,6 +127,13 @@ def test_sampler_shapes() -> None:
     assert np.all(b > 0) and np.all(c > 0)
 
 
+def test_sampler_at_one_eigenvalue() -> None:
+    # A 1x1 factor has no subdiagonal: an empty chi draw.
+    b, c = sample_bidiagonal(EnsembleSpec(beta=2.0, a=1.0, N=1), np.random.default_rng(0), 17)
+    assert b.shape == (17, 1) and c.shape == (17, 0)
+    assert np.all(b > 0)
+
+
 def test_eigensolver_closed_forms() -> None:
     # 1x1: B B^T = [4].  2x2 lower bidiagonal: B B^T = [[4, 2], [2, 10]] has
     # eigenvalues 7 -+ sqrt(13).
@@ -213,6 +220,13 @@ def test_matches_exact_finite_size() -> None:
     est = estimate_gap(spec, 1.0, samples=50_000, seed=12)
     want = exact_E0_finiteN(1.0 / 20.0, 1.0, 2.0, 5)
     assert abs(est.probability - want) < 3.0 * est.stderr
+
+
+@pytest.mark.parametrize("beta, a, s, seed", [(2.0, 1.0, 2.0, 15), (2.5, 0.8, 3.0, 16)])
+def test_matches_exact_at_one_eigenvalue(beta: float, a: float, s: float, seed: int) -> None:
+    est = estimate_gap(EnsembleSpec(beta=beta, a=a, N=1), s, samples=20_000, seed=seed)
+    want = exact_E0_finiteN(s / 4.0, a, beta, 1)
+    assert abs(est.probability - want) < 4.0 * est.stderr
 
 
 def test_matches_exact_fractional_beta() -> None:
