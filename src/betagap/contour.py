@@ -27,6 +27,7 @@ import numpy as np
 
 from .barnes import log_b_const, log_morris_value
 from .errors import (
+    CancellationError,
     NonConvergenceError,
     ParameterQuantizationError,
     QuadratureError,
@@ -44,6 +45,9 @@ __all__ = [
 ]
 
 _IMAG_REL_TOL = 1e-9
+# Machine epsilon, 2**-52: a floating-point sum rounds by about this much
+# of its summed term magnitude.
+_FLOAT_EPS = sys.float_info.epsilon
 # Log of the smallest normal float: a probability below it underflows.
 _LOG_FLOAT_MIN = math.log(sys.float_info.min)
 # Branch-cut contour layout: circle radius (the value does not depend on
@@ -158,16 +162,41 @@ def _torus_trapezoid(
     ``|z_j - z_k|**(4/beta)``.  The grid starts at ``start`` points per
     dimension and doubles over 6 levels in dimension 1, 4 in dimension 2.
     Returns the real part of the settled value.
+
+    A value that does not settle is checked for cancellation: when ``tol /
+    10`` lies above the machine epsilon ``2**-52`` and the finest level's
+    summed term magnitude times ``2**-52`` exceeds ``tol / 10`` of its
+    value, rounding alone moves the sum by more than the tolerance, so
+    raise ``CancellationError`` naming the ratio of magnitude to value.
     """
 
-    def evaluate(level: int) -> complex:
-        f, z, w = nodes(start * 2**level)
+    def total(f: np.ndarray, z: np.ndarray, w: float) -> complex:
         if m == 1:
             return complex(np.sum(f) * w)
         pair = np.abs(z[:, None] - z[None, :]) ** (4.0 / beta)
         return complex(f @ pair @ f * w * w)
 
-    return _settled_limit(evaluate, 6 if m == 1 else 4, tol, label)
+    finest: list = []
+
+    def evaluate(level: int) -> complex:
+        f, z, w = nodes(start * 2**level)
+        value = total(f, z, w)
+        finest[:] = f, z, w, value
+        return value
+
+    try:
+        return _settled_limit(evaluate, 6 if m == 1 else 4, tol, label)
+    except NonConvergenceError:
+        f, z, w, value = finest
+        magnitude = total(np.abs(f), z, w).real
+        if tol / 10.0 > _FLOAT_EPS and magnitude * _FLOAT_EPS > tol / 10.0 * abs(value):
+            ratio = magnitude / abs(value) if value else math.inf
+            raise CancellationError(
+                f"{label} lost to cancellation: summed term magnitude exceeds its "
+                f"value by {ratio:.1e}, so rounding moves it by more than tol/10 = "
+                f"{tol / 10.0:.1e}"
+            ) from None
+        raise
 
 
 def torus_E0_finiteN(
@@ -209,6 +238,10 @@ def torus_E0_finiteN(
     QuadratureError
         If the value lies outside ``[0, 1 + tol]`` or below the smallest
         normal float.
+    CancellationError
+        If the value does not settle because its terms cancel beyond what
+        rounding lets ``tol`` reach (:func:`_torus_trapezoid`), as at
+        moderate ``s`` for small ``N``.
     """
     require_finite("beta", beta, positive=True)
     m = _dimension(a, beta)
@@ -276,6 +309,9 @@ def torus_E0_hard(
     QuadratureError
         If the value lies outside ``[0, 1 + tol]`` or below the smallest
         normal float.
+    CancellationError
+        If the value does not settle because its terms cancel beyond what
+        rounding lets ``tol`` reach (:func:`_torus_trapezoid`).
     """
     require_finite("beta", beta, positive=True)
     m = _dimension(a, beta)

@@ -286,7 +286,6 @@ MAX_COEFFICIENT_ENTRIES = 64
 _LAYER_BLOCK = 8
 
 
-@dataclass(frozen=True, slots=True)
 class _CoefficientLayer:
     """The argument-free factors of the terms of one weight layer.
 
@@ -298,11 +297,18 @@ class _CoefficientLayer:
     give each one's log-magnitude and sign.
     """
 
-    nonempty: bool
-    pole: str | None
-    rows: np.ndarray
-    log_coef: np.ndarray
-    negative: np.ndarray
+    __slots__ = ("nonempty", "pole", "rows", "log_coef", "negative")
+
+    def __init__(
+        self,
+        nonempty: bool,
+        pole: str | None,
+        rows: np.ndarray,
+        log_coef: np.ndarray,
+        negative: np.ndarray,
+    ) -> None:
+        self.nonempty, self.pole = nonempty, pole
+        self.rows, self.log_coef, self.negative = rows, log_coef, negative
 
 
 def _pochhammer_tables(
@@ -632,8 +638,6 @@ class _ContractedLayer:
     of ``|coef_kappa| (C_kappa/P_kappa) c[d, kappa] exp(-shift)``, with
     ``shift`` the largest log of ``|coef_kappa| C_kappa/P_kappa``.  ``count``
     is the number of live terms; ``weights`` is None when there are none.
-    A plain class: a dataclass would add most of a millisecond to ``import
-    betagap``.
     """
 
     __slots__ = ("count", "shift", "weights")

@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -139,7 +138,10 @@ class _Layers:
     below it, under a lock, so threads may share one entry.
 
     A subclass appends layer ``k`` to ``layers`` in ``_build(k)``, and may
-    append the layers after it in the same call.
+    append the layers after it in the same call.  The layer records
+    (:class:`_StripLayer`, ``hypergeom._CoefficientLayer`` and
+    ``hypergeom._ContractedLayer``) are plain ``__slots__`` classes: each
+    frozen dataclass would add most of a millisecond to ``import betagap``.
     """
 
     def __init__(self) -> None:
@@ -155,18 +157,24 @@ class _Layers:
         return self.layers[k]
 
 
-@dataclass(frozen=True, slots=True)
 class _StripLayer:
     """The horizontal strips ``kappa/mu`` of one weight layer ``|kappa| = k``."""
 
-    start: int
-    count: int
-    owner: np.ndarray
-    mu: np.ndarray
-    size: np.ndarray
-    psi: np.ndarray
-    ends: list[int]
-    log_norm: np.ndarray
+    __slots__ = ("start", "count", "owner", "mu", "size", "psi", "ends", "log_norm")
+
+    def __init__(
+        self,
+        start: int,
+        count: int,
+        owner: np.ndarray,
+        mu: np.ndarray,
+        size: np.ndarray,
+        psi: np.ndarray,
+        ends: list[int],
+        log_norm: np.ndarray,
+    ) -> None:
+        self.start, self.count, self.owner, self.mu = start, count, owner, mu
+        self.size, self.psi, self.ends, self.log_norm = size, psi, ends, log_norm
 
 
 class _StripTable(_Layers):

@@ -17,7 +17,6 @@ of :func:`estimate_gap` (default 1).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -216,6 +215,10 @@ def estimate_gap(
     chunks = _chunks(samples, seed)
     hits_in = partial(_gap_hits, spec, threshold, n)
     if threads > 1:
+        # imported here: the pool's modules cost a single-threaded process
+        # several milliseconds of start-up
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(threads, len(chunks))) as pool:
             hits = sum(pool.map(hits_in, chunks))
     else:

@@ -7,8 +7,11 @@ Golub–Welsch eigenvalues of the Jacobi matrix (Golub & Welsch, Math.
 Comp. 23 (1969) 221) or, for Legendre, from Tricomi's asymptotic zeros,
 which need no ``O(order**3)`` eigensolve at the contour's thousands of
 nodes.  Both are polished by Newton's method on the three-term
-recurrence of the orthonormal polynomials (scaled to ``p_0 = 1``), and
-the weights come from the derivative form ``1 / ((1 - x**2) p_n'(x)**2)``
+recurrence of the orthonormal polynomials (scaled to ``p_0 = 1``).  Each
+pass carries ``p`` and ``p'`` as one two-row array, one fused step per
+degree in preallocated buffers: the operations of the two recurrences in
+their order, in fewer array calls, so the rules keep their bits.  The
+weights come from the derivative form ``1 / ((1 - x**2) p_n'(x)**2)``
 scaled to the weight's total mass ``2**(a+b+1) B(a+1, b+1)``, as
 ``scipy.special.roots_jacobi`` scales them.
 
@@ -53,17 +56,29 @@ def _with_derivative(
     x: np.ndarray, alpha: np.ndarray, off: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``p_n(x)`` and ``p_n'(x)`` of the recurrence-normalized polynomials
-    (``p_0 = 1``), for ``n = len(alpha)``."""
-    p_prev = np.zeros_like(x)
-    p = np.ones_like(x)
-    dp_prev = np.zeros_like(x)
-    dp = np.zeros_like(x)
+    (``p_0 = 1``), for ``n = len(alpha)``.
+
+    Each degree is one fused step on the two-row state ``(p, p')``:
+    ``next = ((x - alpha_k) state + (0, p) - b_k prev) * (1 / b_{k+1})``,
+    in preallocated buffers, with the floating-point operations of the
+    separate recurrences for ``p`` and ``p'`` in the same order (a zero
+    ``alpha_k``, as in every Legendre step, skips the exact ``x - 0.0``).
+    """
+    prev = np.zeros((2, len(x)))
+    state = np.zeros((2, len(x)))
+    state[0] = 1.0
+    step = np.empty_like(state)
+    scratch = np.empty_like(state)
+    buffer = np.empty_like(x)
     for shift, back, inverse in zip(alpha.tolist(), off.tolist(), (1.0 / off[1:]).tolist()):
-        shifted = x - shift
-        p_next = (shifted * p - back * p_prev) * inverse
-        dp_next = (shifted * dp + p - back * dp_prev) * inverse
-        p_prev, p, dp_prev, dp = p, p_next, dp, dp_next
-    return p, dp
+        shifted = np.subtract(x, shift, out=buffer) if shift else x
+        np.multiply(shifted, state, out=step)
+        step[1] += state[0]
+        np.multiply(back, prev, out=scratch)
+        step -= scratch
+        step *= inverse
+        prev, state, step = state, step, prev
+    return state[0], state[1]
 
 
 def _legendre_guess(order: int) -> np.ndarray:

@@ -622,6 +622,19 @@ def test_odd_beta_excess_exits_0(capsys: pytest.CaptureFixture[str]) -> None:
     assert record["log_value"] == exact_En_hard_detailed(4.0, 2.0, 1.0, 2)[0]
 
 
+def test_torus_cancellation_exits_3(capsys: pytest.CaptureFixture[str]) -> None:
+    # The finite-size torus terms cancel by 8.4e16: this exited 3 with
+    # NonConvergenceError ("did not settle within 6 resolution levels").
+    code, out = run_cli(
+        capsys, "contour", "--beta", "2", "--a", "1", "--s", "50", "--N", "3",
+        "--format", "json",
+    )
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "CancellationError"
+    assert "exceeds its value by 8.4e+16" in error["message"]
+
+
 def test_nonconvergence_exits_3(capsys: pytest.CaptureFixture[str]) -> None:
     code, out = run_cli(
         capsys, "exact", "--beta", "2", "--a", "1", "--s", "4",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 from betagap import contour
 from betagap.contour import hard_contour_E0, torus_E0_finiteN, torus_E0_hard
 from betagap.errors import (
+    CancellationError,
     NonConvergenceError,
     ParameterQuantizationError,
     QuadratureError,
@@ -323,6 +325,36 @@ def test_finite_size_torus_overflow_raises() -> None:
     # doubling then failed with NonConvergenceError.
     with pytest.raises(QuadratureError, match=r"s = 2000.0, N = 3 "):
         torus_E0_finiteN(2000.0, 1.0, 2.0, 3)
+
+
+@pytest.mark.parametrize(
+    "s, a, ratio",
+    [(30.0, 1.0, "1.0e+09"), (50.0, 1.0, "8.4e+16"), (30.0, 2.0, "6.8e+16")],
+    ids=["s30", "s50", "s30-dimension-2"],
+)
+def test_finite_size_torus_names_its_cancellation(s: float, a: float, ratio: str) -> None:
+    # Terms of modulus up to 1e9 (or 1e17) times the value cancel on the
+    # grid: the doubling failed with "did not settle within 6 (4)
+    # resolution levels", which no finer grid can mend.
+    message = (
+        f"torus finite-size integral lost to cancellation: summed term magnitude exceeds "
+        f"its value by {ratio}, so rounding moves it by more than tol/10 = 1.0e-09"
+    )
+    with pytest.raises(CancellationError, match=f"^{re.escape(message)}$"):
+        torus_E0_finiteN(s, a, 2.0, 3)
+
+
+def test_settled_torus_value_keeps_its_bits() -> None:
+    # The ratio is 1.7e5 here, within the rounding budget of tol = 1e-8:
+    # the value settles and is the parent's to the last bit.
+    assert torus_E0_finiteN(20.0, 1.0, 2.0, 3) == 1.7463401297694266e-23
+
+
+@pytest.mark.parametrize("s", [20.0, 50.0])
+def test_tolerance_below_rounding_stays_nonconvergence(s: float) -> None:
+    # tol / 10 below 2**-52 is out of reach whatever the cancellation.
+    with pytest.raises(NonConvergenceError, match="did not settle to relative tolerance 1.0e-16"):
+        torus_E0_finiteN(s, 1.0, 2.0, 3, tol=1e-16)
 
 
 def test_probability_bounds(monkeypatch: pytest.MonkeyPatch) -> None:

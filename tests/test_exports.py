@@ -3,8 +3,8 @@ function beside its log twin, no public function takes a formula switch,
 no closed form has a second copy, two-value series have one evaluator,
 cached layers have one locked build loop, each route's end is decided
 once, no eigensolver or scalar Vandermonde is back, neither importing the
-package nor any subcommand needs scipy, and the test oracles share no
-code with the package."""
+package nor any subcommand needs scipy or (single-threaded) the thread
+pool, and the test oracles share no code with the package."""
 
 from __future__ import annotations
 
@@ -169,6 +169,20 @@ def test_import_loads_no_scipy() -> None:
     assert result.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("module", ["betagap", "betagap.cli"])
+def test_import_loads_no_thread_pool(module: str) -> None:
+    # Only mc --threads > 1 uses a thread pool, so a single-threaded process
+    # does not pay for concurrent.futures and the logging it imports.
+    script = (
+        f"import sys, {module}; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('concurrent', 'logging')))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True, timeout=60
+    )
+    assert result.stdout.strip() == "[]"
+
+
 # One call of every subcommand, reaching each route that once used
 # scipy.special: the E(n) quadrature rule, the contour's Legendre rules, the
 # double gamma's Hurwitz zeta and the check suite's log gamma.
@@ -190,11 +204,12 @@ _NO_SCIPY_CALLS = {
 
 
 def test_no_subcommand_needs_scipy() -> None:
-    # scipy is blocked before betagap is imported, so any import of it
-    # raises ImportError; each call reports its exit code or its error.
+    # scipy, and the thread pool that only mc --threads > 1 uses, are
+    # blocked before betagap is imported, so any import of either raises
+    # ImportError; each call reports its exit code or its error.
     script = f"""
 import contextlib, io, json, sys
-sys.modules["scipy"] = None
+sys.modules["scipy"] = sys.modules["concurrent.futures"] = None
 from betagap.cli import main
 outcomes = {{}}
 for name, argv in {_NO_SCIPY_CALLS!r}.items():

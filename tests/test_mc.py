@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -11,7 +12,14 @@ from hypothesis import strategies as st
 
 from betagap import mc
 from betagap.gap import exact_E0_finiteN, exact_En_finiteN
-from betagap.mc import EnsembleSpec, _count_below, _tridiagonal, estimate_gap, sample_bidiagonal
+from betagap.mc import (
+    EnsembleSpec,
+    _count_below,
+    _gap_hits,
+    _tridiagonal,
+    estimate_gap,
+    sample_bidiagonal,
+)
 
 
 # ----------------------------------------------------------------- validation
@@ -53,7 +61,9 @@ def test_counts_take_integral_floats() -> None:
 
 
 class _NoPool:
-    """Stands in for the thread pool: records ``max_workers``, runs serially."""
+    """Stands in for the thread pool, which ``estimate_gap`` imports from
+    ``concurrent.futures`` only when ``threads > 1``: records
+    ``max_workers``, runs serially."""
 
     started: list[int] = []
 
@@ -83,7 +93,7 @@ class _NoPool:
 def test_seed_and_threads_must_be_counts(
     kwargs: dict, message: str, monkeypatch: pytest.MonkeyPatch
 ) -> None:
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", _NoPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _NoPool)
     monkeypatch.setattr(_NoPool, "started", [])
     spec = EnsembleSpec(2.0, 1.0, 4)
     with pytest.raises(ValueError, match=message):
@@ -92,7 +102,7 @@ def test_seed_and_threads_must_be_counts(
 
 
 def test_integral_float_threads_run_as_an_int(monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.setattr(mc, "ThreadPoolExecutor", _NoPool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _NoPool)
     monkeypatch.setattr(_NoPool, "started", [])
     spec = EnsembleSpec(2.0, 1.0, 4)
     got = estimate_gap(spec, 1.0, samples=20_000, seed=3, threads=2.0)
@@ -188,6 +198,20 @@ def test_counts_on_pinned_matrices() -> None:
     b = [0.75, 1.5, 0.5, 2.0, 1.25, 1.0]
     c = [0.5, 1.0, 0.25, 1.5, 0.75]
     assert _dense_and_counts(b, c) == (list(range(7)), list(range(7)))
+
+
+def test_cutoff_sweep_on_a_pinned_batch(monkeypatch: pytest.MonkeyPatch) -> None:
+    # B B^T of rows 0 and 3 has an eigenvalue near 1e-18, below 1e-14 times
+    # its trace, which the cutoff sweep takes back; row 1 has one at 0.069
+    # and row 2 none below beta * threshold = 0.5.
+    b = np.array([[1e-9, 1.0, 1.5, 2.0], [0.3, 1.0, 1.5, 2.0], [1.0, 1.2, 1.5, 2.0],
+                  [1e-9, 0.2, 1.5, 2.0]])
+    c = np.full((4, 3), 0.5)
+    monkeypatch.setattr(mc, "sample_bidiagonal", lambda *args, **kwargs: (b, c))
+    spec, threshold, chunk = EnsembleSpec(2.0, 1.0, 4), 0.25, (4, np.random.SeedSequence(0))
+    diag, off = _tridiagonal(b, c)
+    assert _count_below(diag, off, spec.beta * threshold).tolist() == [1, 1, 0, 2]
+    assert [_gap_hits(spec, threshold, n, chunk) for n in range(3)] == [2, 2, 0]
 
 
 # ----------------------------------------------------------------- sampler law
