@@ -12,9 +12,9 @@ resolution doubling; when the pair interaction has a diagonal kink
 (``4 / beta`` not an even integer) the doubling sequence converges
 algebraically and is Richardson-extrapolated with a measured order.
 
-The dimension-2 pair kernels are built a block of circle rows at a
-time, so a level's memory grows with the node count, not its square:
-about 1 MB traced at the coarsest contour level and 14 MB at the finest.
+The dimension-2 pair kernels of the contour and the torus are built a
+block of rows at a time, so a level's memory grows with the node count,
+not its square: 1 to 14 MB traced on the contour, 6.4 MB on the torus.
 """
 
 from __future__ import annotations
@@ -159,9 +159,10 @@ def _torus_trapezoid(
     ``nodes(n)`` gives the one-variable integrand ``f``, the circle points
     ``z`` and the weight ``w`` of an ``n``-point grid.  Dimension 1 sums
     ``f w``; dimension 2 couples two copies through the pair interaction
-    ``|z_j - z_k|**(4/beta)``.  The grid starts at ``start`` points per
-    dimension and doubles over 6 levels in dimension 1, 4 in dimension 2.
-    Returns the real part of the settled value.
+    ``|z_j - z_k|**(4/beta)``, built ``_ROW_BLOCK`` rows at a time.  The
+    grid starts at ``start`` points per dimension and doubles over 6
+    levels in dimension 1, 4 in dimension 2.  Returns the real part of the
+    settled value.
 
     A value that does not settle is checked for cancellation: when ``tol /
     10`` lies above the machine epsilon ``2**-52`` and the finest level's
@@ -173,8 +174,9 @@ def _torus_trapezoid(
     def total(f: np.ndarray, z: np.ndarray, w: float) -> complex:
         if m == 1:
             return complex(np.sum(f) * w)
-        pair = np.abs(z[:, None] - z[None, :]) ** (4.0 / beta)
-        return complex(f @ pair @ f * w * w)
+        blocks = (z[i : i + _ROW_BLOCK] for i in range(0, len(z), _ROW_BLOCK))
+        f_pair = [f @ np.abs(np.subtract.outer(rows, z)).T ** (4.0 / beta) for rows in blocks]
+        return complex(np.concatenate(f_pair) @ f * w * w)  # the kernel is symmetric
 
     finest: list = []
 

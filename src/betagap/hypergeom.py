@@ -13,13 +13,13 @@ series values like ``exp(+1900)`` against prefactors like
 ``exp(-1920)``.
 
 The argument-free part of each term (the Pochhammer ratio, ``1/k!`` and,
-when the argument has one distinct nonzero value, ``C_kappa(1, ..., 1)``)
-is built once per parameter set, ``alpha`` and number of variables, and
-cached a block of weight layers at a time, so every node of one
-quadrature and every ``s`` of a sweep share it (the Koev–Edelman
-economy).  A layer comes
-from one of two sources, each carrying the coefficient entry it reads,
-which sets where the series terminates and meets a pole.  An argument
+when the argument is one nonzero value ``n`` times, ``C_kappa(1^n) / k! =
+alpha**(2k) [n/alpha]_kappa / j_kappa``) is built once per parameter set,
+``alpha`` and number of variables, and cached a block of weight layers at
+a time, so every node of one quadrature and every ``s`` of a sweep share
+it (the Koev–Edelman economy).  A layer comes from one of two sources,
+each carrying the coefficient entry it reads, which sets where the series
+terminates and meets a pole.  An argument
 of at most two distinct nonzero values of one sign, ``u`` repeated
 ``p`` times and ``u r`` ``q`` times (zeros aside: a zero is no
 variable), applies nothing per partition at all: its layer depends on it only
@@ -30,9 +30,10 @@ coefficients ``c[d, kappa]`` of ``P_kappa(1^p, r^q)``, from
 into ``G+-[k, d]``, one sum per sign of coefficient
 (:class:`_Contraction`).  One distinct value ``t`` is the ``p = 0``,
 ``r = 1`` case over the nonzero variables, whose coefficients hold
-``C_kappa(1^q)``.  These sums are cached per parameter set, ``alpha``,
-``p`` and ``q``, a layer at a time as a series first reaches it, and a
-layer costs each member two dot products of length ``k + 1``.  A
+``C_kappa(1^q) / k! = alpha**(2k) [q/alpha]_kappa / j_kappa``.  These
+sums are cached per parameter set, ``alpha``, ``p`` and ``q``, a layer at
+a time as a series first reaches it, and a layer costs each member two
+dot products of length ``k + 1``.  A
 :class:`RatioIntegral` argument, the two-value argument integrated over
 ``r``, takes the moments of its weight for ``w``.  Any other argument is
 its node of a batched :class:`~betagap.jack.JackTable`, extended a
@@ -332,15 +333,6 @@ def _pochhammer_tables(
     return logs, negatives, zeros
 
 
-def _content_log_sums(alpha: float, n: int, top: int) -> np.ndarray:
-    """``S[i, c] = sum_{j<c} log(n - i + alpha j)``: the contents of the
-    first ``c`` cells of row ``i`` in ``C_kappa`` at ``n`` ones."""
-    contents = (n - np.arange(n))[:, None] + alpha * np.arange(top)[None, :]
-    table = np.zeros((n, top + 1))
-    np.cumsum(np.log(contents), axis=1, out=table[:, 1:])
-    return table
-
-
 class _Coefficients(_Layers):
     """The argument-free part of every term of a series, layer by layer.
 
@@ -351,15 +343,16 @@ class _Coefficients(_Layers):
     ``C_kappa(x) = t**k C_kappa(1^parts)``, and the coefficient takes
     ``C_kappa(1^parts)`` too, leaving ``t**k`` to the ``p = 0``
     contraction (:class:`_Contraction`).  Its ``k!`` cancels the series'
-    ``1 / k!``:
-
-        C_kappa(1^n) / k! = alpha**k prod_cells (n - (i-1) + alpha (j-1))
-                            / (upper * lower hook products).
-
-    Pochhammer symbols, hooks and contents come from per-row cumulative
-    tables indexed by the parts of a padded partition matrix, never a
-    loop over cells.  A table row extends its sum one box at a time, so a
-    layer reads the same floats however far the tables were built.
+    ``1 / k!``, and with ``j_kappa`` the upper times the lower hook product
+    (Stanley 1989), ``C_kappa(1^n) / k! = alpha**(2k) [n/alpha]_kappa /
+    j_kappa``.  So ``n/alpha`` is one more upper parameter, unless a lower
+    one equals it as a float: then both drop, hiding no zero or pole, as
+    every factor of ``[n/alpha]_kappa`` with ``l(kappa) <= n`` is at least
+    ``1/alpha``.  Pochhammer symbols and hooks come from per-row
+    cumulative tables indexed by the parts of a padded partition matrix,
+    never a loop over cells.  A table row extends its sum one box at a
+    time, so a layer reads the same floats however far the tables were
+    built.
 
     Layers are built on first use (:class:`~betagap.jack._Layers`), in
     blocks of ``_LAYER_BLOCK`` weights: the block's partition arrays
@@ -380,12 +373,18 @@ class _Coefficients(_Layers):
         at_ones: bool,
     ) -> None:
         super().__init__()
+        self.cap = _termination_cap(upper)
+        ones = parts / alpha
+        if at_ones and ones in lower:
+            drop = lower.index(ones)
+            lower = lower[:drop] + lower[drop + 1 :]
+        elif at_ones:
+            upper = (*upper, ones)
         self.upper = upper
         self.lower = lower
         self.alpha = alpha
         self.parts = parts
         self.at_ones = at_ones
-        self.cap = _termination_cap(upper)
         self._top = -1
 
     def _grow(self, k: int) -> None:
@@ -394,9 +393,7 @@ class _Coefficients(_Layers):
         self._upper = [_pochhammer_tables(a, alpha, parts, top) for a in self.upper]
         self._lower = [_pochhammer_tables(b, alpha, parts, top) for b in self.lower]
         if self.at_ones:
-            self._upper_hooks = _hook_log_sums(alpha, parts - 1, top, upper=True)
-            self._lower_hooks = _hook_log_sums(alpha, parts - 1, top)
-            self._contents = _content_log_sums(alpha, parts, top)
+            self._hooks = [_hook_log_sums(alpha, parts - 1, top, upper) for upper in (True, False)]
 
     def _build(self, k: int) -> None:
         stop = k + _LAYER_BLOCK
@@ -408,7 +405,7 @@ class _Coefficients(_Layers):
         padded = np.concatenate(layers)
         rows = np.concatenate([np.arange(size) for size in sizes])
         if self.at_ones:
-            log_coef = np.repeat([w * math.log(self.alpha) for w in weights], sizes)
+            log_coef = np.repeat([2 * w * math.log(self.alpha) for w in weights], sizes)
         else:
             log_coef = np.repeat([-math.lgamma(w + 1) for w in weights], sizes)
         bounds = np.cumsum([0] + sizes)
@@ -430,10 +427,8 @@ class _Coefficients(_Layers):
             lower_zero.append(zeros[cells].any(axis=1))
         live = ~upper_zero
         poles = np.flatnonzero(np.any(lower_zero, axis=0) & live) if lower_zero else rows[:0]
-        if self.at_ones:
-            _subtract_hook_runs(log_coef, self._upper_hooks, padded)
-            _subtract_hook_runs(log_coef, self._lower_hooks, padded)
-            log_coef += self._contents[cells].sum(axis=1)
+        for hooks in self._hooks if self.at_ones else ():
+            _subtract_hook_runs(log_coef, hooks, padded)
         arrays = rows[live], log_coef[live], negatives[live] % 2 == 1
         for array in arrays:  # shared, as views, by every caller of the cached entry
             array.flags.writeable = False

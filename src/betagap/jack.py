@@ -4,11 +4,12 @@
 = (x_1 + ... + x_m)**k``.  Which evaluator serves which argument:
 
 - one distinct nonzero value (every ``E(0)`` series): the closed form
-  ``x**|kappa| C_kappa(1, ..., 1)``, with no table.  The series of
-  :mod:`betagap.hypergeom` takes ``C_kappa(1, ..., 1)`` into its cached
-  coefficient layers, with the hook products summed over the same
-  constant-leg runs as the strip table's normalization
-  (:func:`_hook_log_sums`, :func:`_subtract_hook_runs`), and sums them
+  ``x**k C_kappa(1^n)``, ``C_kappa(1^n) / k! = alpha**(2k) [n/alpha]_kappa
+  / j_kappa`` at ``k = |kappa|``, with no table.  The series of
+  :mod:`betagap.hypergeom` caches it in its coefficient layers, the hook
+  products ``j_kappa`` summed over the same constant-leg runs as the strip
+  table's normalization (:func:`_hook_log_sums`,
+  :func:`_subtract_hook_runs`), and sums them
   over the partitions as the ``p = 0``, ``r = 1`` case of the two-value
   contraction below;
 - two distinct nonzero values of one sign, ``u`` repeated ``p`` times

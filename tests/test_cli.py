@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from betagap.cli import CSV_HEADER, main
-from betagap.gap import exact_E0_hard_detailed, exact_En_hard_detailed
+from betagap.gap import asymptotic_En, exact_E0_hard_detailed, exact_En_hard_detailed
 
 EXPECTED_HEADER = "s,beta,a,n,N,method,value,log_value,stderr,trunc_weight,tail_bound,seed"
 
@@ -175,6 +175,14 @@ def test_asympt_variants(capsys: pytest.CaptureFixture[str]) -> None:
     # variants share everything except the log(s) coefficient, so at s=100
     # they are ordered by that coefficient: -1/4 < -1/8 < 0
     assert values["F1A"] < values["MG"] < values["PU"]
+
+
+def test_asympt_excess_row(capsys: pytest.CaptureFixture[str]) -> None:
+    code, out = run_cli(capsys, "asympt", "--beta", "2", "--a", "1", "--s", "100", "--n", "1")
+    assert code == 0
+    (row,) = list(csv.DictReader(io.StringIO(out)))
+    assert row["method"] == "asymptotic[C2D]"
+    assert float(row["log_value"]) == asymptotic_En(1, 1.0, 2.0).log_evaluate(100.0)
 
 
 def test_largedev_row(capsys: pytest.CaptureFixture[str]) -> None:
@@ -381,6 +389,10 @@ def test_bad_endpoint_exits_2(
          "ValueError", "grid must be strictly increasing"),
         (("sweep", "--beta", "2", "--a", "1", "--s-min", "0", "--s-max", "4",
           "--s-count", "3", "--tol", "0"), "ValueError", "tol must be positive"),
+        (("sweep", "--beta", "2", "--a", "1", "--s-min", "1", "--s-max", "2",
+          "--s-count", "0"), "ValueError", "s-count must be positive, got 0"),
+        (("sweep", "--beta", "2", "--a", "1", "--s-min", "2", "--s-max", "1",
+          "--s-count", "3"), "ValueError", "grid needs s-max > s-min, got [2.0, 1.0]"),
         (("mc", "--beta", "2", "--a", "nan", "--N", "5", "--s", "1",
           "--samples", "2000"), "ValueError", "a must be finite and nonnegative"),
         (("mc", "--beta", "2", "--a", "inf", "--N", "5", "--s", "1",
@@ -436,6 +448,7 @@ def test_bad_endpoint_exits_2(
         "sweep-N-negative", "exact-N-negative", "exact-n1-N-negative",
         "largedev-N-negative", "exact-tol-nan", "exact-max-weight-negative",
         "sweep-grid-zero", "sweep-log-grid-zero", "sweep-grid-tied", "sweep-tol-before-grid",
+        "sweep-count-zero", "sweep-grid-reversed",
         "mc-a-nan", "mc-a-inf", "mc-beta-inf",
         "asympt-above-1", "asympt-inf", "asympt-n1-variant", "asympt-n2-variant",
         "largedev-above-1", "contour-torus-s-zero",
@@ -496,9 +509,26 @@ def test_report_arbitration_content(capsys: pytest.CaptureFixture[str]) -> None:
     assert "exponent arbitration at beta=2.0, a=1.0" in out
     assert "F1A: -0.25" in out
     assert "MG: -0.125" in out
-    assert "fitted: -0.25487791108742425\n" in out
-    assert "fitted (slope pinned to F1A): -0.9094460642189649\n" in out
+    assert "fitted: -0.25487791108742613\n" in out
+    assert "fitted (slope pinned to F1A): -0.9094460642189641\n" in out
     assert "informational only" in out
+
+
+def test_report_json_matches_text(capsys: pytest.CaptureFixture[str]) -> None:
+    code, out = run_cli(capsys, "report", "--beta", "2", "--a", "1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["beta"], payload["a"]) == (2.0, 1.0)
+    assert list(payload["log_s_coefficient"]) == ["PU", "MG", "F1A"]
+    assert list(payload["constant"]) == ["PU", "MG", "F1A"]
+    _, text = run_cli(capsys, "report", "--beta", "2", "--a", "1")
+    fitted = [line.split(": ")[1] for line in text.splitlines() if "fitted" in line]
+    assert fitted == [
+        repr(payload[key])
+        for key in (
+            "fitted_log_s_coefficient", "fitted_constant", "fitted_constant_pinned_slope"
+        )
+    ]
 
 
 def test_quantization_error_exits_2(capsys: pytest.CaptureFixture[str]) -> None:

@@ -166,6 +166,28 @@ def test_contour_level_memory_grows_with_row_block() -> None:
     assert peak < 8e6
 
 
+def test_torus_kernel_row_blocks_cover_every_row(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Row blocks that do not divide the grid give the same value, to the
+    # bit, as one block over all rows.
+    value = torus_E0_finiteN(0.4, 2.0, 2.0, 3)
+    monkeypatch.setattr(contour, "_ROW_BLOCK", 4096)
+    assert torus_E0_finiteN(0.4, 2.0, 2.0, 3) == value
+
+
+def test_torus_level_memory_grows_with_row_block() -> None:
+    # Settling at 2048 points per dimension, the torus built n x n pair
+    # matrices and their complex copy (101 MB traced); row blocks keep it a
+    # few MB.
+    torus_E0_finiteN(0.5, 4.0 / 3.0, 3.0, 4)  # caches the rules
+    tracemalloc.start()
+    try:
+        torus_E0_finiteN(0.5, 4.0 / 3.0, 3.0, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+
+
 # --------------------------------------------------------------- independence
 
 

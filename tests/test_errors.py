@@ -27,7 +27,8 @@ from betagap.gap import (
     log_norm_ratio_exact,
     log_norm_ratio_stirling,
 )
-from betagap.mc import EnsembleSpec, estimate_gap
+from betagap.mc import EnsembleSpec, McEstimate, estimate_gap
+from betagap.partitions import partitions_of_weight
 
 
 def test_quantized_rounds_near_integers() -> None:
@@ -154,12 +155,19 @@ def test_torus_finite_size_rejects_bad_N(a: float, N) -> None:
          "samples must be at least 1000, got 1000.5"),
         (lambda: log_morris_value(math.nan, 1.0, 1.0, 1.0),
          "n must be a nonnegative integer, got nan"),
+        (lambda: partitions_of_weight(-1), "weight must be nonnegative, got -1"),
+        (lambda: partitions_of_weight(3, max_parts=-1), "max_parts must be nonnegative, got -1"),
+        (lambda: McEstimate(1.5, 0.0, 1000, 0), r"probability must lie in \[0, 1\], got 1.5"),
+        (lambda: McEstimate(0.5, -0.1, 1000, 0), "stderr must be nonnegative, got -0.1"),
+        (lambda: McEstimate(0.5, 0.01, 0, 0), "samples must be positive, got 0"),
     ],
-    ids=["N=2.5", "N=nan", "n=nan", "samples=1000.5", "morris-n=nan"],
+    ids=["N=2.5", "N=nan", "n=nan", "samples=1000.5", "morris-n=nan", "weight=-1",
+         "max_parts=-1", "estimate-probability", "estimate-stderr", "estimate-samples"],
 )
 def test_counts_reject_non_integers(call, message: str) -> None:
-    # Each used to pass, or to end in TypeError or "cannot convert float
-    # NaN to integer", before the count rule became errors.counted.
+    # Each count and range is checked where it enters.  The first five used
+    # to pass, or to end in TypeError or "cannot convert float NaN to
+    # integer", before the count rule became errors.counted.
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
 
@@ -190,6 +198,8 @@ def test_counts_reject_non_integers(call, message: str) -> None:
          "s0 must be finite and positive, got -1.0"),
         (lambda: log_multi_F01_asympt(4.0, (0.0,), 1.0, 1, 2.0),
          r"s_list\[0\] must be finite and positive, got 0.0"),
+        (lambda: log_multi_F01_asympt(4.0, (1.0,), 1.0, 2, 2.0),
+         "expected 2 secondary scales, got 1"),
         (lambda: duality_check(4.0, 0.0, 0.5), "dual parameters out of range: n'=1.0, a'=-1.0"),
         (lambda: asymptotic_E0(1.0, 2.0).log_evaluate(math.nan),
          "s must be finite and positive, got nan"),
@@ -202,7 +212,8 @@ def test_counts_reject_non_integers(call, message: str) -> None:
     ],
     ids=["ls-shift-nan", "ls-shift-inf", "ls-list-nan", "ls-a-nan", "ls-beta-negative",
          "mean-N-negative", "stirling-N-zero", "exact-N-negative", "exact-beta-nan",
-         "multi-s0-nan", "multi-s0-negative", "multi-list-zero", "duality-a-negative",
+         "multi-s0-nan", "multi-s0-negative", "multi-list-zero",
+         "multi-list-length", "duality-a-negative",
          "form-s-nan", "form-s-inf", "form-s-zero", "form-s-negative"],
 )
 def test_closed_forms_reject_bad_input(call, message: str) -> None:

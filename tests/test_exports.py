@@ -94,9 +94,16 @@ def test_no_second_copy_of_a_closed_form() -> None:
     # Each closed form is stated once: the characteristic-polynomial moment
     # is exp(linstat_mean + linstat_variance / 2), the E(n) / E(0) form is
     # asymptotic_En minus asymptotic_E0, the duality constants are the
-    # c_const entries of duality_check, and the large-gap form is built only
-    # by asymptotic_En (asymptotic_E0 is its n = 0 case).
-    retired = {"char_poly_moment_asympt", "asymptotic_En_ratio", "log_duality_constants"}
+    # c_const entries of duality_check, the large-gap form is built only
+    # by asymptotic_En (asymptotic_E0 is its n = 0 case), and the contents
+    # of C_kappa(1^n) are the Pochhammer symbol [n/alpha]_kappa times
+    # alpha**k, read from the same tables as every other parameter.
+    retired = {
+        "char_poly_moment_asympt",
+        "asymptotic_En_ratio",
+        "log_duality_constants",
+        "_content_log_sums",
+    }
     assert _defined_or_imported(retired) == []
     builders = []
     for path in sorted(Path(betagap.__file__).parent.glob("*.py")):

@@ -441,7 +441,7 @@ HARD_EXCESS_PINS = {
     (10.0, 0.0, 2.0, 1): (-0.17714816856738946, 0, 0.0, 17, 8.118278700936077e-17),
     (10.0, 1.0, 2.0, 1): (-0.61793997219911, 0, 0.0, 19, 1.3268045641152424e-16),
     (4.0, 0.0, 1.0, 1): (-0.9466111376720515, 0, 0.0, 11, 3.406095564983511e-18),
-    (4.0, 0.0, 2.0, 1): (-0.4653945511863855, 0, 0.0, 14, 1.3745125182943006e-17),
+    (4.0, 0.0, 2.0, 1): (-0.4653945511863855, 0, 0.0, 14, 1.374512518294291e-17),
     (4.0, 0.0, 2.0, 2): (-5.46479044117096, 0, 0.0, 15, 1.0664727753875973e-16),
     (4.0, 1.0, 2.0, 1): (-1.8241327419135258, 0, 0.0, 15, 4.236321034882243e-17),
     (4.0, 2.0, 1.0, 1): (-3.3461246569469507, 0, 0.0, 12, 2.0199981476424516e-16),
@@ -449,7 +449,7 @@ HARD_EXCESS_PINS = {
 
 # (s, a, beta, n, N) -> E_{N+n}(n; (0, s)), pinned the same way.
 FINITE_EXCESS_PINS = {
-    (0.5, 0.0, 1.0, 1, 10): 0.6312057207905933,
+    (0.5, 0.0, 1.0, 1, 10): 0.6312057207905936,
     (0.5, 0.0, 1.0, 1, 5): 0.6894767780690154,
     (0.5, 0.0, 2.0, 1, 10): 0.5172571788964264,
     (0.5, 0.0, 2.0, 1, 5): 0.8219353346969259,

@@ -37,7 +37,7 @@ from betagap.hypergeom import (
 )
 from betagap.partitions import gen_pochhammer_signlog, partitions_of_weight
 from betagap.quadrature import ratio_moments
-from oracles import jack_C_at_identity_log
+from oracles import hook_products_log, jack_C_at_identity_log
 from test_jack import pair_layer
 
 mp.mp.dps = 40
@@ -200,7 +200,7 @@ def test_terminating_series_has_no_default_ceiling() -> None:
     # ceiling still binds.
     spec = HypergeomSpec((-300.0,), (1.0,), 1.0, ArgBlocks.from_values([-1000.0]))
     result = pFq_alpha(spec)
-    assert (result.log_value, result.max_weight_used) == (728.910010361783, 284)
+    assert (result.log_value, result.max_weight_used) == (728.9100103617831, 284)
     assert result == pFq_alpha(spec, max_weight=300)
     with pytest.raises(NonConvergenceError, match="by weight 200 "):
         pFq_alpha(spec, max_weight=DEFAULT_MAX_WEIGHT)
@@ -405,6 +405,23 @@ def test_coefficient_layers_match_scalar_forms(alpha: float, parts: int) -> None
                 assert layer.negative.tolist() == [w[0] < 0 for _, w in live]
                 logs = np.array([w[1] for _, w in live])
                 np.testing.assert_allclose(layer.log_coef, logs, rtol=1e-13, atol=2e-13)
+
+
+@pytest.mark.parametrize("alpha, m", [(0.5, 1), (1.0, 2), (2.0, 3), (1.5, 4)])
+def test_hard_edge_coefficients_are_inverse_hook_products(alpha: float, m: int) -> None:
+    # C_kappa(1^m) / k! = alpha**(2k) [m/alpha]_kappa / j_kappa, so the lower
+    # parameter a = m/alpha of the hard-edge E(0) series cancels it: every
+    # coefficient is alpha**(2k) / j_kappa, built with no Pochhammer table.
+    coefficients = hypergeom._coefficients((), (m / alpha,), alpha, m, True)
+    for k in range(25):
+        layer = coefficients.layer(k)
+        kappas = partitions_of_weight(k, m)
+        want = [2 * k * math.log(alpha) - sum(hook_products_log(kappa, alpha)) for kappa in kappas]
+        assert layer.pole is None
+        assert layer.rows.tolist() == list(range(len(kappas)))
+        assert not layer.negative.any()
+        np.testing.assert_allclose(layer.log_coef, want, rtol=1e-13, atol=1e-13)
+    assert coefficients._upper == [] and coefficients._lower == []
 
 
 def _log_difference(log_pos: float, log_neg: float) -> float:
@@ -1142,24 +1159,24 @@ def test_one_value_series_past_float_range() -> None:
 E0_HARD_SERIES_PINS = {
     (1.0, 0): SeriesResult(1.0, 0.0, 1, 0, 0.0, True, 1),
     (1.0, 1): SeriesResult(
-        1.9627864279361782, 0.6743651105654103, 1, 12, 2.2161787275206348e-17, False, 13
+        1.9627864279361782, 0.6743651105654103, 1, 12, 2.2161787275206506e-17, False, 13
     ),
     (1.0, 3): SeriesResult(
         2.116771427539108, 0.7498920163372992, 1, 15, 5.29840384981085e-16, False, 174
     ),
     (2.0, 0): SeriesResult(1.0, 0.0, 1, 0, 0.0, True, 1),
     (2.0, 1): SeriesResult(
-        3.1655890675997798, 1.1523391575829183, 1, 13, 1.58551807555288e-18, False, 14
+        3.1655890675997798, 1.1523391575829183, 1, 13, 1.5855180755528686e-18, False, 14
     ),
     (2.0, 3): SeriesResult(
-        4.457372853421946, 1.4945595461580827, 1, 17, 7.15794665247843e-16, False, 237
+        4.457372853421946, 1.4945595461580827, 1, 17, 7.157946652478482e-16, False, 237
     ),
     (4.0, 0): SeriesResult(1.0, 0.0, 1, 0, 0.0, True, 1),
     (4.0, 1): SeriesResult(
-        5.834386409833859, 1.7637691033683385, 1, 13, 5.550754749910036e-18, False, 14
+        5.834386409833859, 1.7637691033683385, 1, 13, 5.550754749910115e-18, False, 14
     ),
     (4.0, 3): SeriesResult(
-        17.74691188013176, 2.876211522201269, 1, 19, 1.3406663703383632e-16, False, 314
+        17.746911880131755, 2.876211522201269, 1, 19, 1.3406663703383632e-16, False, 314
     ),
 }
 
@@ -1174,7 +1191,7 @@ def test_hard_edge_series_pinned_bits(key: tuple[float, int]) -> None:
 def test_finite_size_series_pinned_bits() -> None:
     log_value, series = exact_E0_finiteN_detailed(0.5, 1.0, 4.0, 5)
     assert log_value == -1.383927274272184
-    assert series == SeriesResult(37.191220513668405, 3.616072725727816, 1, 10, 0.0, True, 21)
+    assert series == SeriesResult(37.19122051366842, 3.616072725727816, 1, 10, 0.0, True, 21)
 
 
 def test_table_path_series_pinned_bits() -> None:
