@@ -448,7 +448,8 @@ def hard_contour_E0(s: float, a: float, beta: float, tol: float = 1e-8) -> float
     singular), with branch choices fixed by the contour deformation.
     The circle has radius 1;
     the Gauss–Legendre grid (the cached rules of
-    :func:`betagap.quadrature.gauss_jacobi`) starts at 256 circle and 96
+    :func:`betagap.quadrature.gauss_jacobi`, which at these orders come
+    from Bogaert's iteration-free formulas) starts at 256 circle and 96
     ray nodes and doubles up to 4 times.
 
     Parameters

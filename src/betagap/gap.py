@@ -622,13 +622,26 @@ def exact_En_finiteN_detailed(
     N = _ensemble_size(N)
 
     def log_prefactor(bounded: int) -> float:
+        # _log_laguerre_norm(a + 2n, beta, N) - _log_laguerre_norm(a, beta,
+        # N + n), telescoped: of lgamma(m + j beta / 2) only j in [N + n, N +
+        # 2n) and, negated, j < 2n are left, of lgamma(1 + (j + 1) beta / 2)
+        # only j in [N, N + n), negated, and n lgamma(1 + beta / 2); their
+        # log(2 / beta) powers differ by -p.  The two whole sums are near 89
+        # at N = 10, and their difference would lose about 2e-14; for the
+        # same reason the label count is the log of an exact integer.
+        m = a * beta / 2.0 + 1.0
+        norm_ratio = n * math.lgamma(1.0 + beta / 2.0)
+        for j in range(n):
+            norm_ratio += (
+                math.lgamma(m + (N + n + j) * beta / 2.0)
+                - math.lgamma(1.0 + (N + j + 1.0) * beta / 2.0)
+            ) - (math.lgamma(m + j * beta / 2.0) + math.lgamma(m + (n + j) * beta / 2.0))
         # y = s u: s^n from dy, s^(a beta / 2) per position from the shifted
         # weight, s^beta per pair from the repulsion
         p = n + n * a * beta / 2.0 + beta * n * (n - 1.0) / 2.0
         return (
-            math.lgamma(N + n + 1.0) - math.lgamma(N + 1.0) - math.lgamma(n + 1.0)
-            + _log_laguerre_norm(a + 2.0 * n, beta, N) - _log_laguerre_norm(a, beta, N + n)
-            + p * math.log(s) - beta * s * (N + n - bounded) / 2.0
+            math.log(math.comb(N + n, n)) + norm_ratio
+            + p * (math.log(s) - math.log(2.0 / beta)) - beta * s * (N + n - bounded) / 2.0
         )
 
     return _excess_integral(

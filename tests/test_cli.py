@@ -112,8 +112,8 @@ def test_exact_finite_excess_row(capsys: pytest.CaptureFixture[str]) -> None:
     assert code == 0
     record = json.loads(out)
     assert record["method"] == "exact_En_finiteN"
-    assert record["value"] == 0.6732268230326233
-    assert record["log_value"] == -0.3956729733822598
+    assert record["value"] == 0.673226823032628
+    assert record["log_value"] == -0.3956729733822527
     assert record["trunc_weight"] == 15
     # n = 1 is one series, which terminates exactly: no tail, no quadrature
     assert record["tail_bound"] == 0.0
@@ -200,8 +200,8 @@ def test_contour_row(capsys: pytest.CaptureFixture[str]) -> None:
     code, out = run_cli(capsys, "contour", "--beta", "2", "--a", "1", "--s", "2")
     assert code == 0
     assert out.strip().splitlines()[1] == (
-        "2.0,2.0,1.0,0,,hard_contour_E0,0.9498773125498129,"
-        "-0.051422447411850813,,,,"
+        "2.0,2.0,1.0,0,,hard_contour_E0,0.949877312549813,"
+        "-0.051422447411850696,,,,"
     )
 
 

@@ -97,8 +97,8 @@ def test_torus_and_contour_pinned_bits() -> None:
     assert torus_E0_finiteN(0.4, 2.0, 2.0, 3) == 0.9412444954504848
     assert torus_E0_hard(2.0, 1.0, 2.0) == 0.9498773125498133
     assert torus_E0_hard(1.5, 4.0, 1.0) == 0.9999301184155079
-    assert hard_contour_E0(2.0, 1.0, 2.0) == 0.9498773125498129
-    assert hard_contour_E0(1.0, 3.0, 4.0 / 3.0) == 0.9999266070183511
+    assert hard_contour_E0(2.0, 1.0, 2.0) == 0.949877312549813
+    assert hard_contour_E0(1.0, 3.0, 4.0 / 3.0) == 0.9999266070183507
 
 
 # ------------------------------------------------------------------ kernel

@@ -1,6 +1,7 @@
 """The in-package Gauss–Jacobi rules and the Hurwitz zeta of the double
-gamma tail, against exact moments and 40-digit mpmath, and the fused
-Newton pass against the per-degree recurrence it replaced."""
+gamma tail, against exact moments and 40-digit mpmath, the fused Newton
+pass against the per-degree recurrence it replaced, and the iteration-free
+Gauss–Legendre rules and their Bessel tables against 40-digit values."""
 
 from __future__ import annotations
 
@@ -33,13 +34,17 @@ def test_jacobi_rule_integrates_polynomials_exactly(order: int, power: int) -> N
 
 def _legendre_root(n: int, x0: float) -> tuple[mp.mpf, mp.mpf]:
     """Newton-polished zero of ``P_n`` near ``x0`` and its Gauss weight
-    ``2 / ((1 - x**2) P_n'(x)**2)``, by the three-term recurrence in
-    40-digit arithmetic."""
+    ``2 / ((1 - x**2) P_n'(x)**2)``, in 40-digit arithmetic: the three-term
+    recurrence runs in 200-bit fixed point on Python integers, the Newton
+    steps in mpmath."""
+    bits = 200
 
     def value_and_slope(x: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
-        p_prev, p = mp.mpf(1), x
+        fixed = int(mp.ldexp(x, bits))
+        p_prev, p = 1 << bits, fixed
         for k in range(1, n):
-            p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+            p_prev, p = p, ((2 * k + 1) * (fixed * p >> bits) - k * p_prev) // (k + 1)
+        p, p_prev = mp.ldexp(p, -bits), mp.ldexp(p_prev, -bits)
         return p, n * (x * p - p_prev) / (x * x - 1)
 
     with mp.workdps(40):
@@ -58,12 +63,66 @@ def test_legendre_rule_at_4096_nodes() -> None:
     assert np.array_equal(x, -x[::-1])
     assert np.array_equal(w, w[::-1])
     assert abs(math.fsum(w) - 2.0) <= 1e-14
-    for i in (0, 1, 5, 700, n // 2):
+    for i in (0, 1, 5, 700, n // 2, n - 1):
         root, weight = _legendre_root(n, float(x[i]))
         assert abs(float(root) - x[i]) <= 1.2e-16
-        # a node rounded to the nearest double moves its weight by about
-        # ulp / (1 - |x|) relative, which dominates near the endpoints
-        assert abs(float(w[i] / weight) - 1.0) <= 1e-13 + 2.4e-16 / (1.0 - abs(x[i]))
+        assert abs(float(w[i] / weight) - 1.0) <= 2e-15
+
+
+# Orders 133 and 332 each have a node 2.2e-16 off when the angle's pi (k -
+# 1/4) or pi (order/2 - k + 1/2) is rounded before the small terms join it.
+@pytest.mark.parametrize("order", [96, 97, 128, 133, 255, 256, 332, 1024])
+def test_asymptotic_legendre_rule_matches_40_digits(order: int) -> None:
+    x, w = gauss_jacobi(order, 0.0, 0.0)
+    assert np.all(np.diff(x) > 0.0)
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+    assert abs(math.fsum(w) - 2.0) <= 1e-14
+    if order % 2:
+        assert x[order // 2] == 0.0
+    # the rule is exactly symmetric, so its upper half is every node
+    for i in range(order // 2, order):
+        root, weight = _legendre_root(order, float(x[i]))
+        assert abs(float(root) - x[i]) <= 1.2e-16, i
+        assert abs(float(w[i] / weight) - 1.0) <= 2e-15, i
+
+
+@pytest.mark.parametrize("order", [96, 97])
+def test_asymptotic_legendre_rule_integrates_polynomials_exactly(order: int) -> None:
+    # int P_j = 0 for j >= 1: an order-n Gauss rule is exact through degree
+    # 2n - 1, and P_{2n} is the first polynomial it misses.
+    x, w = gauss_jacobi(order, 0.0, 0.0)
+    p_prev, p = np.ones_like(x), x
+    sums = [math.fsum(w * p)]
+    for k in range(1, 2 * order):
+        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+        sums.append(math.fsum(w * p))
+    assert max(map(abs, sums[:-1])) <= 2e-15
+    assert abs(sums[-1]) > 0.1
+
+
+def test_asymptotic_legendre_rules_run_no_recurrence(monkeypatch: pytest.MonkeyPatch) -> None:
+    def recurrence(*args: object) -> None:
+        raise AssertionError("the recurrence ran")
+
+    monkeypatch.setattr(quadrature, "_with_derivative", recurrence)
+    first = quadrature._ASYMPTOTIC_ORDER
+    for order in [*range(first, first + 200), 384, 512, 768, 1536, 2048, 4096, 4097]:
+        gauss_jacobi.__wrapped__(order, 0.0, 0.0)
+    with pytest.raises(AssertionError, match="the recurrence ran"):
+        gauss_jacobi.__wrapped__(first - 1, 0.0, 0.0)
+
+
+def test_bessel_tables_are_rounded_mpmath() -> None:
+    with mp.workdps(40):
+        zeros = [mp.besseljzero(0, k) for k in range(1, 41)]
+        assert quadrature._J0_ZEROS == tuple(float(z) for z in zeros[:20])
+        assert quadrature._J1_SQUARED == tuple(float(mp.besselj(1, z) ** 2) for z in zeros[:21])
+        # McMahon's expansions beyond the tables
+        k = np.arange(21.0, 41.0)
+        for kk, zero, mu, j1_squared in zip(k.tolist(), zeros[20:], *quadrature._mcmahon(k)):
+            assert abs(float((mp.pi * (kk - 0.25) + mu) / zero - 1)) <= 4e-16, kk
+            assert abs(float(j1_squared / mp.besselj(1, zero) ** 2 - 1)) <= 4e-16, kk
 
 
 def _per_degree_with_derivative(
@@ -92,8 +151,9 @@ def _assert_rule_bits(monkeypatch: pytest.MonkeyPatch, order: int, a: float, b: 
     assert np.array_equal(x, x_ref) and np.array_equal(w, w_ref), (order, a, b)
 
 
-@pytest.mark.parametrize("order", [96, 256, 1024, 4096])
+@pytest.mark.parametrize("order", [8, 60, 95])
 def test_legendre_rules_keep_their_bits(order: int, monkeypatch: pytest.MonkeyPatch) -> None:
+    # Legendre orders below _ASYMPTOTIC_ORDER still run Newton's method.
     _assert_rule_bits(monkeypatch, order, 0.0, 0.0)
 
 
