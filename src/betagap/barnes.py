@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from functools import cache
 
-import numpy as np
-
 from .errors import NonConvergenceError, ResourceLimitError, counted, quantized, require_finite
 
 __all__ = [
@@ -29,6 +27,8 @@ __all__ = [
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+# The Euler–Mascheroni constant, to the last bit of a float.
+_EULER_GAMMA = 0.5772156649015329
 
 # Bernoulli numbers B_0 .. B_14 (odd ones beyond B_1 vanish).
 _BERNOULLI = {
@@ -64,6 +64,10 @@ def _bernoulli_poly(n: int, z: float) -> float:
     return total
 
 
+#: ``B_{k+1}(1)`` for each tail order ``k`` of :func:`_shintani_window`.
+_BERNOULLI_AT_ONE = {k: _bernoulli_poly(k + 1, 1.0) for k in range(2, _TAIL_ORDER + 1)}
+
+
 def _hurwitz_zeta(k: int, q: float) -> float:
     """Hurwitz zeta ``sum_{j>=0} (j + q)**-k`` for an integer ``k >= 2``, by
     Euler–Maclaurin through ``B_14``: ``q**(1-k)/(k-1) + q**-k/2 + sum_j
@@ -85,7 +89,7 @@ def _shintani_window(z: float, tau: float) -> float:
         core = (
             (z / 2.0) * _LOG_2PI
             + ((z - z * z) / (2.0 * tau) - z / 2.0) * math.log(tau)
-            + (z * z - z) * np.euler_gamma / (2.0 * tau)
+            + (z * z - z) * _EULER_GAMMA / (2.0 * tau)
             + math.lgamma(z)
         )
         for n in range(1, n0 + 1):
@@ -99,7 +103,7 @@ def _shintani_window(z: float, tau: float) -> float:
         tail = 0.0
         last = 0.0
         for k in range(2, _TAIL_ORDER + 1):
-            coeff = (_bernoulli_poly(k + 1, z) - _bernoulli_poly(k + 1, 1.0)) / (
+            coeff = (_bernoulli_poly(k + 1, z) - _BERNOULLI_AT_ONE[k]) / (
                 k * (k + 1) * tau**k
             )
             last = (-1.0) ** (k + 1) * coeff * _hurwitz_zeta(k, n0 + 1.0)

@@ -628,13 +628,19 @@ def exact_En_finiteN_detailed(
         # only j in [N, N + n), negated, and n lgamma(1 + beta / 2); their
         # log(2 / beta) powers differ by -p.  The two whole sums are near 89
         # at N = 10, and their difference would lose about 2e-14; for the
-        # same reason the label count is the log of an exact integer.
+        # same reason the label count is the log of an exact integer.  Each
+        # lgamma(x + d) - lgamma(x) left, x = 1 + (N + j + 1) beta / 2, is
+        # the sum of log(x + i) over i < floor(d) plus a bracket that is
+        # exactly 0 where d is an integer: lgamma near 7-20 would lose bits.
         m = a * beta / 2.0 + 1.0
+        d = a * beta / 2.0 + (n - 1.0) * beta / 2.0
+        whole = math.floor(d)
         norm_ratio = n * math.lgamma(1.0 + beta / 2.0)
         for j in range(n):
+            x = 1.0 + (N + j + 1.0) * beta / 2.0
             norm_ratio += (
-                math.lgamma(m + (N + n + j) * beta / 2.0)
-                - math.lgamma(1.0 + (N + j + 1.0) * beta / 2.0)
+                sum(math.log(x + i) for i in range(whole))
+                + (math.lgamma(x + d) - math.lgamma(x + whole))
             ) - (math.lgamma(m + j * beta / 2.0) + math.lgamma(m + (n + j) * beta / 2.0))
         # y = s u: s^n from dy, s^(a beta / 2) per position from the shifted
         # weight, s^beta per pair from the repulsion

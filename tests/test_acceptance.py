@@ -20,11 +20,13 @@ from betagap.barnes import log_morris_value
 from betagap.cli import _identity_suite, main
 from betagap.contour import hard_contour_E0, torus_E0_finiteN, torus_E0_hard
 from betagap.gap import (
+    asymptotic_E0,
     asymptotic_En,
     duality_check,
     exact_E0_finiteN,
     exact_E0_finiteN_detailed,
     exact_E0_hard,
+    exact_E0_hard_detailed,
     exact_En_hard,
     exact_En_hard_detailed,
     log_large_deviation_E0,
@@ -314,3 +316,37 @@ def test_ac13_En_formula_trend() -> None:
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 20.0
     _report("13 En-formula-trend", ok, f"{' '.join(rows)} time={elapsed:.1f}s")
+
+
+def test_ac14_constant_precision() -> None:
+    # The paper's large-gap form of E(0), whose constant is a Barnes double
+    # gamma, against the exact series at s = 400 * 2**j up to 25600: the
+    # residual d(s) = log E(0) - log of the form, fitted by least squares
+    # in powers s**(-i/2), i = 0..5, must have a limit c0 near rounding,
+    # also where 2/beta is not an integer and at irrational beta.  The
+    # basis is taken in (400/s)**(i/2) for conditioning; c1 is the
+    # s**(-1/2) coefficient.  Smaller beta converges more slowly, so
+    # beta < 4/3 has the looser bound.
+    start = time.perf_counter()
+    scales = [400.0 * 2**j for j in range(7)]
+    basis = np.array([[(400.0 / s) ** (i / 2.0) for i in range(6)] for s in scales])
+    grid = [
+        (4.0 / 3.0, 3), (2.0, 1), (2.0, 3), (3.0, 2), (4.0, 2), (6.0, 2), (math.pi, 2),
+        (math.sqrt(2.0), 3), (2.7, 1), (5.3, 2), (7.5, 1),
+        (0.8, 1), (0.8, 2), (1.0, 3), (1.1, 2),
+    ]
+    rows, ok = [], True
+    for beta, m in grid:
+        a = 2.0 * m / beta
+        form = asymptotic_E0(a, beta)
+        d = [
+            exact_E0_hard_detailed(s, a, beta, max_weight=800)[0] - form.log_evaluate(s)
+            for s in scales
+        ]
+        coefficients = np.linalg.lstsq(basis, np.array(d), rcond=None)[0]
+        c0, c1 = float(coefficients[0]), float(coefficients[1]) * math.sqrt(400.0)
+        ok = ok and abs(c0) <= (1e-8 if beta >= 4.0 / 3.0 else 1e-6)
+        rows.append(f"b{beta:.4g}m{m}:c0={c0:.1e},c1={c1:.4f}")
+    elapsed = time.perf_counter() - start
+    ok = ok and elapsed < 10.0
+    _report("14 constant-precision", ok, f"{' '.join(rows)} time={elapsed:.1f}s")

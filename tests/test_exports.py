@@ -2,9 +2,10 @@
 function beside its log twin, no public function takes a formula switch,
 no closed form has a second copy, two-value series have one evaluator,
 cached layers have one locked build loop, each route's end is decided
-once, no eigensolver or scalar Vandermonde is back, neither importing the
-package nor any subcommand needs scipy or (single-threaded) the thread
-pool, and the test oracles share no code with the package."""
+once, the circle pair kernel is built in one place, no eigensolver or
+scalar Vandermonde is back, neither importing the package nor any
+subcommand needs scipy or (single-threaded) the thread pool, barnes needs
+no numpy, and the test oracles share no code with the package."""
 
 from __future__ import annotations
 
@@ -166,6 +167,31 @@ def test_one_locked_layer_loop() -> None:
     assert sum_layers == [["source", "members", "tol", "max_weight", "t_power"]]
 
 
+def test_one_circle_pair_kernel() -> None:
+    # The dimension-2 pair interaction |z_j - z_k|**(4/beta) of a circle
+    # grid is built in contour._circle_pair_form alone, from its half-angle
+    # table: no other function of the module takes an outer product or
+    # difference or a sine, and both the torus trapezoid and the contour
+    # pass reach it.
+    tree = ast.parse((Path(betagap.__file__).parent / "contour.py").read_text())
+    builders, callers = set(), set()
+    for statement in tree.body:
+        owner = getattr(statement, "name", "<module>")
+        for node in ast.walk(statement):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if getattr(func, "attr", "") == "sin" or (
+                getattr(func, "attr", "") == "outer"
+                and getattr(func.value, "attr", "") in ("subtract", "multiply")
+            ):
+                builders.add(owner)
+            elif getattr(func, "id", "") == "_circle_pair_form":
+                callers.add(owner)
+    assert builders == {"_circle_pair_form"}
+    assert callers == {"_torus_trapezoid", "_contour_components"}
+
+
 def test_import_loads_no_scipy() -> None:
     # scipy is not a runtime dependency: the quadrature rules and the
     # Hurwitz zeta are the package's own (see test_no_subcommand_needs_scipy).
@@ -246,3 +272,15 @@ def test_oracles_import_only_enumeration_and_errors() -> None:
     allowed = ("betagap.partitions.partitions_of_weight", "betagap.errors")
     stray = [name for name in taken if name.startswith("betagap") and not name.startswith(allowed)]
     assert stray == []
+
+
+def test_barnes_imports_no_numpy() -> None:
+    # The double gamma and its constants are scalar: barnes takes only the
+    # standard library's math and functools and the package's error types.
+    tree = ast.parse((Path(betagap.__file__).parent / "barnes.py").read_text())
+    modules = {
+        node.module if isinstance(node, ast.ImportFrom) else alias.name
+        for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert modules == {"__future__", "math", "functools", "errors"}

@@ -449,18 +449,20 @@ HARD_EXCESS_PINS = {
 
 # (s, a, beta, n, N) -> E_{N+n}(n; (0, s)), pinned the same way, and
 # re-pinned when the prefactor's two Laguerre norms were telescoped (every
-# value but the n = 3 one moved; at n = 1 each is now within 18 ulp of the
-# 40-digit prefactor times the same series, (0.5, 0, 1, 1, 10) within 1.3).
+# value but the n = 3 one moved), and again at a > 0 when each lgamma
+# difference left became a sum of logs: against the 40-digit prefactor
+# times the same integral every a > 0 row is now within 3 ulp (was up
+# to 17).
 FINITE_EXCESS_PINS = {
     (0.5, 0.0, 1.0, 1, 10): 0.6312057207905802,
     (0.5, 0.0, 1.0, 1, 5): 0.6894767780690146,
     (0.5, 0.0, 2.0, 1, 10): 0.5172571788964292,
     (0.5, 0.0, 2.0, 1, 5): 0.8219353346969264,
-    (0.5, 1.0, 2.0, 1, 10): 0.8092526487361109,
-    (0.5, 1.0, 2.0, 1, 5): 0.673226823032628,
-    (0.5, 2.0, 1.0, 1, 10): 0.5214370513219551,
-    (0.5, 2.0, 1.0, 1, 5): 0.2750281590055632,
-    (0.5, 1.0, 2.0, 2, 4): 0.011505657728140965,
+    (0.5, 1.0, 2.0, 1, 10): 0.8092526487361131,
+    (0.5, 1.0, 2.0, 1, 5): 0.6732268230326286,
+    (0.5, 2.0, 1.0, 1, 10): 0.5214370513219535,
+    (0.5, 2.0, 1.0, 1, 5): 0.2750281590055636,
+    (0.5, 1.0, 2.0, 2, 4): 0.011505657728140986,
     (0.3, 0.0, 2.0, 3, 1): 2.5108334296492924e-08,
 }
 
@@ -499,8 +501,10 @@ def _log_laguerre_norm_40(a: mp.mpf, beta: mp.mpf, N: int) -> mp.mpf:
 def test_finite_excess_prefactor_is_accurate(monkeypatch: pytest.MonkeyPatch) -> None:
     # At n = 1 the value is its prefactor times one series.  Against the
     # prefactor's formula (label count and the two Laguerre norms) at 40
-    # digits times the same series it is within 4 ulp; subtracting the
-    # norms' two float sums of lgamma, both near 89, left it 122 ulp off.
+    # digits times the same series it is within 4 ulp.  Subtracting the
+    # norms' two float sums of lgamma, both near 89, left a = 0 122 ulp off;
+    # at a > 0, subtracting lgamma(x + d) - lgamma(x) near x = 12 left the
+    # other two rows 17 and 12 ulp off.
     series: list[SeriesResult] = []
 
     def recorded(spec: HypergeomSpec, **controls: object) -> SeriesResult:
@@ -509,17 +513,18 @@ def test_finite_excess_prefactor_is_accurate(monkeypatch: pytest.MonkeyPatch) ->
 
     monkeypatch.setattr(gap, "pFq_alpha", recorded)
     n, N = 1, 10
-    value = exact_En_finiteN(0.5, 0.0, 1.0, n, N)
-    with mp.workdps(40):
-        s, a, beta = mp.mpf(0.5), mp.mpf(0), mp.mpf(1)
-        p = n + n * a * beta / 2 + beta * n * (n - 1) / 2
-        log_reference = (
-            mp.log(mp.binomial(N + n, n))
-            + _log_laguerre_norm_40(a + 2 * n, beta, N) - _log_laguerre_norm_40(a, beta, N + n)
-            + p * mp.log(s) - beta * s * (N + n) / 2 + series[0].log_value
-        )
-        reference = float(mp.exp(log_reference))
-    assert abs(value - reference) <= 4 * math.ulp(reference), (value, reference)
+    for row in [(0.0, 1.0), (1.0, 2.0), (2.0, 1.0)]:
+        value = exact_En_finiteN(0.5, *row, n, N)
+        with mp.workdps(40):
+            s, (a, beta) = mp.mpf(0.5), map(mp.mpf, row)
+            p = n + n * a * beta / 2 + beta * n * (n - 1) / 2
+            log_reference = (
+                mp.log(mp.binomial(N + n, n))
+                + _log_laguerre_norm_40(a + 2 * n, beta, N) - _log_laguerre_norm_40(a, beta, N + n)
+                + p * mp.log(s) - beta * s * (N + n) / 2 + series[-1].log_value
+            )
+            reference = float(mp.exp(log_reference))
+        assert abs(value - reference) <= 4 * math.ulp(reference), (row, value, reference)
 
 
 def test_finite_excess_detailed() -> None:
